@@ -46,8 +46,6 @@ from .fitting import (
 )
 from .idmodels import (
     SQRT_2PI_E,
-    DerivedWidth,
-    MathError,
     Model,
     Tremor,
     WidthKind,
@@ -94,14 +92,12 @@ __all__ = [
     "DatasetRegistry",
     "DegenerateConditionError",
     "DegenerateDataError",
-    "DerivedWidth",
     "Dimensionality",
     "DuplicateConditionError",
     "EmptyDatasetError",
     "FfittsError",
     "FitResult",
     "InterceptFit",
-    "MathError",
     "Model",
     "MovementTimeModel",
     "NORMAL_ALGORITHM",

@@ -34,6 +34,7 @@ from .errors import (
     FfittsError,
     ParseError,
     UnknownDatasetError,
+    ValidationError,
 )
 from .fitting import compare
 from .idmodels import Model
@@ -133,9 +134,10 @@ def _resolve_sigma(token: str | None, dataset: Dataset) -> SigmaEstimate | None:
         raise click.UsageError(
             f"--sigma-a must be a number in mm or one of: {names}"
         ) from None
-    if value <= 0:
-        raise click.UsageError("--sigma-a literal must be > 0")
-    return SigmaEstimate(value, SigmaMethod.USER_GIVEN, "cli")
+    try:
+        return SigmaEstimate(value, SigmaMethod.USER_GIVEN, "cli")
+    except ValidationError as exc:
+        raise click.UsageError(f"--sigma-a literal: {exc}") from None
 
 
 def _parse_models(token: str) -> list[Model]:
@@ -348,16 +350,20 @@ def _calibration_row(records, dimensionality, axis_mode, outlier_mm, tag, alpha)
             )
         else:
             est = sigma_from_calibration(primary, method=tag)
+    except FfittsError as exc:
+        return {"method": tag.value, "label": tag.label, "sigma_a_mm": None,
+                "normality": None, "note": f"warning: {exc}"}
+    # the estimate stands whether or not the normality test can run
+    try:
         check = normality_check(primary, alpha=alpha)
         normality = (
             f"W={check.statistic:.3f} p={check.p_value:.3f} "
             f"{'pass' if check.passed else 'FAIL'}"
         )
-        return {"method": tag.value, "label": tag.label,
-                "sigma_a_mm": est.sigma_a_mm, "normality": normality, "note": ""}
     except FfittsError as exc:
-        return {"method": tag.value, "label": tag.label, "sigma_a_mm": None,
-                "normality": None, "note": f"warning: {exc}"}
+        normality = f"skipped: {exc}"
+    return {"method": tag.value, "label": tag.label,
+            "sigma_a_mm": est.sigma_a_mm, "normality": normality, "note": ""}
 
 
 def _intercept_row(records, axis_mode, outlier_mm, alpha):
@@ -445,36 +451,9 @@ def simulate(alpha, sigma_a_mm, widths, amplitudes, trials, seed, dim,
     except FfittsError as exc:
         raise click.UsageError(str(exc)) from None
 
-    metadata = config_metadata(config)
-    if out == "-":
-        import io
-
-        for key, value in metadata.items():
-            click.echo(f"# {key}={value}")
-        buf = io.StringIO()
-        _write_records(records, buf)
-        click.echo(buf.getvalue(), nl=False)
-    else:
-        write_trials_csv(records, out, metadata=metadata)
+    write_trials_csv(records, out, metadata=config_metadata(config))
+    if out != "-":
         click.echo(_style(f"wrote {out} ({len(records)} taps)", fg="green"), err=True)
-
-
-def _write_records(records, fh):
-    import csv as _csv
-
-    from .ingestion import TRIAL_CSV_COLUMNS
-
-    writer = _csv.writer(fh, lineterminator="\n")
-    writer.writerow(TRIAL_CSV_COLUMNS)
-    for r in records:
-        writer.writerow([
-            r.participant_id, r.block, r.trial,
-            repr(r.condition.amplitude_mm), repr(r.condition.width_mm),
-            repr(r.target_x_mm), repr(r.target_y_mm),
-            repr(r.touch_x_mm), repr(r.touch_y_mm),
-            repr(r.mt_ms), r.tap_index,
-            "true" if r.is_practice else "false",
-        ])
 
 
 @main.command()

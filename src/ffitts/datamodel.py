@@ -8,6 +8,7 @@ module defines those value types and the aggregation between them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -60,10 +61,12 @@ class Condition:
     width_mm: float
 
     def __post_init__(self):
-        if self.amplitude_mm <= 0:
-            raise ValidationError(f"amplitude must be > 0, got {self.amplitude_mm}")
-        if self.width_mm <= 0:
-            raise ValidationError(f"width must be > 0, got {self.width_mm}")
+        if not 0 < self.amplitude_mm < math.inf:
+            raise ValidationError(
+                f"amplitude must be finite and > 0, got {self.amplitude_mm}"
+            )
+        if not 0 < self.width_mm < math.inf:
+            raise ValidationError(f"width must be finite and > 0, got {self.width_mm}")
 
     def __str__(self) -> str:
         return f"(A={self.amplitude_mm:g}, W={self.width_mm:g})"
@@ -107,11 +110,11 @@ class ConditionSummary:
     error_rate: float = 0.0
 
     def __post_init__(self):
-        if self.mt_ms <= 0:
-            raise ValidationError(f"mean MT must be > 0, got {self.mt_ms}")
-        if self.sigma_obs_mm <= 0:
+        if not 0 < self.mt_ms < math.inf:
+            raise ValidationError(f"mean MT must be finite and > 0, got {self.mt_ms}")
+        if not 0 < self.sigma_obs_mm < math.inf:
             raise ValidationError(
-                f"endpoint spread must be > 0, got {self.sigma_obs_mm}"
+                f"endpoint spread must be finite and > 0, got {self.sigma_obs_mm}"
             )
         if self.n_trials < 2:
             raise ValidationError(f"n_trials must be >= 2, got {self.n_trials}")
@@ -132,8 +135,8 @@ class SigmaEstimate:
     source_dataset: str = ""
 
     def __post_init__(self):
-        if self.sigma_a_mm <= 0:
-            raise ValidationError(f"sigma_a must be > 0, got {self.sigma_a_mm}")
+        if not 0 < self.sigma_a_mm < math.inf:
+            raise ValidationError(f"sigma_a must be finite and > 0, got {self.sigma_a_mm}")
 
 
 @dataclass(frozen=True, slots=True)

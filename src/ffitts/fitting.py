@@ -30,13 +30,7 @@ import numpy as np
 
 from .datamodel import Condition, ConditionSummary, Dataset, SigmaEstimate
 from .errors import SingularFitError, ValidationError
-from .idmodels import (
-    MathError,
-    Model,
-    Tremor,
-    compute_id,
-    model_widths,
-)
+from .idmodels import Model, Tremor, compute_id, model_widths, width_term
 
 #: Guard width (mm) at the domain boundary: keeps difficulty finite when a
 #: cross-validation fold's c reaches a held-out condition's width.
@@ -57,12 +51,14 @@ class OlsFit:
     r2: float
 
 
-def ols_fit(points: Sequence[tuple[float, float]]) -> OlsFit:
-    """Least-squares line mt = a + b*id over (id_bits, mt_ms) points."""
+def ols_fit(points) -> OlsFit:
+    """Least-squares line mt = a + b*id over (id_bits, mt_ms) points.
+
+    `points` is any (n, 2) array-like: a list of pairs or a stacked array.
+    """
     if len(points) < 3:
         raise ValidationError(f"need >= 3 points, got {len(points)}")
-    x = np.array([p[0] for p in points], dtype=float)
-    y = np.array([p[1] for p in points], dtype=float)
+    x, y = np.asarray(points, dtype=float).T.copy()
     xc = x - x.mean()
     sxx = float(xc @ xc)
     if sxx <= 0:
@@ -92,20 +88,21 @@ def information_criteria(rss: float, n: int, k: int) -> tuple[float, float]:
     return base + 2.0 * k, base + k * math.log(n)
 
 
-def _r2_on_grid(amps, widths, mt, cs, use_sqrt):
-    """Vectorized R^2(c) for a c grid; simple-OLS R^2 equals squared corr."""
-    w = widths[:, None]
-    if use_sqrt:
-        denom = np.sqrt(w * w - cs[None, :] ** 2)
-    else:
-        denom = w - cs[None, :]
-    ids = np.log2(amps[:, None] / denom + 1.0)
+def _r2_on_grid(ids, mt):
+    """R^2 of mt on each column of ids; simple-OLS R^2 equals squared corr."""
     idc = ids - ids.mean(axis=0)
     mtc = mt - mt.mean()
     num = (idc * mtc[:, None]).sum(axis=0) ** 2
     den = (idc * idc).sum(axis=0) * float(mtc @ mtc)
     with np.errstate(invalid="ignore", divide="ignore"):
         return np.where(den > 0, num / den, 0.0)
+
+
+def _columns(summaries):
+    """Amplitudes and mean movement times as arrays."""
+    amps = np.array([s.condition.amplitude_mm for s in summaries], dtype=float)
+    mt = np.array([s.mt_ms for s in summaries], dtype=float)
+    return amps, mt
 
 
 def optimize_c(
@@ -120,62 +117,44 @@ def optimize_c(
     """
     if model.tremor is not Tremor.FREE_C:
         raise ValidationError(f"model {model.value} has no free tremor parameter")
-    widths = model_widths(model, summaries)
-    wvals = np.array([w.value_mm for w in widths])  # no MathError possible here
-    amps = np.array([s.condition.amplitude_mm for s in summaries], dtype=float)
-    mt = np.array([s.mt_ms for s in summaries], dtype=float)
+    widths = model_widths(model, summaries)  # never NaN for m3..m6
+    amps, mt = _columns(summaries)
+    best_c = 0.0
 
-    c_max = float(wvals.min()) - _C_TOL_MM
-    if c_max <= 0:
-        return 0.0, _fit_at_c(summaries, model, 0.0)
+    c_max = float(widths.min()) - _C_TOL_MM
+    if c_max > 0:
+        a_col, w_col = amps[:, None], widths[:, None]
 
-    grid = np.linspace(0.0, c_max, _GRID_POINTS)
-    r2s = _r2_on_grid(amps, wvals, mt, grid, model.uses_sqrt)
-    best_i = int(np.argmax(r2s))  # first max: ties prefer smaller c
-    best_c, best_r2 = float(grid[best_i]), float(r2s[best_i])
+        def r2_at(c):
+            return _r2_on_grid(compute_id(model, a_col, w_col, c), mt)
 
-    lo = float(grid[max(best_i - 1, 0)])
-    hi = float(grid[min(best_i + 1, _GRID_POINTS - 1)])
+        grid = np.linspace(0.0, c_max, _GRID_POINTS)
+        r2s = r2_at(grid)
+        best_i = int(np.argmax(r2s))  # first max: ties prefer smaller c
+        best_c, best_r2 = float(grid[best_i]), float(r2s[best_i])
 
-    def r2_at(c: float) -> float:
-        return float(_r2_on_grid(amps, wvals, mt, np.array([c]), model.uses_sqrt)[0])
+        lo = float(grid[max(best_i - 1, 0)])
+        hi = float(grid[min(best_i + 1, _GRID_POINTS - 1)])
 
-    # golden-section refinement; keep the refined c only if strictly better
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1, f2 = r2_at(x1), r2_at(x2)
-    while hi - lo > _C_TOL_MM:
-        if f1 >= f2:  # maximize; ties keep the left (smaller-c) interval
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = r2_at(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = r2_at(x2)
-    c_ref = lo if f1 >= f2 else x2
-    if r2_at(c_ref) > best_r2:
-        best_c = c_ref
+        # golden-section refinement; keep the refined c only if strictly better
+        x1 = hi - _GOLDEN * (hi - lo)
+        x2 = lo + _GOLDEN * (hi - lo)
+        f1, f2 = r2_at(x1)[0], r2_at(x2)[0]
+        while hi - lo > _C_TOL_MM:
+            if f1 >= f2:  # maximize; ties keep the left (smaller-c) interval
+                hi, x2, f2 = x2, x1, f1
+                x1 = hi - _GOLDEN * (hi - lo)
+                f1 = r2_at(x1)[0]
+            else:
+                lo, x1, f1 = x1, x2, f2
+                x2 = lo + _GOLDEN * (hi - lo)
+                f2 = r2_at(x2)[0]
+        c_ref = lo if f1 >= f2 else x2
+        if r2_at(c_ref)[0] > best_r2:
+            best_c = c_ref
 
-    return best_c, _fit_at_c(summaries, model, best_c)
-
-
-def _fit_at_c(summaries, model, c_mm) -> OlsFit:
-    points = _id_points(summaries, model, c_mm=c_mm)
-    return ols_fit(points)
-
-
-def _id_points(summaries, model, c_mm=0.0, sigma_a_mm=None):
-    widths = model_widths(model, summaries, sigma_a_mm=sigma_a_mm)
-    points = []
-    for s, w in zip(summaries, widths):
-        if isinstance(w, MathError):
-            raise ValidationError(str(w))
-        idv = compute_id(model, s.condition, w.value_mm, c_mm)
-        if isinstance(idv, MathError):
-            raise ValidationError(str(idv))
-        points.append((idv, s.mt_ms))
-    return points
+    ids = compute_id(model, amps, widths, best_c)
+    return best_c, ols_fit(np.column_stack((ids, mt)))
 
 
 @dataclass(frozen=True)
@@ -224,29 +203,6 @@ def _adjusted_r2(r2: float, n: int, k: int) -> float:
     return 1.0 - (1.0 - r2) * (n - 1) / (n - k)
 
 
-def _predict_held_out(model, summary, fit, c_mm, sigma_a_mm):
-    """Out-of-fold prediction with the domain guard clamped at EPS_MM.
-
-    A training fold can choose c at or above the held-out width when the
-    held-out condition had the smallest width term; the clamped (huge)
-    difficulty and its residual are kept rather than discarded.
-    """
-    widths = model_widths(model, [summary], sigma_a_mm=sigma_a_mm)
-    w = widths[0]
-    if isinstance(w, MathError):
-        return None
-    wv = w.value_mm
-    if model.tremor is Tremor.FREE_C and c_mm > 0:
-        if model.uses_sqrt:
-            denom = math.sqrt(max(wv * wv - c_mm * c_mm, EPS_MM * EPS_MM))
-        else:
-            denom = max(wv - c_mm, EPS_MM)
-    else:
-        denom = wv
-    id_bits = math.log2(summary.condition.amplitude_mm / denom + 1.0)
-    return fit.a_ms + fit.b_ms_per_bit * id_bits
-
-
 def loocv_rmse(
     summaries: Sequence[ConditionSummary],
     model: Model,
@@ -255,28 +211,32 @@ def loocv_rmse(
     """Leave-one-condition-out RMSE of movement-time predictions.
 
     Each fold refits the line, re-optimizing c for free-c models; returns
-    None when any fold is undefined (math error in the training data).
+    None when any condition's width is undefined.
     """
     n = len(summaries)
     if n < 4:
         raise ValidationError(f"need >= 4 conditions for cross-validation, got {n}")
-    sq_resid = []
+    widths = model_widths(model, summaries, sigma_a_mm=sigma_a_mm)
+    if np.isnan(widths).any():
+        return None
+    amps, mt = _columns(summaries)
+    free_c = model.tremor is Tremor.FREE_C
+    ids = None if free_c else compute_id(model, amps, widths)
+    cs, a, b = np.zeros(n), np.empty(n), np.empty(n)
     for i in range(n):
-        train = [s for j, s in enumerate(summaries) if j != i]
-        held = summaries[i]
-        if model.tremor is Tremor.FREE_C:
-            c, fit = optimize_c(train, model)
+        if free_c:
+            cs[i], fit = optimize_c([s for j, s in enumerate(summaries) if j != i], model)
         else:
-            c = 0.0
-            try:
-                fit = ols_fit(_id_points(train, model, sigma_a_mm=sigma_a_mm))
-            except ValidationError:
-                return None
-        pred = _predict_held_out(model, held, fit, c, sigma_a_mm)
-        if pred is None:
-            return None
-        sq_resid.append((pred - held.mt_ms) ** 2)
-    return float(math.sqrt(np.mean(sq_resid)))
+            keep = np.arange(n) != i
+            fit = ols_fit(np.column_stack((ids[keep], mt[keep])))
+        a[i], b[i] = fit.a_ms, fit.b_ms_per_bit
+    if free_c:
+        # A fold can choose c at or above the held-out width when the held-out
+        # condition had the smallest width term; its width term is clamped at
+        # EPS_MM and the (huge) difficulty and residual are kept.
+        ids = compute_id(model, amps, np.fmax(width_term(model, widths, cs), EPS_MM))
+    resid = a + b * ids - mt
+    return float(math.sqrt(np.mean(resid**2)))
 
 
 def fit_model(
@@ -298,28 +258,26 @@ def fit_model(
     n = len(summaries)
     k = 3 if model.tremor is Tremor.FREE_C else 2
     widths = model_widths(model, summaries, sigma_a_mm=sigma_val)
-    errors = tuple(w.condition for w in widths if isinstance(w, MathError))
-    if errors:
+    undefined = np.isnan(widths)
+    if undefined.any():
+        errors = tuple(s.condition for s, bad in zip(summaries, undefined) if bad)
         return FitResult(model=model, n=n, k=k, sigma_a=sigma_est, math_errors=errors)
 
+    amps, mt = _columns(summaries)
     if model.tremor is Tremor.FREE_C:
         c, fit = optimize_c(summaries, model)
+        ids = compute_id(model, amps, widths, c)
     else:
         c = None
-        fit = ols_fit(
-            [
-                (compute_id(model, s.condition, w.value_mm), s.mt_ms)
-                for s, w in zip(summaries, widths)
-            ]
+        ids = compute_id(model, amps, widths)
+        fit = ols_fit(np.column_stack((ids, mt)))
+    pred = fit.a_ms + fit.b_ms_per_bit * ids
+    per_cond = [
+        PerCondition(s.condition, id_bits, p, r)
+        for s, id_bits, p, r in zip(
+            summaries, ids.tolist(), pred.tolist(), (pred - mt).tolist()
         )
-
-    per_cond = []
-    for s, w in zip(summaries, widths):
-        id_bits = compute_id(model, s.condition, w.value_mm, c or 0.0)
-        pred = fit.a_ms + fit.b_ms_per_bit * id_bits
-        per_cond.append(
-            PerCondition(s.condition, id_bits, pred, pred - s.mt_ms)
-        )
+    ]
 
     aic, bic = information_criteria(fit.rss, n, k)
     cv_rmse = loocv_rmse(summaries, model, sigma_a_mm=sigma_val) if cv and n >= 4 else None

@@ -15,20 +15,22 @@ m6     nominal W      sqrt(W^2 - c^2)                      free parameter c
 m7     adjusted W_f   sqrt(2*pi*e*(sigma_obs^2-sigma_a^2)) given tremor spread
 ====== ============== ==================================== =====================
 
-When the width term's domain is violated (sigma_obs <= sigma_a for m7, or
-c at least the width for the c-forms), the computation yields a MathError
-*value* rather than raising: batch evaluation over a whole dataset must
-collect every failing condition so a model can be reported unusable.
+Every formula here takes floats or numpy arrays and broadcasts.  Where a
+width term is not positive (sigma_obs <= sigma_a for m7; w <= 0, c < 0 or
+c at least the width for the c-forms) the result is NaN, not an exception:
+batch evaluation over a whole dataset must find every failing condition so
+a model can be reported unusable.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Sequence
 
-from .datamodel import Condition, ConditionSummary
+import numpy as np
+
+from .datamodel import ConditionSummary
 
 #: sqrt(2*pi*e): ratio between a normal sample's 96%-coverage width and its SD.
 SQRT_2PI_E = math.sqrt(2.0 * math.pi * math.e)
@@ -127,115 +129,74 @@ _FORMULA = {
 }
 
 
-@dataclass(frozen=True)
-class MathError:
-    """A domain violation in a width or difficulty term.
-
-    This is a value, not an exception: callers evaluating 20 conditions
-    collect every error and report the model unusable, mirroring how whole
-    models are excluded when the adjusted width is undefined anywhere.
-    """
-
-    detail: str
-    condition: Condition | None = None
-
-    def __str__(self) -> str:
-        where = f" at {self.condition}" if self.condition else ""
-        return f"!err{where}: {self.detail}"
-
-
-@dataclass(frozen=True)
-class DerivedWidth:
-    value_mm: float
-    kind: WidthKind
-
-    def __post_init__(self):
-        if self.value_mm <= 0:
-            raise ValueError(f"derived width must be > 0, got {self.value_mm}")
-
-
-def effective_width(sigma_obs_mm: float) -> DerivedWidth:
+def effective_width(sigma_obs_mm):
     """Width covering ~96% of normally spread endpoints: sqrt(2*pi*e)*sigma."""
-    if sigma_obs_mm <= 0:
+    if np.any(np.asarray(sigma_obs_mm) <= 0):
         raise ValueError("sigma_obs must be > 0")
-    return DerivedWidth(SQRT_2PI_E * sigma_obs_mm, WidthKind.EFFECTIVE)
+    return SQRT_2PI_E * sigma_obs_mm
 
 
-def finger_width(
-    sigma_obs_mm: float,
-    sigma_a_mm: float,
-    condition: Condition | None = None,
-) -> DerivedWidth | MathError:
+def finger_width(sigma_obs_mm, sigma_a_mm):
     """Tremor-adjusted effective width sqrt(2*pi*e*(sigma_obs^2 - sigma_a^2)).
 
-    Returns a MathError value when sigma_obs^2 <= sigma_a^2.  A zero tremor
-    spread degenerates to the plain effective width.
+    NaN where sigma_obs^2 <= sigma_a^2.  A zero tremor spread gives the
+    plain effective width exactly, since sqrt(x*x) == x.
     """
-    if sigma_obs_mm <= 0 or sigma_a_mm < 0:
+    sigma_obs = np.asarray(sigma_obs_mm, dtype=float)
+    sigma_a = np.asarray(sigma_a_mm, dtype=float)
+    if np.any(sigma_obs <= 0) or np.any(sigma_a < 0):
         raise ValueError("sigma_obs must be > 0 and sigma_a >= 0")
-    if sigma_a_mm == 0.0:
-        return DerivedWidth(SQRT_2PI_E * sigma_obs_mm, WidthKind.FINGER_ADJUSTED)
-    gap = sigma_obs_mm**2 - sigma_a_mm**2
-    if gap <= 0:
-        return MathError(
-            f"sigma_obs={sigma_obs_mm:g} <= sigma_a={sigma_a_mm:g}", condition
-        )
-    return DerivedWidth(SQRT_2PI_E * math.sqrt(gap), WidthKind.FINGER_ADJUSTED)
+    gap = sigma_obs * sigma_obs - sigma_a * sigma_a
+    return _scalar(SQRT_2PI_E * np.sqrt(np.where(gap > 0, gap, np.nan)))
 
 
-def compute_id(
-    model: Model,
-    condition: Condition,
-    width_mm: float,
-    c_mm: float = 0.0,
-) -> float | MathError:
-    """Difficulty in bits for one condition under the given formulation.
+def width_term(model: Model, width_mm, c_mm=0.0):
+    """Denominator of the difficulty: W, W - c or sqrt(W^2 - c^2).
+
+    NaN wherever the term is not positive or w <= 0 or c < 0.  The c-forms
+    at c = 0 equal the width bit for bit (w - 0 == w, sqrt(w*w) == w).
+    """
+    w = np.asarray(width_mm, dtype=float)
+    c = np.asarray(c_mm, dtype=float)
+    if model.tremor is not Tremor.FREE_C:
+        term = w
+    elif model.uses_sqrt:
+        sq = w * w - c * c
+        term = np.sqrt(np.where(sq > 0, sq, np.nan))
+    else:
+        term = w - c
+    return np.where((term > 0) & (w > 0) & (c >= 0), term, np.nan)
+
+
+def compute_id(model: Model, amplitude_mm, width_mm, c_mm=0.0):
+    """Difficulty in bits, log2(A / width term + 1); NaN off the domain.
 
     `width_mm` is the already-derived width for the model's width source.
-    A zero c short-circuits to the plain form so c-forms at c = 0 agree
-    with the baseline bit for bit.
+    Broadcasts, so an (n, 1) column of widths against a (g,) grid of c
+    values gives an (n, g) table.
     """
-    if width_mm <= 0:
-        return MathError(f"non-positive width {width_mm:g}", condition)
-    if c_mm < 0:
-        return MathError(f"negative tremor parameter c={c_mm:g}", condition)
-    a = condition.amplitude_mm
-    if model.tremor is not Tremor.FREE_C or c_mm == 0.0:
-        return math.log2(a / width_mm + 1.0)
-    if model.uses_sqrt:
-        denom_sq = width_mm**2 - c_mm**2
-        if denom_sq <= 0:
-            return MathError(
-                f"width^2 - c^2 = {denom_sq:g} <= 0 (c={c_mm:g})", condition
-            )
-        return math.log2(a / math.sqrt(denom_sq) + 1.0)
-    denom = width_mm - c_mm
-    if denom <= 0:
-        return MathError(f"width - c = {denom:g} <= 0 (c={c_mm:g})", condition)
-    return math.log2(a / denom + 1.0)
+    return _scalar(np.log2(amplitude_mm / width_term(model, width_mm, c_mm) + 1.0))
 
 
 def model_widths(
     model: Model,
     summaries: Sequence[ConditionSummary],
     sigma_a_mm: float | None = None,
-    nominal_width_fn: Callable[[Condition], float] | None = None,
-) -> list[DerivedWidth | MathError]:
+) -> np.ndarray:
     """Per-condition width terms for a model, before any c adjustment.
 
-    `nominal_width_fn` is the hook for non-square targets (e.g. reduce a
-    rectangle to min(W, H) before modeling); it defaults to the condition's
-    width and only affects nominal-width models.
+    NaN marks a condition whose width is undefined (sigma_obs <= sigma_a).
     """
     if model.width_kind is WidthKind.FINGER_ADJUSTED and sigma_a_mm is None:
         raise ValueError(f"{model.value} requires a sigma_a value")
-    nominal = nominal_width_fn or (lambda c: c.width_mm)
-    out: list[DerivedWidth | MathError] = []
-    for s in summaries:
-        if model.width_kind is WidthKind.NOMINAL:
-            out.append(DerivedWidth(nominal(s.condition), WidthKind.NOMINAL))
-        elif model.width_kind is WidthKind.EFFECTIVE:
-            out.append(effective_width(s.sigma_obs_mm))
-        else:
-            out.append(finger_width(s.sigma_obs_mm, sigma_a_mm, s.condition))
-    return out
+    if model.width_kind is WidthKind.NOMINAL:
+        return np.array([s.condition.width_mm for s in summaries], dtype=float)
+    sigma = np.array([s.sigma_obs_mm for s in summaries], dtype=float)
+    if model.width_kind is WidthKind.EFFECTIVE:
+        return effective_width(sigma)
+    return finger_width(sigma, sigma_a_mm)
+
+
+def _scalar(x):
+    """A Python float for a 0-d result, the array otherwise."""
+    return float(x) if np.ndim(x) == 0 else x

@@ -61,9 +61,12 @@ def _parse_bool(text: str, line: int) -> bool:
 
 def _parse_float(text: str, column: str, line: int) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ParseError(f"column {column!r}: not a number: {text!r}", line) from None
+    if not math.isfinite(value):
+        raise ParseError(f"column {column!r}: not a finite number: {text!r}", line)
+    return value
 
 
 def _parse_int(text: str, column: str, line: int) -> int:
@@ -149,21 +152,29 @@ def write_trials_csv(
 
     Metadata is emitted as leading '# key=value' comment lines, which
     load_trials_csv skips.  Output is deterministic for identical input.
+    The path "-" writes to stdout, the mirror of reading "-" from stdin.
     """
+    if str(path) == "-":
+        _write_trials(sys.stdout, records, metadata)
+        return
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        for key, value in (metadata or {}).items():
-            fh.write(f"# {key}={value}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TRIAL_CSV_COLUMNS)
-        for r in records:
-            writer.writerow([
-                r.participant_id, r.block, r.trial,
-                repr(r.condition.amplitude_mm), repr(r.condition.width_mm),
-                repr(r.target_x_mm), repr(r.target_y_mm),
-                repr(r.touch_x_mm), repr(r.touch_y_mm),
-                repr(r.mt_ms), r.tap_index,
-                "true" if r.is_practice else "false",
-            ])
+        _write_trials(fh, records, metadata)
+
+
+def _write_trials(fh: IO[str], records, metadata) -> None:
+    for key, value in (metadata or {}).items():
+        fh.write(f"# {key}={value}\n")
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(TRIAL_CSV_COLUMNS)
+    for r in records:
+        writer.writerow([
+            r.participant_id, r.block, r.trial,
+            repr(r.condition.amplitude_mm), repr(r.condition.width_mm),
+            repr(r.target_x_mm), repr(r.target_y_mm),
+            repr(r.touch_x_mm), repr(r.touch_y_mm),
+            repr(r.mt_ms), r.tap_index,
+            "true" if r.is_practice else "false",
+        ])
 
 
 def load_aggregate_csv(

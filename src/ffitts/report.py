@@ -15,9 +15,11 @@ import json
 import math
 from typing import Sequence
 
+import numpy as np
+
 from .datamodel import Dataset, SigmaEstimate
 from .fitting import FitResult, SelectionReport
-from .idmodels import MathError, Model, finger_width
+from .idmodels import Model, finger_width
 from .sigma import InterceptFit, sigma_from_intercept
 
 ERR_CELL = "!err"
@@ -161,13 +163,11 @@ def wf_matrix(dataset: Dataset, extra: Sequence[SigmaEstimate] = ()) -> list[dic
     Each row holds the estimate and one value per condition, None where the
     adjustment is mathematically undefined.
     """
+    sigma_obs = np.array([s.sigma_obs_mm for s in dataset.summaries])
     rows = []
     for est in tuple(dataset.sigma_a_catalog) + tuple(extra):
-        cells = []
-        for s in dataset.summaries:
-            w = finger_width(s.sigma_obs_mm, est.sigma_a_mm, s.condition)
-            cells.append(None if isinstance(w, MathError) else w.value_mm)
-        rows.append({"sigma_a": est, "cells": cells})
+        wf = finger_width(sigma_obs, est.sigma_a_mm).tolist()
+        rows.append({"sigma_a": est, "cells": [None if math.isnan(v) else v for v in wf]})
     return rows
 
 

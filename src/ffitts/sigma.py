@@ -32,6 +32,7 @@ from .errors import (
     UnsupportedSampleSizeError,
     ValidationError,
 )
+from .fitting import ols_fit
 
 
 class CalibrationMode(str, Enum):
@@ -111,19 +112,13 @@ def sigma_from_intercept(summaries: Sequence[ConditionSummary]) -> InterceptFit:
     """
     if len({s.condition.width_mm for s in summaries}) < 3:
         raise ValidationError("need summaries at >= 3 distinct widths")
-    x = np.array([s.condition.width_mm**2 for s in summaries])
-    y = np.array([s.sigma_obs_mm**2 for s in summaries])
-    xc = x - x.mean()
-    slope = float((xc @ (y - y.mean())) / (xc @ xc))
-    intercept = float(y.mean() - slope * x.mean())
-    resid = y - intercept - slope * x
-    tss = float(((y - y.mean()) ** 2).sum())
-    r2 = 1.0 - float(resid @ resid) / tss if tss > 0 else 1.0
+    points = [(s.condition.width_mm**2, s.sigma_obs_mm**2) for s in summaries]
+    fit = ols_fit(points)
     return InterceptFit(
-        slope=slope,
-        intercept_mm2=intercept,
-        r2=r2,
-        points=tuple(zip(x.tolist(), y.tolist())),
+        slope=fit.b_ms_per_bit,
+        intercept_mm2=fit.a_ms,
+        r2=fit.r2,
+        points=tuple(points),
     )
 
 

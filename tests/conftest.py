@@ -1,6 +1,19 @@
+import os
+
 import pytest
 
 from ffitts import embedded
+
+
+def pytest_configure(config):
+    # Hypothesis caches constants it reads from local source files at
+    # collection time; keep that cache in pytest's cache directory rather
+    # than in a .hypothesis/ directory of the checkout.
+    cache = getattr(config, "cache", None)
+    if cache is not None:
+        os.environ.setdefault(
+            "HYPOTHESIS_STORAGE_DIRECTORY", str(cache.mkdir("hypothesis"))
+        )
 
 
 @pytest.fixture(scope="session")

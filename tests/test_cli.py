@@ -1,6 +1,8 @@
+import csv
 import io
 import json
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -122,6 +124,32 @@ class TestFit:
         assert result.exit_code == 0
         assert "0.9811" in result.output
 
+    def test_non_finite_aggregate_csv_is_usage_error(self, runner, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            "A_mm,W_mm,mt_ms,sigma_obs_mm\n"
+            "20,nan,444,0.69\n"
+            "20,4,inf,1.29\n"
+            "20,6,328,2.16\n"
+            "30,2,489,0.899\n"
+            "30,4,400,1.28\n"
+        )
+        result = runner.invoke(main, [
+            "fit", "--input", str(path), "--models", "m1", "--format", "json",
+        ])
+        assert result.exit_code == 2
+        assert "line 2" in result.output
+        assert "W_mm" in result.output
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-1"])
+    def test_non_finite_sigma_literal_is_usage_error(self, runner, token):
+        result = runner.invoke(main, [
+            "fit", "--dataset", "paper-2d", "--models", "m7",
+            "--sigma-a", token, "--no-cv",
+        ])
+        assert result.exit_code == 2
+        assert "--sigma-a" in result.output
+
 
 class TestSigma:
     def test_catalog_1d(self, runner):
@@ -172,6 +200,35 @@ class TestSigma:
         doc = json.loads(result.output)
         (row,) = [r for r in doc["estimates"] if r["method"] == "intercept-fitts"]
         assert abs(row["sigma_a_mm"] - 1.153) / 1.153 < 0.05
+
+    def test_calibration_estimate_kept_above_normality_range(self, runner, tmp_path):
+        # 20 conditions x 300 trials = 6000 first taps, above the range
+        # [3, 5000] of the normality test
+        log = tmp_path / "sim.csv"
+        sim = runner.invoke(main, [
+            "simulate", "--alpha", "0.02", "--sigma-a", "1", "--trials", "300",
+            "--dim", "2d", "--seed", "3", "--out", str(log),
+        ])
+        assert sim.exit_code == 0
+        result = runner.invoke(main, [
+            "sigma", "--input", str(log), "--method", "all", "--dim", "2d",
+            "--axis", "bivariate", "--format", "json",
+        ])
+        assert result.exit_code == 0
+        (row,) = [r for r in json.loads(result.output)["estimates"]
+                  if r["method"] == "calib-ra"]
+        assert row["normality"].startswith("skipped:")
+        assert "6000" in row["normality"]
+
+        with open(log, newline="") as fh:
+            taps = [r for r in csv.DictReader(line for line in fh if not line.startswith("#"))
+                    if r["is_practice"] == "false" and r["tap_index"] == "1"]
+        dx = np.array([float(r["touch_x_mm"]) - float(r["target_x_mm"]) for r in taps])
+        dy = np.array([float(r["touch_y_mm"]) - float(r["target_y_mm"]) for r in taps])
+        keep = np.hypot(dx, dy) <= 15.0
+        assert keep.sum() > 5000
+        expected = np.sqrt((np.var(dx[keep], ddof=1) + np.var(dy[keep], ddof=1)) / 2)
+        assert row["sigma_a_mm"] == pytest.approx(float(expected), rel=1e-12)
 
 
 class TestSimulate:

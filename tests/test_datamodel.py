@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -11,6 +12,8 @@ from ffitts import (
     DegenerateConditionError,
     Dimensionality,
     MovementTimeModel,
+    SigmaEstimate,
+    SigmaMethod,
     SimulatorConfig,
     TrialRecord,
     ValidationError,
@@ -58,6 +61,21 @@ class TestTypes:
             ConditionSummary(COND, mt_ms=300, sigma_obs_mm=1.0, n_trials=1)
         with pytest.raises(ValidationError):
             ConditionSummary(COND, mt_ms=300, sigma_obs_mm=1.0, error_rate=1.5)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_values_rejected(self, bad):
+        with pytest.raises(ValidationError):
+            Condition(bad, 4.0)
+        with pytest.raises(ValidationError):
+            Condition(20.0, bad)
+        with pytest.raises(ValidationError):
+            ConditionSummary(COND, mt_ms=bad, sigma_obs_mm=1.0)
+        with pytest.raises(ValidationError):
+            ConditionSummary(COND, mt_ms=300, sigma_obs_mm=bad)
+        with pytest.raises(ValidationError):
+            ConditionSummary(COND, mt_ms=300, sigma_obs_mm=1.0, error_rate=bad)
+        with pytest.raises(ValidationError):
+            SigmaEstimate(bad, SigmaMethod.USER_GIVEN)
 
     def test_dataset_rejects_duplicate_conditions(self):
         s = ConditionSummary(COND, mt_ms=300, sigma_obs_mm=1.0)

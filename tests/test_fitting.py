@@ -186,6 +186,30 @@ class TestCrossValidation:
         rmse = loocv_rmse(list(paper_1d.summaries), Model.M1_BASELINE)
         assert rmse == pytest.approx(13.30, abs=0.5)
 
+    @pytest.mark.parametrize(
+        "model,expected",
+        [(Model.M5_W_NOSQRT_C, 764.4091022350881),
+         (Model.M6_W_SQRT_C, 793.1988677646812)],
+    )
+    def test_clamped_fold_prediction(self, model, expected):
+        # the fold holding out W = 1 trains on data generated at c = 2, so
+        # its c exceeds the held-out width and the EPS_MM clamp sets the
+        # held-out width term; the expected RMSE is pinned, not derived
+        def term(w, c):
+            return w - c if model is Model.M5_W_NOSQRT_C else math.sqrt(w * w - c * c)
+
+        summaries = [
+            ConditionSummary(
+                Condition(a, w),
+                mt_ms=100.0 + 90.0 * math.log2(a / term(w, 2.0 if w > 2 else 0.5) + 1.0),
+                sigma_obs_mm=1.0,
+            )
+            for a, w in zip((20.0, 30.0, 45.0, 60.0, 25.0), (1.0, 3.0, 4.0, 5.0, 6.0))
+        ]
+        c_fold, _ = optimize_c(summaries[1:], model)
+        assert c_fold >= summaries[0].condition.width_mm
+        assert loocv_rmse(summaries, model) == pytest.approx(expected, rel=1e-12)
+
     def test_needs_four_conditions(self):
         summaries = grid_summaries(
             lambda a, w: 100.0 + 50.0 * math.log2(a / w + 1.0),

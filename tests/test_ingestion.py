@@ -62,6 +62,18 @@ class TestTrialsCsv:
         lines = ["# seed=7", "# alpha=0.1", HEADER] + GOOD_ROWS
         assert len(load_trials_csv(write(tmp_path, lines))) == 3
 
+    @pytest.mark.parametrize("column,text", [
+        ("touch_x_mm", "nan"), ("mt_ms", "inf"), ("W_mm", "-inf"), ("A_mm", "NaN"),
+    ])
+    def test_non_finite_number_names_column_and_line(self, tmp_path, column, text):
+        fields = dict(zip(TRIAL_CSV_COLUMNS, GOOD_ROWS[0].split(",")))
+        fields[column] = text
+        bad = ",".join(fields[c] for c in TRIAL_CSV_COLUMNS)
+        with pytest.raises(ParseError) as exc:
+            load_trials_csv(write(tmp_path, [HEADER, GOOD_ROWS[1], bad]))
+        assert exc.value.line == 3
+        assert column in str(exc.value) and "line 3" in str(exc.value)
+
     def test_practice_rows_kept_and_flagged(self, tmp_path):
         row = "p1,0,9,20,4,0,0,0.3,-0.2,300,1,true"
         records = load_trials_csv(write(tmp_path, [HEADER, row] + GOOD_ROWS))
@@ -97,6 +109,19 @@ class TestAggregateCsv:
         lines = [",".join(AGGREGATE_CSV_COLUMNS), "20,0,444,0.69"]
         with pytest.raises(ValidationError):
             load_aggregate_csv(write(tmp_path, lines, "agg.csv"))
+
+    @pytest.mark.parametrize("row,column", [
+        ("20,nan,444,0.69", "W_mm"),
+        ("20,2,inf,0.69", "mt_ms"),
+        ("20,2,444,nan", "sigma_obs_mm"),
+        ("inf,2,444,0.69", "A_mm"),
+    ])
+    def test_non_finite_number_names_column_and_line(self, tmp_path, row, column):
+        lines = [",".join(AGGREGATE_CSV_COLUMNS), "30,4,400,1.28", row]
+        with pytest.raises(ParseError) as exc:
+            load_aggregate_csv(write(tmp_path, lines, "agg.csv"))
+        assert exc.value.line == 3
+        assert column in str(exc.value)
 
     def test_missing_column_is_parse_error(self, tmp_path):
         lines = ["A_mm,W_mm,mt_ms", "20,2,444"]
