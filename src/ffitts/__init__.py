@@ -14,10 +14,12 @@ from .datamodel import (
     ConditionSummary,
     Dataset,
     Dimensionality,
+    FirstTaps,
     SigmaEstimate,
     SigmaMethod,
     TrialRecord,
     aggregate,
+    first_taps,
 )
 from .errors import (
     DegenerateConditionError,
@@ -56,8 +58,8 @@ from .idmodels import (
 )
 from .ingestion import (
     AGGREGATE_CSV_COLUMNS,
+    EMBEDDED_NAMES,
     TRIAL_CSV_COLUMNS,
-    DatasetRegistry,
     embedded,
     load_aggregate_csv,
     load_trials_csv,
@@ -89,13 +91,14 @@ __all__ = [
     "Condition",
     "ConditionSummary",
     "Dataset",
-    "DatasetRegistry",
     "DegenerateConditionError",
     "DegenerateDataError",
     "Dimensionality",
     "DuplicateConditionError",
+    "EMBEDDED_NAMES",
     "EmptyDatasetError",
     "FfittsError",
+    "FirstTaps",
     "FitResult",
     "InterceptFit",
     "Model",
@@ -126,6 +129,7 @@ __all__ = [
     "effective_width",
     "embedded",
     "finger_width",
+    "first_taps",
     "fit_model",
     "generate",
     "information_criteria",

@@ -5,7 +5,7 @@ Subcommands:
 * ``fit``       fits difficulty models to a dataset and ranks them
 * ``sigma``     reports tremor-spread estimates (catalog or computed from a log)
 * ``simulate``  generates a synthetic tap log under the endpoint model
-* ``datasets``  lists registered datasets
+* ``datasets``  lists the bundled datasets
 
 Exit codes: 0 success (including reports that flag unusable models),
 1 internal/data error, 2 usage error.  Set FFITTS_NO_COLOR to disable
@@ -19,6 +19,7 @@ import sys
 from pathlib import Path
 
 import click
+import numpy as np
 
 from . import report as rpt
 from .datamodel import (
@@ -28,18 +29,21 @@ from .datamodel import (
     SigmaEstimate,
     SigmaMethod,
     aggregate,
+    first_taps,
 )
 from .errors import (
     EmptyDatasetError,
     FfittsError,
     ParseError,
     UnknownDatasetError,
+    UnsupportedSampleSizeError,
     ValidationError,
 )
 from .fitting import compare
 from .idmodels import Model
 from .ingestion import (
-    DatasetRegistry,
+    EMBEDDED_NAMES,
+    embedded,
     load_aggregate_csv,
     load_trials_csv,
     write_trials_csv,
@@ -70,18 +74,22 @@ def main():
     """Movement-time model fitting for touch pointing data."""
 
 
-def _registry() -> DatasetRegistry:
-    return DatasetRegistry.with_embedded()
+def _embedded_or_none(dataset_name, input_path) -> Dataset | None:
+    """The bundled dataset named by --dataset, or None when --input is given."""
+    if (dataset_name is None) == (input_path is None):
+        raise click.UsageError("provide exactly one of --dataset or --input")
+    if input_path is not None:
+        return None
+    try:
+        return embedded(dataset_name)
+    except UnknownDatasetError as exc:
+        raise click.UsageError(str(exc)) from None
 
 
 def _resolve_dataset(dataset_name, input_path, dim, axis, outlier_mm) -> Dataset:
-    if (dataset_name is None) == (input_path is None):
-        raise click.UsageError("provide exactly one of --dataset or --input")
-    if dataset_name is not None:
-        try:
-            return _registry().get(dataset_name)
-        except UnknownDatasetError as exc:
-            raise click.UsageError(str(exc)) from None
+    dataset = _embedded_or_none(dataset_name, input_path)
+    if dataset is not None:
+        return dataset
     dimensionality = Dimensionality(dim or "2d")
     try:
         if _looks_like_trials(input_path):
@@ -158,7 +166,7 @@ def _emit(text: str, out: str | None):
 
 
 @main.command()
-@click.option("--dataset", "dataset_name", help="Registered dataset name.")
+@click.option("--dataset", "dataset_name", help="Bundled dataset name.")
 @click.option("--input", "input_path", help="Tap log or aggregate CSV ('-' = stdin).")
 @click.option("--dim", type=click.Choice(["1d", "2d"]), default=None,
               help="Dimensionality label for --input data (default 2d).")
@@ -168,7 +176,8 @@ def _emit(text: str, out: str | None):
               help="Tremor spread: catalog method name or a value in mm (m7).")
 @click.option("--axis", type=click.Choice([a.value for a in AxisMode]), default="y",
               show_default=True, help="Deviation axis when aggregating a tap log.")
-@click.option("--outlier-mm", type=float, default=15.0, show_default=True,
+@click.option("--outlier-mm", type=click.FloatRange(min=0, min_open=True),
+              default=15.0, show_default=True,
               help="Tap-to-target distance beyond which taps are discarded.")
 @click.option("--cv/--no-cv", default=True, show_default=True,
               help="Leave-one-condition-out cross-validation.")
@@ -228,7 +237,7 @@ def _write_plot_files(selection, dataset, out):
 
 
 @main.command()
-@click.option("--dataset", "dataset_name", help="Registered dataset name.")
+@click.option("--dataset", "dataset_name", help="Bundled dataset name.")
 @click.option("--input", "input_path", help="Tap log CSV ('-' = stdin).")
 @click.option("--method", type=click.Choice(["all", "calib", "intercept"]),
               default="all", show_default=True,
@@ -238,7 +247,8 @@ def _write_plot_files(selection, dataset, out):
 @click.option("--dim", type=click.Choice(["1d", "2d"]), default=None)
 @click.option("--axis", type=click.Choice([a.value for a in AxisMode]), default="y",
               show_default=True)
-@click.option("--outlier-mm", type=float, default=15.0, show_default=True)
+@click.option("--outlier-mm", type=click.FloatRange(min=0, min_open=True),
+              default=15.0, show_default=True)
 @click.option("--alpha", type=float, default=0.05, show_default=True,
               help="Normality-test significance level.")
 @click.option("--format", "fmt", type=click.Choice(["md", "csv", "json"]),
@@ -246,17 +256,15 @@ def _write_plot_files(selection, dataset, out):
 @click.option("--out", default=None)
 def sigma(dataset_name, input_path, method, instruction, dim, axis, outlier_mm,
           alpha, fmt, out):
-    """Report tremor-spread estimates with a normality diagnostic."""
-    if (dataset_name is None) == (input_path is None):
-        raise click.UsageError("provide exactly one of --dataset or --input")
+    """Report tremor-spread estimates with a normality diagnostic.
 
+    The --input calibration row is bivariate only with --axis bivariate
+    --dim 2d, else the univariate SD along --axis (y for bivariate).
+    """
+    dataset = _embedded_or_none(dataset_name, input_path)
     rows: list[dict] = []
     source = dataset_name or ("<stdin>" if str(input_path) == "-" else str(input_path))
-    if dataset_name is not None:
-        try:
-            dataset = _registry().get(dataset_name)
-        except UnknownDatasetError as exc:
-            raise click.UsageError(str(exc)) from None
+    if dataset is not None:
         for est in dataset.sigma_a_catalog:
             rows.append({
                 "method": est.method.value,
@@ -306,56 +314,34 @@ def _sigma_rows_from_log(input_path, method, instruction, dim, axis, outlier_mm,
                          alpha) -> list[dict]:
     try:
         records = load_trials_csv(input_path)
-    except (ParseError, EmptyDatasetError) as exc:
+        taps = first_taps(records, outlier_mm)
+    except (ParseError, EmptyDatasetError, ValidationError) as exc:
         raise click.UsageError(str(exc)) from None
 
-    dimensionality = Dimensionality(dim or "2d")
     axis_mode = AxisMode(axis)
-    tag = (SigmaMethod.CALIB_RAPID_ACCURATE if instruction == "ra"
-           else SigmaMethod.CALIB_ACCURACY_ONLY)
+    devs = taps.dx_mm if axis_mode is AxisMode.X else taps.dy_mm
     rows = []
-
     if method in ("all", "calib"):
-        rows.append(_calibration_row(records, dimensionality, axis_mode,
-                                     outlier_mm, tag, alpha))
+        tag = (SigmaMethod.CALIB_RAPID_ACCURATE if instruction == "ra"
+               else SigmaMethod.CALIB_ACCURACY_ONLY)
+        bivariate = axis_mode is AxisMode.BIVARIATE and dim != "1d"
+        rows.append(_calibration_row(taps, devs, bivariate, tag, alpha))
     if method in ("all", "intercept"):
-        rows.append(_intercept_row(records, axis_mode, outlier_mm, alpha))
+        rows.append(_intercept_row(records, taps, devs, axis_mode, outlier_mm, alpha))
     return rows
 
 
-def _first_tap_deviations(records, axis_mode, outlier_mm):
-    import numpy as np
-
-    taps = [t for t in records if not t.is_practice and t.tap_index == 1]
-    dx = np.array([t.touch_x_mm - t.target_x_mm for t in taps])
-    dy = np.array([t.touch_y_mm - t.target_y_mm for t in taps])
-    keep = np.hypot(dx, dy) <= outlier_mm
-    dx, dy = dx[keep], dy[keep]
-    if axis_mode is AxisMode.X:
-        return dx, None
-    if axis_mode is AxisMode.Y:
-        return dy, None
-    return dy, dx
-
-
-def _calibration_row(records, dimensionality, axis_mode, outlier_mm, tag, alpha):
-    primary, secondary = _first_tap_deviations(records, axis_mode, outlier_mm)
+def _calibration_row(taps, devs, bivariate, tag, alpha):
+    samples = np.column_stack([taps.dx_mm, taps.dy_mm]) if bivariate else devs
+    mode = CalibrationMode.BIVARIATE if bivariate else CalibrationMode.UNIVARIATE
     try:
-        if dimensionality is Dimensionality.TWO_D and secondary is not None:
-            import numpy as np
-
-            est = sigma_from_calibration(
-                np.column_stack([secondary, primary]),
-                CalibrationMode.BIVARIATE, method=tag,
-            )
-        else:
-            est = sigma_from_calibration(primary, method=tag)
+        est = sigma_from_calibration(samples, mode, method=tag)
     except FfittsError as exc:
         return {"method": tag.value, "label": tag.label, "sigma_a_mm": None,
                 "normality": None, "note": f"warning: {exc}"}
     # the estimate stands whether or not the normality test can run
     try:
-        check = normality_check(primary, alpha=alpha)
+        check = normality_check(devs, alpha=alpha)
         normality = (
             f"W={check.statistic:.3f} p={check.p_value:.3f} "
             f"{'pass' if check.passed else 'FAIL'}"
@@ -366,14 +352,14 @@ def _calibration_row(records, dimensionality, axis_mode, outlier_mm, tag, alpha)
             "sigma_a_mm": est.sigma_a_mm, "normality": normality, "note": ""}
 
 
-def _intercept_row(records, axis_mode, outlier_mm, alpha):
+def _intercept_row(records, taps, devs, axis_mode, outlier_mm, alpha):
     label = SigmaMethod.INTERCEPT_FITTS.label
     try:
         summaries = aggregate(records, axis_mode=axis_mode,
                               outlier_radius_mm=outlier_mm)
         fit = sigma_from_intercept(summaries)
         est = fit.estimate(SigmaMethod.INTERCEPT_FITTS)
-        passed, total = _per_condition_normality(records, axis_mode, outlier_mm, alpha)
+        passed, total = _per_condition_normality(taps, devs, alpha)
         return {
             "method": SigmaMethod.INTERCEPT_FITTS.value,
             "label": label,
@@ -386,29 +372,17 @@ def _intercept_row(records, axis_mode, outlier_mm, alpha):
                 "sigma_a_mm": None, "normality": None, "note": f"warning: {exc}"}
 
 
-def _per_condition_normality(records, axis_mode, outlier_mm, alpha):
-    import numpy as np
-    from collections import defaultdict
-
-    by_cond = defaultdict(list)
-    for t in records:
-        if t.is_practice or t.tap_index != 1:
-            continue
-        dx = t.touch_x_mm - t.target_x_mm
-        dy = t.touch_y_mm - t.target_y_mm
-        if np.hypot(dx, dy) > outlier_mm:
-            continue
-        by_cond[t.condition].append(dx if axis_mode is AxisMode.X else dy)
+def _per_condition_normality(taps, devs, alpha):
+    """Shapiro-Wilk per condition; groups of unsupported size are not counted."""
     passed = total = 0
-    for devs in by_cond.values():
-        if not 3 <= len(devs) <= 5000:
-            continue
-        total += 1
+    for i in range(len(taps.conditions)):
         try:
-            if normality_check(devs, alpha=alpha).passed:
-                passed += 1
+            passed += normality_check(devs[taps.condition == i], alpha=alpha).passed
+        except UnsupportedSampleSizeError:
+            continue
         except FfittsError:
             pass
+        total += 1
     return passed, total
 
 
@@ -458,10 +432,9 @@ def simulate(alpha, sigma_a_mm, widths, amplitudes, trials, seed, dim,
 
 @main.command()
 def datasets():
-    """List registered datasets and their tremor-spread catalogs."""
-    registry = _registry()
-    for name in registry.names():
-        ds = registry.get(name)
+    """List the bundled datasets and their tremor-spread catalogs."""
+    for name in EMBEDDED_NAMES:
+        ds = embedded(name)
         amps = sorted({s.condition.amplitude_mm for s in ds.summaries})
         widths = sorted({s.condition.width_mm for s in ds.summaries})
         click.echo(_style(name, bold=True))

@@ -9,7 +9,7 @@ module defines those value types and the aggregation between them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -93,8 +93,11 @@ class TrialRecord:
     trial: int = 0
 
     def __post_init__(self):
-        if self.mt_ms < 0:
-            raise ValidationError(f"mt_ms must be >= 0, got {self.mt_ms}")
+        if not (math.isfinite(self.target_x_mm) and math.isfinite(self.target_y_mm)
+                and math.isfinite(self.touch_x_mm) and math.isfinite(self.touch_y_mm)):
+            raise ValidationError("target and touch coordinates must be finite")
+        if not 0 <= self.mt_ms < math.inf:
+            raise ValidationError(f"mt_ms must be finite and >= 0, got {self.mt_ms}")
         if self.tap_index < 1:
             raise ValidationError(f"tap_index must be >= 1, got {self.tap_index}")
 
@@ -163,6 +166,81 @@ class Dataset:
         raise KeyError(f"no {method.value} estimate in dataset {self.name!r}")
 
 
+@dataclass(frozen=True, slots=True)
+class FirstTaps:
+    """Parallel arrays over the retained first taps of a log, in log order.
+
+    ``condition`` indexes ``conditions``: every live condition sorted by
+    (A, W), also those without a retained first tap.
+    """
+
+    conditions: tuple[Condition, ...]
+    condition: np.ndarray
+    participant: np.ndarray
+    block: np.ndarray
+    trial: np.ndarray
+    mt_ms: np.ndarray
+    dx_mm: np.ndarray
+    dy_mm: np.ndarray
+    retapped: np.ndarray
+
+
+def first_taps(trials: list[TrialRecord], outlier_radius_mm: float = 15.0) -> FirstTaps:
+    """Select the taps that every per-trial statistic is computed from.
+
+    Practice taps are dropped, and so are taps farther than
+    ``outlier_radius_mm`` (Euclidean) from the target center.  Each
+    retained first tap (tap_index 1) defines one trial; the trial is
+    ``retapped`` (an error) when a retained re-tap with the same condition
+    and (participant, block, trial) key follows it.
+    """
+    if not outlier_radius_mm > 0:
+        raise ValidationError(f"outlier radius must be > 0, got {outlier_radius_mm}")
+    conditions: dict[Condition, int] = {}
+    conds, pids, blocks, trial_nos, tap_nos, mts, dxs, dys = [[] for _ in range(8)]
+    for t in trials:
+        if t.is_practice:
+            continue
+        conds.append(conditions.setdefault(t.condition, len(conditions)))
+        pids.append(t.participant_id)
+        blocks.append(t.block)
+        trial_nos.append(t.trial)
+        tap_nos.append(t.tap_index)
+        mts.append(t.mt_ms)
+        dxs.append(t.touch_x_mm - t.target_x_mm)
+        dys.append(t.touch_y_mm - t.target_y_mm)
+    n = len(conds)
+    c, block, trial, tap_index = (
+        np.fromiter(col, np.int64, n) for col in (conds, blocks, trial_nos, tap_nos)
+    )
+    mt, dx, dy = (np.fromiter(col, float, n) for col in (mts, dxs, dys))
+
+    keep = np.hypot(dx, dy) <= outlier_radius_mm
+    first = np.flatnonzero(keep & (tap_index == 1))
+
+    def unit(i):
+        return conds[i], pids[i], blocks[i], trial_nos[i]
+
+    retapped_units = {unit(i) for i in np.flatnonzero(keep & (tap_index > 1)).tolist()}
+    retapped = np.zeros(len(first), dtype=bool)
+    if retapped_units:
+        retapped[:] = [unit(i) in retapped_units for i in first.tolist()]
+
+    by_a_w = sorted(conditions, key=lambda k: (k.amplitude_mm, k.width_mm))
+    rank = np.array([by_a_w.index(k) for k in conditions], dtype=np.int64)
+    return FirstTaps(
+        conditions=tuple(by_a_w),
+        condition=rank[c[first]],
+        participant=np.array(pids, dtype=str)[first],
+        block=block[first],
+        trial=trial[first],
+        mt_ms=mt[first],
+        dx_mm=dx[first],
+        dy_mm=dy[first],
+        retapped=retapped,
+    )
+
+
 def aggregate(
     trials: list[TrialRecord],
     axis_mode: AxisMode = AxisMode.Y,
@@ -170,84 +248,57 @@ def aggregate(
 ) -> list[ConditionSummary]:
     """Reduce tap-level records to per-condition summaries.
 
-    Practice taps are dropped.  Taps farther than ``outlier_radius_mm``
-    (Euclidean) from the target center are removed before any statistic is
-    computed.  Each retained first tap defines one trial: MT is the mean
-    first-tap movement time, the endpoint spread is the sample SD (n-1) of
-    signed first-tap deviations along the chosen axis, and the error rate
-    is the fraction of trials that needed at least one re-tap.
+    The trials are those that ``first_taps`` selects.  MT is their mean
+    movement time, the endpoint spread is the sample SD (n-1) of signed
+    deviations along the chosen axis, and the error rate is the retapped
+    fraction.  Bivariate mode uses sqrt((var_x + var_y) / 2), the per-axis
+    RMS spread.
 
-    Bivariate mode uses sqrt((var_x + var_y) / 2), the per-axis RMS spread.
-
-    Raises DegenerateConditionError for any condition with fewer than two
-    retained trials or zero endpoint variance.
+    Raises DegenerateConditionError for any live condition with fewer than
+    two retained trials (none included) or zero endpoint variance.
     """
     if not trials:
         raise ValidationError("no trials to aggregate")
-    if outlier_radius_mm <= 0:
-        raise ValidationError("outlier radius must be > 0")
-
-    live = [t for t in trials if not t.is_practice]
-    if not live:
+    taps = first_taps(trials, outlier_radius_mm)
+    if not taps.conditions:
         raise ValidationError("all trials are flagged as practice")
 
-    dx = np.fromiter((t.touch_x_mm - t.target_x_mm for t in live), float, len(live))
-    dy = np.fromiter((t.touch_y_mm - t.target_y_mm for t in live), float, len(live))
-    keep = np.hypot(dx, dy) <= outlier_radius_mm
-
-    groups: dict[Condition, _Group] = {}
-    for i, t in enumerate(live):
-        if not keep[i]:
-            continue
-        g = groups.get(t.condition)
-        if g is None:
-            g = groups[t.condition] = _Group()
-        unit = (t.participant_id, t.block, t.trial)
-        if t.tap_index == 1:
-            g.rows.append((unit, t.mt_ms, float(dx[i]), float(dy[i])))
-        else:
-            g.retapped.add(unit)
+    # canonical within-group order makes the float summation order, and
+    # hence the result, independent of input permutation
+    order = np.lexsort((
+        taps.dy_mm, taps.dx_mm, taps.mt_ms,
+        taps.trial, taps.block, taps.participant, taps.condition,
+    ))
+    counts = np.bincount(taps.condition, minlength=len(taps.conditions))
+    groups = np.split(order, np.cumsum(counts)[:-1])
 
     summaries = []
-    for cond in sorted(groups, key=lambda c: (c.amplitude_mm, c.width_mm)):
-        g = groups[cond]
-        n = len(g.rows)
+    for cond, g in zip(taps.conditions, groups):
+        n = len(g)
         if n < 2:
             raise DegenerateConditionError(
                 f"only {n} retained trial(s)", cond.amplitude_mm, cond.width_mm
             )
-        # canonical within-group order makes the float summation order, and
-        # hence the result, independent of input permutation
-        g.rows.sort()
-        mt = [r[1] for r in g.rows]
-        gdx = [r[2] for r in g.rows]
-        gdy = [r[3] for r in g.rows]
+        dx, dy = taps.dx_mm[g], taps.dy_mm[g]
         if axis_mode is AxisMode.X:
-            sigma = float(np.std(gdx, ddof=1))
+            sigma = float(np.std(dx, ddof=1))
         elif axis_mode is AxisMode.Y:
-            sigma = float(np.std(gdy, ddof=1))
+            sigma = float(np.std(dy, ddof=1))
         else:
             sigma = float(
-                np.sqrt((np.var(gdx, ddof=1) + np.var(gdy, ddof=1)) / 2.0)
+                np.sqrt((np.var(dx, ddof=1) + np.var(dy, ddof=1)) / 2.0)
             )
         if sigma <= 0:
             raise DegenerateConditionError(
                 "zero endpoint variance", cond.amplitude_mm, cond.width_mm
             )
-        n_errors = sum(1 for r in g.rows if r[0] in g.retapped)
         summaries.append(
             ConditionSummary(
                 condition=cond,
-                mt_ms=float(np.mean(mt)),
+                mt_ms=float(np.mean(taps.mt_ms[g])),
                 sigma_obs_mm=sigma,
                 n_trials=n,
-                error_rate=n_errors / n,
+                error_rate=int(np.count_nonzero(taps.retapped[g])) / n,
             )
         )
     return summaries
-
-
-@dataclass(slots=True)
-class _Group:
-    rows: list = field(default_factory=list)
-    retapped: set = field(default_factory=set)

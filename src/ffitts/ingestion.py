@@ -114,9 +114,6 @@ def load_trials_csv(path: str | Path) -> list[TrialRecord]:
                 f"expected {len(TRIAL_CSV_COLUMNS)} fields, got {len(row)}", line
             )
         f = dict(zip(TRIAL_CSV_COLUMNS, row))
-        mt = _parse_float(f["mt_ms"], "mt_ms", line)
-        if mt < 0:
-            raise ParseError(f"negative movement time: {mt}", line)
         try:
             records.append(
                 TrialRecord(
@@ -131,7 +128,7 @@ def load_trials_csv(path: str | Path) -> list[TrialRecord]:
                     target_y_mm=_parse_float(f["target_y_mm"], "target_y_mm", line),
                     touch_x_mm=_parse_float(f["touch_x_mm"], "touch_x_mm", line),
                     touch_y_mm=_parse_float(f["touch_y_mm"], "touch_y_mm", line),
-                    mt_ms=mt,
+                    mt_ms=_parse_float(f["mt_ms"], "mt_ms", line),
                     tap_index=_parse_int(f["tap_index"], "tap_index", line),
                     is_practice=_parse_bool(f["is_practice"], line),
                 )
@@ -245,35 +242,10 @@ def write_aggregate_csv(dataset: Dataset, path: str | Path) -> None:
             ])
 
 
-class DatasetRegistry:
-    """Name-to-dataset lookup; immutable once populated, safe to share."""
-
-    def __init__(self, datasets: Iterable[Dataset] = ()):
-        self._entries: dict[str, Dataset] = {d.name: d for d in datasets}
-
-    @classmethod
-    def with_embedded(cls) -> "DatasetRegistry":
-        return cls(_EMBEDDED.values())
-
-    def names(self) -> tuple[str, ...]:
-        return tuple(self._entries)
-
-    def add(self, dataset: Dataset) -> None:
-        if dataset.name in self._entries:
-            raise ValidationError(f"dataset {dataset.name!r} already registered")
-        self._entries[dataset.name] = dataset
-
-    def get(self, name: str) -> Dataset:
-        try:
-            return self._entries[name]
-        except KeyError:
-            raise UnknownDatasetError(name, self.names()) from None
-
-
 def embedded(name: str) -> Dataset:
     """Return a bundled reference dataset ("paper-1d" or "paper-2d")."""
     if name not in _EMBEDDED:
-        raise UnknownDatasetError(name, tuple(_EMBEDDED))
+        raise UnknownDatasetError(name, EMBEDDED_NAMES)
     return _EMBEDDED[name]
 
 
@@ -370,3 +342,6 @@ _EMBEDDED = {
         "paper-2d", Dimensionality.TWO_D, _MT_2D, _SIGMA_OBS_2D, _SIGMA_A_2D, 0.1791
     ),
 }
+
+#: Names of the bundled datasets, in listing order.
+EMBEDDED_NAMES = tuple(_EMBEDDED)

@@ -323,12 +323,7 @@ def fit_document(report: SelectionReport, dataset: Dataset) -> dict:
 
 
 def to_json(obj) -> str:
-    def default(o):
-        if isinstance(o, float) and math.isinf(o):  # pragma: no cover
-            return None
-        raise TypeError(f"not serializable: {o!r}")
-
-    return json.dumps(_sanitize(obj), indent=2, default=default) + "\n"
+    return json.dumps(_sanitize(obj), indent=2) + "\n"
 
 
 def _sanitize(obj):

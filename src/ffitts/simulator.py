@@ -19,6 +19,7 @@ documented enough to reproduce the distributions elsewhere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,16 +59,15 @@ class SimulatorConfig:
     participant_id: str = "sim"
 
     def __post_init__(self):
-        if self.alpha < 0:
-            raise ValidationError("alpha must be >= 0")
-        if self.sigma_a_mm < 0:
-            raise ValidationError("sigma_a must be >= 0")
+        for name in ("alpha", "sigma_a_mm"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValidationError(f"{name} must be finite and >= 0")
         if self.trials_per_condition < 2:
             raise ValidationError("need >= 2 trials per condition")
-        if not self.widths_mm or any(w <= 0 for w in self.widths_mm):
-            raise ValidationError("widths must be positive and nonempty")
-        if not self.amplitudes_mm or any(a <= 0 for a in self.amplitudes_mm):
-            raise ValidationError("amplitudes must be positive and nonempty")
+        for name in ("widths_mm", "amplitudes_mm"):
+            values = getattr(self, name)
+            if not values or not all(0 < v < math.inf for v in values):
+                raise ValidationError(f"{name} must be finite, positive and nonempty")
         if self.mu_r_mm != 0.0 or self.mu_a_mm != 0.0:
             raise ValidationError("component means are fixed at 0")
 

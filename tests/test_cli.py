@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,17 @@ from click.testing import CliRunner
 
 from ffitts import Model, compare, embedded
 from ffitts.cli import main, use_color
+
+DATA = Path(__file__).parent / "data"
+# stdout of `sigma --input` and `fit --input` on the hand-built log
+# data/first_taps.csv (practice rows, re-taps inside and outside the
+# radius, first-tap outliers, shuffled rows), pinned byte for byte
+GOLDEN = json.loads((DATA / "first_taps_golden.json").read_text())
+
+
+def _golden_id(args):
+    opts = dict(zip(args[1::2], args[2::2]))
+    return "-".join([args[0]] + [opts[k] for k in ("--axis", "--dim") if k in opts])
 
 
 @pytest.fixture
@@ -231,6 +243,24 @@ class TestSigma:
         assert row["sigma_a_mm"] == pytest.approx(float(expected), rel=1e-12)
 
 
+class TestFirstTapsGolden:
+    @pytest.mark.parametrize("case", GOLDEN, ids=lambda c: _golden_id(c["args"]))
+    def test_stdout_unchanged(self, runner, monkeypatch, case):
+        # the sigma report names its input as given, so run from data/
+        monkeypatch.chdir(DATA)
+        result = runner.invoke(main, case["args"])
+        assert result.exit_code == 0
+        assert result.output == case["stdout"]
+
+    @pytest.mark.parametrize("command", ["fit", "sigma"])
+    @pytest.mark.parametrize("radius", ["0", "-1"])
+    def test_non_positive_outlier_radius_is_usage_error(self, runner, command, radius):
+        result = runner.invoke(main, [
+            command, "--input", str(DATA / "first_taps.csv"), "--outlier-mm", radius,
+        ])
+        assert result.exit_code == 2
+
+
 class TestSimulate:
     def test_byte_identical_for_fixed_seed(self, runner, tmp_path):
         args = [
@@ -261,6 +291,17 @@ class TestSimulate:
         assert runner.invoke(main, args + ["--out", str(out)]).exit_code == 0
         assert piped.output == out.read_text()
 
+    @pytest.mark.parametrize("flag", ["--alpha", "--sigma-a", "--widths", "--amplitudes"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_parameter_is_usage_error(self, runner, flag, value):
+        args = {"--alpha": "0.01", "--sigma-a": "1", "--widths": "2,4",
+                "--amplitudes": "30"}
+        args[flag] = value
+        result = runner.invoke(main, ["simulate", "--trials", "5"]
+                               + [t for kv in args.items() for t in kv])
+        assert result.exit_code == 2
+        assert "finite" in result.output
+
     def test_bad_width_list_is_usage_error(self, runner):
         result = runner.invoke(main, [
             "simulate", "--alpha", "0", "--sigma-a", "1",
@@ -276,6 +317,11 @@ class TestDatasets:
         assert "paper-1d" in result.output
         assert "paper-2d" in result.output
         assert "Calib (R&A)" in result.output
+
+    def test_sigma_unknown_dataset_is_usage_error(self, runner):
+        result = runner.invoke(main, ["sigma", "--dataset", "paper-3d"])
+        assert result.exit_code == 2
+        assert "paper-1d" in result.output
 
 
 class TestColor:

@@ -3,6 +3,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ffitts import (
     AxisMode,
@@ -18,6 +19,7 @@ from ffitts import (
     TrialRecord,
     ValidationError,
     aggregate,
+    first_taps,
     generate,
 )
 
@@ -53,6 +55,17 @@ class TestTypes:
             make_trial(COND, mt=-1.0)
         with pytest.raises(ValidationError):
             make_trial(COND, tap_index=0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "field", ["target_x_mm", "target_y_mm", "touch_x_mm", "touch_y_mm", "mt_ms"]
+    )
+    def test_trial_rejects_non_finite(self, field, bad):
+        values = dict(participant_id="p1", condition=COND, target_x_mm=0.0,
+                      target_y_mm=0.0, touch_x_mm=0.5, touch_y_mm=0.5, mt_ms=300.0)
+        values[field] = bad
+        with pytest.raises(ValidationError, match="finite"):
+            TrialRecord(**values)
 
     def test_summary_invariants(self):
         with pytest.raises(ValidationError):
@@ -191,3 +204,107 @@ class TestAggregate:
     def test_empty_input_rejected(self):
         with pytest.raises(ValidationError):
             aggregate([])
+
+    def test_condition_without_retained_trial_is_degenerate(self):
+        # every live tap of the only condition is an outlier
+        trials = [make_trial(COND, dy=20.0 + i, trial=i) for i in range(5)]
+        trials.append(make_trial(COND, dy=0.2, trial=9, practice=True))
+        with pytest.raises(DegenerateConditionError, match="only 0 retained"):
+            aggregate(trials)
+
+    def test_vanished_condition_named_among_others(self):
+        kept = Condition(30.0, 6.0)
+        trials = [make_trial(kept, dy=0.2 * (i - 2), trial=i) for i in range(5)]
+        # first taps of COND are outliers; its retained re-tap defines no trial
+        trials += [make_trial(COND, dy=16.0, trial=i) for i in range(3)]
+        trials.append(make_trial(COND, dy=0.5, tap_index=2, trial=0))
+        with pytest.raises(DegenerateConditionError) as exc:
+            aggregate(trials)
+        assert (exc.value.amplitude_mm, exc.value.width_mm) == (20.0, 4.0)
+        assert "only 0 retained" in str(exc.value)
+
+    def test_non_positive_radius_rejected(self):
+        trials = [make_trial(COND, dy=0.2 * (i - 2), trial=i) for i in range(5)]
+        for radius in (0.0, -1.0, math.nan):
+            with pytest.raises(ValidationError):
+                aggregate(trials, outlier_radius_mm=radius)
+
+
+class TestFirstTaps:
+    def test_selection_in_log_order(self):
+        other = Condition(10.0, 2.0)
+        trials = [
+            make_trial(COND, dx=0.1, dy=0.3, mt=310.0, trial=2, participant="p2"),
+            make_trial(COND, dy=9.0, trial=7, practice=True),
+            make_trial(other, dx=-0.2, dy=0.4, mt=250.0, trial=1),
+            make_trial(COND, dy=16.0, trial=3),               # outlier
+            make_trial(COND, dy=0.6, tap_index=2, trial=3),   # its kept re-tap
+            make_trial(COND, dx=0.0, dy=-0.5, mt=290.0, trial=1, participant="p1"),
+            make_trial(COND, dy=0.7, tap_index=2, trial=1, participant="p1"),
+            make_trial(COND, dy=20.0, tap_index=2, trial=2, participant="p2"),
+        ]
+        taps = first_taps(trials)
+        assert taps.conditions == (other, COND)          # sorted by (A, W)
+        assert taps.condition.tolist() == [1, 0, 1]
+        assert taps.participant.tolist() == ["p2", "p1", "p1"]
+        assert taps.trial.tolist() == [2, 1, 1]
+        assert taps.mt_ms.tolist() == [310.0, 250.0, 290.0]
+        assert taps.dx_mm.tolist() == [0.1, -0.2, 0.0]
+        assert taps.dy_mm.tolist() == [0.3, 0.4, -0.5]
+        # only p1's trial 1 has a re-tap inside the radius
+        assert taps.retapped.tolist() == [False, False, True]
+
+    def test_conditions_without_retained_taps_listed(self):
+        taps = first_taps([make_trial(COND, dy=30.0)])
+        assert taps.conditions == (COND,)
+        assert taps.dy_mm.size == 0
+
+    def test_all_practice_gives_empty_selection(self):
+        taps = first_taps([make_trial(COND, practice=True)])
+        assert taps.conditions == ()
+        assert taps.condition.size == taps.retapped.size == 0
+
+
+# Hypothesis runs derandomized and without its example database, so these
+# properties draw the same examples on every run.
+_PROPERTY = settings(derandomize=True, database=None, deadline=None,
+                     max_examples=100)
+_CONDS = [Condition(20.0, 2.0), Condition(45.0, 4.0)]
+# multiples of 1/97 sum with rounding, so a changed summation order shows;
+# |coordinate| <= 12.4 puts some taps beyond the 15 mm radius
+_MM = st.integers(-1200, 1200).map(lambda k: k / 97)
+_TAP = st.builds(
+    make_trial,
+    st.sampled_from(_CONDS),
+    dx=_MM,
+    dy=_MM,
+    mt=st.integers(1000, 9000).map(lambda k: k / 9.7),
+    tap_index=st.sampled_from([1, 1, 1, 2, 3]),
+    trial=st.integers(0, 3),
+    participant=st.sampled_from(["p1", "p2"]),
+    practice=st.sampled_from([False, False, False, True]),
+)
+# four distinct first taps per condition keep every drawn log aggregable;
+# the drawn taps repeat their trial keys, so ties must be broken too
+_BASE = [
+    make_trial(cond, dx=0.3 * i - 0.4, dy=0.7 - 0.45 * i, mt=300.0 + 7 * i, trial=i)
+    for cond in _CONDS for i in range(4)
+]
+_LOGS = st.lists(_TAP, max_size=60).map(lambda drawn: _BASE + drawn)
+
+
+class TestAggregateProperties:
+    @_PROPERTY
+    @given(trials=_LOGS, data=st.data())
+    def test_invariant_to_row_permutation(self, trials, data):
+        shuffled = data.draw(st.permutations(trials))
+        for axis in AxisMode:
+            assert aggregate(shuffled, axis) == aggregate(trials, axis)
+
+    @_PROPERTY
+    @given(trials=_LOGS)
+    def test_trial_counts_match_selection(self, trials):
+        summaries = aggregate(trials)
+        taps = first_taps(trials)
+        assert sum(s.n_trials for s in summaries) == len(taps.dy_mm)
+        assert [s.condition for s in summaries] == list(taps.conditions)

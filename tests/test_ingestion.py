@@ -3,8 +3,8 @@ import pytest
 from ffitts import (
     AGGREGATE_CSV_COLUMNS,
     Condition,
-    DatasetRegistry,
     DuplicateConditionError,
+    EMBEDDED_NAMES,
     EmptyDatasetError,
     ParseError,
     TRIAL_CSV_COLUMNS,
@@ -174,8 +174,9 @@ class TestEmbedded:
             embedded("paper-3d")
         assert "paper-1d" in str(exc.value)
 
-    def test_registry_contains_embedded(self):
-        registry = DatasetRegistry.with_embedded()
-        assert set(registry.names()) >= {"paper-1d", "paper-2d"}
+    def test_embedded_names_listed(self):
+        assert set(EMBEDDED_NAMES) >= {"paper-1d", "paper-2d"}
+        for name in EMBEDDED_NAMES:
+            assert embedded(name).name == name
         with pytest.raises(UnknownDatasetError):
-            registry.get("nope")
+            embedded("nope")

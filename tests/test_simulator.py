@@ -134,3 +134,18 @@ class TestConfigValidation:
     def test_invalid_configs_rejected(self, bad):
         with pytest.raises(ValidationError):
             config(**bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda v: dict(alpha=v),
+            lambda v: dict(sigma_a_mm=v),
+            lambda v: dict(widths_mm=(2.0, v)),
+            lambda v: dict(amplitudes_mm=(v,)),
+        ],
+        ids=["alpha", "sigma_a_mm", "widths_mm", "amplitudes_mm"],
+    )
+    def test_non_finite_configs_rejected(self, make, bad):
+        with pytest.raises(ValidationError, match="finite"):
+            config(**make(bad))
