@@ -14,6 +14,7 @@ ANSI styling on terminals.
 
 from __future__ import annotations
 
+import math
 import os
 import sys
 from pathlib import Path
@@ -30,6 +31,7 @@ from .datamodel import (
     SigmaMethod,
     aggregate,
     first_taps,
+    summarize,
 )
 from .errors import (
     EmptyDatasetError,
@@ -67,6 +69,23 @@ def use_color(stream=None) -> bool:
 
 def _style(text: str, **kwargs) -> str:
     return click.style(text, **kwargs) if use_color() else text
+
+
+class _FiniteFloatRange(click.FloatRange):
+    """A FloatRange that also rejects NaN and infinities, which pass its
+    bound checks because every comparison with NaN is false."""
+
+    def convert(self, value, param, ctx):
+        rv = super().convert(value, param, ctx)
+        if not math.isfinite(rv):
+            self.fail(f"{rv} is not a finite number.", param, ctx)
+        return rv
+
+
+_outlier_mm_option = click.option(
+    "--outlier-mm", type=_FiniteFloatRange(min=0, min_open=True),
+    default=15.0, show_default=True,
+    help="Tap-to-target distance beyond which taps are discarded.")
 
 
 @click.group()
@@ -176,9 +195,7 @@ def _emit(text: str, out: str | None):
               help="Tremor spread: catalog method name or a value in mm (m7).")
 @click.option("--axis", type=click.Choice([a.value for a in AxisMode]), default="y",
               show_default=True, help="Deviation axis when aggregating a tap log.")
-@click.option("--outlier-mm", type=click.FloatRange(min=0, min_open=True),
-              default=15.0, show_default=True,
-              help="Tap-to-target distance beyond which taps are discarded.")
+@_outlier_mm_option
 @click.option("--cv/--no-cv", default=True, show_default=True,
               help="Leave-one-condition-out cross-validation.")
 @click.option("--format", "fmt", type=click.Choice(["md", "csv", "json"]),
@@ -247,8 +264,7 @@ def _write_plot_files(selection, dataset, out):
 @click.option("--dim", type=click.Choice(["1d", "2d"]), default=None)
 @click.option("--axis", type=click.Choice([a.value for a in AxisMode]), default="y",
               show_default=True)
-@click.option("--outlier-mm", type=click.FloatRange(min=0, min_open=True),
-              default=15.0, show_default=True)
+@_outlier_mm_option
 @click.option("--alpha", type=float, default=0.05, show_default=True,
               help="Normality-test significance level.")
 @click.option("--format", "fmt", type=click.Choice(["md", "csv", "json"]),
@@ -313,8 +329,7 @@ def sigma(dataset_name, input_path, method, instruction, dim, axis, outlier_mm,
 def _sigma_rows_from_log(input_path, method, instruction, dim, axis, outlier_mm,
                          alpha) -> list[dict]:
     try:
-        records = load_trials_csv(input_path)
-        taps = first_taps(records, outlier_mm)
+        taps = first_taps(load_trials_csv(input_path), outlier_mm)
     except (ParseError, EmptyDatasetError, ValidationError) as exc:
         raise click.UsageError(str(exc)) from None
 
@@ -327,7 +342,7 @@ def _sigma_rows_from_log(input_path, method, instruction, dim, axis, outlier_mm,
         bivariate = axis_mode is AxisMode.BIVARIATE and dim != "1d"
         rows.append(_calibration_row(taps, devs, bivariate, tag, alpha))
     if method in ("all", "intercept"):
-        rows.append(_intercept_row(records, taps, devs, axis_mode, outlier_mm, alpha))
+        rows.append(_intercept_row(taps, devs, axis_mode, alpha))
     return rows
 
 
@@ -352,12 +367,10 @@ def _calibration_row(taps, devs, bivariate, tag, alpha):
             "sigma_a_mm": est.sigma_a_mm, "normality": normality, "note": ""}
 
 
-def _intercept_row(records, taps, devs, axis_mode, outlier_mm, alpha):
+def _intercept_row(taps, devs, axis_mode, alpha):
     label = SigmaMethod.INTERCEPT_FITTS.label
     try:
-        summaries = aggregate(records, axis_mode=axis_mode,
-                              outlier_radius_mm=outlier_mm)
-        fit = sigma_from_intercept(summaries)
+        fit = sigma_from_intercept(summarize(taps, axis_mode))
         est = fit.estimate(SigmaMethod.INTERCEPT_FITTS)
         passed, total = _per_condition_normality(taps, devs, alpha)
         return {

@@ -248,18 +248,25 @@ def aggregate(
 ) -> list[ConditionSummary]:
     """Reduce tap-level records to per-condition summaries.
 
-    The trials are those that ``first_taps`` selects.  MT is their mean
-    movement time, the endpoint spread is the sample SD (n-1) of signed
-    deviations along the chosen axis, and the error rate is the retapped
-    fraction.  Bivariate mode uses sqrt((var_x + var_y) / 2), the per-axis
-    RMS spread.
+    The ``summarize`` of the trials that ``first_taps`` selects; see both
+    for the rules and the errors raised.
+    """
+    if not trials:
+        raise ValidationError("no trials to aggregate")
+    return summarize(first_taps(trials, outlier_radius_mm), axis_mode)
+
+
+def summarize(taps: FirstTaps, axis_mode: AxisMode) -> list[ConditionSummary]:
+    """Per-condition summaries of a first-tap selection.
+
+    MT is the mean movement time of a condition's trials, the endpoint
+    spread is the sample SD (n-1) of signed deviations along the chosen
+    axis, and the error rate is the retapped fraction.  Bivariate mode uses
+    sqrt((var_x + var_y) / 2), the per-axis RMS spread.
 
     Raises DegenerateConditionError for any live condition with fewer than
     two retained trials (none included) or zero endpoint variance.
     """
-    if not trials:
-        raise ValidationError("no trials to aggregate")
-    taps = first_taps(trials, outlier_radius_mm)
     if not taps.conditions:
         raise ValidationError("all trials are flagged as practice")
 

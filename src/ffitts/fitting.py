@@ -7,6 +7,17 @@ refinement of the bracketing interval down to 1e-6 mm, ties broken toward
 smaller c.  c_max is the smallest width term, for both the subtractive and
 the square-root forms.
 
+Leave-one-condition-out cross-validation re-optimizes c in every fold.
+The folds are not fitted one by one: one batched search takes a mask of
+training sets, one row per fold, and runs the same grid and refinement
+for all rows at once.  Each fold's grid R^2 comes from masked sums (one
+(folds, n) @ (n, grid block) product per sum, so no folds x n x grid
+array is built), the refinement steps every fold's bracket in one loop,
+and each fold's line comes from the same least squares as a full fit's.
+Only the grid R^2 is summed differently from a search per fold, so where
+R^2 is flat to the last bit across neighbouring grid points the two could
+pick different grid maxima.
+
 The selection battery is R^2, adjusted R^2, AIC, BIC, and
 leave-one-condition-out RMSE.  Information criteria use the Gaussian
 maximum-likelihood least-squares form
@@ -37,6 +48,11 @@ from .idmodels import Model, Tremor, compute_id, model_widths, width_term
 EPS_MM = 1e-6
 
 _GRID_POINTS = 2000
+# grid columns per id table: against whole-grid (n, 2000) tables, blocks
+# cut the `select` benchmark's op_p50 from 50.8 to 43.5 ms and its peak
+# RSS from 40.8 to 38.3 MB (medians of 10 alternating pairs, 10/10 wins,
+# 2-core Xeon VM)
+_GRID_BLOCK = 500
 _C_TOL_MM = 1e-6
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -59,17 +75,28 @@ def ols_fit(points) -> OlsFit:
     if len(points) < 3:
         raise ValidationError(f"need >= 3 points, got {len(points)}")
     x, y = np.asarray(points, dtype=float).T.copy()
-    xc = x - x.mean()
-    sxx = float(xc @ xc)
+    a, b, sxx = (float(v[0]) for v in _line(x[None], y[None]))
     if sxx <= 0:
         raise SingularFitError("difficulty values are all equal")
-    b = float(xc @ (y - y.mean())) / sxx
-    a = float(y.mean() - b * x.mean())
     resid = y - a - b * x
     rss = float(resid @ resid)
     tss = float(((y - y.mean()) ** 2).sum())
     r2 = 1.0 - rss / tss if tss > 0 else (1.0 if rss < 1e-12 else 0.0)
     return OlsFit(a_ms=a, b_ms_per_bit=b, rss=rss, r2=r2)
+
+
+def _line(x, y):
+    """Least-squares line of each row of y on the same row of x, both (F, m).
+
+    Returns per-row intercepts, slopes and centered sums of squares of x;
+    a row whose x values are all equal gets a NaN or infinite slope.
+    """
+    xbar, ybar = x.sum(axis=1) / x.shape[1], y.sum(axis=1) / y.shape[1]
+    xc = x - xbar[:, None]
+    sxx = np.vecdot(xc, xc)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        b = np.vecdot(xc, y - ybar[:, None]) / sxx
+    return ybar - b * xbar, b, sxx
 
 
 def information_criteria(rss: float, n: int, k: int) -> tuple[float, float]:
@@ -88,14 +115,55 @@ def information_criteria(rss: float, n: int, k: int) -> tuple[float, float]:
     return base + 2.0 * k, base + k * math.log(n)
 
 
-def _r2_on_grid(ids, mt):
-    """R^2 of mt on each column of ids; simple-OLS R^2 equals squared corr."""
-    idc = ids - ids.mean(axis=0)
-    mtc = mt - mt.mean()
-    num = (idc * mtc[:, None]).sum(axis=0) ** 2
-    den = (idc * idc).sum(axis=0) * float(mtc @ mtc)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(den > 0, num / den, 0.0)
+def _rows(values, keep):
+    """The entries of `values`, (n,) or (F, n), that each row of the (F, n)
+    bool mask `keep` keeps, as an (F, m) array; every row keeps m entries."""
+    return np.broadcast_to(values, keep.shape)[keep].reshape(len(keep), -1)
+
+
+def _in_order(v):
+    """Row sums of an (F, m) array taken strictly left to right."""
+    return np.add.accumulate(v, axis=1)[:, -1]
+
+
+def _r2(x, yc, syy, total=lambda v: v.sum(axis=1)):
+    """R^2 of y on x for each row of the (F, m) array x.
+
+    `yc` holds each row's y minus its mean and `syy` its sum of squares;
+    `total` sums each row of an (F, m) array, by numpy's pairwise sums
+    unless told otherwise.  Simple-OLS R^2 is the squared correlation; 0
+    where either variance vanishes.
+    """
+    xc = x - (total(x) / x.shape[1])[:, None]
+    sxy = total(xc * yc)
+    den = total(xc * xc) * syy
+    return np.divide(sxy * sxy, den, out=np.zeros_like(den), where=den > 0)
+
+
+def _grid_r2(model: Model, amps, widths, grid, keep, mt):
+    """R^2 at every c of `grid` for each row of the (F, n) mask `keep`.
+
+    The id table is built one block of grid columns at a time, and each
+    masked sum is one (F, n) @ (n, block) product, so no (F, n, grid)
+    array is built.  The ids are shifted by their column means for
+    conditioning (R^2 does not depend on the shift).
+    """
+    y = mt - mt.mean()
+    k = keep.astype(float)
+    m = k.sum(axis=1)[:, None]
+    sy = (k @ y)[:, None]
+    vy = (k @ (y * y))[:, None] - sy * sy / m
+    r2 = np.empty((len(keep), len(grid)))
+    for j in range(0, len(grid), _GRID_BLOCK):
+        cols = slice(j, j + _GRID_BLOCK)
+        ids = compute_id(model, amps[:, None], widths[:, None], grid[cols])
+        ids -= ids.mean(axis=0)
+        sx = k @ ids
+        xbar = sx / m
+        cov = k @ (ids * y[:, None]) - xbar * sy
+        den = (k @ (ids * ids) - sx * xbar) * vy
+        r2[:, cols] = np.divide(cov * cov, den, out=np.zeros_like(den), where=den > 0)
+    return r2
 
 
 def _columns(summaries):
@@ -103,6 +171,66 @@ def _columns(summaries):
     amps = np.array([s.condition.amplitude_mm for s in summaries], dtype=float)
     mt = np.array([s.mt_ms for s in summaries], dtype=float)
     return amps, mt
+
+
+def _search_c(model: Model, amps, widths, mt, keep) -> np.ndarray:
+    """Best tremor parameter c for each row of an (F, n) bool mask of fits.
+
+    Each row is one fit on the conditions it keeps, and every row keeps
+    the same number of them: one all-kept row for a full fit, n - 1 for
+    leave-one-out.  All rows are searched at once with one fit's rules: a
+    2000-point grid over [0, c_max], c_max being the smallest kept width
+    minus _C_TOL_MM (rows sharing c_max share the grid and its id table),
+    then golden-section refinement of the bracket around the first grid
+    maximum down to _C_TOL_MM, ties keeping the smaller-c interval.  The
+    refined c replaces the grid c only when its R^2 is strictly higher;
+    c = 0 when c_max <= 0.
+    """
+    amps_k, widths_k, mt_k = (_rows(v, keep) for v in (amps, widths, mt))
+    c_max = widths_k.min(axis=1) - _C_TOL_MM
+    best_c, lo, hi = np.zeros(len(keep)), np.zeros(len(keep)), np.zeros(len(keep))
+    for cm in np.unique(c_max[c_max > 0]):
+        rows = np.flatnonzero(c_max == cm)
+        grid = np.linspace(0.0, cm, _GRID_POINTS)
+        # the grid is off the domain only for widths these rows leave out
+        live = widths > cm
+        r2s = _grid_r2(model, amps[live], widths[live], grid,
+                       keep[np.ix_(rows, live)], mt[live])
+        i = np.argmax(r2s, axis=1)  # first max: ties prefer smaller c
+        best_c[rows] = grid[i]
+        lo[rows] = grid[np.maximum(i - 1, 0)]
+        hi[rows] = grid[np.minimum(i + 1, _GRID_POINTS - 1)]
+
+    yc = mt_k - (mt_k.sum(axis=1) / mt_k.shape[1])[:, None]
+    syy = np.vecdot(yc, yc)
+
+    def r2_at(c, **sums):
+        return _r2(compute_id(model, amps_k, widths_k, c[:, None]), yc, syy, **sums)
+
+    # golden-section refinement of every row under one loop; a row stops
+    # moving once its bracket is within tolerance
+    x1 = hi - _GOLDEN * (hi - lo)
+    x2 = lo + _GOLDEN * (hi - lo)
+    f1, f2 = r2_at(x1), r2_at(x2)
+    while (active := hi - lo > _C_TOL_MM).any():
+        left = f1 >= f2  # maximize; ties keep the left (smaller-c) interval
+        new_lo, new_hi = np.where(left, lo, x1), np.where(left, x2, hi)
+        step = _GOLDEN * (new_hi - new_lo)
+        x = np.where(left, new_hi - step, new_lo + step)
+        fx = r2_at(x)
+        state = (new_lo, new_hi, np.where(left, x, x2), np.where(left, fx, f2),
+                 np.where(left, x1, x), np.where(left, f1, fx))
+        if not active.all():  # rows already within tolerance keep their state
+            state = [np.where(active, new, old)
+                     for new, old in zip(state, (lo, hi, x1, f1, x2, f2))]
+        lo, hi, x1, f1, x2, f2 = state
+    c_ref = np.where(f1 >= f2, lo, x2)
+    # Near c = 0 the sqrt forms' R^2 is flat to the last bit, so the order
+    # of the sums decides between the grid c and the refined one.  The grid
+    # maximum's R^2 is recomputed with sums in condition order and the
+    # refined c's with numpy's pairwise sums: the rule that the reported c
+    # and CV RMSE values are pinned with.
+    return np.where(r2_at(c_ref) > r2_at(best_c, total=_in_order), c_ref, best_c)
 
 
 def optimize_c(
@@ -119,42 +247,9 @@ def optimize_c(
         raise ValidationError(f"model {model.value} has no free tremor parameter")
     widths = model_widths(model, summaries)  # never NaN for m3..m6
     amps, mt = _columns(summaries)
-    best_c = 0.0
-
-    c_max = float(widths.min()) - _C_TOL_MM
-    if c_max > 0:
-        a_col, w_col = amps[:, None], widths[:, None]
-
-        def r2_at(c):
-            return _r2_on_grid(compute_id(model, a_col, w_col, c), mt)
-
-        grid = np.linspace(0.0, c_max, _GRID_POINTS)
-        r2s = r2_at(grid)
-        best_i = int(np.argmax(r2s))  # first max: ties prefer smaller c
-        best_c, best_r2 = float(grid[best_i]), float(r2s[best_i])
-
-        lo = float(grid[max(best_i - 1, 0)])
-        hi = float(grid[min(best_i + 1, _GRID_POINTS - 1)])
-
-        # golden-section refinement; keep the refined c only if strictly better
-        x1 = hi - _GOLDEN * (hi - lo)
-        x2 = lo + _GOLDEN * (hi - lo)
-        f1, f2 = r2_at(x1)[0], r2_at(x2)[0]
-        while hi - lo > _C_TOL_MM:
-            if f1 >= f2:  # maximize; ties keep the left (smaller-c) interval
-                hi, x2, f2 = x2, x1, f1
-                x1 = hi - _GOLDEN * (hi - lo)
-                f1 = r2_at(x1)[0]
-            else:
-                lo, x1, f1 = x1, x2, f2
-                x2 = lo + _GOLDEN * (hi - lo)
-                f2 = r2_at(x2)[0]
-        c_ref = lo if f1 >= f2 else x2
-        if r2_at(c_ref)[0] > best_r2:
-            best_c = c_ref
-
-    ids = compute_id(model, amps, widths, best_c)
-    return best_c, ols_fit(np.column_stack((ids, mt)))
+    c = float(_search_c(model, amps, widths, mt, np.ones((1, len(mt)), dtype=bool))[0])
+    ids = compute_id(model, amps, widths, c)
+    return c, ols_fit(np.column_stack((ids, mt)))
 
 
 @dataclass(frozen=True)
@@ -210,8 +305,9 @@ def loocv_rmse(
 ) -> float | None:
     """Leave-one-condition-out RMSE of movement-time predictions.
 
-    Each fold refits the line, re-optimizing c for free-c models; returns
-    None when any condition's width is undefined.
+    Each fold refits the line, re-optimizing c for free-c models, all folds
+    in one batched search; returns None when any condition's width is
+    undefined.
     """
     n = len(summaries)
     if n < 4:
@@ -220,22 +316,21 @@ def loocv_rmse(
     if np.isnan(widths).any():
         return None
     amps, mt = _columns(summaries)
-    free_c = model.tremor is Tremor.FREE_C
-    ids = None if free_c else compute_id(model, amps, widths)
-    cs, a, b = np.zeros(n), np.empty(n), np.empty(n)
-    for i in range(n):
-        if free_c:
-            cs[i], fit = optimize_c([s for j, s in enumerate(summaries) if j != i], model)
-        else:
-            keep = np.arange(n) != i
-            fit = ols_fit(np.column_stack((ids[keep], mt[keep])))
-        a[i], b[i] = fit.a_ms, fit.b_ms_per_bit
-    if free_c:
+    keep = ~np.eye(n, dtype=bool)  # row i trains on every condition but i
+    if model.tremor is Tremor.FREE_C:
+        cs = _search_c(model, amps, widths, mt, keep)
+        train = compute_id(model, amps, widths, cs[:, None])
         # A fold can choose c at or above the held-out width when the held-out
         # condition had the smallest width term; its width term is clamped at
         # EPS_MM and the (huge) difficulty and residual are kept.
-        ids = compute_id(model, amps, np.fmax(width_term(model, widths, cs), EPS_MM))
-    resid = a + b * ids - mt
+        held_out = compute_id(model, amps, np.fmax(width_term(model, widths, cs), EPS_MM))
+    else:
+        held_out = compute_id(model, amps, widths)
+        train = held_out
+    a, b, sxx = _line(_rows(train, keep), _rows(mt, keep))
+    if not (sxx > 0).all():
+        raise SingularFitError("difficulty values are all equal")
+    resid = a + b * held_out - mt
     return float(math.sqrt(np.mean(resid**2)))
 
 

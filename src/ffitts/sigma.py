@@ -23,7 +23,6 @@ from math import sqrt
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
 
 from .datamodel import ConditionSummary, SigmaEstimate, SigmaMethod
 from .errors import (
@@ -144,6 +143,8 @@ def normality_check(deviations_mm, alpha: float = 0.05) -> NormalityResult:
         )
     if np.ptp(arr) == 0:
         raise DegenerateDataError("zero variance sample")
+    from scipy import stats  # imported on use: it is most of the CLI's start-up
+
     res = stats.shapiro(arr)
     return NormalityResult(
         statistic=float(res.statistic),

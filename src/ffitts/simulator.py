@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtri
 
 from .datamodel import Condition, Dimensionality, TrialRecord
 from .errors import ValidationError
@@ -41,6 +40,15 @@ class MovementTimeModel:
     a_ms: float = 100.0
     b_ms_per_bit: float = 90.0
     noise_sd_ms: float = 5.0
+
+    def __post_init__(self):
+        for name in ("a_ms", "b_ms_per_bit"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
+        if not 0 <= self.noise_sd_ms < math.inf:
+            raise ValidationError(
+                f"noise_sd_ms must be finite and >= 0, got {self.noise_sd_ms}"
+            )
 
 
 @dataclass(frozen=True)
@@ -94,6 +102,8 @@ def _normals(rng: np.random.Generator, n: int, sd: float) -> np.ndarray:
     if sd == 0.0:
         rng.random(n)  # keep the draw sequence fixed regardless of sd
         return np.zeros(n)
+    from scipy.special import ndtri  # imported on use: importing ffitts loads no scipy
+
     u = np.maximum(rng.random(n), _TINY)
     return ndtri(u) * sd
 

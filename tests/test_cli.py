@@ -1,13 +1,18 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from ffitts import Model, compare, embedded
+import ffitts
+from ffitts import Model, compare, datamodel, embedded
+from ffitts import cli
 from ffitts.cli import main, use_color
 
 DATA = Path(__file__).parent / "data"
@@ -196,6 +201,22 @@ class TestSigma:
         result = runner.invoke(main, ["sigma", "--input", str(path)])
         assert result.exit_code == 2
 
+    def test_input_selects_first_taps_once(self, runner, monkeypatch):
+        # the calibration and intercept rows share one selection
+        calls, real = [], datamodel.first_taps
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(datamodel, "first_taps", counting)
+        monkeypatch.setattr(cli, "first_taps", counting)
+        result = runner.invoke(main, [
+            "sigma", "--input", str(DATA / "first_taps.csv"), "--method", "all",
+        ])
+        assert result.exit_code == 0
+        assert len(calls) == 1
+
     def test_simulate_piped_to_intercept_sigma(self, runner):
         sim = runner.invoke(main, [
             "simulate", "--alpha", "0.0108", "--sigma-a", "1.153",
@@ -253,7 +274,7 @@ class TestFirstTapsGolden:
         assert result.output == case["stdout"]
 
     @pytest.mark.parametrize("command", ["fit", "sigma"])
-    @pytest.mark.parametrize("radius", ["0", "-1"])
+    @pytest.mark.parametrize("radius", ["0", "-1", "nan"])
     def test_non_positive_outlier_radius_is_usage_error(self, runner, command, radius):
         result = runner.invoke(main, [
             command, "--input", str(DATA / "first_taps.csv"), "--outlier-mm", radius,
@@ -262,6 +283,11 @@ class TestFirstTapsGolden:
 
 
 class TestSimulate:
+    # the config field each option sets, which its error message names
+    FIELD = {"--alpha": "alpha", "--sigma-a": "sigma_a_mm", "--widths": "widths_mm",
+             "--amplitudes": "amplitudes_mm", "--mt-a": "a_ms", "--mt-b": "b_ms_per_bit",
+             "--mt-noise": "noise_sd_ms"}
+
     def test_byte_identical_for_fixed_seed(self, runner, tmp_path):
         args = [
             "simulate", "--alpha", "0", "--sigma-a", "1.0",
@@ -291,16 +317,27 @@ class TestSimulate:
         assert runner.invoke(main, args + ["--out", str(out)]).exit_code == 0
         assert piped.output == out.read_text()
 
-    @pytest.mark.parametrize("flag", ["--alpha", "--sigma-a", "--widths", "--amplitudes"])
+    @pytest.mark.parametrize("flag", ["--alpha", "--sigma-a", "--widths", "--amplitudes",
+                                      "--mt-a", "--mt-b", "--mt-noise"])
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_parameter_is_usage_error(self, runner, flag, value):
+        result = self._simulate(runner, flag, value)
+        assert result.exit_code == 2
+        assert "finite" in result.output
+        assert self.FIELD[flag] in result.output
+
+    def test_negative_mt_noise_is_usage_error(self, runner):
+        result = self._simulate(runner, "--mt-noise", "-1")
+        assert result.exit_code == 2
+        assert "noise_sd_ms must be finite and >= 0, got -1.0" in result.output
+
+    @staticmethod
+    def _simulate(runner, flag, value):
         args = {"--alpha": "0.01", "--sigma-a": "1", "--widths": "2,4",
                 "--amplitudes": "30"}
         args[flag] = value
-        result = runner.invoke(main, ["simulate", "--trials", "5"]
-                               + [t for kv in args.items() for t in kv])
-        assert result.exit_code == 2
-        assert "finite" in result.output
+        return runner.invoke(main, ["simulate", "--trials", "5"]
+                             + [t for kv in args.items() for t in kv])
 
     def test_bad_width_list_is_usage_error(self, runner):
         result = runner.invoke(main, [
@@ -322,6 +359,20 @@ class TestDatasets:
         result = runner.invoke(main, ["sigma", "--dataset", "paper-3d"])
         assert result.exit_code == 2
         assert "paper-1d" in result.output
+
+
+class TestImport:
+    def test_cli_import_leaves_scipy_unloaded(self):
+        # scipy.stats and scipy.special are imported by the functions that
+        # use them, so commands that never call those start faster
+        code = ("import sys, ffitts.cli; "
+                "print([m for m in ('scipy.stats', 'scipy.special') if m in sys.modules])")
+        src = str(Path(ffitts.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60, check=True)
+        assert proc.stdout.strip() == "[]"
 
 
 class TestColor:

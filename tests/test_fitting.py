@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from ffitts import (
     Condition,
@@ -15,9 +16,12 @@ from ffitts import (
     fit_model,
     information_criteria,
     loocv_rmse,
+    model_widths,
     ols_fit,
     optimize_c,
 )
+from ffitts.fitting import EPS_MM
+from ffitts.idmodels import width_term
 
 AMPLITUDES = (20.0, 30.0, 45.0, 60.0)
 WIDTHS = (2.0, 4.0, 6.0, 8.0, 10.0)
@@ -296,3 +300,75 @@ class TestCompare:
         est = SigmaEstimate(1.163, SigmaMethod.CALIB_ACCURACY_ONLY, "paper-2d")
         report = compare(paper_2d, [Model.M7_GIVEN_SIGMA_A], sigma_a=est, cv=False)
         assert report.result(Model.M7_GIVEN_SIGMA_A).sigma_a is est
+
+
+FREE_C_PAIRS = [
+    (Model.M3_WE_NOSQRT_C, Model.M2_EFFECTIVE),
+    (Model.M4_WE_SQRT_C, Model.M2_EFFECTIVE),
+    (Model.M5_W_NOSQRT_C, Model.M1_BASELINE),
+    (Model.M6_W_SQRT_C, Model.M1_BASELINE),
+]
+
+# Hypothesis runs derandomized and without its example database, so these
+# properties draw the same examples on every run.
+_PROPERTY = settings(derandomize=True, database=None, deadline=None,
+                     max_examples=20)
+
+
+@st.composite
+def condition_sets(draw):
+    """4 to 30 distinct conditions whose movement times follow a subtractive
+    tremor law at a drawn c (0 up to 0.9 of the smallest width) plus noise."""
+    n = draw(st.integers(4, 30))
+    pairs = draw(st.lists(st.tuples(st.integers(10, 90), st.integers(8, 120)),
+                          min_size=n, max_size=n, unique=True))
+    min_w = min(w for _, w in pairs) / 10
+    c_true = draw(st.integers(0, 9)) / 10 * min_w
+    summaries = [
+        ConditionSummary(
+            Condition(float(a), w / 10),
+            mt_ms=100.0 + 90.0 * math.log2(a / (w / 10 - c_true) + 1.0)
+            + draw(st.integers(-150, 150)) / 10,
+            sigma_obs_mm=draw(st.integers(20, 300)) / 100,
+        )
+        for a, w in pairs
+    ]
+    # every fold keeps at least two distinct difficulties for each width source
+    assume(len({s.condition.amplitude_mm / s.condition.width_mm for s in summaries}) >= 3)
+    assume(len({s.condition.amplitude_mm / s.sigma_obs_mm for s in summaries}) >= 3)
+    return summaries
+
+
+def refit_loocv_rmse(summaries, model):
+    """Leave-one-condition-out RMSE from one optimize_c call per fold, with
+    the held-out width term clamped at EPS_MM."""
+    sq = []
+    for i, held in enumerate(summaries):
+        c, fit = optimize_c(summaries[:i] + summaries[i + 1:], model)
+        width = model_widths(model, [held])[0]
+        term = float(np.fmax(width_term(model, width, c), EPS_MM))
+        id_bits = math.log2(held.condition.amplitude_mm / term + 1.0)
+        sq.append((fit.a_ms + fit.b_ms_per_bit * id_bits - held.mt_ms) ** 2)
+    return math.sqrt(sum(sq) / len(sq))
+
+
+class TestFreeCProperties:
+    @_PROPERTY
+    @given(summaries=condition_sets(), pair=st.sampled_from(FREE_C_PAIRS))
+    def test_loocv_equals_refit_loop(self, summaries, pair):
+        # the batch and the loop differ by float rounding (below 1e-15
+        # relative on these examples); 1e-9 still fails a batch whose
+        # converged folds keep refining (1.3e-7 in a mutation check)
+        model = pair[0]
+        assert loocv_rmse(summaries, model) == pytest.approx(
+            refit_loocv_rmse(summaries, model), rel=1e-9)
+
+    @_PROPERTY
+    @given(summaries=condition_sets(), pair=st.sampled_from(FREE_C_PAIRS))
+    def test_never_below_fixed_form_in_full_fit_and_folds(self, summaries, pair):
+        free, fixed = pair
+        fits = [summaries] + [summaries[:i] + summaries[i + 1:]
+                              for i in range(len(summaries))]
+        for train in fits:
+            _, fit = optimize_c(train, free)
+            assert fit.r2 >= fit_model(train, fixed, cv=False).r2 - 1e-12

@@ -143,9 +143,18 @@ class TestConfigValidation:
             lambda v: dict(sigma_a_mm=v),
             lambda v: dict(widths_mm=(2.0, v)),
             lambda v: dict(amplitudes_mm=(v,)),
+            lambda v: dict(mt_model=MovementTimeModel(a_ms=v)),
+            lambda v: dict(mt_model=MovementTimeModel(b_ms_per_bit=v)),
+            lambda v: dict(mt_model=MovementTimeModel(noise_sd_ms=v)),
         ],
-        ids=["alpha", "sigma_a_mm", "widths_mm", "amplitudes_mm"],
+        ids=["alpha", "sigma_a_mm", "widths_mm", "amplitudes_mm",
+             "mt_a_ms", "mt_b_ms_per_bit", "mt_noise_sd_ms"],
     )
     def test_non_finite_configs_rejected(self, make, bad):
         with pytest.raises(ValidationError, match="finite"):
             config(**make(bad))
+
+    def test_negative_noise_sd_rejected(self):
+        # a negative SD would silently flip the sign of the noise draws
+        with pytest.raises(ValidationError, match="noise_sd_ms"):
+            MovementTimeModel(noise_sd_ms=-1.0)
