@@ -17,6 +17,7 @@ from .datamodel import (
     FirstTaps,
     SigmaEstimate,
     SigmaMethod,
+    TapTable,
     TrialRecord,
     aggregate,
     first_taps,
@@ -117,6 +118,7 @@ __all__ = [
     "SQRT_2PI_E",
     "TRIAL_CSV_COLUMNS",
     "Tremor",
+    "TapTable",
     "TrialRecord",
     "UnknownDatasetError",
     "UnsupportedSampleSizeError",

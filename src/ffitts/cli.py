@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import click
@@ -88,6 +89,9 @@ _outlier_mm_option = click.option(
     help="Tap-to-target distance beyond which taps are discarded.")
 
 
+_input_path = click.Path(exists=True, dir_okay=False, allow_dash=True)
+
+
 @click.group()
 def main():
     """Movement-time model fitting for touch pointing data."""
@@ -112,9 +116,9 @@ def _resolve_dataset(dataset_name, input_path, dim, axis, outlier_mm) -> Dataset
     dimensionality = Dimensionality(dim or "2d")
     try:
         if _looks_like_trials(input_path):
-            records = load_trials_csv(input_path)
             summaries = aggregate(
-                records, axis_mode=AxisMode(axis), outlier_radius_mm=outlier_mm
+                load_trials_csv(input_path), axis_mode=AxisMode(axis),
+                outlier_radius_mm=outlier_mm,
             )
             name = "<stdin>" if str(input_path) == "-" else Path(input_path).stem
             return Dataset(
@@ -176,9 +180,23 @@ def _parse_models(token: str) -> list[Model]:
         raise click.UsageError(str(exc)) from None
 
 
+@contextmanager
+def _writing(path):
+    """Turn a failed write of an output file into a one-line error naming it."""
+    try:
+        yield
+    except OSError as exc:
+        raise click.ClickException(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
+def _write_text(path, text: str):
+    with _writing(path):
+        Path(path).write_text(text, encoding="utf-8")
+
+
 def _emit(text: str, out: str | None):
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        _write_text(out, text)
         click.echo(_style(f"wrote {out}", fg="green"), err=True)
     else:
         click.echo(text, nl=False)
@@ -186,7 +204,8 @@ def _emit(text: str, out: str | None):
 
 @main.command()
 @click.option("--dataset", "dataset_name", help="Bundled dataset name.")
-@click.option("--input", "input_path", help="Tap log or aggregate CSV ('-' = stdin).")
+@click.option("--input", "input_path", type=_input_path,
+              help="Tap log or aggregate CSV ('-' = stdin).")
 @click.option("--dim", type=click.Choice(["1d", "2d"]), default=None,
               help="Dimensionality label for --input data (default 2d).")
 @click.option("--models", default="all", show_default=True,
@@ -221,7 +240,7 @@ def fit(dataset_name, input_path, dim, models, sigma_a_token, axis, outlier_mm,
         _emit(rpt.render_comparison_csv(selection), out)
         if out:
             wf_path = Path(out).with_name(Path(out).stem + ".wf.csv")
-            wf_path.write_text(rpt.render_wf_csv(dataset), encoding="utf-8")
+            _write_text(wf_path, rpt.render_wf_csv(dataset))
             click.echo(_style(f"wrote {wf_path}", fg="green"), err=True)
         _write_plot_files(selection, dataset, out)
     else:
@@ -247,15 +266,16 @@ def _write_plot_files(selection, dataset, out):
         return
     base = Path(out)
     fits_path = base.with_name(base.stem + ".fits.csv")
-    fits_path.write_text(rpt.render_fits_plot_csv(selection), encoding="utf-8")
+    _write_text(fits_path, rpt.render_fits_plot_csv(selection))
     intercept_path = base.with_name(base.stem + ".intercept.csv")
-    intercept_path.write_text(rpt.render_intercept_plot_csv(dataset), encoding="utf-8")
+    _write_text(intercept_path, rpt.render_intercept_plot_csv(dataset))
     click.echo(_style(f"wrote {fits_path} and {intercept_path}", fg="green"), err=True)
 
 
 @main.command()
 @click.option("--dataset", "dataset_name", help="Bundled dataset name.")
-@click.option("--input", "input_path", help="Tap log CSV ('-' = stdin).")
+@click.option("--input", "input_path", type=_input_path,
+              help="Tap log CSV ('-' = stdin).")
 @click.option("--method", type=click.Choice(["all", "calib", "intercept"]),
               default="all", show_default=True,
               help="Which estimators to run on --input data.")
@@ -265,8 +285,8 @@ def _write_plot_files(selection, dataset, out):
 @click.option("--axis", type=click.Choice([a.value for a in AxisMode]), default="y",
               show_default=True)
 @_outlier_mm_option
-@click.option("--alpha", type=float, default=0.05, show_default=True,
-              help="Normality-test significance level.")
+@click.option("--alpha", type=_FiniteFloatRange(0, 1, min_open=True, max_open=True),
+              default=0.05, show_default=True, help="Normality-test significance level.")
 @click.option("--format", "fmt", type=click.Choice(["md", "csv", "json"]),
               default="md", show_default=True)
 @click.option("--out", default=None)
@@ -434,13 +454,14 @@ def simulate(alpha, sigma_a_mm, widths, amplitudes, trials, seed, dim,
             dimensionality=Dimensionality(dim),
             mt_model=MovementTimeModel(mt_a, mt_b, mt_noise),
         )
-        records = generate(config)
+        taps = generate(config)
     except FfittsError as exc:
         raise click.UsageError(str(exc)) from None
 
-    write_trials_csv(records, out, metadata=config_metadata(config))
+    with _writing(out):
+        write_trials_csv(taps, out, metadata=config_metadata(config))
     if out != "-":
-        click.echo(_style(f"wrote {out} ({len(records)} taps)", fg="green"), err=True)
+        click.echo(_style(f"wrote {out} ({len(taps)} taps)", fg="green"), err=True)
 
 
 @main.command()

@@ -1,9 +1,10 @@
 """Core domain types and trial-to-condition aggregation.
 
-A pointing study produces one row per tap.  Everything downstream (tremor
-estimation, difficulty models, fitting) works on per-condition summaries:
-mean movement time and endpoint spread per (amplitude, width) pair.  This
-module defines those value types and the aggregation between them.
+A pointing study produces one row per tap, held as a ``TapTable``.
+Everything downstream (tremor estimation, difficulty models, fitting)
+works on per-condition summaries: mean movement time and endpoint spread
+per (amplitude, width) pair.  This module defines those value types and
+the aggregation between them.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -74,7 +77,8 @@ class Condition:
 
 @dataclass(slots=True)
 class TrialRecord:
-    """One tap.  Touch coordinates are take-off points in mm.
+    """One tap, as a row of a ``TapTable``.  Touch coordinates are take-off
+    points in mm.
 
     tap_index 1 is the first tap of a trial; re-taps after a miss keep the
     same (participant_id, block, trial) key with tap_index >= 2.
@@ -92,14 +96,94 @@ class TrialRecord:
     block: int = 0
     trial: int = 0
 
+
+#: The columns of a TapTable, in tap-log CSV order, with their dtypes.
+TAP_COLUMNS = {
+    "participant": str, "block": np.int64, "trial": np.int64,
+    "amplitude_mm": float, "width_mm": float, "target_x_mm": float, "target_y_mm": float,
+    "touch_x_mm": float, "touch_y_mm": float, "mt_ms": float,
+    "tap_index": np.int64, "is_practice": bool,
+}
+
+#: Taps turned into or out of Python values at a time (CSV read and write,
+#: iteration), so those values never exist for a whole log at once.
+BLOCK_ROWS = 8192
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class TapTable:
+    """A tap log as parallel arrays, one element per tap, in log order.
+
+    The constructor converts each column to its ``TAP_COLUMNS`` dtype and
+    holds the per-tap rules; a broken rule raises ValidationError naming the
+    first bad row (its ``row``).  A participant ID may not start with '#',
+    carry surrounding whitespace or contain a line break (CR or LF), which
+    the tap CSV would not keep.  Iterating yields one ``TrialRecord`` per
+    tap.
+    """
+
+    participant: np.ndarray
+    block: np.ndarray
+    trial: np.ndarray
+    amplitude_mm: np.ndarray
+    width_mm: np.ndarray
+    target_x_mm: np.ndarray
+    target_y_mm: np.ndarray
+    touch_x_mm: np.ndarray
+    touch_y_mm: np.ndarray
+    mt_ms: np.ndarray
+    tap_index: np.ndarray
+    is_practice: np.ndarray
+
     def __post_init__(self):
-        if not (math.isfinite(self.target_x_mm) and math.isfinite(self.target_y_mm)
-                and math.isfinite(self.touch_x_mm) and math.isfinite(self.touch_y_mm)):
-            raise ValidationError("target and touch coordinates must be finite")
-        if not 0 <= self.mt_ms < math.inf:
-            raise ValidationError(f"mt_ms must be finite and >= 0, got {self.mt_ms}")
-        if self.tap_index < 1:
-            raise ValidationError(f"tap_index must be >= 1, got {self.tap_index}")
+        for name, dtype in TAP_COLUMNS.items():
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype))
+        pid, a, w, mt, tap = (self.participant, self.amplitude_mm, self.width_mm,
+                              self.mt_ms, self.tap_index)
+        if mt.ndim != 1 or any(getattr(self, n).shape != mt.shape for n in TAP_COLUMNS):
+            raise ValidationError("tap columns must be 1-D arrays of one length")
+        coords = (self.target_x_mm, self.target_y_mm, self.touch_x_mm, self.touch_y_mm)
+        rules = [  # (bad rows, message for row i), in the order a row is checked
+            (np.strings.startswith(pid, "#") | (np.strings.strip(pid) != pid)
+             | (np.strings.find(pid, "\r") >= 0) | (np.strings.find(pid, "\n") >= 0),
+             lambda i: f"participant ID must not start with '#', have surrounding "
+                       f"whitespace or contain a line break, got {str(pid[i])!r}"),
+            (~((0 < a) & (a < np.inf)),
+             lambda i: f"amplitude must be finite and > 0, got {float(a[i])}"),
+            (~((0 < w) & (w < np.inf)),
+             lambda i: f"width must be finite and > 0, got {float(w[i])}"),
+            (~np.logical_and.reduce([np.isfinite(c) for c in coords]),
+             lambda i: "target and touch coordinates must be finite"),
+            (~((0 <= mt) & (mt < np.inf)),
+             lambda i: f"mt_ms must be finite and >= 0, got {float(mt[i])}"),
+            (tap < 1, lambda i: f"tap_index must be >= 1, got {int(tap[i])}"),
+        ]
+        bad = np.logical_or.reduce([mask for mask, _ in rules])
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValidationError(next(say(i) for mask, say in rules if mask[i]), row=i)
+
+    @classmethod
+    def from_records(cls, records: Iterable[TrialRecord]) -> TapTable:
+        columns = list(zip(*(
+            (r.participant_id, r.block, r.trial, r.condition.amplitude_mm,
+             r.condition.width_mm, r.target_x_mm, r.target_y_mm, r.touch_x_mm,
+             r.touch_y_mm, r.mt_ms, r.tap_index, r.is_practice)
+            for r in records
+        )))
+        return cls(*(columns or [()] * len(TAP_COLUMNS)))
+
+    def __len__(self) -> int:
+        return len(self.mt_ms)
+
+    def __iter__(self) -> Iterator[TrialRecord]:
+        condition = cache(Condition)
+        for start in range(0, len(self), BLOCK_ROWS):
+            block = (getattr(self, name)[start:start + BLOCK_ROWS].tolist()
+                     for name in TAP_COLUMNS)
+            for pid, blk, trial, a, w, tx, ty, x, y, mt, tap, practice in zip(*block):
+                yield TrialRecord(pid, condition(a, w), tx, ty, x, y, mt, tap, practice,
+                                  blk, trial)
 
 
 @dataclass(frozen=True, slots=True)
@@ -185,7 +269,7 @@ class FirstTaps:
     retapped: np.ndarray
 
 
-def first_taps(trials: list[TrialRecord], outlier_radius_mm: float = 15.0) -> FirstTaps:
+def first_taps(taps: TapTable, outlier_radius_mm: float = 15.0) -> FirstTaps:
     """Select the taps that every per-trial statistic is computed from.
 
     Practice taps are dropped, and so are taps farther than
@@ -196,42 +280,29 @@ def first_taps(trials: list[TrialRecord], outlier_radius_mm: float = 15.0) -> Fi
     """
     if not outlier_radius_mm > 0:
         raise ValidationError(f"outlier radius must be > 0, got {outlier_radius_mm}")
-    conditions: dict[Condition, int] = {}
-    conds, pids, blocks, trial_nos, tap_nos, mts, dxs, dys = [[] for _ in range(8)]
-    for t in trials:
-        if t.is_practice:
-            continue
-        conds.append(conditions.setdefault(t.condition, len(conditions)))
-        pids.append(t.participant_id)
-        blocks.append(t.block)
-        trial_nos.append(t.trial)
-        tap_nos.append(t.tap_index)
-        mts.append(t.mt_ms)
-        dxs.append(t.touch_x_mm - t.target_x_mm)
-        dys.append(t.touch_y_mm - t.target_y_mm)
-    n = len(conds)
-    c, block, trial, tap_index = (
-        np.fromiter(col, np.int64, n) for col in (conds, blocks, trial_nos, tap_nos)
+    live = ~taps.is_practice
+    amps, widths = taps.amplitude_mm[live], taps.width_mm[live]
+    c = _group_ids(amps, widths)  # condition ranks, sorted by (A, W)
+    at = np.unique(c, return_index=True)[1]
+    pid, block, trial, tap_index = (
+        col[live] for col in (taps.participant, taps.block, taps.trial, taps.tap_index)
     )
-    mt, dx, dy = (np.fromiter(col, float, n) for col in (mts, dxs, dys))
+    mt = taps.mt_ms[live]
+    dx = taps.touch_x_mm[live] - taps.target_x_mm[live]
+    dy = taps.touch_y_mm[live] - taps.target_y_mm[live]
 
     keep = np.hypot(dx, dy) <= outlier_radius_mm
     first = np.flatnonzero(keep & (tap_index == 1))
-
-    def unit(i):
-        return conds[i], pids[i], blocks[i], trial_nos[i]
-
-    retapped_units = {unit(i) for i in np.flatnonzero(keep & (tap_index > 1)).tolist()}
+    retap = keep & (tap_index > 1)
     retapped = np.zeros(len(first), dtype=bool)
-    if retapped_units:
-        retapped[:] = [unit(i) in retapped_units for i in first.tolist()]
+    if retap.any():
+        unit = _group_ids(c, pid, block, trial)
+        retapped = np.isin(unit[first], unit[retap])
 
-    by_a_w = sorted(conditions, key=lambda k: (k.amplitude_mm, k.width_mm))
-    rank = np.array([by_a_w.index(k) for k in conditions], dtype=np.int64)
     return FirstTaps(
-        conditions=tuple(by_a_w),
-        condition=rank[c[first]],
-        participant=np.array(pids, dtype=str)[first],
+        conditions=tuple(map(Condition, amps[at].tolist(), widths[at].tolist())),
+        condition=c[first],
+        participant=pid[first],
         block=block[first],
         trial=trial[first],
         mt_ms=mt[first],
@@ -241,19 +312,29 @@ def first_taps(trials: list[TrialRecord], outlier_radius_mm: float = 15.0) -> Fi
     )
 
 
+def _group_ids(*columns: np.ndarray) -> np.ndarray:
+    """Each row's rank among the distinct rows of the columns, ordered
+    lexicographically (first column first)."""
+    ids = np.zeros(len(columns[0]), dtype=np.int64)
+    for col in columns:
+        values, codes = np.unique(col, return_inverse=True)
+        ids = np.unique(ids * len(values) + codes, return_inverse=True)[1]
+    return ids
+
+
 def aggregate(
-    trials: list[TrialRecord],
+    taps: TapTable,
     axis_mode: AxisMode = AxisMode.Y,
     outlier_radius_mm: float = 15.0,
 ) -> list[ConditionSummary]:
-    """Reduce tap-level records to per-condition summaries.
+    """Reduce a tap log to per-condition summaries.
 
     The ``summarize`` of the trials that ``first_taps`` selects; see both
     for the rules and the errors raised.
     """
-    if not trials:
+    if not len(taps):
         raise ValidationError("no trials to aggregate")
-    return summarize(first_taps(trials, outlier_radius_mm), axis_mode)
+    return summarize(first_taps(taps, outlier_radius_mm), axis_mode)
 
 
 def summarize(taps: FirstTaps, axis_mode: AxisMode) -> list[ConditionSummary]:

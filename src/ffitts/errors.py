@@ -8,7 +8,16 @@ class FfittsError(Exception):
 
 
 class ValidationError(FfittsError):
-    """An input violates a documented invariant (non-positive width, etc.)."""
+    """An input violates a documented invariant (non-positive width, etc.).
+
+    ``row`` is the index of the offending tap-table row, if any, and
+    ``reason`` the message without it.
+    """
+
+    def __init__(self, message: str, row: int | None = None):
+        self.row = row
+        self.reason = message
+        super().__init__(message if row is None else f"row {row}: {message}")
 
 
 class ParseError(FfittsError):

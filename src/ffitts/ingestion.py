@@ -16,17 +16,22 @@ from __future__ import annotations
 import csv
 import math
 import sys
+from itertools import islice
 from pathlib import Path
 from typing import IO, Iterable
 
+import numpy as np
+
 from .datamodel import (
+    BLOCK_ROWS,
+    TAP_COLUMNS,
     Condition,
     ConditionSummary,
     Dataset,
     Dimensionality,
     SigmaEstimate,
     SigmaMethod,
-    TrialRecord,
+    TapTable,
 )
 from .errors import (
     DuplicateConditionError,
@@ -46,17 +51,8 @@ AGGREGATE_CSV_COLUMNS = ["A_mm", "W_mm", "mt_ms", "sigma_obs_mm"]
 # optional extras preserved by write_aggregate_csv round-trips
 _AGGREGATE_OPTIONAL = ["n_trials", "error_rate"]
 
-_TRUE = {"true", "1", "yes"}
-_FALSE = {"false", "0", "no"}
-
-
-def _parse_bool(text: str, line: int) -> bool:
-    low = text.strip().lower()
-    if low in _TRUE:
-        return True
-    if low in _FALSE:
-        return False
-    raise ParseError(f"expected boolean, got {text!r}", line)
+_BOOLS = {**dict.fromkeys(("true", "1", "yes"), True),
+          **dict.fromkeys(("false", "0", "no"), False)}
 
 
 def _parse_float(text: str, column: str, line: int) -> float:
@@ -96,8 +92,71 @@ def _iter_rows(fh: IO[str]) -> Iterable[tuple[int, list[str]]]:
         yield i, [c.strip() for c in row]
 
 
-def load_trials_csv(path: str | Path) -> list[TrialRecord]:
-    """Parse a tap-level log.  Practice rows are kept, flagged is_practice."""
+def _floats(texts) -> np.ndarray:
+    values = np.fromiter(map(float, texts), float, len(texts))
+    if not np.isfinite(values).all():
+        raise ValueError("not finite")
+    return values
+
+
+def _ints(texts) -> np.ndarray:
+    return np.fromiter(map(int, texts), np.int64, len(texts))
+
+
+def _bools(texts) -> np.ndarray:
+    return np.fromiter(map(_BOOLS.__getitem__, map(str.lower, texts)), bool, len(texts))
+
+
+# the text-to-array conversion of each tap-log column; a bad field raises
+_CONVERT = [{str: np.array, np.int64: _ints, float: _floats, bool: _bools}[dtype]
+            for dtype in TAP_COLUMNS.values()]
+
+
+def _block_table(lines, rows) -> TapTable:
+    """The tap table of a block of CSV rows.
+
+    When the block's conversion fails, the same conversion re-runs one row
+    at a time, so the ParseError names the first bad line; so does a
+    broken tap rule.
+    """
+    try:
+        if set(map(len, rows)) != {len(TRIAL_CSV_COLUMNS)}:
+            raise ValueError("field count")
+        columns = [convert(texts) for convert, texts in zip(_CONVERT, zip(*rows))]
+    except (ValueError, KeyError, OverflowError):
+        if len(rows) == 1:
+            raise _row_error(rows[0], lines[0]) from None
+        for i in range(len(rows)):
+            _block_table(lines[i:i + 1], rows[i:i + 1])
+        raise
+    try:
+        return TapTable(*columns)
+    except ValidationError as exc:
+        raise ParseError(exc.reason, lines[exc.row]) from None
+
+
+def _row_error(row, line) -> ParseError:
+    """The error naming the first field of a row that its conversion rejects."""
+    if len(row) != len(TRIAL_CSV_COLUMNS):
+        return ParseError(f"expected {len(TRIAL_CSV_COLUMNS)} fields, got {len(row)}", line)
+    for column, convert, text in zip(TRIAL_CSV_COLUMNS, _CONVERT, row):
+        try:
+            convert((text,))
+        except (ValueError, KeyError, OverflowError):
+            if convert is _bools:
+                return ParseError(f"expected boolean, got {text!r}", line)
+            try:
+                (_parse_int if convert is _ints else _parse_float)(text, column, line)
+            except ParseError as exc:
+                return exc
+            return ParseError(f"column {column!r}: not a 64-bit integer: {text!r}", line)
+
+
+def load_trials_csv(path: str | Path) -> TapTable:
+    """Parse a tap-level log.  Practice rows are kept, flagged is_practice.
+
+    Rows are converted BLOCK_ROWS at a time, one array per column.
+    """
     rows = _open_rows(path)
     try:
         header_line, header = next(iter_ := iter(rows))
@@ -107,71 +166,44 @@ def load_trials_csv(path: str | Path) -> list[TrialRecord]:
         raise ParseError(
             f"header mismatch: expected {','.join(TRIAL_CSV_COLUMNS)}", header_line
         )
-    records = []
-    for line, row in iter_:
-        if len(row) != len(TRIAL_CSV_COLUMNS):
-            raise ParseError(
-                f"expected {len(TRIAL_CSV_COLUMNS)} fields, got {len(row)}", line
-            )
-        f = dict(zip(TRIAL_CSV_COLUMNS, row))
-        try:
-            records.append(
-                TrialRecord(
-                    participant_id=f["participant"],
-                    block=_parse_int(f["block"], "block", line),
-                    trial=_parse_int(f["trial"], "trial", line),
-                    condition=Condition(
-                        _parse_float(f["A_mm"], "A_mm", line),
-                        _parse_float(f["W_mm"], "W_mm", line),
-                    ),
-                    target_x_mm=_parse_float(f["target_x_mm"], "target_x_mm", line),
-                    target_y_mm=_parse_float(f["target_y_mm"], "target_y_mm", line),
-                    touch_x_mm=_parse_float(f["touch_x_mm"], "touch_x_mm", line),
-                    touch_y_mm=_parse_float(f["touch_y_mm"], "touch_y_mm", line),
-                    mt_ms=_parse_float(f["mt_ms"], "mt_ms", line),
-                    tap_index=_parse_int(f["tap_index"], "tap_index", line),
-                    is_practice=_parse_bool(f["is_practice"], line),
-                )
-            )
-        except ValidationError as exc:
-            raise ParseError(str(exc), line) from None
-    if not records:
+    blocks = [_block_table(*zip(*chunk))
+              for chunk in iter(lambda: list(islice(iter_, BLOCK_ROWS)), [])]
+    if not blocks:
         raise EmptyDatasetError(f"{path}: header but no data rows")
-    return records
+    return TapTable(*(np.concatenate([getattr(b, name) for b in blocks])
+                      for name in TAP_COLUMNS))
 
 
 def write_trials_csv(
-    records: list[TrialRecord],
+    taps: TapTable,
     path: str | Path,
     metadata: dict[str, str] | None = None,
 ) -> None:
-    """Write tap records in the canonical schema.
+    """Write a tap table in the canonical schema.
 
     Metadata is emitted as leading '# key=value' comment lines, which
-    load_trials_csv skips.  Output is deterministic for identical input.
-    The path "-" writes to stdout, the mirror of reading "-" from stdin.
+    load_trials_csv skips.  Output is deterministic for identical input,
+    and floats are written with repr, so reloading gives every column back
+    exactly.  The path "-" writes to stdout, the mirror of reading "-" from
+    stdin.
     """
     if str(path) == "-":
-        _write_trials(sys.stdout, records, metadata)
+        _write_trials(sys.stdout, taps, metadata)
         return
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        _write_trials(fh, records, metadata)
+        _write_trials(fh, taps, metadata)
 
 
-def _write_trials(fh: IO[str], records, metadata) -> None:
+def _write_trials(fh: IO[str], taps: TapTable, metadata) -> None:
     for key, value in (metadata or {}).items():
         fh.write(f"# {key}={value}\n")
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(TRIAL_CSV_COLUMNS)
-    for r in records:
-        writer.writerow([
-            r.participant_id, r.block, r.trial,
-            repr(r.condition.amplitude_mm), repr(r.condition.width_mm),
-            repr(r.target_x_mm), repr(r.target_y_mm),
-            repr(r.touch_x_mm), repr(r.touch_y_mm),
-            repr(r.mt_ms), r.tap_index,
-            "true" if r.is_practice else "false",
-        ])
+    columns = [getattr(taps, name) for name in TAP_COLUMNS]
+    for start in range(0, len(taps), BLOCK_ROWS):
+        block = [col[start:start + BLOCK_ROWS] for col in columns]
+        block[-1] = np.where(block[-1], "true", "false")
+        writer.writerows(zip(*(col.tolist() for col in block)))
 
 
 def load_aggregate_csv(

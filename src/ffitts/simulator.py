@@ -13,7 +13,7 @@ Determinism: conditions are processed in (A, W) order, each with its own
 PCG64 stream spawned from the master seed, and normal variates come from
 the inverse-CDF transform of that stream's uniforms (draw order per
 condition: [x deviations in 2D,] y deviations, movement times).  A fixed
-config therefore reproduces the identical trial list, and the scheme is
+config therefore reproduces the identical tap table, and the scheme is
 documented enough to reproduce the distributions elsewhere.
 """
 
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .datamodel import Condition, Dimensionality, TrialRecord
+from .datamodel import Dimensionality, TapTable
 from .errors import ValidationError
 
 #: Identifier recorded in emitted metadata for cross-checking generators.
@@ -70,6 +70,8 @@ class SimulatorConfig:
         for name in ("alpha", "sigma_a_mm"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ValidationError(f"{name} must be finite and >= 0")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if self.trials_per_condition < 2:
             raise ValidationError("need >= 2 trials per condition")
         for name in ("widths_mm", "amplitudes_mm"):
@@ -108,48 +110,41 @@ def _normals(rng: np.random.Generator, n: int, sd: float) -> np.ndarray:
     return ndtri(u) * sd
 
 
-def generate(config: SimulatorConfig) -> list[TrialRecord]:
-    """Generate tap records for every (A, W) condition in the config.
+def generate(config: SimulatorConfig) -> TapTable:
+    """Generate the tap log of every (A, W) condition in the config.
 
     Output order is canonical: sorted by amplitude, width, trial index.
     Targets sit at the origin; touch coordinates are the deviations.
     """
-    conditions = sorted(
-        (Condition(a, w) for a in config.amplitudes_mm for w in config.widths_mm),
-        key=lambda c: (c.amplitude_mm, c.width_mm),
-    )
+    conditions = sorted((a, w) for a in config.amplitudes_mm for w in config.widths_mm)
     streams = np.random.SeedSequence(config.seed).spawn(len(conditions))
     n = config.trials_per_condition
     two_d = config.dimensionality is Dimensionality.TWO_D
     mtm = config.mt_model
 
-    records: list[TrialRecord] = []
-    for cond, stream in zip(conditions, streams):
+    dev_x, dev_y, mt = [], [], []
+    for (a, w), stream in zip(conditions, streams):
         rng = np.random.Generator(np.random.PCG64(stream))
-        sd_r = np.sqrt(config.alpha) * cond.width_mm
+        sd_r = np.sqrt(config.alpha) * w
         if two_d:
-            dev_x = _normals(rng, n, sd_r) + _normals(rng, n, config.sigma_a_mm)
+            dev_x.append(_normals(rng, n, sd_r) + _normals(rng, n, config.sigma_a_mm))
         else:
-            dev_x = np.zeros(n)
-        dev_y = _normals(rng, n, sd_r) + _normals(rng, n, config.sigma_a_mm)
-        base_mt = mtm.a_ms + mtm.b_ms_per_bit * np.log2(
-            cond.amplitude_mm / cond.width_mm + 1.0
-        )
-        mt = np.maximum(base_mt + _normals(rng, n, mtm.noise_sd_ms), 0.0)
-        for i in range(n):
-            records.append(
-                TrialRecord(
-                    participant_id=config.participant_id,
-                    condition=cond,
-                    target_x_mm=0.0,
-                    target_y_mm=0.0,
-                    touch_x_mm=float(dev_x[i]),
-                    touch_y_mm=float(dev_y[i]),
-                    mt_ms=float(mt[i]),
-                    tap_index=1,
-                    is_practice=False,
-                    block=0,
-                    trial=i + 1,
-                )
-            )
-    return records
+            dev_x.append(np.zeros(n))
+        dev_y.append(_normals(rng, n, sd_r) + _normals(rng, n, config.sigma_a_mm))
+        base_mt = mtm.a_ms + mtm.b_ms_per_bit * np.log2(a / w + 1.0)
+        mt.append(np.maximum(base_mt + _normals(rng, n, mtm.noise_sd_ms), 0.0))
+    zeros = np.zeros(n * len(conditions))
+    return TapTable(
+        participant=np.full(len(zeros), config.participant_id),
+        block=zeros,
+        trial=np.tile(np.arange(1, n + 1), len(conditions)),
+        amplitude_mm=np.repeat([a for a, _ in conditions], n),
+        width_mm=np.repeat([w for _, w in conditions], n),
+        target_x_mm=zeros,
+        target_y_mm=zeros,
+        touch_x_mm=np.concatenate(dev_x),
+        touch_y_mm=np.concatenate(dev_y),
+        mt_ms=np.concatenate(mt),
+        tap_index=np.ones(len(zeros)),
+        is_practice=zeros,
+    )

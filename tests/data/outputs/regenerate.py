@@ -1,0 +1,80 @@
+"""Regenerate the golden tap-path outputs in this directory.
+
+Usage (from the repository root):
+
+    PYTHONPATH=src python tests/data/outputs/regenerate.py
+
+Writes the stdout of ``simulate`` for 1D and 2D on two seeds each, of
+``sigma --input`` on those logs (md, csv and json; ``--axis y`` and
+``--axis bivariate --dim 2d``) and of ``fit --input`` on one 2D log (md, csv
+and json, all models with ``--sigma-a 1.3``), one file per command, plus ``manifest.json``: the arguments of
+every command, the file holding its stdout, and the numpy and scipy versions
+the outputs were made with.  Commands run from this directory, so the
+``sigma`` reports name their inputs by file name.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+from pathlib import Path
+
+import numpy as np
+import scipy
+from click.testing import CliRunner
+
+from ffitts.cli import main
+
+HERE = Path(__file__).resolve().parent
+
+# (dimensionality, alpha, sigma_a) of the simulated logs, each on every seed
+SIMULATIONS = [("1d", "0.0108", "1.153"), ("2d", "0.0108", "1.3")]
+SEEDS = ["3", "11"]
+FORMATS = ["md", "csv", "json"]
+SIGMA_AXES = [["--axis", "y"], ["--axis", "bivariate", "--dim", "2d"]]
+
+
+def commands() -> list[tuple[list[str], str]]:
+    """(CLI arguments, stdout file name) for every golden output, in order."""
+    cases = []
+    logs = []
+    for dim, alpha, sigma_a in SIMULATIONS:
+        for seed in SEEDS:
+            log = f"sim-{dim}-seed{seed}.csv"
+            logs.append(log)
+            cases.append(([
+                "simulate", "--alpha", alpha, "--sigma-a", sigma_a,
+                "--trials", "50", "--seed", seed, "--dim", dim,
+            ], log))
+    for log in logs:
+        for axis in SIGMA_AXES:
+            for fmt in FORMATS:
+                name = f"sigma-{log[:-4]}-{axis[1]}.{fmt}"
+                cases.append((["sigma", "--input", log, *axis, "--format", fmt], name))
+    log = f"sim-2d-seed{SEEDS[0]}.csv"
+    for fmt in FORMATS:
+        cases.append((
+            ["fit", "--input", log, "--dim", "2d", "--sigma-a", "1.3", "--format", fmt],
+            f"fit-{log[:-4]}.{fmt}",
+        ))
+    return cases
+
+
+def run(args: list[str]) -> bytes:
+    result = CliRunner().invoke(main, args)
+    if result.exit_code != 0:
+        raise SystemExit(f"{' '.join(args)} exited {result.exit_code}:\n{result.output}")
+    return result.stdout_bytes
+
+
+def main_() -> None:
+    os.chdir(HERE)
+    manifest = {"numpy": np.__version__, "scipy": scipy.__version__, "cases": []}
+    for args, name in commands():
+        (HERE / name).write_bytes(run(args))
+        manifest["cases"].append({"args": args, "stdout": name})
+    (HERE / "manifest.json").write_text(json.dumps(manifest, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    main_()

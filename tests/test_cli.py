@@ -158,6 +158,11 @@ class TestFit:
         assert "line 2" in result.output
         assert "W_mm" in result.output
 
+    def test_missing_input_file_is_usage_error(self, runner):
+        result = runner.invoke(main, ["fit", "--input", "/nonexistent.csv"])
+        assert result.exit_code == 2
+        assert "/nonexistent.csv" in result.output and "does not exist" in result.output
+
     @pytest.mark.parametrize("token", ["nan", "inf", "-1"])
     def test_non_finite_sigma_literal_is_usage_error(self, runner, token):
         result = runner.invoke(main, [
@@ -200,6 +205,19 @@ class TestSigma:
                         "is_practice\n")
         result = runner.invoke(main, ["sigma", "--input", str(path)])
         assert result.exit_code == 2
+
+    def test_missing_input_file_is_usage_error(self, runner):
+        result = runner.invoke(main, ["sigma", "--input", "/nonexistent.csv"])
+        assert result.exit_code == 2
+        assert "/nonexistent.csv" in result.output and "does not exist" in result.output
+
+    @pytest.mark.parametrize("alpha", ["0", "1", "1.5", "-0.1", "nan", "inf"])
+    def test_alpha_outside_open_unit_interval_is_usage_error(self, runner, alpha):
+        result = runner.invoke(main, [
+            "sigma", "--input", str(DATA / "first_taps.csv"), "--alpha", alpha,
+        ])
+        assert result.exit_code == 2
+        assert "--alpha" in result.output
 
     def test_input_selects_first_taps_once(self, runner, monkeypatch):
         # the calibration and intercept rows share one selection
@@ -339,12 +357,33 @@ class TestSimulate:
         return runner.invoke(main, ["simulate", "--trials", "5"]
                              + [t for kv in args.items() for t in kv])
 
+    def test_negative_seed_is_usage_error(self, runner):
+        result = self._simulate(runner, "--seed", "-1")
+        assert result.exit_code == 2
+        assert "seed must be >= 0, got -1" in result.output
+
     def test_bad_width_list_is_usage_error(self, runner):
         result = runner.invoke(main, [
             "simulate", "--alpha", "0", "--sigma-a", "1",
             "--widths", "2,zebra",
         ])
         assert result.exit_code == 2
+
+
+class TestUnwritableOut:
+    OUT = "/nonexistent/dir/x.csv"
+
+    @pytest.mark.parametrize("args", [
+        ["simulate", "--alpha", "0.01", "--sigma-a", "1", "--trials", "5"],
+        ["fit", "--dataset", "paper-2d", "--models", "m1", "--no-cv"],
+        ["sigma", "--dataset", "paper-2d"],
+    ], ids=lambda args: args[0])
+    def test_one_line_error_naming_the_path(self, runner, args):
+        result = runner.invoke(main, args + ["--out", self.OUT])
+        assert result.exit_code == 1
+        assert result.output.startswith(f"Error: cannot write {self.OUT}: ")
+        assert result.output.count("\n") == 1
+        assert not isinstance(result.exception, OSError)
 
 
 class TestDatasets:

@@ -16,12 +16,14 @@ from ffitts import (
     SigmaEstimate,
     SigmaMethod,
     SimulatorConfig,
+    TapTable,
     TrialRecord,
     ValidationError,
     aggregate,
     first_taps,
     generate,
 )
+from ffitts.datamodel import TAP_COLUMNS
 
 
 def make_trial(cond, dx=0.5, dy=0.5, mt=300.0, tap_index=1, trial=1,
@@ -41,6 +43,7 @@ def make_trial(cond, dx=0.5, dy=0.5, mt=300.0, tap_index=1, trial=1,
 
 
 COND = Condition(20.0, 4.0)
+table = TapTable.from_records
 
 
 class TestTypes:
@@ -51,10 +54,10 @@ class TestTypes:
             Condition(20.0, -1.0)
 
     def test_trial_invariants(self):
-        with pytest.raises(ValidationError):
-            make_trial(COND, mt=-1.0)
-        with pytest.raises(ValidationError):
-            make_trial(COND, tap_index=0)
+        with pytest.raises(ValidationError, match="mt_ms must be finite and >= 0"):
+            TapTable.from_records([make_trial(COND, mt=-1.0)])
+        with pytest.raises(ValidationError, match="tap_index must be >= 1"):
+            TapTable.from_records([make_trial(COND, tap_index=0)])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize(
@@ -64,8 +67,9 @@ class TestTypes:
         values = dict(participant_id="p1", condition=COND, target_x_mm=0.0,
                       target_y_mm=0.0, touch_x_mm=0.5, touch_y_mm=0.5, mt_ms=300.0)
         values[field] = bad
-        with pytest.raises(ValidationError, match="finite"):
-            TrialRecord(**values)
+        with pytest.raises(ValidationError, match="finite") as exc:
+            TapTable.from_records([make_trial(COND), TrialRecord(**values)])
+        assert exc.value.row == 1
 
     def test_summary_invariants(self):
         with pytest.raises(ValidationError):
@@ -96,11 +100,46 @@ class TestTypes:
             Dataset("d", Dimensionality.ONE_D, (s, s))
 
 
+class TestTapTable:
+    def test_first_bad_row_named_across_rules(self):
+        rows = [make_trial(COND), make_trial(COND, tap_index=0), make_trial(COND, mt=-1.0)]
+        with pytest.raises(ValidationError) as exc:
+            table(rows)
+        assert exc.value.row == 1
+        assert str(exc.value) == "row 1: tap_index must be >= 1, got 0"
+
+    @pytest.mark.parametrize("pid", ["#p1", " p2 ", "p2 ", "\tp", "p\r5", "p\n6"])
+    def test_participant_id_that_csv_would_not_keep_rejected(self, pid):
+        with pytest.raises(ValidationError) as exc:
+            table([make_trial(COND), make_trial(COND, participant=pid)])
+        assert str(exc.value) == (
+            "row 1: participant ID must not start with '#', have surrounding "
+            f"whitespace or contain a line break, got {pid!r}")
+
+    def test_participant_id_with_inner_comma_or_space_kept(self):
+        taps = table([make_trial(COND, participant=p) for p in ("p,3", "p 4", "p#5")])
+        assert taps.participant.tolist() == ["p,3", "p 4", "p#5"]
+
+    def test_columns_of_unequal_length_rejected(self):
+        columns = {name: getattr(table([make_trial(COND)] * 2), name)
+                   for name in TAP_COLUMNS}
+        columns["mt_ms"] = columns["mt_ms"][:1]
+        with pytest.raises(ValidationError, match="one length"):
+            TapTable(**columns)
+
+    def test_iteration_gives_back_the_records(self):
+        rows = [make_trial(COND, dx=0.25, dy=-1.5, mt=312.5, tap_index=2, trial=4,
+                           participant="p2", practice=True),
+                make_trial(Condition(30.0, 6.0), trial=5)]
+        assert list(table(rows)) == rows
+        assert list(table([])) == [] and len(table([])) == 0
+
+
 class TestAggregate:
     def test_zero_variance_is_degenerate(self):
         trials = [make_trial(COND, dx=0.0, dy=0.0, trial=i) for i in range(5)]
         with pytest.raises(DegenerateConditionError):
-            aggregate(trials)
+            aggregate(table(trials))
 
     def test_outlier_beyond_radius_removed(self):
         trials = [
@@ -108,7 +147,7 @@ class TestAggregate:
             for i in range(19)
         ]
         trials.append(make_trial(COND, dx=0.0, dy=16.0, trial=99))
-        (summary,) = aggregate(trials, outlier_radius_mm=15.0)
+        (summary,) = aggregate(table(trials), outlier_radius_mm=15.0)
         assert summary.n_trials == 19
 
     def test_mean_mt_matches_arithmetic_mean(self):
@@ -117,14 +156,14 @@ class TestAggregate:
             make_trial(COND, dy=0.1 * (i + 1) * (-1.0) ** i, mt=mt, trial=i)
             for i, mt in enumerate(mts)
         ]
-        (summary,) = aggregate(trials)
+        (summary,) = aggregate(table(trials))
         assert summary.mt_ms == pytest.approx(np.mean(mts), rel=1e-12)
 
     def test_error_rate_zero_without_retaps(self):
         trials = [
             make_trial(COND, dy=0.2 * (i - 2), trial=i) for i in range(5)
         ]
-        (summary,) = aggregate(trials)
+        (summary,) = aggregate(table(trials))
         assert summary.error_rate == 0.0
 
     def test_error_rate_counts_retapped_trials(self):
@@ -134,19 +173,19 @@ class TestAggregate:
         # two trials needed a second tap
         trials.append(make_trial(COND, dy=0.1, tap_index=2, trial=0))
         trials.append(make_trial(COND, dy=-0.1, tap_index=2, trial=3))
-        (summary,) = aggregate(trials)
+        (summary,) = aggregate(table(trials))
         assert summary.n_trials == 10
         assert summary.error_rate == pytest.approx(0.2)
 
     def test_practice_trials_excluded(self):
         trials = [make_trial(COND, dy=0.2 * (i - 2), trial=i) for i in range(5)]
         trials.append(make_trial(COND, dy=9.0, trial=50, practice=True))
-        (summary,) = aggregate(trials)
+        (summary,) = aggregate(table(trials))
         assert summary.n_trials == 5
 
     def test_fewer_than_two_trials_is_degenerate(self):
         with pytest.raises(DegenerateConditionError) as exc:
-            aggregate([make_trial(COND, trial=1)])
+            aggregate(table([make_trial(COND, trial=1)]))
         assert "A=20" in str(exc.value)
 
     def test_permutation_invariance(self):
@@ -165,10 +204,10 @@ class TestAggregate:
                         participant=f"p{ci}",
                     )
                 )
-        base = aggregate(trials)
+        base = aggregate(table(trials))
         shuffled = trials[:]
         random.Random(9).shuffle(shuffled)
-        assert aggregate(shuffled) == base
+        assert aggregate(table(shuffled)) == base
 
     def test_axis_modes(self):
         rng = np.random.default_rng(11)
@@ -178,9 +217,9 @@ class TestAggregate:
             make_trial(COND, dx=float(x), dy=float(y), trial=i)
             for i, (x, y) in enumerate(zip(dx, dy))
         ]
-        sx = aggregate(trials, axis_mode=AxisMode.X)[0].sigma_obs_mm
-        sy = aggregate(trials, axis_mode=AxisMode.Y)[0].sigma_obs_mm
-        sb = aggregate(trials, axis_mode=AxisMode.BIVARIATE)[0].sigma_obs_mm
+        sx = aggregate(table(trials), axis_mode=AxisMode.X)[0].sigma_obs_mm
+        sy = aggregate(table(trials), axis_mode=AxisMode.Y)[0].sigma_obs_mm
+        sb = aggregate(table(trials), axis_mode=AxisMode.BIVARIATE)[0].sigma_obs_mm
         assert sx == pytest.approx(np.std(dx, ddof=1))
         assert sy == pytest.approx(np.std(dy, ddof=1))
         assert sb == pytest.approx(
@@ -203,14 +242,14 @@ class TestAggregate:
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValidationError):
-            aggregate([])
+            aggregate(table([]))
 
     def test_condition_without_retained_trial_is_degenerate(self):
         # every live tap of the only condition is an outlier
         trials = [make_trial(COND, dy=20.0 + i, trial=i) for i in range(5)]
         trials.append(make_trial(COND, dy=0.2, trial=9, practice=True))
         with pytest.raises(DegenerateConditionError, match="only 0 retained"):
-            aggregate(trials)
+            aggregate(table(trials))
 
     def test_vanished_condition_named_among_others(self):
         kept = Condition(30.0, 6.0)
@@ -219,7 +258,7 @@ class TestAggregate:
         trials += [make_trial(COND, dy=16.0, trial=i) for i in range(3)]
         trials.append(make_trial(COND, dy=0.5, tap_index=2, trial=0))
         with pytest.raises(DegenerateConditionError) as exc:
-            aggregate(trials)
+            aggregate(table(trials))
         assert (exc.value.amplitude_mm, exc.value.width_mm) == (20.0, 4.0)
         assert "only 0 retained" in str(exc.value)
 
@@ -227,7 +266,7 @@ class TestAggregate:
         trials = [make_trial(COND, dy=0.2 * (i - 2), trial=i) for i in range(5)]
         for radius in (0.0, -1.0, math.nan):
             with pytest.raises(ValidationError):
-                aggregate(trials, outlier_radius_mm=radius)
+                aggregate(table(trials), outlier_radius_mm=radius)
 
 
 class TestFirstTaps:
@@ -243,7 +282,7 @@ class TestFirstTaps:
             make_trial(COND, dy=0.7, tap_index=2, trial=1, participant="p1"),
             make_trial(COND, dy=20.0, tap_index=2, trial=2, participant="p2"),
         ]
-        taps = first_taps(trials)
+        taps = first_taps(table(trials))
         assert taps.conditions == (other, COND)          # sorted by (A, W)
         assert taps.condition.tolist() == [1, 0, 1]
         assert taps.participant.tolist() == ["p2", "p1", "p1"]
@@ -255,12 +294,12 @@ class TestFirstTaps:
         assert taps.retapped.tolist() == [False, False, True]
 
     def test_conditions_without_retained_taps_listed(self):
-        taps = first_taps([make_trial(COND, dy=30.0)])
+        taps = first_taps(table([make_trial(COND, dy=30.0)]))
         assert taps.conditions == (COND,)
         assert taps.dy_mm.size == 0
 
     def test_all_practice_gives_empty_selection(self):
-        taps = first_taps([make_trial(COND, practice=True)])
+        taps = first_taps(table([make_trial(COND, practice=True)]))
         assert taps.conditions == ()
         assert taps.condition.size == taps.retapped.size == 0
 
@@ -299,12 +338,44 @@ class TestAggregateProperties:
     def test_invariant_to_row_permutation(self, trials, data):
         shuffled = data.draw(st.permutations(trials))
         for axis in AxisMode:
-            assert aggregate(shuffled, axis) == aggregate(trials, axis)
+            assert aggregate(table(shuffled), axis) == aggregate(table(trials), axis)
+
+    @_PROPERTY
+    @given(trials=_LOGS)
+    def test_first_taps_match_reference_loop(self, trials):
+        taps = first_taps(table(trials))
+        conditions, rows = _reference_first_taps(trials)
+        assert taps.conditions == conditions
+        assert list(zip(taps.condition.tolist(), taps.participant.tolist(),
+                        taps.block.tolist(), taps.trial.tolist(), taps.mt_ms.tolist(),
+                        taps.dx_mm.tolist(), taps.dy_mm.tolist(),
+                        taps.retapped.tolist())) == rows
 
     @_PROPERTY
     @given(trials=_LOGS)
     def test_trial_counts_match_selection(self, trials):
-        summaries = aggregate(trials)
-        taps = first_taps(trials)
+        summaries = aggregate(table(trials))
+        taps = first_taps(table(trials))
         assert sum(s.n_trials for s in summaries) == len(taps.dy_mm)
         assert [s.condition for s in summaries] == list(taps.conditions)
+
+
+def _reference_first_taps(trials, radius=15.0):
+    """The selection rule of ``first_taps`` written as a loop over records."""
+    live = [t for t in trials if not t.is_practice]
+    conditions = tuple(sorted({t.condition for t in live},
+                              key=lambda c: (c.amplitude_mm, c.width_mm)))
+
+    def deviation(t):
+        return t.touch_x_mm - t.target_x_mm, t.touch_y_mm - t.target_y_mm
+
+    def unit(t):
+        return t.condition, t.participant_id, t.block, t.trial
+
+    kept = [t for t in live if np.hypot(*deviation(t)) <= radius]
+    retapped = {unit(t) for t in kept if t.tap_index > 1}
+    return conditions, [
+        (conditions.index(t.condition), t.participant_id, t.block, t.trial, t.mt_ms,
+         *deviation(t), unit(t) in retapped)
+        for t in kept if t.tap_index == 1
+    ]
