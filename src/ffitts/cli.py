@@ -30,6 +30,7 @@ from .datamodel import (
     Dimensionality,
     SigmaEstimate,
     SigmaMethod,
+    TapTable,
     aggregate,
     first_taps,
     summarize,
@@ -47,7 +48,7 @@ from .idmodels import Model
 from .ingestion import (
     EMBEDDED_NAMES,
     embedded,
-    load_aggregate_csv,
+    load_input,
     load_trials_csv,
     write_trials_csv,
 )
@@ -113,37 +114,21 @@ def _resolve_dataset(dataset_name, input_path, dim, axis, outlier_mm) -> Dataset
     dataset = _embedded_or_none(dataset_name, input_path)
     if dataset is not None:
         return dataset
-    dimensionality = Dimensionality(dim or "2d")
     try:
-        if _looks_like_trials(input_path):
-            summaries = aggregate(
-                load_trials_csv(input_path), axis_mode=AxisMode(axis),
-                outlier_radius_mm=outlier_mm,
-            )
-            name = "<stdin>" if str(input_path) == "-" else Path(input_path).stem
-            return Dataset(
-                name=name,
-                dimensionality=dimensionality,
-                summaries=tuple(summaries),
-            )
-        return load_aggregate_csv(input_path, dimensionality=dimensionality)
+        summaries = load_input(input_path)
+        if isinstance(summaries, TapTable):
+            summaries = aggregate(summaries, axis_mode=AxisMode(axis),
+                                  outlier_radius_mm=outlier_mm)
+        return Dataset(
+            name="<stdin>" if str(input_path) == "-" else Path(input_path).stem,
+            dimensionality=Dimensionality(dim or "2d"),
+            summaries=tuple(summaries),
+        )
     except (ParseError, EmptyDatasetError) as exc:
         raise click.UsageError(str(exc)) from None
     except FfittsError as exc:
         # bad data (degenerate conditions etc.), not bad usage: exit 1
         raise click.ClickException(str(exc)) from None
-
-
-def _looks_like_trials(path) -> bool:
-    # stdin cannot be sniffed twice; assume the tap-log schema there
-    if str(path) == "-":
-        return True
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line and not line.startswith("#"):
-                return line.split(",")[0].strip() == "participant"
-    return False
 
 
 def _resolve_sigma(token: str | None, dataset: Dataset) -> SigmaEstimate | None:

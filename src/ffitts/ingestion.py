@@ -16,9 +16,11 @@ from __future__ import annotations
 import csv
 import math
 import sys
+from contextlib import nullcontext
+from functools import partial
 from itertools import islice
 from pathlib import Path
-from typing import IO, Iterable
+from typing import IO
 
 import numpy as np
 
@@ -55,43 +57,6 @@ _BOOLS = {**dict.fromkeys(("true", "1", "yes"), True),
           **dict.fromkeys(("false", "0", "no"), False)}
 
 
-def _parse_float(text: str, column: str, line: int) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise ParseError(f"column {column!r}: not a number: {text!r}", line) from None
-    if not math.isfinite(value):
-        raise ParseError(f"column {column!r}: not a finite number: {text!r}", line)
-    return value
-
-
-def _parse_int(text: str, column: str, line: int) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ParseError(f"column {column!r}: not an integer: {text!r}", line) from None
-
-
-def _open_rows(path: str | Path) -> Iterable[tuple[int, list[str]]]:
-    """Yield (1-based line number, fields); '#'-prefixed lines are metadata.
-
-    The path "-" reads from stdin, so simulated logs can be piped through.
-    """
-    if str(path) == "-":
-        yield from _iter_rows(sys.stdin)
-        return
-    with open(path, newline="", encoding="utf-8") as fh:
-        yield from _iter_rows(fh)
-
-
-def _iter_rows(fh: IO[str]) -> Iterable[tuple[int, list[str]]]:
-    reader = csv.reader(fh)
-    for i, row in enumerate(reader, start=1):
-        if not row or (row[0].lstrip().startswith("#")):
-            continue
-        yield i, [c.strip() for c in row]
-
-
 def _floats(texts) -> np.ndarray:
     values = np.fromiter(map(float, texts), float, len(texts))
     if not np.isfinite(values).all():
@@ -99,79 +64,144 @@ def _floats(texts) -> np.ndarray:
     return values
 
 
-def _ints(texts) -> np.ndarray:
-    return np.fromiter(map(int, texts), np.int64, len(texts))
+def _ints(texts, dtype=np.int64) -> np.ndarray:
+    return np.fromiter(map(int, texts), dtype, len(texts))
 
 
 def _bools(texts) -> np.ndarray:
-    return np.fromiter(map(_BOOLS.__getitem__, map(str.lower, texts)), bool, len(texts))
+    return np.fromiter(map(_BOOLS.__getitem__, map(str.lower, map(str.strip, texts))),
+                       bool, len(texts))
 
 
-# the text-to-array conversion of each tap-log column; a bad field raises
-_CONVERT = [{str: np.array, np.int64: _ints, float: _floats, bool: _bools}[dtype]
-            for dtype in TAP_COLUMNS.values()]
+# the text-to-array conversion of a column of each dtype; a bad field raises.
+# Condition summaries keep n_trials a Python int (dtype int), unbounded.
+_CONVERT = {str: lambda texts: np.array(list(map(str.strip, texts))), bool: _bools,
+            float: _floats, np.int64: _ints, int: lambda texts: _ints(texts, object)}
 
 
-def _block_table(lines, rows) -> TapTable:
-    """The tap table of a block of CSV rows.
+def _read(path: str | Path, trials: bool | None = None) -> TapTable | list[ConditionSummary]:
+    """Read a tap log or condition summaries from CSV; the path "-" is stdin.
+
+    Rows that are blank or start with '#' (metadata) are skipped.  When
+    ``trials`` is None the header picks the kind: a first cell 'participant'
+    means a tap log.  Each kind converts only its own columns, BLOCK_ROWS
+    rows at a time, one array per column; a tap log becomes a TapTable and
+    condition summaries a list of ConditionSummary.
+    """
+    with (nullcontext(sys.stdin) if str(path) == "-"
+          else open(path, newline="", encoding="utf-8")) as fh:
+        rows = ((line, row) for line, row in enumerate(csv.reader(fh), start=1)
+                if row and not row[0].lstrip().startswith("#"))
+        header_line, header = next(rows, (None, None))
+        if header is None:
+            raise EmptyDatasetError(f"{path}: no header row")
+        header = [name.strip() for name in header]
+        trials = header[0] == "participant" if trials is None else trials
+        if trials:
+            if header != TRIAL_CSV_COLUMNS:
+                raise ParseError(
+                    f"header mismatch: expected {','.join(TRIAL_CSV_COLUMNS)}", header_line
+                )
+            names, dtypes, build = TRIAL_CSV_COLUMNS, TAP_COLUMNS.values(), _tap_block
+        else:
+            missing = [c for c in AGGREGATE_CSV_COLUMNS if c not in header]
+            if missing:
+                raise ParseError(f"missing column(s): {', '.join(missing)}", header_line)
+            names = AGGREGATE_CSV_COLUMNS + [c for c in _AGGREGATE_OPTIONAL if c in header]
+            dtypes = [int if name == "n_trials" else float for name in names]
+            build = partial(_summary_block, names, set())
+        # a repeated header name reads its last column
+        index = {name: i for i, name in enumerate(header)}
+        columns = [(name, index[name], dtype) for name, dtype in zip(names, dtypes)]
+        blocks = [_block(*zip(*chunk), len(header), columns, build)
+                  for chunk in iter(lambda: list(islice(rows, BLOCK_ROWS)), [])]
+    if not blocks:
+        raise EmptyDatasetError(f"{path}: header but no data rows")
+    if trials:
+        return TapTable(*(np.concatenate([getattr(b, name) for b in blocks])
+                          for name in TAP_COLUMNS))
+    return [summary for block in blocks for summary in block]
+
+
+def _block(lines, rows, width, columns, build):
+    """``build(lines, arrays)`` of a block of CSV rows, one array per column.
 
     When the block's conversion fails, the same conversion re-runs one row
-    at a time, so the ParseError names the first bad line; so does a
-    broken tap rule.
+    at a time, so the ParseError names the first bad line; so does a fault
+    that ``build`` finds.
     """
     try:
-        if set(map(len, rows)) != {len(TRIAL_CSV_COLUMNS)}:
+        if set(map(len, rows)) != {width}:
             raise ValueError("field count")
-        columns = [convert(texts) for convert, texts in zip(_CONVERT, zip(*rows))]
+        texts = list(zip(*rows))
+        arrays = [_CONVERT[dtype](texts[i]) for _, i, dtype in columns]
     except (ValueError, KeyError, OverflowError):
         if len(rows) == 1:
-            raise _row_error(rows[0], lines[0]) from None
+            raise _row_error(rows[0], lines[0], width, columns) from None
         for i in range(len(rows)):
-            _block_table(lines[i:i + 1], rows[i:i + 1])
+            _block(lines[i:i + 1], rows[i:i + 1], width, columns, build)
         raise
+    return build(lines, arrays)
+
+
+def _row_error(row, line, width, columns) -> ParseError:
+    """The error naming the first field of a row that its conversion rejects."""
+    if len(row) != width:
+        return ParseError(f"expected {width} fields, got {len(row)}", line)
+    for name, i, dtype in columns:
+        try:
+            _CONVERT[dtype]((row[i],))
+        except (ValueError, KeyError, OverflowError):
+            text = row[i].strip()
+            if dtype is bool:
+                return ParseError(f"expected boolean, got {text!r}", line)
+            try:
+                (float if dtype is float else int)(text)
+                problem = "not a finite number" if dtype is float else "not a 64-bit integer"
+            except ValueError:
+                problem = "not a number" if dtype is float else "not an integer"
+            return ParseError(f"column {name!r}: {problem}: {text!r}", line)
+
+
+def _tap_block(lines, columns) -> TapTable:
     try:
         return TapTable(*columns)
     except ValidationError as exc:
         raise ParseError(exc.reason, lines[exc.row]) from None
 
 
-def _row_error(row, line) -> ParseError:
-    """The error naming the first field of a row that its conversion rejects."""
-    if len(row) != len(TRIAL_CSV_COLUMNS):
-        return ParseError(f"expected {len(TRIAL_CSV_COLUMNS)} fields, got {len(row)}", line)
-    for column, convert, text in zip(TRIAL_CSV_COLUMNS, _CONVERT, row):
+def _summary_block(names, seen, lines, columns) -> list[ConditionSummary]:
+    """The summaries of a block; ``seen`` holds the (A, W) of earlier rows."""
+    summaries = []
+    for line, (a, w, *rest) in zip(lines, zip(*(c.tolist() for c in columns))):
+        if (a, w) in seen:
+            raise DuplicateConditionError(
+                f"line {line}: duplicate condition (A={a:g}, W={w:g})"
+            )
+        seen.add((a, w))
         try:
-            convert((text,))
-        except (ValueError, KeyError, OverflowError):
-            if convert is _bools:
-                return ParseError(f"expected boolean, got {text!r}", line)
-            try:
-                (_parse_int if convert is _ints else _parse_float)(text, column, line)
-            except ParseError as exc:
-                return exc
-            return ParseError(f"column {column!r}: not a 64-bit integer: {text!r}", line)
+            summaries.append(ConditionSummary(Condition(a, w), **dict(zip(names[2:], rest))))
+        except ValidationError as exc:
+            raise ValidationError(f"line {line}: {exc}") from None
+    return summaries
+
+
+def load_input(path: str | Path) -> TapTable | list[ConditionSummary]:
+    """A tap log or condition summaries, whichever the CSV header names.
+
+    A first header cell 'participant' means a tap log (as load_trials_csv);
+    any other header is read as condition summaries (as load_aggregate_csv).
+    The path "-" reads from stdin.
+    """
+    return _read(path)
 
 
 def load_trials_csv(path: str | Path) -> TapTable:
     """Parse a tap-level log.  Practice rows are kept, flagged is_practice.
 
-    Rows are converted BLOCK_ROWS at a time, one array per column.
+    The path "-" reads from stdin, so simulated logs can be piped through.
     """
-    rows = _open_rows(path)
-    try:
-        header_line, header = next(iter_ := iter(rows))
-    except StopIteration:
-        raise EmptyDatasetError(f"{path}: no header row") from None
-    if header != TRIAL_CSV_COLUMNS:
-        raise ParseError(
-            f"header mismatch: expected {','.join(TRIAL_CSV_COLUMNS)}", header_line
-        )
-    blocks = [_block_table(*zip(*chunk))
-              for chunk in iter(lambda: list(islice(iter_, BLOCK_ROWS)), [])]
-    if not blocks:
-        raise EmptyDatasetError(f"{path}: header but no data rows")
-    return TapTable(*(np.concatenate([getattr(b, name) for b in blocks])
-                      for name in TAP_COLUMNS))
+    return _read(path, trials=True)
 
 
 def write_trials_csv(
@@ -214,50 +244,13 @@ def load_aggregate_csv(
     """Load per-condition summaries.
 
     Requires columns A_mm, W_mm, mt_ms, sigma_obs_mm (any order); optional
-    n_trials and error_rate columns are honored when present.
+    n_trials and error_rate columns are honored when present, and any other
+    column is ignored.  The path "-" reads from stdin.
     """
-    rows = _open_rows(path)
-    try:
-        header_line, header = next(iter_ := iter(rows))
-    except StopIteration:
-        raise EmptyDatasetError(f"{path}: no header row") from None
-    missing = [c for c in AGGREGATE_CSV_COLUMNS if c not in header]
-    if missing:
-        raise ParseError(f"missing column(s): {', '.join(missing)}", header_line)
-
-    summaries = []
-    seen: set[tuple[float, float]] = set()
-    for line, row in iter_:
-        if len(row) != len(header):
-            raise ParseError(f"expected {len(header)} fields, got {len(row)}", line)
-        f = dict(zip(header, row))
-        a = _parse_float(f["A_mm"], "A_mm", line)
-        w = _parse_float(f["W_mm"], "W_mm", line)
-        if (a, w) in seen:
-            raise DuplicateConditionError(
-                f"line {line}: duplicate condition (A={a:g}, W={w:g})"
-            )
-        seen.add((a, w))
-        try:
-            summaries.append(
-                ConditionSummary(
-                    condition=Condition(a, w),
-                    mt_ms=_parse_float(f["mt_ms"], "mt_ms", line),
-                    sigma_obs_mm=_parse_float(f["sigma_obs_mm"], "sigma_obs_mm", line),
-                    n_trials=_parse_int(f["n_trials"], "n_trials", line)
-                    if "n_trials" in f else 2,
-                    error_rate=_parse_float(f["error_rate"], "error_rate", line)
-                    if "error_rate" in f else 0.0,
-                )
-            )
-        except ValidationError as exc:
-            raise ValidationError(f"line {line}: {exc}") from None
-    if not summaries:
-        raise EmptyDatasetError(f"{path}: header but no data rows")
     return Dataset(
         name=name or Path(path).stem,
         dimensionality=dimensionality,
-        summaries=tuple(summaries),
+        summaries=tuple(_read(path, trials=False)),
     )
 
 

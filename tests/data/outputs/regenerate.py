@@ -7,10 +7,16 @@ Usage (from the repository root):
 Writes the stdout of ``simulate`` for 1D and 2D on two seeds each, of
 ``sigma --input`` on those logs (md, csv and json; ``--axis y`` and
 ``--axis bivariate --dim 2d``) and of ``fit --input`` on one 2D log (md, csv
-and json, all models with ``--sigma-a 1.3``), one file per command, plus ``manifest.json``: the arguments of
-every command, the file holding its stdout, and the numpy and scipy versions
-the outputs were made with.  Commands run from this directory, so the
-``sigma`` reports name their inputs by file name.
+and json, all models with ``--sigma-a 1.3``), one file per command.  The
+condition-summary path is covered by ``write_aggregate_csv`` dumps of the
+bundled datasets (``paper-1d-aggregate.csv``, ``paper-2d-aggregate.csv``)
+and ``fit --input`` on them (all models with ``--sigma-a 0.9``); the bundled
+datasets by ``fit --dataset`` (all models, ``--sigma-a calib-ra`` and
+``calib-acc``), ``sigma --dataset`` (md and json) and ``datasets``.  Also
+writes ``manifest.json``: the arguments of every command, the file holding
+its stdout, and the numpy, scipy and BLAS versions the outputs were made
+with.  Commands run from this directory, so the reports name their inputs by
+file name.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ import numpy as np
 import scipy
 from click.testing import CliRunner
 
+from ffitts import embedded, write_aggregate_csv
 from ffitts.cli import main
 
 HERE = Path(__file__).resolve().parent
@@ -32,6 +39,22 @@ SIMULATIONS = [("1d", "0.0108", "1.153"), ("2d", "0.0108", "1.3")]
 SEEDS = ["3", "11"]
 FORMATS = ["md", "csv", "json"]
 SIGMA_AXES = [["--axis", "y"], ["--axis", "bivariate", "--dim", "2d"]]
+BUNDLED = ["paper-1d", "paper-2d"]
+
+
+def blas() -> str:
+    """Name and version of the BLAS numpy was built with."""
+    info = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return f"{info['name']} {info['version']}"
+
+
+def aggregate_dumps() -> list[str]:
+    """Write the condition-summary CSVs of the bundled datasets; their names."""
+    names = []
+    for dataset in BUNDLED:
+        names.append(f"{dataset}-aggregate.csv")
+        write_aggregate_csv(embedded(dataset), HERE / names[-1])
+    return names
 
 
 def commands() -> list[tuple[list[str], str]]:
@@ -57,6 +80,25 @@ def commands() -> list[tuple[list[str], str]]:
             ["fit", "--input", log, "--dim", "2d", "--sigma-a", "1.3", "--format", fmt],
             f"fit-{log[:-4]}.{fmt}",
         ))
+    for dataset in BUNDLED:
+        dim = ["--dim", dataset[-2:]]
+        for fmt in FORMATS:
+            cases.append((
+                ["fit", "--input", f"{dataset}-aggregate.csv", *dim, "--models", "all",
+                 "--sigma-a", "0.9", "--format", fmt],
+                f"fit-{dataset}-aggregate.{fmt}",
+            ))
+        for sigma_a in ["calib-ra", "calib-acc"]:
+            for fmt in FORMATS:
+                cases.append((
+                    ["fit", "--dataset", dataset, "--models", "all",
+                     "--sigma-a", sigma_a, "--format", fmt],
+                    f"fit-{dataset}-{sigma_a}.{fmt}",
+                ))
+        for fmt in ["md", "json"]:
+            cases.append((["sigma", "--dataset", dataset, "--format", fmt],
+                          f"sigma-{dataset}.{fmt}"))
+    cases.append((["datasets"], "datasets.txt"))
     return cases
 
 
@@ -69,7 +111,9 @@ def run(args: list[str]) -> bytes:
 
 def main_() -> None:
     os.chdir(HERE)
-    manifest = {"numpy": np.__version__, "scipy": scipy.__version__, "cases": []}
+    aggregate_dumps()
+    manifest = {"numpy": np.__version__, "scipy": scipy.__version__, "blas": blas(),
+                "cases": []}
     for args, name in commands():
         (HERE / name).write_bytes(run(args))
         manifest["cases"].append({"args": args, "stdout": name})

@@ -141,6 +141,29 @@ class TestFit:
         assert result.exit_code == 0
         assert "0.9811" in result.output
 
+    def test_aggregate_csv_on_stdin(self, runner):
+        path = DATA / "outputs" / "paper-2d-aggregate.csv"
+        args = ["fit", "--models", "all", "--sigma-a", "0.9", "--format", "csv"]
+        from_file = runner.invoke(main, args + ["--input", str(path)])
+        from_stdin = runner.invoke(main, args + ["--input", "-"], input=path.read_text())
+        assert from_stdin.exit_code == 0, from_stdin.output
+        assert from_stdin.stdout_bytes == from_file.stdout_bytes
+        assert from_stdin.stdout_bytes.startswith(b"model,description,")
+
+    def test_quoted_header_read_as_tap_log(self, runner, tmp_path):
+        log = (DATA / "outputs" / "sim-2d-seed3.csv").read_text()
+        header = ",".join(ffitts.TRIAL_CSV_COLUMNS)
+        quoted = ",".join(f'"{c}"' for c in ffitts.TRIAL_CSV_COLUMNS)
+        outputs = []
+        for name, text in [("plain", log), ("quoted", log.replace(header, quoted))]:
+            (tmp_path / name).mkdir()
+            path = tmp_path / name / "sim.csv"
+            path.write_text(text)
+            result = runner.invoke(main, ["fit", "--input", str(path), "--sigma-a", "1.3"])
+            assert result.exit_code == 0, result.output
+            outputs.append(result.stdout_bytes)
+        assert quoted in log.replace(header, quoted) and outputs[0] == outputs[1]
+
     def test_non_finite_aggregate_csv_is_usage_error(self, runner, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text(

@@ -1,8 +1,13 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ffitts import (
     AGGREGATE_CSV_COLUMNS,
+    Condition,
+    ConditionSummary,
+    Dataset,
+    Dimensionality,
     DuplicateConditionError,
     EMBEDDED_NAMES,
     EmptyDatasetError,
@@ -13,6 +18,7 @@ from ffitts import (
     ValidationError,
     embedded,
     load_aggregate_csv,
+    load_input,
     load_trials_csv,
     write_aggregate_csv,
     write_trials_csv,
@@ -170,6 +176,21 @@ class TestTrialsCsv:
         assert_same_columns(load_trials_csv(out), taps)
 
 
+    def test_padded_fields_load_as_unpadded(self, tmp_path):
+        rows = [row.replace("false", "FALSE") for row in GOOD_ROWS]
+        padded = [" , ".join(f" {f} " for f in line.split(","))
+                  for line in [HEADER] + rows]
+        assert padded[1].startswith(" p1  ,  0 ") and padded[1].endswith(" FALSE ")
+        assert_same_columns(load_trials_csv(write(tmp_path, padded, "padded.csv")),
+                            load_trials_csv(write(tmp_path, [HEADER] + rows)))
+
+    def test_padded_bad_field_quoted_stripped(self, tmp_path):
+        bad = "p1,0,1,20,4,0,0,0.3,-0.2,  abc ,1,false"
+        with pytest.raises(ParseError) as exc:
+            load_trials_csv(write(tmp_path, [HEADER, bad]))
+        assert str(exc.value) == "line 2: column 'mt_ms': not a number: 'abc'"
+
+
 def assert_same_columns(got, expected):
     """Every column equal, floats bit for bit."""
     for name in TAP_COLUMNS:
@@ -226,6 +247,91 @@ class TestAggregateCsv:
             load_aggregate_csv(
                 write(tmp_path, [",".join(AGGREGATE_CSV_COLUMNS)], "agg.csv")
             )
+
+
+    def test_padded_fields_and_header_load_as_unpadded(self, tmp_path):
+        header = AGGREGATE_CSV_COLUMNS + ["n_trials", "error_rate"]
+        rows = ["20,2,444,0.69,16,0.1", "30,4,400,1.28,12,0"]
+        padded = [",".join(f"  {f} " for f in line.split(","))
+                  for line in [",".join(header)] + rows]
+        assert padded[1].startswith("  20 ,  2 ")
+        got = load_aggregate_csv(write(tmp_path, padded, "padded.csv"), name="d")
+        want = load_aggregate_csv(write(tmp_path, [",".join(header)] + rows), name="d")
+        assert got.summaries == want.summaries
+        assert [s.n_trials for s in got.summaries] == [16, 12]
+
+    def test_padded_bad_field_quoted_stripped(self, tmp_path):
+        lines = [",".join(AGGREGATE_CSV_COLUMNS), "20,2, abc ,0.69"]
+        with pytest.raises(ParseError) as exc:
+            load_aggregate_csv(write(tmp_path, lines, "agg.csv"))
+        assert str(exc.value) == "line 2: column 'mt_ms': not a number: 'abc'"
+
+    def test_first_of_two_bad_lines_named(self, tmp_path):
+        bad_w, bad_mt = "30,zero,400,1.28", "45,2,abc,0.76"
+        for first, second, message in [
+            (bad_w, bad_mt, "line 3: column 'W_mm': not a number: 'zero'"),
+            (bad_mt, bad_w, "line 3: column 'mt_ms': not a number: 'abc'"),
+        ]:
+            lines = [",".join(AGGREGATE_CSV_COLUMNS), "20,2,444,0.69", first,
+                     "60,2,602,0.94", second]
+            with pytest.raises(ParseError) as exc:
+                load_aggregate_csv(write(tmp_path, lines, "agg.csv"))
+            assert (exc.value.line, str(exc.value)) == (3, message)
+
+    def test_duplicate_of_a_row_in_an_earlier_block_named(self, tmp_path):
+        rows = [f"{10 + i},2,400,1.1" for i in range(BLOCK_ROWS + 5)]
+        lines = [",".join(AGGREGATE_CSV_COLUMNS)] + rows + ["10,2,444,0.69"]
+        with pytest.raises(DuplicateConditionError) as exc:
+            load_aggregate_csv(write(tmp_path, lines, "agg.csv"))
+        assert str(exc.value) == f"line {BLOCK_ROWS + 7}: duplicate condition (A=10, W=2)"
+
+    def test_bad_line_in_a_later_block_named(self, tmp_path):
+        rows = [f"{10 + i},2,400,1.1" for i in range(BLOCK_ROWS + 5)]
+        lines = [",".join(AGGREGATE_CSV_COLUMNS)] + rows + ["1,2,400,inf", "x"]
+        with pytest.raises(ParseError) as exc:
+            load_aggregate_csv(write(tmp_path, lines, "agg.csv"))
+        assert str(exc.value) == (f"line {BLOCK_ROWS + 7}: column 'sigma_obs_mm': "
+                                  "not a finite number: 'inf'")
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(st.data())
+    def test_write_then_load_gives_back_every_summary(self, tmp_path_factory, data):
+        positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+        conditions = data.draw(st.lists(st.tuples(positive, positive), min_size=1,
+                                        max_size=8, unique=True))
+        summaries = tuple(
+            ConditionSummary(
+                Condition(a, w), mt_ms=data.draw(positive),
+                sigma_obs_mm=data.draw(positive),
+                n_trials=data.draw(st.integers(2, 2**80)),
+                error_rate=data.draw(st.floats(0.0, 1.0)),
+            )
+            for a, w in conditions
+        )
+        out = tmp_path_factory.mktemp("round") / "agg.csv"
+        write_aggregate_csv(Dataset("d", Dimensionality.ONE_D, summaries), out)
+        loaded = load_aggregate_csv(out, name="d").summaries
+        assert loaded == summaries
+        assert [type(s.n_trials) for s in loaded] == [int] * len(summaries)
+
+        def floats(summaries):
+            return np.array([(s.condition.amplitude_mm, s.condition.width_mm, s.mt_ms,
+                              s.sigma_obs_mm, s.error_rate) for s in summaries]).tobytes()
+
+        assert floats(loaded) == floats(summaries)
+
+
+class TestLoadInput:
+    @pytest.mark.parametrize("header", [HEADER, ",".join(f'"{c}"' for c in TRIAL_CSV_COLUMNS)])
+    def test_participant_header_is_a_tap_log(self, tmp_path, header):
+        taps = load_input(write(tmp_path, ["# seed=7", header] + GOOD_ROWS))
+        assert isinstance(taps, TapTable) and len(taps) == 3
+
+    def test_other_header_is_condition_summaries(self, tmp_path):
+        lines = ["# study=x", "note," + ",".join(AGGREGATE_CSV_COLUMNS), "a,20,2,444,0.69"]
+        assert load_input(write(tmp_path, lines)) == [
+            ConditionSummary(Condition(20, 2), mt_ms=444, sigma_obs_mm=0.69)
+        ]
 
 
 class TestEmbedded:
