@@ -12,11 +12,14 @@ condition-summary path is covered by ``write_aggregate_csv`` dumps of the
 bundled datasets (``paper-1d-aggregate.csv``, ``paper-2d-aggregate.csv``)
 and ``fit --input`` on them (all models with ``--sigma-a 0.9``); the bundled
 datasets by ``fit --dataset`` (all models, ``--sigma-a calib-ra`` and
-``calib-acc``), ``sigma --dataset`` (md and json) and ``datasets``.  Also
-writes ``manifest.json``: the arguments of every command, the file holding
-its stdout, and the numpy, scipy and BLAS versions the outputs were made
-with.  Commands run from this directory, so the reports name their inputs by
-file name.
+``calib-acc``), ``sigma --dataset`` (md, csv and json) and ``datasets``.  The ``--out``
+files of ``fit --dataset`` (all models, ``--sigma-a calib-acc``, md and csv)
+are kept too: the report, its ``.fits.csv`` and ``.intercept.csv`` plot data
+and, for csv, its ``.wf.csv`` matrix.  Also writes ``manifest.json``: the
+arguments of every command, the file holding its stdout (or the files its
+``--out`` writes), and the numpy, scipy and BLAS versions the outputs were
+made with.  Commands run from this directory, so the reports name their
+inputs by file name.
 """
 
 from __future__ import annotations
@@ -57,8 +60,16 @@ def aggregate_dumps() -> list[str]:
     return names
 
 
-def commands() -> list[tuple[list[str], str]]:
-    """(CLI arguments, stdout file name) for every golden output, in order."""
+def out_files(report: str) -> list[str]:
+    """The files ``fit --out report`` writes: the report, then its side files."""
+    stem, fmt = report.rsplit(".", 1)
+    sides = ["wf", "fits", "intercept"] if fmt == "csv" else ["fits", "intercept"]
+    return [report] + [f"{stem}.{side}.csv" for side in sides]
+
+
+def commands() -> list[tuple[list[str], str | list[str]]]:
+    """(CLI arguments, stdout file name) for every golden output, in order;
+    a case writing ``--out`` files names the list of them instead."""
     cases = []
     logs = []
     for dim, alpha, sigma_a in SIMULATIONS:
@@ -95,7 +106,14 @@ def commands() -> list[tuple[list[str], str]]:
                      "--sigma-a", sigma_a, "--format", fmt],
                     f"fit-{dataset}-{sigma_a}.{fmt}",
                 ))
-        for fmt in ["md", "json"]:
+        for fmt in ["md", "csv"]:
+            report = f"fit-{dataset}-calib-acc-{fmt}-out.{fmt}"
+            cases.append((
+                ["fit", "--dataset", dataset, "--models", "all", "--sigma-a", "calib-acc",
+                 "--format", fmt, "--out", report],
+                out_files(report),
+            ))
+        for fmt in FORMATS:
             cases.append((["sigma", "--dataset", dataset, "--format", fmt],
                           f"sigma-{dataset}.{fmt}"))
     cases.append((["datasets"], "datasets.txt"))
@@ -115,8 +133,13 @@ def main_() -> None:
     manifest = {"numpy": np.__version__, "scipy": scipy.__version__, "blas": blas(),
                 "cases": []}
     for args, name in commands():
-        (HERE / name).write_bytes(run(args))
-        manifest["cases"].append({"args": args, "stdout": name})
+        stdout = run(args)
+        if isinstance(name, list):
+            assert not stdout, args
+            manifest["cases"].append({"args": args, "files": name})
+        else:
+            (HERE / name).write_bytes(stdout)
+            manifest["cases"].append({"args": args, "stdout": name})
     (HERE / "manifest.json").write_text(json.dumps(manifest, indent=1) + "\n")
 
 

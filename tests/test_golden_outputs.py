@@ -1,4 +1,5 @@
-"""Byte-exact stdout of simulate, sigma, fit and datasets.
+"""Byte-exact stdout of simulate, sigma, fit and datasets, and the files
+``fit --out`` writes.
 
 The outputs in data/outputs/ and the numpy, scipy and BLAS versions they
 were made with are listed in data/outputs/manifest.json; regenerate them
@@ -24,14 +25,33 @@ RUNNING = {"numpy": np.__version__, "scipy": scipy.__version__,
            "blas": f"{_BLAS['name']} {_BLAS['version']}"}
 
 
-@pytest.mark.parametrize("case", MANIFEST["cases"], ids=lambda c: c["stdout"])
-def test_stdout_unchanged(monkeypatch, case):
+def _skip_on_other_versions():
     other = [f"{name} {MANIFEST[name]} (running {version})"
              for name, version in RUNNING.items() if version != MANIFEST[name]]
     if other:
         pytest.skip("golden outputs were made with " + ", ".join(other))
+
+
+@pytest.mark.parametrize("case", [c for c in MANIFEST["cases"] if "stdout" in c],
+                         ids=lambda c: c["stdout"])
+def test_stdout_unchanged(monkeypatch, case):
+    _skip_on_other_versions()
     # the reports name their input as given, so run from outputs/
     monkeypatch.chdir(OUT)
     result = CliRunner().invoke(main, case["args"])
     assert result.exit_code == 0, result.output
     assert result.stdout_bytes == (OUT / case["stdout"]).read_bytes()
+
+
+@pytest.mark.parametrize("case", [c for c in MANIFEST["cases"] if "files" in c],
+                         ids=lambda c: c["files"][0])
+def test_out_files_unchanged(monkeypatch, tmp_path, case):
+    _skip_on_other_versions()
+    # --out writes next to the report, so run where it cannot touch outputs/
+    monkeypatch.chdir(tmp_path)
+    result = CliRunner().invoke(main, case["args"])
+    assert result.exit_code == 0, result.output
+    assert result.stdout_bytes == b""
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(case["files"])
+    for name in case["files"]:
+        assert (tmp_path / name).read_bytes() == (OUT / name).read_bytes(), name
