@@ -50,6 +50,7 @@ from .ingestion import (
     embedded,
     load_input,
     load_trials_csv,
+    source_name,
     write_trials_csv,
 )
 from .sigma import (
@@ -120,7 +121,7 @@ def _resolve_dataset(dataset_name, input_path, dim, axis, outlier_mm) -> Dataset
             summaries = aggregate(summaries, axis_mode=AxisMode(axis),
                                   outlier_radius_mm=outlier_mm)
         return Dataset(
-            name="<stdin>" if str(input_path) == "-" else Path(input_path).stem,
+            name=Path(source_name(input_path)).stem,
             dimensionality=Dimensionality(dim or "2d"),
             summaries=tuple(summaries),
         )
@@ -220,41 +221,30 @@ def fit(dataset_name, input_path, dim, models, sigma_a_token, axis, outlier_mm,
         raise click.ClickException(str(exc)) from None
 
     if fmt == "json":
-        _emit(rpt.to_json(rpt.fit_document(selection, dataset)), out)
+        text = rpt.to_json(rpt.fit_document(selection, dataset))
     elif fmt == "csv":
-        _emit(rpt.render_comparison_csv(selection), out)
-        if out:
-            wf_path = Path(out).with_name(Path(out).stem + ".wf.csv")
-            _write_text(wf_path, rpt.render_wf_csv(dataset))
-            click.echo(_style(f"wrote {wf_path}", fg="green"), err=True)
-        _write_plot_files(selection, dataset, out)
+        text = rpt.render_comparison_csv(selection)
     else:
-        text = rpt.render_comparison_md(selection)
-        extra = (sigma_a,) if sigma_a and sigma_a.method is SigmaMethod.USER_GIVEN else ()
-        wf = rpt.render_wf_md(dataset, extra)
-        if wf:
-            text += "\n" + wf
-        for r in selection.results:
-            if not r.usable:
-                text += (
-                    f"\nnote: {r.model.value} unusable: mathematical error in "
-                    f"{len(r.math_errors)} condition(s): "
-                    + ", ".join(str(c) for c in r.math_errors) + "\n"
-                )
-        _emit(text, out)
-        _write_plot_files(selection, dataset, out)
+        text = rpt.render_fit_md(selection, dataset)
+    _emit(text, out)
+    if out and fmt != "json":
+        _write_side_files(selection, dataset, Path(out), fmt)
 
 
-def _write_plot_files(selection, dataset, out):
-    """Plot-ready CSVs are written next to --out (json embeds them instead)."""
-    if not out:
-        return
-    base = Path(out)
-    fits_path = base.with_name(base.stem + ".fits.csv")
-    _write_text(fits_path, rpt.render_fits_plot_csv(selection))
-    intercept_path = base.with_name(base.stem + ".intercept.csv")
-    _write_text(intercept_path, rpt.render_intercept_plot_csv(dataset))
-    click.echo(_style(f"wrote {fits_path} and {intercept_path}", fg="green"), err=True)
+def _write_side_files(selection, dataset, out: Path, fmt):
+    """Write the W_f matrix (csv only) and the plot-ready CSVs next to --out;
+    json embeds the plots instead.  Below 3 distinct widths the intercept
+    plot is undefined: a note says so and its file is not written."""
+    files = {"wf": rpt.render_wf_csv(dataset)} if fmt == "csv" else {}
+    files["fits"] = rpt.render_fits_plot_csv(selection)
+    try:
+        files["intercept"] = rpt.render_intercept_plot_csv(dataset)
+    except ValidationError as exc:
+        click.echo(f"note: {out.stem}.intercept.csv not written: {exc}", err=True)
+    for kind, text in files.items():
+        path = out.with_name(f"{out.stem}.{kind}.csv")
+        _write_text(path, text)
+        click.echo(_style(f"wrote {path}", fg="green"), err=True)
 
 
 @main.command()
@@ -283,52 +273,24 @@ def sigma(dataset_name, input_path, method, instruction, dim, axis, outlier_mm,
     --dim 2d, else the univariate SD along --axis (y for bivariate).
     """
     dataset = _embedded_or_none(dataset_name, input_path)
-    rows: list[dict] = []
-    source = dataset_name or ("<stdin>" if str(input_path) == "-" else str(input_path))
     if dataset is not None:
-        for est in dataset.sigma_a_catalog:
-            rows.append({
-                "method": est.method.value,
-                "label": est.method.label,
-                "sigma_a_mm": est.sigma_a_mm,
-                "normality": None,
-                "note": "cataloged value; raw deviations not available",
-            })
+        source = dataset_name
+        rows = [rpt.sigma_row(est.method, est.sigma_a_mm,
+                              note="cataloged value; raw deviations not available")
+                for est in dataset.sigma_a_catalog]
     else:
+        source = source_name(input_path)
         rows = _sigma_rows_from_log(
             input_path, method, instruction, dim, axis, outlier_mm, alpha
         )
 
     if fmt == "json":
-        _emit(rpt.to_json({"source": source, "estimates": rows}), out)
-        return
-    if fmt == "csv":
-        import csv as _csv
-        import io as _io
-
-        buf = _io.StringIO()
-        writer = _csv.DictWriter(
-            buf, fieldnames=["method", "label", "sigma_a_mm", "normality", "note"],
-            lineterminator="\n",
-        )
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
-        _emit(buf.getvalue(), out)
-        return
-    lines = [
-        f"## Tremor spread estimates: {source}",
-        "",
-        "| Method | sigma_a (mm) | Normality | Note |",
-        "|---|---|---|---|",
-    ]
-    for row in rows:
-        value = rpt.sig(row["sigma_a_mm"], 3) if row["sigma_a_mm"] else "---"
-        lines.append(
-            f"| {row['label']} | {value} | {row['normality'] or '---'} "
-            f"| {row['note'] or ''} |"
-        )
-    _emit("\n".join(lines) + "\n", out)
+        text = rpt.to_json(rpt.sigma_document(source, rows))
+    elif fmt == "csv":
+        text = rpt.render_sigma_csv(rows)
+    else:
+        text = rpt.render_sigma_md(source, rows)
+    _emit(text, out)
 
 
 def _sigma_rows_from_log(input_path, method, instruction, dim, axis, outlier_mm,
@@ -357,8 +319,7 @@ def _calibration_row(taps, devs, bivariate, tag, alpha):
     try:
         est = sigma_from_calibration(samples, mode, method=tag)
     except FfittsError as exc:
-        return {"method": tag.value, "label": tag.label, "sigma_a_mm": None,
-                "normality": None, "note": f"warning: {exc}"}
+        return rpt.sigma_row(tag, note=f"warning: {exc}")
     # the estimate stands whether or not the normality test can run
     try:
         check = normality_check(devs, alpha=alpha)
@@ -368,26 +329,19 @@ def _calibration_row(taps, devs, bivariate, tag, alpha):
         )
     except FfittsError as exc:
         normality = f"skipped: {exc}"
-    return {"method": tag.value, "label": tag.label,
-            "sigma_a_mm": est.sigma_a_mm, "normality": normality, "note": ""}
+    return rpt.sigma_row(tag, est.sigma_a_mm, normality)
 
 
 def _intercept_row(taps, devs, axis_mode, alpha):
-    label = SigmaMethod.INTERCEPT_FITTS.label
+    method = SigmaMethod.INTERCEPT_FITTS
     try:
         fit = sigma_from_intercept(summarize(taps, axis_mode))
-        est = fit.estimate(SigmaMethod.INTERCEPT_FITTS)
+        est = fit.estimate(method)
         passed, total = _per_condition_normality(taps, devs, alpha)
-        return {
-            "method": SigmaMethod.INTERCEPT_FITTS.value,
-            "label": label,
-            "sigma_a_mm": est.sigma_a_mm,
-            "normality": f"{passed}/{total} condition groups pass",
-            "note": f"regression R2={fit.r2:.3f}, slope={fit.slope:.4g}",
-        }
+        return rpt.sigma_row(method, est.sigma_a_mm, f"{passed}/{total} condition groups pass",
+                             f"regression R2={fit.r2:.3f}, slope={fit.slope:.4g}")
     except FfittsError as exc:
-        return {"method": SigmaMethod.INTERCEPT_FITTS.value, "label": label,
-                "sigma_a_mm": None, "normality": None, "note": f"warning: {exc}"}
+        return rpt.sigma_row(method, note=f"warning: {exc}")
 
 
 def _per_condition_normality(taps, devs, alpha):

@@ -464,14 +464,11 @@ def compare(
         )
         best_by[crit] = pick.model
 
-    delta_aic: dict[Model, float] = {}
-    delta_bic: dict[Model, float] = {}
-    if usable:
-        aic_min = min(r.aic for r in usable)
-        bic_min = min(r.bic for r in usable)
-        for r in usable:
-            delta_aic[r.model] = r.aic - aic_min
-            delta_bic[r.model] = r.bic - bic_min
+    # a model at the minimum has delta 0, also when a perfect fit puts it at -inf
+    aic_min = min((r.aic for r in usable), default=None)
+    bic_min = min((r.bic for r in usable), default=None)
+    delta_aic = {r.model: 0.0 if r.aic == aic_min else r.aic - aic_min for r in usable}
+    delta_bic = {r.model: 0.0 if r.bic == bic_min else r.bic - bic_min for r in usable}
 
     sigma_est = sigma_a if isinstance(sigma_a, SigmaEstimate) else None
     return SelectionReport(

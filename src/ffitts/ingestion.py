@@ -79,6 +79,11 @@ _CONVERT = {str: lambda texts: np.array(list(map(str.strip, texts))), bool: _boo
             float: _floats, np.int64: _ints, int: lambda texts: _ints(texts, object)}
 
 
+def source_name(path: str | Path) -> str:
+    """How reports and errors name an input path: "<stdin>" for "-"."""
+    return "<stdin>" if str(path) == "-" else str(path)
+
+
 def _read(path: str | Path, trials: bool | None = None) -> TapTable | list[ConditionSummary]:
     """Read a tap log or condition summaries from CSV; the path "-" is stdin.
 
@@ -94,7 +99,7 @@ def _read(path: str | Path, trials: bool | None = None) -> TapTable | list[Condi
                 if row and not row[0].lstrip().startswith("#"))
         header_line, header = next(rows, (None, None))
         if header is None:
-            raise EmptyDatasetError(f"{path}: no header row")
+            raise EmptyDatasetError(f"{source_name(path)}: no header row")
         header = [name.strip() for name in header]
         trials = header[0] == "participant" if trials is None else trials
         if trials:
@@ -116,7 +121,7 @@ def _read(path: str | Path, trials: bool | None = None) -> TapTable | list[Condi
         blocks = [_block(*zip(*chunk), len(header), columns, build)
                   for chunk in iter(lambda: list(islice(rows, BLOCK_ROWS)), [])]
     if not blocks:
-        raise EmptyDatasetError(f"{path}: header but no data rows")
+        raise EmptyDatasetError(f"{source_name(path)}: header but no data rows")
     if trials:
         return TapTable(*(np.concatenate([getattr(b, name) for b in blocks])
                           for name in TAP_COLUMNS))

@@ -1,23 +1,36 @@
-"""Report rendering: comparison tables, adjusted-width matrices, plot data.
+"""Report tables and their md, csv and json formatters.
 
-Display formatting mirrors the conventions of the reference tables this
-package reproduces: R^2 to 4 decimals, information criteria to 1 decimal,
-RMSE to 2 decimals, coefficients to 4 significant figures, adjusted widths
-to 3 significant figures with undefined cells rendered literally as
-"!err".  JSON output always carries full precision.
+Each table has one builder that returns full-precision rows: the model
+comparison (``comparison_rows``), the adjusted-width matrix (``wf_matrix``),
+the fits plot (``fits_plot_rows``), the intercept plot (``intercept_plot``)
+and the tremor-spread estimates (``sigma_row``).  The renderers below only
+format those rows.
+
+Markdown mirrors the conventions of the reference tables this package
+reproduces: R^2 to 4 decimals, information criteria to 1 decimal, RMSE to 2
+decimals, coefficients to 4 significant figures, adjusted widths to 3
+significant figures with undefined cells rendered literally as "!err".  CSV
+and JSON carry full precision.
+
+JSON is strict: ``null`` marks a value that is not finite.  Only a perfect
+fit (zero residual sum of squares) gives one: its AIC and BIC are -inf and
+the other models' delta AIC/BIC inf, which md and csv print as -inf and inf.
+The intercept plot needs at least 3 distinct widths; below that it is
+``null`` in JSON and ``fit --out`` writes no ``.intercept.csv``.
 """
 
 from __future__ import annotations
 
+import csv
 import io
-import csv as _csv
 import json
 import math
 from typing import Sequence
 
 import numpy as np
 
-from .datamodel import Dataset, SigmaEstimate
+from .datamodel import Dataset, SigmaEstimate, SigmaMethod
+from .errors import ValidationError
 from .fitting import FitResult, SelectionReport
 from .idmodels import Model, finger_width
 from .sigma import InterceptFit, sigma_from_intercept
@@ -36,22 +49,15 @@ def sig(x: float, digits: int = 3) -> str:
     return f"{x:.{decimals}f}"
 
 
-def _fmt_r2(x: float | None) -> str:
-    return "---" if x is None else f"{x:.4f}"
-
-
-def _fmt_ic(x: float | None) -> str:
-    if x is None:
-        return "---"
-    return "-inf" if math.isinf(x) else f"{x:.1f}"
-
-
-def _fmt_rmse(x: float | None) -> str:
-    return "---" if x is None else f"{x:.2f}"
-
-
-def _fmt_coef(x: float | None) -> str:
-    return "---" if x is None else sig(x, 4)
+def _csv_text(header: Sequence[str], rows, preamble: str = "") -> str:
+    """CSV text: the preamble, the header, then the rows.  None is an empty
+    field and a float prints in full (repr)."""
+    buf = io.StringIO()
+    buf.write(preamble)
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def _description(r: FitResult) -> str:
@@ -64,38 +70,35 @@ def _description(r: FitResult) -> str:
 # model comparison
 # ---------------------------------------------------------------------------
 
+# comparison columns copied from the FitResult fields of the same names
+_FIT_FIELDS = ["r2", "adj_r2", "aic", "bic", "cv_rmse_ms", "a_ms", "b_ms_per_bit",
+               "c_mm", "n", "k"]
 COMPARISON_COLUMNS = [
-    "model", "description", "id_formulation", "r2", "adj_r2", "aic", "bic",
-    "cv_rmse_ms", "a_ms", "b_ms_per_bit", "c_mm", "n", "k",
+    "model", "description", "id_formulation", *_FIT_FIELDS,
     "delta_aic", "delta_bic", "rejected", "usable", "math_errors",
 ]
 
+# markdown cells of a usable model after its description and formulation
+_MD_FIXED = [("r2", ".4f"), ("adj_r2", ".4f"), ("aic", ".1f"), ("bic", ".1f"),
+             ("cv_rmse_ms", ".2f")]
+_MD_COEFS = ["a_ms", "b_ms_per_bit", "c_mm"]
+_CRITERION_LABELS = {"r2": "R2", "adj_r2": "adj R2", "aic": "AIC", "bic": "BIC",
+                     "cv_rmse_ms": "CV RMSE"}
+
 
 def comparison_rows(report: SelectionReport) -> list[dict]:
-    """Full-precision row dicts, one per fitted model."""
-    rows = []
-    for r in report.results:
-        rows.append({
-            "model": r.model.value,
-            "description": _description(r),
-            "id_formulation": r.model.formula,
-            "r2": r.r2,
-            "adj_r2": r.adj_r2,
-            "aic": r.aic,
-            "bic": r.bic,
-            "cv_rmse_ms": r.cv_rmse_ms,
-            "a_ms": r.a_ms,
-            "b_ms_per_bit": r.b_ms_per_bit,
-            "c_mm": r.c_mm,
-            "n": r.n,
-            "k": r.k,
-            "delta_aic": report.delta_aic.get(r.model),
-            "delta_bic": report.delta_bic.get(r.model),
-            "rejected": report.rejected(r.model) if r.usable else None,
-            "usable": r.usable,
-            "math_errors": [str(c) for c in r.math_errors],
-        })
-    return rows
+    """Full-precision row dicts, one per fitted model, keyed by COMPARISON_COLUMNS."""
+    return [{
+        "model": r.model.value,
+        "description": _description(r),
+        "id_formulation": r.model.formula,
+        **{k: getattr(r, k) for k in _FIT_FIELDS},
+        "delta_aic": report.delta_aic.get(r.model),
+        "delta_bic": report.delta_bic.get(r.model),
+        "rejected": report.rejected(r.model) if r.usable else None,
+        "usable": r.usable,
+        "math_errors": [str(c) for c in r.math_errors],
+    } for r in report.results]
 
 
 def render_comparison_md(report: SelectionReport) -> str:
@@ -105,52 +108,48 @@ def render_comparison_md(report: SelectionReport) -> str:
         "| Description | ID formulation | R2 | adj R2 | AIC | BIC | RMSE | a | b | c |",
         "|---|---|---|---|---|---|---|---|---|---|",
     ]
-    for r in report.results:
-        if not r.usable:
-            n_err = len(r.math_errors)
+    for row in comparison_rows(report):
+        if not row["usable"]:
             lines.append(
-                f"| {_description(r)} | {r.model.formula} | "
-                f"unusable: mathematical error in {n_err} condition(s) "
-                f"| | | | | | | |"
+                f"| {row['description']} | {row['id_formulation']} | "
+                f"unusable: mathematical error in {len(row['math_errors'])} condition(s) "
+                "| | | | | | | |"
             )
             continue
-        flag = " (rejected)" if report.rejected(r.model) else ""
-        lines.append(
-            "| {d}{flag} | {f} | {r2} | {adj} | {aic} | {bic} | {rmse} "
-            "| {a} | {b} | {c} |".format(
-                d=_description(r),
-                flag=flag,
-                f=r.model.formula,
-                r2=_fmt_r2(r.r2),
-                adj=_fmt_r2(r.adj_r2),
-                aic=_fmt_ic(r.aic),
-                bic=_fmt_ic(r.bic),
-                rmse=_fmt_rmse(r.cv_rmse_ms),
-                a=_fmt_coef(r.a_ms),
-                b=_fmt_coef(r.b_ms_per_bit),
-                c=_fmt_coef(r.c_mm) if r.c_mm is not None else "---",
-            )
-        )
+        flag = " (rejected)" if row["rejected"] else ""
+        cells = [row["description"] + flag, row["id_formulation"]]
+        cells += ["---" if row[k] is None else format(row[k], spec) for k, spec in _MD_FIXED]
+        cells += ["---" if row[k] is None else sig(row[k], 4) for k in _MD_COEFS]
+        lines.append("| " + " | ".join(cells) + " |")
     if report.best_by:
-        lines.append("")
-        pretty = {"r2": "R2", "adj_r2": "adj R2", "aic": "AIC", "bic": "BIC",
-                  "cv_rmse_ms": "CV RMSE"}
         best = ", ".join(
-            f"{pretty[k]}: {m.value}" for k, m in report.best_by.items()
+            f"{_CRITERION_LABELS[k]}: {m.value}" for k, m in report.best_by.items()
         )
-        lines.append(f"Best by criterion: {best}")
+        lines += ["", f"Best by criterion: {best}"]
     return "\n".join(lines) + "\n"
 
 
 def render_comparison_csv(report: SelectionReport) -> str:
-    buf = io.StringIO()
-    writer = _csv.DictWriter(buf, fieldnames=COMPARISON_COLUMNS, lineterminator="\n")
-    writer.writeheader()
+    return _csv_text(COMPARISON_COLUMNS, [
+        {**row, "math_errors": ";".join(row["math_errors"])}.values()
+        for row in comparison_rows(report)
+    ])
+
+
+def render_fit_md(report: SelectionReport, dataset: Dataset) -> str:
+    """The markdown fit report: the comparison, the W_f matrix (a user-given
+    sigma_a adds a row) and one note per unusable model."""
+    given = report.sigma_a
+    wf = render_wf_md(dataset, (given,) if given and given.method is SigmaMethod.USER_GIVEN
+                      else ())
+    text = render_comparison_md(report) + ("\n" + wf if wf else "")
     for row in comparison_rows(report):
-        row = dict(row)
-        row["math_errors"] = ";".join(row["math_errors"])
-        writer.writerow(row)
-    return buf.getvalue()
+        if not row["usable"]:
+            text += (
+                f"\nnote: {row['model']} unusable: mathematical error in "
+                f"{len(row['math_errors'])} condition(s): {', '.join(row['math_errors'])}\n"
+            )
+    return text
 
 
 # ---------------------------------------------------------------------------
@@ -158,17 +157,21 @@ def render_comparison_csv(report: SelectionReport) -> str:
 # ---------------------------------------------------------------------------
 
 def wf_matrix(dataset: Dataset, extra: Sequence[SigmaEstimate] = ()) -> list[dict]:
-    """Adjusted-width cells for every cataloged tremor estimate.
+    """Adjusted-width rows, one per cataloged tremor estimate and per ``extra``.
 
-    Each row holds the estimate and one value per condition, None where the
-    adjustment is mathematically undefined.
+    Each row holds the estimate and one cell per condition: its A_mm, W_mm
+    and wf_mm, None where the adjustment is undefined (sigma_obs <= sigma_a).
     """
     sigma_obs = np.array([s.sigma_obs_mm for s in dataset.summaries])
-    rows = []
-    for est in tuple(dataset.sigma_a_catalog) + tuple(extra):
-        wf = finger_width(sigma_obs, est.sigma_a_mm).tolist()
-        rows.append({"sigma_a": est, "cells": [None if math.isnan(v) else v for v in wf]})
-    return rows
+    return [
+        {"sigma_a": est, "cells": [
+            {"A_mm": s.condition.amplitude_mm, "W_mm": s.condition.width_mm,
+             "wf_mm": None if math.isnan(v) else v}
+            for s, v in zip(dataset.summaries,
+                            finger_width(sigma_obs, est.sigma_a_mm).tolist())
+        ]}
+        for est in (*dataset.sigma_a_catalog, *extra)
+    ]
 
 
 def render_wf_md(dataset: Dataset, extra: Sequence[SigmaEstimate] = ()) -> str:
@@ -189,9 +192,7 @@ def render_wf_md(dataset: Dataset, extra: Sequence[SigmaEstimate] = ()) -> str:
     )
     for row in rows:
         est = row["sigma_a"]
-        cells = [
-            ERR_CELL if v is None else sig(v, 3) for v in row["cells"]
-        ]
+        cells = [ERR_CELL if c["wf_mm"] is None else sig(c["wf_mm"], 3) for c in row["cells"]]
         lines.append(
             f"| {est.method.label} | {sig(est.sigma_a_mm, 3)} | W_f | "
             + " | ".join(cells) + " |"
@@ -203,23 +204,20 @@ def render_wf_md(dataset: Dataset, extra: Sequence[SigmaEstimate] = ()) -> str:
 
 
 def render_wf_csv(dataset: Dataset, extra: Sequence[SigmaEstimate] = ()) -> str:
-    buf = io.StringIO()
-    writer = _csv.writer(buf, lineterminator="\n")
-    writer.writerow(["method", "sigma_a_mm", "A_mm", "W_mm", "wf_mm"])
-    for row in wf_matrix(dataset, extra):
-        est = row["sigma_a"]
-        for s, v in zip(dataset.summaries, row["cells"]):
-            writer.writerow([
-                est.method.value, repr(est.sigma_a_mm),
-                repr(s.condition.amplitude_mm), repr(s.condition.width_mm),
-                ERR_CELL if v is None else repr(v),
-            ])
-    return buf.getvalue()
+    return _csv_text(["method", "sigma_a_mm", "A_mm", "W_mm", "wf_mm"], [
+        [row["sigma_a"].method.value, row["sigma_a"].sigma_a_mm, c["A_mm"], c["W_mm"],
+         ERR_CELL if c["wf_mm"] is None else c["wf_mm"]]
+        for row in wf_matrix(dataset, extra) for c in row["cells"]
+    ])
 
 
 # ---------------------------------------------------------------------------
 # plot-ready data
 # ---------------------------------------------------------------------------
+
+FITS_COLUMNS = ["model", "A_mm", "W_mm", "id_bits", "mt_ms", "predicted_mt_ms",
+                "residual_ms"]
+
 
 def fits_plot_rows(report: SelectionReport) -> list[dict]:
     """(ID, MT, prediction) per model and condition, for external plotting."""
@@ -239,7 +237,11 @@ def fits_plot_rows(report: SelectionReport) -> list[dict]:
 
 
 def intercept_plot(dataset: Dataset) -> dict:
-    """Regression points and fitted-line endpoints for spread-vs-width plots."""
+    """Regression points and fitted-line endpoints for spread-vs-width plots.
+
+    Raises ValidationError below 3 distinct widths, where the regression is
+    undefined.
+    """
     fit: InterceptFit = sigma_from_intercept(list(dataset.summaries))
     xs = [p[0] for p in fit.points]
     x_lo, x_hi = min(xs), max(xs)
@@ -256,28 +258,52 @@ def intercept_plot(dataset: Dataset) -> dict:
 
 
 def render_fits_plot_csv(report: SelectionReport) -> str:
-    buf = io.StringIO()
-    cols = ["model", "A_mm", "W_mm", "id_bits", "mt_ms", "predicted_mt_ms", "residual_ms"]
-    writer = _csv.DictWriter(buf, fieldnames=cols, lineterminator="\n")
-    writer.writeheader()
-    for row in fits_plot_rows(report):
-        writer.writerow({k: repr(v) if isinstance(v, float) else v for k, v in row.items()})
-    return buf.getvalue()
+    return _csv_text(FITS_COLUMNS, [row.values() for row in fits_plot_rows(report)])
 
 
 def render_intercept_plot_csv(dataset: Dataset) -> str:
     data = intercept_plot(dataset)
-    buf = io.StringIO()
-    buf.write(f"# slope={data['slope']!r}\n")
-    buf.write(f"# intercept_mm2={data['intercept_mm2']!r}\n")
-    buf.write(f"# r2={data['r2']!r}\n")
-    writer = _csv.writer(buf, lineterminator="\n")
-    writer.writerow(["role", "w2_mm2", "sigma_obs2_mm2"])
-    for p in data["points"]:
-        writer.writerow(["point", repr(p["w2_mm2"]), repr(p["sigma_obs2_mm2"])])
-    for p in data["line"]:
-        writer.writerow(["fit-line", repr(p["w2_mm2"]), repr(p["sigma_obs2_mm2"])])
-    return buf.getvalue()
+    rows = [["point", p["w2_mm2"], p["sigma_obs2_mm2"]] for p in data["points"]]
+    rows += [["fit-line", p["w2_mm2"], p["sigma_obs2_mm2"]] for p in data["line"]]
+    preamble = "".join(f"# {key}={data[key]!r}\n" for key in ("slope", "intercept_mm2", "r2"))
+    return _csv_text(["role", "w2_mm2", "sigma_obs2_mm2"], rows, preamble)
+
+
+# ---------------------------------------------------------------------------
+# tremor-spread estimates
+# ---------------------------------------------------------------------------
+
+SIGMA_COLUMNS = ["method", "label", "sigma_a_mm", "normality", "note"]
+
+
+def sigma_row(method: SigmaMethod, sigma_a_mm: float | None = None,
+              normality: str | None = None, note: str = "") -> dict:
+    """One tremor-spread estimate tagged by its method; None when it failed."""
+    return dict(zip(SIGMA_COLUMNS, (method.value, method.label, sigma_a_mm, normality, note)))
+
+
+def render_sigma_md(source: str, rows: Sequence[dict]) -> str:
+    lines = [
+        f"## Tremor spread estimates: {source}",
+        "",
+        "| Method | sigma_a (mm) | Normality | Note |",
+        "|---|---|---|---|",
+    ]
+    for row in rows:
+        value = sig(row["sigma_a_mm"], 3) if row["sigma_a_mm"] else "---"
+        lines.append(
+            f"| {row['label']} | {value} | {row['normality'] or '---'} "
+            f"| {row['note'] or ''} |"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def render_sigma_csv(rows: Sequence[dict]) -> str:
+    return _csv_text(SIGMA_COLUMNS, [row.values() for row in rows])
+
+
+def sigma_document(source: str, rows: Sequence[dict]) -> dict:
+    return {"source": source, "estimates": rows}
 
 
 # ---------------------------------------------------------------------------
@@ -293,45 +319,30 @@ def _estimate_dict(est: SigmaEstimate) -> dict:
 
 
 def fit_document(report: SelectionReport, dataset: Dataset) -> dict:
-    """Complete fit output as one JSON-serializable document."""
-    doc = {
+    """Complete fit output as one strict-JSON document; a non-finite value in
+    the comparison rows is None, and so is an undefined intercept plot."""
+    try:
+        intercept = intercept_plot(dataset)
+    except ValidationError:
+        intercept = None
+    return {
         "dataset": dataset.name,
         "dimensionality": dataset.dimensionality.value,
         "sigma_a": _estimate_dict(report.sigma_a) if report.sigma_a else None,
-        "models": comparison_rows(report),
+        "models": [
+            {k: None if isinstance(v, float) and not math.isfinite(v) else v
+             for k, v in row.items()}
+            for row in comparison_rows(report)
+        ],
         "best_by": {k: m.value for k, m in report.best_by.items()},
         "wf_matrix": [
-            {
-                "sigma_a": _estimate_dict(row["sigma_a"]),
-                "cells": [
-                    {
-                        "A_mm": s.condition.amplitude_mm,
-                        "W_mm": s.condition.width_mm,
-                        "wf_mm": v,
-                    }
-                    for s, v in zip(dataset.summaries, row["cells"])
-                ],
-            }
+            {"sigma_a": _estimate_dict(row["sigma_a"]), "cells": row["cells"]}
             for row in wf_matrix(dataset)
         ],
-        "plots": {
-            "fits": fits_plot_rows(report),
-            "intercept": intercept_plot(dataset),
-        },
+        "plots": {"fits": fits_plot_rows(report), "intercept": intercept},
     }
-    return doc
 
 
 def to_json(obj) -> str:
-    return json.dumps(_sanitize(obj), indent=2) + "\n"
-
-
-def _sanitize(obj):
-    """Replace non-finite floats (perfect-fit sentinels) for strict JSON."""
-    if isinstance(obj, dict):
-        return {k: _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return str(obj)
-    return obj
+    """Strict JSON, indented by 2: a non-finite float raises ValueError."""
+    return json.dumps(obj, indent=2, allow_nan=False) + "\n"

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -194,6 +195,83 @@ class TestFit:
         ])
         assert result.exit_code == 2
         assert "--sigma-a" in result.output
+
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "<stdin>: no header row"),
+        ("A_mm,W_mm,mt_ms,sigma_obs_mm\n", "<stdin>: header but no data rows"),
+    ], ids=["empty", "header-only"])
+    def test_stdin_input_errors_name_stdin(self, runner, text, message):
+        result = runner.invoke(main, ["fit", "--input", "-"], input=text)
+        assert result.exit_code == 2
+        assert result.output.endswith(f"Error: {message}\n")
+
+
+def _raise_on_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+class TestPerfectFit:
+    """Every log2(A/W + 1) is an integer, so m1 fits mt = 100 + 90 * ID with
+    rss == 0: AIC = BIC = -inf, and the other models' deltas are inf."""
+
+    CONDITIONS = [(2, 2), (6, 2), (14, 2), (4, 4), (12, 4), (28, 4), (8, 8), (24, 8)]
+    ARGS = ["fit", "--input", "-", "--models", "m1,m2", "--no-cv", "--format"]
+
+    def _input(self):
+        return "A_mm,W_mm,mt_ms,sigma_obs_mm\n" + "".join(
+            f"{a},{w},{100 + 90 * math.log2(a / w + 1)!r},{0.5 + 0.1 * w + 0.01 * i!r}\n"
+            for i, (a, w) in enumerate(self.CONDITIONS))
+
+    def test_json_is_strict_with_null_criteria(self, runner):
+        result = runner.invoke(main, self.ARGS + ["json"], input=self._input())
+        assert result.exit_code == 0, result.output
+        m1, m2 = json.loads(result.stdout, parse_constant=_raise_on_constant)["models"]
+        assert m1["r2"] == 1.0
+        assert (m1["aic"], m1["bic"], m1["delta_aic"], m1["delta_bic"]) == (None, None, 0.0, 0.0)
+        assert m2["delta_aic"] is None and m2["delta_bic"] is None
+        assert m1["rejected"] is False and m2["rejected"] is True
+
+    def test_csv_keeps_infinities_and_zero_delta(self, runner):
+        result = runner.invoke(main, self.ARGS + ["csv"], input=self._input())
+        assert result.exit_code == 0, result.output
+        m1, m2 = csv.DictReader(io.StringIO(result.stdout))
+        assert (m1["aic"], m1["bic"], m1["delta_aic"], m1["delta_bic"]) == (
+            "-inf", "-inf", "0.0", "0.0")
+        assert (m2["delta_aic"], m2["rejected"]) == ("inf", "True")
+
+
+class TestTwoWidths:
+    """The intercept plot needs >= 3 distinct widths; these data have 2."""
+
+    CSV = ("A_mm,W_mm,mt_ms,sigma_obs_mm\n20,2,400,1.5\n30,2,450,1.6\n"
+           "20,4,350,2.0\n30,4,380,2.1\n45,4,420,2.2\n")
+    REASON = "need summaries at >= 3 distinct widths"
+
+    def test_json_intercept_plot_is_null(self, runner):
+        result = runner.invoke(main, ["fit", "--input", "-", "--models", "m1", "--format",
+                                      "json"], input=self.CSV)
+        assert result.exit_code == 0, result.output
+        doc = json.loads(result.stdout, parse_constant=_raise_on_constant)
+        assert doc["plots"]["intercept"] is None
+        assert len(doc["plots"]["fits"]) == 5
+
+    @pytest.mark.parametrize("fmt", ["md", "csv"])
+    def test_out_skips_intercept_file_with_note(self, runner, tmp_path, fmt):
+        out = tmp_path / f"r.{fmt}"
+        result = runner.invoke(main, ["fit", "--input", "-", "--models", "m1", "--format",
+                                      fmt, "--out", str(out)], input=self.CSV)
+        assert result.exit_code == 0, result.output
+        written = {"r.md": ["r.fits.csv"], "r.csv": ["r.fits.csv", "r.wf.csv"]}[out.name]
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([out.name, *written])
+        assert f"note: r.intercept.csv not written: {self.REASON}\n" in result.stderr
+
+
+def test_to_json_rejects_non_finite_values():
+    from ffitts.report import to_json
+
+    with pytest.raises(ValueError):
+        to_json({"x": float("nan")})
 
 
 class TestSigma:

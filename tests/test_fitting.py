@@ -7,6 +7,8 @@ from hypothesis import assume, given, settings, strategies as st
 from ffitts import (
     Condition,
     ConditionSummary,
+    Dataset,
+    Dimensionality,
     Model,
     SigmaEstimate,
     SigmaMethod,
@@ -283,6 +285,21 @@ class TestCompare:
         report = compare(paper_1d, [Model.M1_BASELINE], cv=False)
         assert report.delta_aic[Model.M1_BASELINE] == 0.0
         assert report.delta_bic[Model.M1_BASELINE] == 0.0
+
+    def test_perfect_fit_has_zero_delta_and_ranks_the_rest_out(self):
+        # every log2(A/W + 1) is an integer, so m1 fits with rss == 0 and
+        # AIC = BIC = -inf; -inf - -inf must not make its delta NaN
+        conditions = [(2, 2), (6, 2), (14, 2), (4, 4), (12, 4), (28, 4), (8, 8), (24, 8)]
+        dataset = Dataset("perfect", Dimensionality.TWO_D, tuple(
+            ConditionSummary(Condition(a, w), mt_ms=100 + 90 * math.log2(a / w + 1),
+                             sigma_obs_mm=0.5 + 0.1 * w + 0.01 * i)
+            for i, (a, w) in enumerate(conditions)))
+        m1, m2 = Model.M1_BASELINE, Model.M2_EFFECTIVE
+        report = compare(dataset, [m1, m2], cv=False)
+        assert report.result(m1).aic == report.result(m1).bic == -math.inf
+        assert report.delta_aic[m1] == report.delta_bic[m1] == 0.0
+        assert report.delta_aic[m2] == report.delta_bic[m2] == math.inf
+        assert not report.rejected(m1) and report.rejected(m2)
 
     def test_results_ordered_by_model_number(self, paper_1d):
         report = compare(
