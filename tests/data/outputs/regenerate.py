@@ -20,22 +20,33 @@ arguments of every command, the file holding its stdout (or the files its
 ``--out`` writes), and the numpy, scipy and BLAS versions the outputs were
 made with.  Commands run from this directory, so the reports name their
 inputs by file name.
+
+``fit-values.json`` pins the fit values themselves as ``float.hex``: c, a, b,
+R^2, AIC, BIC and CV RMSE of every model on the bundled datasets (m7 at
+``calib-acc``) and on ``test_fitting.random_summaries`` seeds 0-4 (m7 at
+``RANDOM_SIGMA_A``), and for each free-c model the c that ``optimize_c``
+picks on every leave-one-out subset.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import sys
 from pathlib import Path
 
 import numpy as np
 import scipy
 from click.testing import CliRunner
 
-from ffitts import embedded, write_aggregate_csv
+from ffitts import (
+    Model, SigmaMethod, Tremor, embedded, fit_model, optimize_c, write_aggregate_csv,
+)
 from ffitts.cli import main
 
 HERE = Path(__file__).resolve().parent
+sys.path.insert(0, str(HERE.parents[1]))  # tests/, for random_summaries
+from test_fitting import random_summaries  # noqa: E402
 
 # (dimensionality, alpha, sigma_a) of the simulated logs, each on every seed
 SIMULATIONS = [("1d", "0.0108", "1.153"), ("2d", "0.0108", "1.3")]
@@ -43,6 +54,9 @@ SEEDS = ["3", "11"]
 FORMATS = ["md", "csv", "json"]
 SIGMA_AXES = [["--axis", "y"], ["--axis", "bivariate", "--dim", "2d"]]
 BUNDLED = ["paper-1d", "paper-2d"]
+RANDOM_SEEDS = range(5)
+RANDOM_SIGMA_A = 0.5  # mm; below every sigma_obs of random_summaries
+FIT_FIELDS = ["c_mm", "a_ms", "b_ms_per_bit", "r2", "aic", "bic", "cv_rmse_ms"]
 
 
 def blas() -> str:
@@ -120,6 +134,37 @@ def commands() -> list[tuple[list[str], str | list[str]]]:
     return cases
 
 
+def _hex(x: float | None) -> str | None:
+    return None if x is None else float.hex(x)
+
+
+def condition_sets() -> dict:
+    """Name -> (summaries, m7's sigma_a) of every condition set in fit-values.json."""
+    sets = {}
+    for name in BUNDLED:
+        dataset = embedded(name)
+        sets[name] = (list(dataset.summaries),
+                      dataset.sigma_a(SigmaMethod.CALIB_ACCURACY_ONLY))
+    for seed in RANDOM_SEEDS:
+        sets[f"random-{seed}"] = (random_summaries(seed), RANDOM_SIGMA_A)
+    return sets
+
+
+def fit_values(summaries, sigma_a) -> dict:
+    """float.hex of each model's fit values (None where a value is None) and,
+    for a free-c model, of the c optimize_c picks with each condition left out."""
+    values = {}
+    for model in Model:
+        result = fit_model(summaries, model, sigma_a=sigma_a)
+        values[model.value] = {f: _hex(getattr(result, f)) for f in FIT_FIELDS}
+        if model.tremor is Tremor.FREE_C:
+            values[model.value]["fold_c_mm"] = [
+                _hex(optimize_c(summaries[:i] + summaries[i + 1:], model)[0])
+                for i in range(len(summaries))
+            ]
+    return values
+
+
 def run(args: list[str]) -> bytes:
     result = CliRunner().invoke(main, args)
     if result.exit_code != 0:
@@ -141,6 +186,8 @@ def main_() -> None:
             (HERE / name).write_bytes(stdout)
             manifest["cases"].append({"args": args, "stdout": name})
     (HERE / "manifest.json").write_text(json.dumps(manifest, indent=1) + "\n")
+    values = {name: fit_values(*args) for name, args in condition_sets().items()}
+    (HERE / "fit-values.json").write_text(json.dumps(values, indent=1) + "\n")
 
 
 if __name__ == "__main__":

@@ -1,5 +1,5 @@
-"""Byte-exact stdout of simulate, sigma, fit and datasets, and the files
-``fit --out`` writes.
+"""Byte-exact stdout of simulate, sigma, fit and datasets, the files
+``fit --out`` writes, and the fit values themselves as ``float.hex``.
 
 The outputs in data/outputs/ and the numpy, scipy and BLAS versions they
 were made with are listed in data/outputs/manifest.json; regenerate them
@@ -8,6 +8,7 @@ across numpy, scipy or BLAS releases (the fit goes through matrix
 products), so on other versions the comparison is skipped, never loosened.
 """
 
+import importlib.util
 import json
 from pathlib import Path
 
@@ -23,6 +24,10 @@ MANIFEST = json.loads((OUT / "manifest.json").read_text(encoding="utf-8"))
 _BLAS = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
 RUNNING = {"numpy": np.__version__, "scipy": scipy.__version__,
            "blas": f"{_BLAS['name']} {_BLAS['version']}"}
+_SPEC = importlib.util.spec_from_file_location("regenerate", OUT / "regenerate.py")
+regenerate = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(regenerate)
+FIT_VALUES = json.loads((OUT / "fit-values.json").read_text(encoding="utf-8"))
 
 
 def _skip_on_other_versions():
@@ -55,3 +60,10 @@ def test_out_files_unchanged(monkeypatch, tmp_path, case):
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(case["files"])
     for name in case["files"]:
         assert (tmp_path / name).read_bytes() == (OUT / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("name", list(FIT_VALUES))
+def test_fit_values_unchanged(name):
+    _skip_on_other_versions()
+    summaries, sigma_a = regenerate.condition_sets()[name]
+    assert regenerate.fit_values(summaries, sigma_a) == FIT_VALUES[name]
