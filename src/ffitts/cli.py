@@ -235,7 +235,7 @@ def _write_side_files(selection, dataset, out: Path, fmt):
     """Write the W_f matrix (csv only) and the plot-ready CSVs next to --out;
     json embeds the plots instead.  Below 3 distinct widths the intercept
     plot is undefined: a note says so and its file is not written."""
-    files = {"wf": rpt.render_wf_csv(dataset)} if fmt == "csv" else {}
+    files = {"wf": rpt.render_wf_csv(dataset, rpt.wf_extra(selection))} if fmt == "csv" else {}
     files["fits"] = rpt.render_fits_plot_csv(selection)
     try:
         files["intercept"] = rpt.render_intercept_plot_csv(dataset)

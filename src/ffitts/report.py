@@ -137,11 +137,9 @@ def render_comparison_csv(report: SelectionReport) -> str:
 
 
 def render_fit_md(report: SelectionReport, dataset: Dataset) -> str:
-    """The markdown fit report: the comparison, the W_f matrix (a user-given
-    sigma_a adds a row) and one note per unusable model."""
-    given = report.sigma_a
-    wf = render_wf_md(dataset, (given,) if given and given.method is SigmaMethod.USER_GIVEN
-                      else ())
+    """The markdown fit report: the comparison, the W_f matrix and one note
+    per unusable model."""
+    wf = render_wf_md(dataset, wf_extra(report))
     text = render_comparison_md(report) + ("\n" + wf if wf else "")
     for row in comparison_rows(report):
         if not row["usable"]:
@@ -155,6 +153,13 @@ def render_fit_md(report: SelectionReport, dataset: Dataset) -> str:
 # ---------------------------------------------------------------------------
 # adjusted-width (W_f) matrix
 # ---------------------------------------------------------------------------
+
+def wf_extra(report: SelectionReport) -> tuple[SigmaEstimate, ...]:
+    """The W_f rows a fit report adds to the dataset's catalog: a user-given
+    sigma_a (a --sigma-a literal), which the catalog cannot hold."""
+    given = report.sigma_a
+    return (given,) if given and given.method is SigmaMethod.USER_GIVEN else ()
+
 
 def wf_matrix(dataset: Dataset, extra: Sequence[SigmaEstimate] = ()) -> list[dict]:
     """Adjusted-width rows, one per cataloged tremor estimate and per ``extra``.
@@ -337,7 +342,7 @@ def fit_document(report: SelectionReport, dataset: Dataset) -> dict:
         "best_by": {k: m.value for k, m in report.best_by.items()},
         "wf_matrix": [
             {"sigma_a": _estimate_dict(row["sigma_a"]), "cells": row["cells"]}
-            for row in wf_matrix(dataset)
+            for row in wf_matrix(dataset, wf_extra(report))
         ],
         "plots": {"fits": fits_plot_rows(report), "intercept": intercept},
     }

@@ -131,6 +131,24 @@ class TestFit:
         assert wf.startswith("method,sigma_a_mm,A_mm,W_mm,wf_mm")
         assert "!err" in wf
 
+    def test_sigma_a_literal_row_in_every_wf_output(self, runner, tmp_path):
+        args = ["fit", "--dataset", "paper-2d", "--models", "m7", "--sigma-a", "1.163",
+                "--no-cv"]
+        catalog = len(embedded("paper-2d").sigma_a_catalog)
+        md = runner.invoke(main, args).output
+        assert md.count(" | W_f | ") == catalog + 1
+        assert "| Given | 1.16 | W_f |" in md
+        doc = json.loads(runner.invoke(main, args + ["--format", "json"]).output)
+        assert len(doc["wf_matrix"]) == catalog + 1
+        assert doc["wf_matrix"][-1]["sigma_a"] == {
+            "sigma_a_mm": 1.163, "method": "user", "source_dataset": "cli"}
+        out = tmp_path / "report.csv"
+        assert runner.invoke(main, args + ["--format", "csv", "--out", str(out)]).exit_code == 0
+        rows = list(csv.DictReader(io.StringIO((tmp_path / "report.wf.csv").read_text())))
+        given = [r for r in rows if r["method"] == "user"]
+        assert len(given) == len(rows) // (catalog + 1) == 20
+        assert {r["sigma_a_mm"] for r in given} == {"1.163"}
+
     def test_fit_from_aggregate_file(self, runner, tmp_path, paper_1d):
         from ffitts import write_aggregate_csv
 
