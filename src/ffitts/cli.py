@@ -111,6 +111,12 @@ def _embedded_or_none(dataset_name, input_path) -> Dataset | None:
         raise click.UsageError(str(exc)) from None
 
 
+def _axis_mode(axis: str, dim: str | None) -> AxisMode:
+    """The deviation axis of every spread: bivariate means y for 1D data."""
+    mode = AxisMode(axis)
+    return AxisMode.Y if mode is AxisMode.BIVARIATE and dim == "1d" else mode
+
+
 def _resolve_dataset(dataset_name, input_path, dim, axis, outlier_mm) -> Dataset:
     dataset = _embedded_or_none(dataset_name, input_path)
     if dataset is not None:
@@ -118,7 +124,7 @@ def _resolve_dataset(dataset_name, input_path, dim, axis, outlier_mm) -> Dataset
     try:
         summaries = load_input(input_path)
         if isinstance(summaries, TapTable):
-            summaries = aggregate(summaries, axis_mode=AxisMode(axis),
+            summaries = aggregate(summaries, axis_mode=_axis_mode(axis, dim),
                                   outlier_radius_mm=outlier_mm)
         return Dataset(
             name=Path(source_name(input_path)).stem,
@@ -269,8 +275,9 @@ def sigma(dataset_name, input_path, method, instruction, dim, axis, outlier_mm,
           alpha, fmt, out):
     """Report tremor-spread estimates with a normality diagnostic.
 
-    The --input calibration row is bivariate only with --axis bivariate
-    --dim 2d, else the univariate SD along --axis (y for bivariate).
+    The --input calibration row is bivariate with --axis bivariate unless
+    --dim 1d, else the univariate SD along --axis.  With --dim 1d,
+    bivariate means y for both rows.
     """
     dataset = _embedded_or_none(dataset_name, input_path)
     if dataset is not None:
@@ -300,13 +307,13 @@ def _sigma_rows_from_log(input_path, method, instruction, dim, axis, outlier_mm,
     except (ParseError, EmptyDatasetError, ValidationError) as exc:
         raise click.UsageError(str(exc)) from None
 
-    axis_mode = AxisMode(axis)
+    axis_mode = _axis_mode(axis, dim)
     devs = taps.dx_mm if axis_mode is AxisMode.X else taps.dy_mm
     rows = []
     if method in ("all", "calib"):
         tag = (SigmaMethod.CALIB_RAPID_ACCURATE if instruction == "ra"
                else SigmaMethod.CALIB_ACCURACY_ONLY)
-        bivariate = axis_mode is AxisMode.BIVARIATE and dim != "1d"
+        bivariate = axis_mode is AxisMode.BIVARIATE
         rows.append(_calibration_row(taps, devs, bivariate, tag, alpha))
     if method in ("all", "intercept"):
         rows.append(_intercept_row(taps, devs, axis_mode, alpha))

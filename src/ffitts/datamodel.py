@@ -34,26 +34,19 @@ class AxisMode(str, Enum):
 
 
 class SigmaMethod(str, Enum):
-    """How a tremor spread value was obtained."""
+    """How a tremor spread value was obtained, with its report label."""
 
-    CALIB_RAPID_ACCURATE = "calib-ra"
-    CALIB_ACCURACY_ONLY = "calib-acc"
-    INTERCEPT_FITTS = "intercept-fitts"
-    INTERCEPT_RANDOM_A = "intercept-random"
-    USER_GIVEN = "user"
+    CALIB_RAPID_ACCURATE = ("calib-ra", "Calib (R&A)")
+    CALIB_ACCURACY_ONLY = ("calib-acc", "Calib (Acc)")
+    INTERCEPT_FITTS = ("intercept-fitts", "Fitts")
+    INTERCEPT_RANDOM_A = ("intercept-random", "Random A")
+    USER_GIVEN = ("user", "Given")
 
-    @property
-    def label(self) -> str:
-        return _SIGMA_METHOD_LABELS[self]
-
-
-_SIGMA_METHOD_LABELS = {
-    SigmaMethod.CALIB_RAPID_ACCURATE: "Calib (R&A)",
-    SigmaMethod.CALIB_ACCURACY_ONLY: "Calib (Acc)",
-    SigmaMethod.INTERCEPT_FITTS: "Fitts",
-    SigmaMethod.INTERCEPT_RANDOM_A: "Random A",
-    SigmaMethod.USER_GIVEN: "Given",
-}
+    def __new__(cls, value, label):
+        member = str.__new__(cls, value)
+        member._value_ = value
+        member.label = label
+        return member
 
 
 @dataclass(frozen=True, slots=True)

@@ -82,6 +82,8 @@ def ols_fit(points) -> OlsFit:
     rss = float(resid @ resid)
     tss = float(((y - y.mean()) ** 2).sum())
     r2 = 1.0 - rss / tss if tss > 0 else (1.0 if rss < 1e-12 else 0.0)
+    if tss == math.inf:
+        r2 = math.nan  # an overflowed total sum of squares, not a perfect fit
     return OlsFit(a_ms=a, b_ms_per_bit=b, rss=rss, r2=r2)
 
 
@@ -166,11 +168,13 @@ def _grid_r2(model: Model, amps, widths, grid, keep, mt):
     return r2
 
 
-def _columns(summaries):
-    """Amplitudes and mean movement times as arrays."""
+def _columns(model: Model, summaries, sigma_a_mm=None):
+    """Amplitudes, the model's widths (NaN where undefined) and mean movement
+    times as arrays."""
+    widths = model_widths(model, summaries, sigma_a_mm=sigma_a_mm)
     amps = np.array([s.condition.amplitude_mm for s in summaries], dtype=float)
     mt = np.array([s.mt_ms for s in summaries], dtype=float)
-    return amps, mt
+    return amps, widths, mt
 
 
 def _search_c(model: Model, amps, widths, mt, keep) -> np.ndarray:
@@ -233,6 +237,18 @@ def _search_c(model: Model, amps, widths, mt, keep) -> np.ndarray:
     return np.where(r2_at(c_ref) > r2_at(best_c, total=_in_order), c_ref, best_c)
 
 
+def _full_fit(model: Model, amps, widths, mt):
+    """c (None for a fixed model), the ids and the line over every condition."""
+    if model.tremor is Tremor.FREE_C:
+        keep = np.ones((1, len(mt)), dtype=bool)
+        c = float(_search_c(model, amps, widths, mt, keep)[0])
+        ids = compute_id(model, amps, widths, c)
+    else:
+        c = None
+        ids = compute_id(model, amps, widths)
+    return c, ids, ols_fit(np.column_stack((ids, mt)))
+
+
 def optimize_c(
     summaries: Sequence[ConditionSummary],
     model: Model,
@@ -245,11 +261,8 @@ def optimize_c(
     """
     if model.tremor is not Tremor.FREE_C:
         raise ValidationError(f"model {model.value} has no free tremor parameter")
-    widths = model_widths(model, summaries)  # never NaN for m3..m6
-    amps, mt = _columns(summaries)
-    c = float(_search_c(model, amps, widths, mt, np.ones((1, len(mt)), dtype=bool))[0])
-    ids = compute_id(model, amps, widths, c)
-    return c, ols_fit(np.column_stack((ids, mt)))
+    c, _, fit = _full_fit(model, *_columns(model, summaries))  # widths never NaN
+    return c, fit
 
 
 @dataclass(frozen=True)
@@ -288,14 +301,34 @@ class FitResult:
     def usable(self) -> bool:
         return not self.math_errors
 
-    def predicted_mt_ms(self, id_bits: float) -> float:
-        if not self.usable:
-            raise ValidationError(f"model {self.model.value} unusable on this data")
-        return self.a_ms + self.b_ms_per_bit * id_bits
-
 
 def _adjusted_r2(r2: float, n: int, k: int) -> float:
     return 1.0 - (1.0 - r2) * (n - 1) / (n - k)
+
+
+def _loocv_residuals(model: Model, amps, widths, mt):
+    """Held-out residual of each condition under leave-one-condition-out
+    cross-validation: every fold refits the line, re-optimizing c for a
+    free-c model, all folds in one batched search."""
+    keep = ~np.eye(len(mt), dtype=bool)  # row i trains on every condition but i
+    if model.tremor is Tremor.FREE_C:
+        cs = _search_c(model, amps, widths, mt, keep)
+        train = compute_id(model, amps, widths, cs[:, None])
+        # A fold can choose c at or above the held-out width when the held-out
+        # condition had the smallest width term; its width term is clamped at
+        # EPS_MM and the (huge) difficulty and residual are kept.
+        held_out = compute_id(model, amps, np.fmax(width_term(model, widths, cs), EPS_MM))
+    else:
+        held_out = compute_id(model, amps, widths)
+        train = held_out
+    a, b, sxx = _line(_rows(train, keep), _rows(mt, keep))
+    if not (sxx > 0).all():
+        raise SingularFitError("difficulty values are all equal")
+    return a + b * held_out - mt
+
+
+def _rmse(resid) -> float:
+    return float(math.sqrt(np.mean(resid**2)))
 
 
 def loocv_rmse(
@@ -312,26 +345,10 @@ def loocv_rmse(
     n = len(summaries)
     if n < 4:
         raise ValidationError(f"need >= 4 conditions for cross-validation, got {n}")
-    widths = model_widths(model, summaries, sigma_a_mm=sigma_a_mm)
+    amps, widths, mt = _columns(model, summaries, sigma_a_mm)
     if np.isnan(widths).any():
         return None
-    amps, mt = _columns(summaries)
-    keep = ~np.eye(n, dtype=bool)  # row i trains on every condition but i
-    if model.tremor is Tremor.FREE_C:
-        cs = _search_c(model, amps, widths, mt, keep)
-        train = compute_id(model, amps, widths, cs[:, None])
-        # A fold can choose c at or above the held-out width when the held-out
-        # condition had the smallest width term; its width term is clamped at
-        # EPS_MM and the (huge) difficulty and residual are kept.
-        held_out = compute_id(model, amps, np.fmax(width_term(model, widths, cs), EPS_MM))
-    else:
-        held_out = compute_id(model, amps, widths)
-        train = held_out
-    a, b, sxx = _line(_rows(train, keep), _rows(mt, keep))
-    if not (sxx > 0).all():
-        raise SingularFitError("difficulty values are all equal")
-    resid = a + b * held_out - mt
-    return float(math.sqrt(np.mean(resid**2)))
+    return _rmse(_loocv_residuals(model, amps, widths, mt))
 
 
 def fit_model(
@@ -342,8 +359,10 @@ def fit_model(
 ) -> FitResult:
     """Fit one model to condition summaries and compute all metrics.
 
-    A model whose width term is undefined on any condition comes back
-    unusable (math_errors populated, metrics None) instead of raising.
+    A model comes back unusable (math_errors populated, metrics None)
+    instead of raising when its width term is undefined on any condition,
+    or when a condition's difficulty or squared residual (in the full fit
+    or, with cv, held out) is not finite.
     """
     if isinstance(sigma_a, SigmaEstimate):
         sigma_est, sigma_val = sigma_a, sigma_a.sigma_a_mm
@@ -352,30 +371,36 @@ def fit_model(
 
     n = len(summaries)
     k = 3 if model.tremor is Tremor.FREE_C else 2
-    widths = model_widths(model, summaries, sigma_a_mm=sigma_val)
-    undefined = np.isnan(widths)
-    if undefined.any():
-        errors = tuple(s.condition for s, bad in zip(summaries, undefined) if bad)
+    amps, widths, mt = _columns(model, summaries, sigma_val)
+    # each step runs only when the one before it found no bad condition
+    bad, cv_rmse = np.isnan(widths), None
+    with np.errstate(all="ignore"):  # every non-finite result is caught here
+        if not bad.any():
+            c, ids, fit = _full_fit(model, amps, widths, mt)
+            bad = ~np.isfinite(ids)
+        if not bad.any():
+            pred = fit.a_ms + fit.b_ms_per_bit * ids
+            resid = pred - mt
+            bad = ~np.isfinite(resid**2)
+        if cv and n >= 4 and not bad.any():
+            cv_resid = _loocv_residuals(model, amps, widths, mt)
+            bad = ~np.isfinite(cv_resid**2)
+            cv_rmse = _rmse(cv_resid)
+        if not bad.any() and not np.isfinite(
+                [fit.r2, fit.rss, 0.0 if cv_rmse is None else cv_rmse]).all():
+            bad = np.ones(n, dtype=bool)  # a sum overflowed: every condition is in it
+    if bad.any():
+        errors = tuple(s.condition for s, b in zip(summaries, bad) if b)
         return FitResult(model=model, n=n, k=k, sigma_a=sigma_est, math_errors=errors)
 
-    amps, mt = _columns(summaries)
-    if model.tremor is Tremor.FREE_C:
-        c, fit = optimize_c(summaries, model)
-        ids = compute_id(model, amps, widths, c)
-    else:
-        c = None
-        ids = compute_id(model, amps, widths)
-        fit = ols_fit(np.column_stack((ids, mt)))
-    pred = fit.a_ms + fit.b_ms_per_bit * ids
     per_cond = [
         PerCondition(s.condition, id_bits, p, r)
         for s, id_bits, p, r in zip(
-            summaries, ids.tolist(), pred.tolist(), (pred - mt).tolist()
+            summaries, ids.tolist(), pred.tolist(), resid.tolist()
         )
     ]
 
     aic, bic = information_criteria(fit.rss, n, k)
-    cv_rmse = loocv_rmse(summaries, model, sigma_a_mm=sigma_val) if cv and n >= 4 else None
     return FitResult(
         model=model,
         n=n,

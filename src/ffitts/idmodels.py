@@ -1,19 +1,11 @@
 """Index-of-difficulty formulations and derived target widths.
 
 Seven candidate formulations of ID = log2(A / width_term + 1) are
-supported, differing in the width source and the tremor treatment:
-
-====== ============== ==================================== =====================
-model  width source   width term                           tremor treatment
-====== ============== ==================================== =====================
-m1     nominal W      W                                    none
-m2     effective W_e  W_e = sqrt(2*pi*e) * sigma_obs       none
-m3     effective W_e  W_e - c                              free parameter c
-m4     effective W_e  sqrt(W_e^2 - c^2)                    free parameter c
-m5     nominal W      W - c                                free parameter c
-m6     nominal W      sqrt(W^2 - c^2)                      free parameter c
-m7     adjusted W_f   sqrt(2*pi*e*(sigma_obs^2-sigma_a^2)) given tremor spread
-====== ============== ==================================== =====================
+supported.  They differ in the width source: nominal W, effective
+W_e = sqrt(2*pi*e) * sigma_obs, or tremor-adjusted
+W_f = sqrt(2*pi*e*(sigma_obs^2 - sigma_a^2)).  They also differ in the
+tremor treatment: none, a free parameter c in W - c or sqrt(W^2 - c^2), or
+a given tremor spread.  Each ``Model`` member carries its own definition.
 
 Every formula here takes floats or numpy arrays and broadcasts.  Where a
 width term is not positive (sigma_obs <= sigma_a for m7; w <= 0, c < 0 or
@@ -49,35 +41,40 @@ class Tremor(Enum):
 
 
 class Model(Enum):
-    """The seven candidate difficulty formulations."""
+    """The seven candidate difficulty formulations.
 
-    M1_BASELINE = "m1"
-    M2_EFFECTIVE = "m2"
-    M3_WE_NOSQRT_C = "m3"
-    M4_WE_SQRT_C = "m4"
-    M5_W_NOSQRT_C = "m5"
-    M6_W_SQRT_C = "m6"
-    M7_GIVEN_SIGMA_A = "m7"
+    Each member carries its width source (``width_kind``), its tremor
+    treatment (``tremor``), its report label (``description``) and its
+    formula; ``.value`` is the token ``m1``..``m7``.
+    """
 
-    @property
-    def width_kind(self) -> WidthKind:
-        return _WIDTH_KIND[self]
+    M1_BASELINE = ("m1", WidthKind.NOMINAL, Tremor.NONE,
+                   "#1 Baseline", "log2(A/W + 1)")
+    M2_EFFECTIVE = ("m2", WidthKind.EFFECTIVE, Tremor.NONE,
+                    "#2 Effective width", "log2(A/We + 1)")
+    M3_WE_NOSQRT_C = ("m3", WidthKind.EFFECTIVE, Tremor.FREE_C,
+                      "#3 Param. opt. (We, no sqrt)", "log2(A/(We - c) + 1)")
+    M4_WE_SQRT_C = ("m4", WidthKind.EFFECTIVE, Tremor.FREE_C,
+                    "#4 Param. opt. (We, sqrt)", "log2(A/sqrt(We^2 - c^2) + 1)")
+    M5_W_NOSQRT_C = ("m5", WidthKind.NOMINAL, Tremor.FREE_C,
+                     "#5 Param. opt. (W, no sqrt)", "log2(A/(W - c) + 1)")
+    M6_W_SQRT_C = ("m6", WidthKind.NOMINAL, Tremor.FREE_C,
+                   "#6 Param. opt. (W, sqrt)", "log2(A/sqrt(W^2 - c^2) + 1)")
+    M7_GIVEN_SIGMA_A = ("m7", WidthKind.FINGER_ADJUSTED, Tremor.GIVEN_SIGMA_A,
+                        "#7 Given tremor spread", "log2(A/Wf + 1)")
 
-    @property
-    def tremor(self) -> Tremor:
-        return _TREMOR[self]
+    def __new__(cls, value, width_kind, tremor, description, formula):
+        member = object.__new__(cls)
+        member._value_ = value
+        member.width_kind = width_kind
+        member.tremor = tremor
+        member.description = description
+        member.formula = formula
+        return member
 
     @property
     def uses_sqrt(self) -> bool:
         return self in (Model.M4_WE_SQRT_C, Model.M6_W_SQRT_C)
-
-    @property
-    def description(self) -> str:
-        return _DESCRIPTION[self]
-
-    @property
-    def formula(self) -> str:
-        return _FORMULA[self]
 
     @classmethod
     def parse(cls, token: str) -> "Model":
@@ -89,44 +86,6 @@ class Model(Enum):
             f"unknown model {token!r}; expected one of "
             + ", ".join(m.value for m in cls)
         )
-
-
-_WIDTH_KIND = {
-    Model.M1_BASELINE: WidthKind.NOMINAL,
-    Model.M2_EFFECTIVE: WidthKind.EFFECTIVE,
-    Model.M3_WE_NOSQRT_C: WidthKind.EFFECTIVE,
-    Model.M4_WE_SQRT_C: WidthKind.EFFECTIVE,
-    Model.M5_W_NOSQRT_C: WidthKind.NOMINAL,
-    Model.M6_W_SQRT_C: WidthKind.NOMINAL,
-    Model.M7_GIVEN_SIGMA_A: WidthKind.FINGER_ADJUSTED,
-}
-_TREMOR = {
-    Model.M1_BASELINE: Tremor.NONE,
-    Model.M2_EFFECTIVE: Tremor.NONE,
-    Model.M3_WE_NOSQRT_C: Tremor.FREE_C,
-    Model.M4_WE_SQRT_C: Tremor.FREE_C,
-    Model.M5_W_NOSQRT_C: Tremor.FREE_C,
-    Model.M6_W_SQRT_C: Tremor.FREE_C,
-    Model.M7_GIVEN_SIGMA_A: Tremor.GIVEN_SIGMA_A,
-}
-_DESCRIPTION = {
-    Model.M1_BASELINE: "#1 Baseline",
-    Model.M2_EFFECTIVE: "#2 Effective width",
-    Model.M3_WE_NOSQRT_C: "#3 Param. opt. (We, no sqrt)",
-    Model.M4_WE_SQRT_C: "#4 Param. opt. (We, sqrt)",
-    Model.M5_W_NOSQRT_C: "#5 Param. opt. (W, no sqrt)",
-    Model.M6_W_SQRT_C: "#6 Param. opt. (W, sqrt)",
-    Model.M7_GIVEN_SIGMA_A: "#7 Given tremor spread",
-}
-_FORMULA = {
-    Model.M1_BASELINE: "log2(A/W + 1)",
-    Model.M2_EFFECTIVE: "log2(A/We + 1)",
-    Model.M3_WE_NOSQRT_C: "log2(A/(We - c) + 1)",
-    Model.M4_WE_SQRT_C: "log2(A/sqrt(We^2 - c^2) + 1)",
-    Model.M5_W_NOSQRT_C: "log2(A/(W - c) + 1)",
-    Model.M6_W_SQRT_C: "log2(A/sqrt(W^2 - c^2) + 1)",
-    Model.M7_GIVEN_SIGMA_A: "log2(A/Wf + 1)",
-}
 
 
 def effective_width(sigma_obs_mm):

@@ -61,9 +61,6 @@ class SimulatorConfig:
     seed: int = 0
     dimensionality: Dimensionality = Dimensionality.ONE_D
     mt_model: MovementTimeModel = field(default_factory=MovementTimeModel)
-    # component means are fixed at zero under the endpoint model
-    mu_r_mm: float = 0.0
-    mu_a_mm: float = 0.0
     participant_id: str = "sim"
 
     def __post_init__(self):
@@ -78,8 +75,6 @@ class SimulatorConfig:
             values = getattr(self, name)
             if not values or not all(0 < v < math.inf for v in values):
                 raise ValidationError(f"{name} must be finite, positive and nonempty")
-        if self.mu_r_mm != 0.0 or self.mu_a_mm != 0.0:
-            raise ValidationError("component means are fixed at 0")
 
 
 def config_metadata(config: SimulatorConfig) -> dict[str, str]:

@@ -354,6 +354,24 @@ class TestSigma:
         assert result.exit_code == 0
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("command", [
+        ["sigma", "--method", "all", "--format", "json"],
+        ["fit", "--models", "m1,m2,m7", "--sigma-a", "0.9", "--format", "json"],
+    ])
+    def test_bivariate_means_y_for_every_spread_in_1d(self, runner, command):
+        # sim-1d-seed3.csv was simulated with sigma_a 1.153; the intercept row
+        # used bivariate summaries (0.798) next to a y calibration row
+        log = str(DATA / "outputs" / "sim-1d-seed3.csv")
+        args = command[:1] + ["--input", log, "--dim", "1d"] + command[1:]
+        bivariate = runner.invoke(main, args + ["--axis", "bivariate"])
+        y = runner.invoke(main, args + ["--axis", "y"])
+        assert bivariate.exit_code == 0
+        assert bivariate.output == y.output
+        if command[0] == "sigma":
+            est = {r["method"]: r["sigma_a_mm"] for r in json.loads(y.output)["estimates"]}
+            assert est["calib-ra"] == pytest.approx(1.33, abs=0.005)
+            assert est["intercept-fitts"] == pytest.approx(1.13, abs=0.005)
+
     def test_simulate_piped_to_intercept_sigma(self, runner):
         sim = runner.invoke(main, [
             "simulate", "--alpha", "0.0108", "--sigma-a", "1.153",

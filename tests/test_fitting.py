@@ -301,6 +301,59 @@ class TestCompare:
         assert report.delta_aic[m2] == report.delta_bic[m2] == math.inf
         assert not report.rejected(m1) and report.rejected(m2)
 
+    def test_non_finite_fit_is_unusable_and_never_best(self):
+        # movement times so large that every squared residual overflows
+        summaries = grid_summaries(lambda a, w: 1e160 * (1 + a / w), lambda a, w: 1 + 0.1 * w)
+        ds = Dataset("huge", Dimensionality.TWO_D, tuple(summaries))
+        report = compare(ds, None, sigma_a=0.5)
+        assert report.unusable == tuple(Model)
+        for r in report.results:
+            assert r.math_errors == tuple(s.condition for s in summaries)
+            assert (r.r2, r.rss, r.aic, r.cv_rmse_ms) == (None, None, None, None)
+        assert report.best_by == {} and report.delta_aic == {}
+
+    def test_overflowing_sums_make_every_condition_a_math_error(self):
+        # each squared residual is finite, but RSS, TSS or the CV mean is not
+        summaries = grid_summaries(lambda a, w: 3e152 * (1 + a / w) * (1 + 0.3 * (a * w % 7)),
+                                   lambda a, w: 1 + 0.1 * w)
+        report = compare(Dataset("big", Dimensionality.TWO_D, tuple(summaries)), None,
+                         sigma_a=0.5)
+        assert report.unusable == tuple(Model)
+        assert {r.math_errors for r in report.results} == {
+            tuple(s.condition for s in summaries)}
+
+    def test_infinite_difficulty_is_a_math_error_of_the_model(self):
+        summaries = grid_summaries(lambda a, w: 100 + 80 * a / w, lambda a, w: 1 + 0.1 * w)
+        tiny = Condition(20.0, 5e-324)  # a denormal width: A / W overflows
+        summaries[0] = ConditionSummary(tiny, mt_ms=500.0, sigma_obs_mm=1.0)
+        report = compare(Dataset("tiny", Dimensionality.TWO_D, tuple(summaries)), None,
+                         sigma_a=0.5)
+        nominal = {Model.M1_BASELINE, Model.M5_W_NOSQRT_C, Model.M6_W_SQRT_C}
+        assert set(report.unusable) == nominal
+        for m in nominal:
+            assert report.result(m).math_errors == (tiny,)
+            assert m not in report.best_by.values()
+        for r in report.results:
+            assert r.usable == (r.model not in nominal)
+            if r.usable:
+                assert math.isfinite(r.r2) and math.isfinite(r.cv_rmse_ms)
+
+    def test_each_model_derives_its_widths_once(self, paper_2d, monkeypatch):
+        import ffitts.fitting as fitting
+
+        calls = []
+
+        def counting(name, real):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in ("model_widths", "optimize_c", "loocv_rmse"):
+            monkeypatch.setattr(fitting, name, counting(name, getattr(fitting, name)))
+        compare(paper_2d, None, sigma_a=paper_2d.sigma_a_catalog[0], cv=True)
+        assert calls == ["model_widths"] * len(Model)
+
     def test_results_ordered_by_model_number(self, paper_1d):
         report = compare(
             paper_1d, [Model.M6_W_SQRT_C, Model.M1_BASELINE], cv=False
@@ -389,3 +442,26 @@ class TestFreeCProperties:
         for train in fits:
             _, fit = optimize_c(train, free)
             assert fit.r2 >= fit_model(train, fixed, cv=False).r2 - 1e-12
+
+
+class TestUsableMeansFinite:
+    @_PROPERTY
+    @given(mt_exp=st.integers(-300, 300), w_exp=st.integers(-1070, 0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_usable_models_have_finite_metrics(self, mt_exp, w_exp, seed):
+        # movement times up to 1e300 and widths down to denormals
+        rng = np.random.Generator(np.random.PCG64(seed))
+        summaries = [
+            ConditionSummary(Condition(a, w * 2.0**w_exp),
+                             mt_ms=10.0**mt_exp * (1 + a / w) * float(rng.uniform(0.5, 1.5)),
+                             sigma_obs_mm=1 + 0.1 * w)
+            for a in AMPLITUDES for w in WIDTHS
+        ]
+        report = compare(Dataset("x", Dimensionality.TWO_D, tuple(summaries)), None,
+                         sigma_a=0.5)
+        for r in report.results:
+            if not r.usable:
+                assert r.r2 is None and r.model not in report.best_by.values()
+                continue
+            assert all(map(math.isfinite, (r.r2, r.adj_r2, r.rss, r.cv_rmse_ms)))
+            assert math.isfinite(r.aic) or (r.rss == 0 and r.aic == -math.inf)

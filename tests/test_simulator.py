@@ -132,7 +132,6 @@ class TestConfigValidation:
             dict(widths_mm=()),
             dict(widths_mm=(0.0, 2.0)),
             dict(amplitudes_mm=(-5.0,)),
-            dict(mu_r_mm=0.3),
             dict(seed=-1),
         ],
     )
