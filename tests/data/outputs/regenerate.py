@@ -8,6 +8,10 @@ Writes the stdout of ``simulate`` for 1D and 2D on two seeds each, of
 ``sigma --input`` on those logs (md, csv and json; ``--axis y`` and
 ``--axis bivariate --dim 2d``) and of ``fit --input`` on one 2D log (md, csv
 and json, all models with ``--sigma-a 1.3``), one file per command.  The
+hand-built log ``first_taps.csv`` (practice rows, re-taps, outliers,
+shuffled rows) is not generated; ``sigma --input`` on it (json, every
+``--axis`` with ``--dim 1d`` and ``2d``) and ``fit --input`` on it (json,
+``--sigma-a 0.9``) pin the first-tap selection.  The
 condition-summary path is covered by ``write_aggregate_csv`` dumps of the
 bundled datasets (``paper-1d-aggregate.csv``, ``paper-2d-aggregate.csv``)
 and ``fit --input`` on them (all models with ``--sigma-a 0.9``); the bundled
@@ -53,6 +57,9 @@ SIMULATIONS = [("1d", "0.0108", "1.153"), ("2d", "0.0108", "1.3")]
 SEEDS = ["3", "11"]
 FORMATS = ["md", "csv", "json"]
 SIGMA_AXES = [["--axis", "y"], ["--axis", "bivariate", "--dim", "2d"]]
+# a hand-built tap log (practice rows, re-taps inside and outside the 15 mm
+# radius, first-tap outliers, shuffled rows) for the first-tap selection
+FIRST_TAPS = "first_taps.csv"
 BUNDLED = ["paper-1d", "paper-2d"]
 RANDOM_SEEDS = range(5)
 RANDOM_SIGMA_A = 0.5  # mm; below every sigma_obs of random_summaries
@@ -105,6 +112,15 @@ def commands() -> list[tuple[list[str], str | list[str]]]:
             ["fit", "--input", log, "--dim", "2d", "--sigma-a", "1.3", "--format", fmt],
             f"fit-{log[:-4]}.{fmt}",
         ))
+    for axis in ["x", "y", "bivariate"]:
+        for dim in ["1d", "2d"]:
+            cases.append((
+                ["sigma", "--input", FIRST_TAPS, "--method", "all", "--format", "json",
+                 "--axis", axis, "--dim", dim],
+                f"sigma-{FIRST_TAPS[:-4]}-{axis}-{dim}.json",
+            ))
+    cases.append((["fit", "--input", FIRST_TAPS, "--sigma-a", "0.9", "--format", "json"],
+                  f"fit-{FIRST_TAPS[:-4]}.json"))
     for dataset in BUNDLED:
         dim = ["--dim", dataset[-2:]]
         for fmt in FORMATS:
