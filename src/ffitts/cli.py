@@ -9,14 +9,13 @@ Subcommands:
 
 Exit codes: 0 success (including reports that flag unusable models),
 1 internal/data error, 2 usage error.  Set FFITTS_NO_COLOR to disable
-ANSI styling on terminals.
+ANSI styling; click.echo keeps it only on a terminal.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import sys
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -50,6 +49,7 @@ from .ingestion import (
     embedded,
     load_input,
     load_trials_csv,
+    opened,
     source_name,
     write_trials_csv,
 )
@@ -62,16 +62,8 @@ from .sigma import (
 from .simulator import MovementTimeModel, SimulatorConfig, config_metadata, generate
 
 
-def use_color(stream=None) -> bool:
-    """ANSI styling only on a terminal and only unless FFITTS_NO_COLOR is set."""
-    if os.environ.get("FFITTS_NO_COLOR"):
-        return False
-    stream = stream if stream is not None else sys.stdout
-    return bool(getattr(stream, "isatty", lambda: False)())
-
-
 def _style(text: str, **kwargs) -> str:
-    return click.style(text, **kwargs) if use_color() else text
+    return text if os.environ.get("FFITTS_NO_COLOR") else click.style(text, **kwargs)
 
 
 class _FiniteFloatRange(click.FloatRange):
@@ -167,9 +159,12 @@ def _parse_models(token: str) -> list[Model]:
     if token.strip().lower() == "all":
         return list(Model)
     try:
-        return [Model.parse(t) for t in token.split(",") if t.strip()]
+        models = [Model.parse(t) for t in token.split(",") if t.strip()]
     except ValueError as exc:
         raise click.UsageError(str(exc)) from None
+    if not models:
+        raise click.UsageError("--models names no model")
+    return models
 
 
 @contextmanager
@@ -181,17 +176,13 @@ def _writing(path):
         raise click.ClickException(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
-def _write_text(path, text: str):
-    with _writing(path):
-        Path(path).write_text(text, encoding="utf-8")
-
-
-def _emit(text: str, out: str | None):
-    if out:
-        _write_text(out, text)
+def _emit(text: str, out: str | Path | None):
+    """Write text to the --out path, or to stdout when there is none or it is '-'."""
+    out = out or "-"
+    with _writing(out), opened(out, "w") as fh:
+        fh.write(text)
+    if out != "-":
         click.echo(_style(f"wrote {out}", fg="green"), err=True)
-    else:
-        click.echo(text, nl=False)
 
 
 @main.command()
@@ -233,7 +224,7 @@ def fit(dataset_name, input_path, dim, models, sigma_a_token, axis, outlier_mm,
     else:
         text = rpt.render_fit_md(selection, dataset)
     _emit(text, out)
-    if out and fmt != "json":
+    if (out or "-") != "-" and fmt != "json":
         _write_side_files(selection, dataset, Path(out), fmt)
 
 
@@ -248,9 +239,7 @@ def _write_side_files(selection, dataset, out: Path, fmt):
     except ValidationError as exc:
         click.echo(f"note: {out.stem}.intercept.csv not written: {exc}", err=True)
     for kind, text in files.items():
-        path = out.with_name(f"{out.stem}.{kind}.csv")
-        _write_text(path, text)
-        click.echo(_style(f"wrote {path}", fg="green"), err=True)
+        _emit(text, out.with_name(f"{out.stem}.{kind}.csv"))
 
 
 @main.command()

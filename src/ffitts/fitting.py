@@ -454,9 +454,6 @@ class SelectionReport:
         return tuple(r.model for r in self.results if not r.usable)
 
 
-_MODEL_ORDER = list(Model)
-
-
 def compare(
     dataset: Dataset,
     models: Sequence[Model] | None = None,
@@ -465,14 +462,17 @@ def compare(
 ) -> SelectionReport:
     """Fit the requested models and rank them on every criterion.
 
-    Results are ordered by model number regardless of request order.  A
-    sigma_a source is required if (and only if) m7 is requested.  Unusable
-    models stay in the report, flagged, with no metrics.
+    Each requested model is fitted once, in model-number order; an empty
+    request is an error.  A sigma_a source is required if (and only if) m7
+    is requested.  Unusable models stay in the report, flagged, with no
+    metrics.
     """
-    models = list(models) if models is not None else list(Model)
+    requested = set(Model if models is None else map(Model, models))
+    models = [m for m in Model if m in requested]
+    if not models:
+        raise ValidationError("no model requested")
     if Model.M7_GIVEN_SIGMA_A in models and sigma_a is None:
         raise ValidationError("m7 requires a sigma_a value or catalog method")
-    models.sort(key=_MODEL_ORDER.index)
 
     results = tuple(
         fit_model(list(dataset.summaries), m, sigma_a=sigma_a, cv=cv) for m in models

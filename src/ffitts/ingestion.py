@@ -16,11 +16,11 @@ from __future__ import annotations
 import csv
 import math
 import sys
-from contextlib import nullcontext
+from contextlib import contextmanager
 from functools import partial
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
-from typing import IO
+from typing import IO, Iterator
 
 import numpy as np
 
@@ -84,18 +84,30 @@ def source_name(path: str | Path) -> str:
     return "<stdin>" if str(path) == "-" else str(path)
 
 
+@contextmanager
+def opened(path: str | Path, mode: str = "r") -> Iterator[IO[str]]:
+    """The file at ``path`` as UTF-8 text with ``newline=""``, closed on exit;
+    the path "-" is stdin when reading and stdout when writing, left open."""
+    if str(path) == "-":
+        yield sys.stdin if mode == "r" else sys.stdout
+        return
+    with open(path, mode, newline="", encoding="utf-8") as fh:
+        yield fh
+
+
 def _read(path: str | Path, trials: bool | None = None) -> TapTable | list[ConditionSummary]:
     """Read a tap log or condition summaries from CSV; the path "-" is stdin.
 
-    Rows that are blank or start with '#' (metadata) are skipped.  When
-    ``trials`` is None the header picks the kind: a first cell 'participant'
-    means a tap log.  Each kind converts only its own columns, BLOCK_ROWS
-    rows at a time, one array per column; a tap log becomes a TapTable and
-    condition summaries a list of ConditionSummary.
+    One leading byte-order mark is ignored, and rows that are blank or start
+    with '#' (metadata) are skipped.  When ``trials`` is None the header
+    picks the kind: a first cell 'participant' means a tap log.  Each kind
+    converts only its own columns, BLOCK_ROWS rows at a time, one array per
+    column; a tap log becomes a TapTable and condition summaries a list of
+    ConditionSummary.
     """
-    with (nullcontext(sys.stdin) if str(path) == "-"
-          else open(path, newline="", encoding="utf-8")) as fh:
-        rows = ((line, row) for line, row in enumerate(csv.reader(fh), start=1)
+    with opened(path) as fh:
+        lines = chain([fh.readline().removeprefix("\ufeff")], fh)
+        rows = ((line, row) for line, row in enumerate(csv.reader(lines), start=1)
                 if row and not row[0].lstrip().startswith("#"))
         header_line, header = next(rows, (None, None))
         if header is None:
@@ -222,23 +234,16 @@ def write_trials_csv(
     exactly.  The path "-" writes to stdout, the mirror of reading "-" from
     stdin.
     """
-    if str(path) == "-":
-        _write_trials(sys.stdout, taps, metadata)
-        return
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        _write_trials(fh, taps, metadata)
-
-
-def _write_trials(fh: IO[str], taps: TapTable, metadata) -> None:
-    for key, value in (metadata or {}).items():
-        fh.write(f"# {key}={value}\n")
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(TRIAL_CSV_COLUMNS)
-    columns = [getattr(taps, name) for name in TAP_COLUMNS]
-    for start in range(0, len(taps), BLOCK_ROWS):
-        block = [col[start:start + BLOCK_ROWS] for col in columns]
-        block[-1] = np.where(block[-1], "true", "false")
-        writer.writerows(zip(*(col.tolist() for col in block)))
+    with opened(path, "w") as fh:
+        for key, value in (metadata or {}).items():
+            fh.write(f"# {key}={value}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(TRIAL_CSV_COLUMNS)
+        columns = [getattr(taps, name) for name in TAP_COLUMNS]
+        for start in range(0, len(taps), BLOCK_ROWS):
+            block = [col[start:start + BLOCK_ROWS] for col in columns]
+            block[-1] = np.where(block[-1], "true", "false")
+            writer.writerows(zip(*(col.tolist() for col in block)))
 
 
 def load_aggregate_csv(
@@ -260,8 +265,8 @@ def load_aggregate_csv(
 
 
 def write_aggregate_csv(dataset: Dataset, path: str | Path) -> None:
-    """Write condition summaries; floats use repr so reload is exact."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    """Write condition summaries ("-" = stdout); floats use repr so reload is exact."""
+    with opened(path, "w") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(AGGREGATE_CSV_COLUMNS + _AGGREGATE_OPTIONAL)
         for s in dataset.summaries:

@@ -31,6 +31,7 @@ from .errors import ValidationError
 NORMAL_ALGORITHM = "inverse-cdf(PCG64)"
 
 _TINY = 1e-300  # floor for uniforms so ndtri never sees exactly 0
+PARTICIPANT_ID = "sim"  # of every generated tap
 
 
 @dataclass(frozen=True)
@@ -61,7 +62,6 @@ class SimulatorConfig:
     seed: int = 0
     dimensionality: Dimensionality = Dimensionality.ONE_D
     mt_model: MovementTimeModel = field(default_factory=MovementTimeModel)
-    participant_id: str = "sim"
 
     def __post_init__(self):
         for name in ("alpha", "sigma_a_mm"):
@@ -130,7 +130,7 @@ def generate(config: SimulatorConfig) -> TapTable:
         mt.append(np.maximum(base_mt + _normals(rng, n, mtm.noise_sd_ms), 0.0))
     zeros = np.zeros(n * len(conditions))
     return TapTable(
-        participant=np.full(len(zeros), config.participant_id),
+        participant=np.full(len(zeros), PARTICIPANT_ID),
         block=zeros,
         trial=np.tile(np.arange(1, n + 1), len(conditions)),
         amplitude_mm=np.repeat([a for a, _ in conditions], n),

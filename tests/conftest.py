@@ -1,8 +1,14 @@
 import os
 
 import pytest
+from hypothesis import settings
 
 from ffitts import embedded
+
+# Hypothesis runs derandomized and without its example database, so every
+# property draws the same examples on every run; tests set only max_examples.
+settings.register_profile("ffitts", derandomize=True, database=None, deadline=None)
+settings.load_profile("ffitts")
 
 
 def pytest_configure(config):

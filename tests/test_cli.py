@@ -14,7 +14,7 @@ from click.testing import CliRunner
 import ffitts
 from ffitts import Model, compare, datamodel, embedded
 from ffitts import cli
-from ffitts.cli import main, use_color
+from ffitts.cli import main
 
 DATA = Path(__file__).parent / "data"
 # the hand-built tap log whose sigma and fit outputs are golden outputs too
@@ -57,6 +57,20 @@ class TestFit:
             "fit", "--dataset", "paper-1d", "--models", "m9",
         ])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("models", [",", "", " , "])
+    def test_empty_model_list_is_usage_error(self, runner, models):
+        result = runner.invoke(main, ["fit", "--dataset", "paper-1d", "--models", models])
+        assert result.exit_code == 2
+        assert "--models names no model" in result.output
+
+    def test_repeated_model_fitted_once(self, runner):
+        args = ["fit", "--dataset", "paper-1d", "--no-cv", "--format", "csv", "--models"]
+        repeated = runner.invoke(main, args + ["m6,m1,m6,m1"])
+        assert repeated.exit_code == 0, repeated.output
+        assert repeated.stdout_bytes == runner.invoke(main, args + ["m1,m6"]).stdout_bytes
+        assert [row["model"] for row in csv.DictReader(io.StringIO(repeated.stdout))] == [
+            "m1", "m6"]
 
     def test_m7_without_sigma_is_usage_error(self, runner):
         result = runner.invoke(main, [
@@ -413,6 +427,8 @@ class TestSigma:
 
 
 class TestFirstTapsGolden:
+    """Option checks on the first-tap log; its outputs are in data/outputs/."""
+
     @pytest.mark.parametrize("command", ["fit", "sigma"])
     @pytest.mark.parametrize("radius", ["0", "-1", "nan"])
     def test_non_positive_outlier_radius_is_usage_error(self, runner, command, radius):
@@ -508,6 +524,53 @@ class TestUnwritableOut:
         assert not isinstance(result.exception, OSError)
 
 
+class TestDashOut:
+    @pytest.mark.parametrize("args", [
+        ["fit", "--dataset", "paper-1d", "--models", "m1", "--no-cv"],
+        ["fit", "--dataset", "paper-1d", "--models", "m1", "--no-cv", "--format", "csv"],
+        ["sigma", "--dataset", "paper-1d"],
+    ], ids=["fit-md", "fit-csv", "sigma"])
+    def test_same_as_no_out(self, runner, tmp_path, monkeypatch, args):
+        monkeypatch.chdir(tmp_path)
+        plain = runner.invoke(main, args)
+        dash = runner.invoke(main, args + ["--out", "-"])
+        assert dash.exit_code == 0, dash.output
+        assert dash.stdout_bytes == plain.stdout_bytes != b""
+        assert dash.stderr_bytes == b""
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestByteOrderMark:
+    """Spreadsheet "CSV UTF-8" exports start with U+FEFF, which is ignored."""
+
+    LOG = (DATA / "outputs" / "sim-2d-seed3.csv").read_text(encoding="utf-8")
+    SUMMARIES = (DATA / "outputs" / "paper-2d-aggregate.csv").read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("command, text", [
+        (["sigma", "--axis", "bivariate", "--dim", "2d"], LOG),
+        (["sigma", "--axis", "bivariate", "--dim", "2d"], LOG[LOG.index("participant"):]),
+        (["fit", "--sigma-a", "1.3"], LOG),
+        (["fit", "--sigma-a", "0.9"], SUMMARIES),
+        (["fit", "--sigma-a", "0.9"], "# exported\n" + SUMMARIES),
+    ], ids=["log-comment", "log-header", "fit-log-comment", "summaries-header",
+            "summaries-comment"])
+    @pytest.mark.parametrize("stdin", [False, True], ids=["file", "stdin"])
+    def test_leading_bom_ignored(self, runner, tmp_path, monkeypatch, command, text, stdin):
+        outputs = []
+        for name, content in [("plain", text), ("bom", "\ufeff" + text)]:
+            if stdin:
+                result = runner.invoke(main, command + ["--input", "-"], input=content)
+            else:
+                # the sigma report names its input as given
+                (tmp_path / name).mkdir()
+                monkeypatch.chdir(tmp_path / name)
+                Path("in.csv").write_text(content, encoding="utf-8")
+                result = runner.invoke(main, command + ["--input", "in.csv"])
+            assert result.exit_code == 0, result.output
+            outputs.append(result.stdout_bytes)
+        assert outputs[0] == outputs[1]
+
+
 class TestDatasets:
     def test_lists_embedded(self, runner):
         result = runner.invoke(main, ["datasets"])
@@ -537,13 +600,10 @@ class TestImport:
 
 
 class TestColor:
-    def test_env_var_disables_color(self, monkeypatch):
-        class Tty(io.StringIO):
-            def isatty(self):
-                return True
-
+    def test_env_var_disables_color(self, runner, monkeypatch):
+        # click.echo keeps ANSI codes only on a terminal, which color=True stands for
+        monkeypatch.delenv("FFITTS_NO_COLOR", raising=False)
+        assert "\x1b[" in runner.invoke(main, ["datasets"], color=True).output
+        assert "\x1b[" not in runner.invoke(main, ["datasets"]).output
         monkeypatch.setenv("FFITTS_NO_COLOR", "1")
-        assert use_color(Tty()) is False
-        monkeypatch.delenv("FFITTS_NO_COLOR")
-        assert use_color(Tty()) is True
-        assert use_color(io.StringIO()) is False
+        assert "\x1b[" not in runner.invoke(main, ["datasets"], color=True).output

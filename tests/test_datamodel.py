@@ -304,10 +304,7 @@ class TestFirstTaps:
         assert taps.condition.size == taps.retapped.size == 0
 
 
-# Hypothesis runs derandomized and without its example database, so these
-# properties draw the same examples on every run.
-_PROPERTY = settings(derandomize=True, database=None, deadline=None,
-                     max_examples=100)
+_PROPERTY = settings(max_examples=100)
 _CONDS = [Condition(20.0, 2.0), Condition(45.0, 4.0)]
 # multiples of 1/97 sum with rounding, so a changed summation order shows;
 # |coordinate| <= 12.4 puts some taps beyond the 15 mm radius

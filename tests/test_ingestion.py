@@ -148,7 +148,7 @@ class TestTrialsCsv:
         with pytest.raises(ParseError, match="line 2: column 'block'"):
             load_trials_csv(write(tmp_path, [HEADER, ",".join(fields)]))
 
-    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @settings(max_examples=100)
     @given(st.data())
     def test_write_then_load_gives_back_every_column(self, tmp_path_factory, data):
         n = data.draw(st.integers(1, 8))
@@ -209,6 +209,13 @@ class TestAggregateCsv:
         )
         assert loaded.summaries == paper_1d.summaries
         assert loaded.name == paper_1d.name
+
+    def test_dash_writes_stdout(self, tmp_path, monkeypatch, capsys, paper_1d):
+        monkeypatch.chdir(tmp_path)
+        write_aggregate_csv(paper_1d, "agg.csv")
+        write_aggregate_csv(paper_1d, "-")
+        assert capsys.readouterr().out == (tmp_path / "agg.csv").read_text(encoding="utf-8")
+        assert [p.name for p in tmp_path.iterdir()] == ["agg.csv"]
 
     def test_duplicate_condition_rejected(self, tmp_path):
         lines = [
@@ -293,7 +300,7 @@ class TestAggregateCsv:
         assert str(exc.value) == (f"line {BLOCK_ROWS + 7}: column 'sigma_obs_mm': "
                                   "not a finite number: 'inf'")
 
-    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @settings(max_examples=100)
     @given(st.data())
     def test_write_then_load_gives_back_every_summary(self, tmp_path_factory, data):
         positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
