@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -169,10 +170,20 @@ def _parse_models(token: str) -> list[Model]:
 
 @contextmanager
 def _writing(path):
-    """Turn a failed write of an output file into a one-line error naming it."""
+    """Turn a failed write of an output file into a one-line error naming it.
+
+    A reader that closes the stdout pipe early ends the command quietly with
+    exit status 1: stdout then points at devnull, so that the flush at exit
+    does not fail again (the note on SIGPIPE in Python's signal docs).
+    """
     try:
         yield
+        if path == "-":
+            sys.stdout.flush()
     except OSError as exc:
+        if path == "-" and isinstance(exc, BrokenPipeError):
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            sys.exit(1)
         raise click.ClickException(f"cannot write {path}: {exc.strerror or exc}") from None
 
 

@@ -8,15 +8,15 @@ smaller c.  c_max is the smallest width term, for both the subtractive and
 the square-root forms.
 
 Leave-one-condition-out cross-validation re-optimizes c in every fold.
-The folds are not fitted one by one: one batched search takes a mask of
-training sets, one row per fold, and runs the same grid and refinement
-for all rows at once.  Each fold's grid R^2 comes from masked sums (one
-(folds, n) @ (n, grid block) product per sum, so no folds x n x grid
-array is built), the refinement steps every fold's bracket in one loop,
-and each fold's line comes from the same least squares as a full fit's.
-Only the grid R^2 is summed differently from a search per fold, so where
-R^2 is flat to the last bit across neighbouring grid points the two could
-pick different grid maxima.
+The full fit and its folds are not searched one by one: one batched
+search takes a mask of training sets, an all-kept row for the full fit
+and one row per fold, and runs the same grid and refinement for all rows
+at once.  Rows sharing c_max share the grid's id table, and each grid R^2
+comes from masked sums over the rows that keep as many conditions (one
+(rows, n) @ (n, grid block) product per sum), so the full fit's bits are
+those of a search of its own.  Only a fold's grid R^2 is summed
+differently from a search per fold, so where R^2 is flat to the last bit
+across neighbouring grid points the two could pick different grid maxima.
 
 The selection battery is R^2, adjusted R^2, AIC, BIC, and
 leave-one-condition-out RMSE.  Information criteria use the Gaussian
@@ -146,25 +146,28 @@ def _grid_r2(model: Model, amps, widths, grid, keep, mt):
     """R^2 at every c of `grid` for each row of the (F, n) mask `keep`.
 
     The id table is built one block of grid columns at a time, and each
-    masked sum is one (F, n) @ (n, block) product, so no (F, n, grid)
-    array is built.  The ids are shifted by their column means for
-    conditioning (R^2 does not depend on the shift).
+    masked sum is one (rows, n) @ (n, block) product per group of rows
+    keeping the same number of conditions, so no (F, n, grid) array is
+    built and a row's bits do not depend on the other groups.  The ids are
+    shifted by their column means (R^2 does not depend on the shift).
     """
     y = mt - mt.mean()
-    k = keep.astype(float)
-    m = k.sum(axis=1)[:, None]
-    sy = (k @ y)[:, None]
-    vy = (k @ (y * y))[:, None] - sy * sy / m
+    kept, groups = keep.sum(axis=1), []
+    for m in np.unique(kept):
+        k = keep[kept == m].astype(float)
+        sy = (k @ y)[:, None]
+        groups.append((kept == m, k, m, sy, (k @ (y * y))[:, None] - sy * sy / m))
     r2 = np.empty((len(keep), len(grid)))
     for j in range(0, len(grid), _GRID_BLOCK):
         cols = slice(j, j + _GRID_BLOCK)
         ids = compute_id(model, amps[:, None], widths[:, None], grid[cols])
         ids -= ids.mean(axis=0)
-        sx = k @ ids
-        xbar = sx / m
-        cov = k @ (ids * y[:, None]) - xbar * sy
-        den = (k @ (ids * ids) - sx * xbar) * vy
-        r2[:, cols] = np.divide(cov * cov, den, out=np.zeros_like(den), where=den > 0)
+        for rows, k, m, sy, vy in groups:
+            sx = k @ ids
+            xbar = sx / m
+            cov = k @ (ids * y[:, None]) - xbar * sy
+            den = (k @ (ids * ids) - sx * xbar) * vy
+            r2[rows, cols] = np.divide(cov * cov, den, out=np.zeros_like(den), where=den > 0)
     return r2
 
 
@@ -180,18 +183,17 @@ def _columns(model: Model, summaries, sigma_a_mm=None):
 def _search_c(model: Model, amps, widths, mt, keep) -> np.ndarray:
     """Best tremor parameter c for each row of an (F, n) bool mask of fits.
 
-    Each row is one fit on the conditions it keeps, and every row keeps
-    the same number of them: one all-kept row for a full fit, n - 1 for
-    leave-one-out.  All rows are searched at once with one fit's rules: a
-    2000-point grid over [0, c_max], c_max being the smallest kept width
-    minus _C_TOL_MM (rows sharing c_max share the grid and its id table),
+    Each row is one fit on the conditions it keeps: all n for a full fit,
+    n - 1 for a leave-one-out fold.  All rows are searched at once with one
+    fit's rules: a 2000-point grid over [0, c_max], c_max being the
+    smallest kept width minus _C_TOL_MM (rows sharing c_max, as a full fit
+    and its folds that keep the smallest width do, share one id table),
     then golden-section refinement of the bracket around the first grid
     maximum down to _C_TOL_MM, ties keeping the smaller-c interval.  The
     refined c replaces the grid c only when its R^2 is strictly higher;
-    c = 0 when c_max <= 0.
+    c = 0 when c_max <= 0.  Rows keeping n and n - 1 sum apart.
     """
-    amps_k, widths_k, mt_k = (_rows(v, keep) for v in (amps, widths, mt))
-    c_max = widths_k.min(axis=1) - _C_TOL_MM
+    c_max = np.where(keep, widths, np.inf).min(axis=1) - _C_TOL_MM
     best_c, lo, hi = np.zeros(len(keep)), np.zeros(len(keep)), np.zeros(len(keep))
     for cm in np.unique(c_max[c_max > 0]):
         rows = np.flatnonzero(c_max == cm)
@@ -205,11 +207,20 @@ def _search_c(model: Model, amps, widths, mt, keep) -> np.ndarray:
         lo[rows] = grid[np.maximum(i - 1, 0)]
         hi[rows] = grid[np.minimum(i + 1, _GRID_POINTS - 1)]
 
-    yc = mt_k - (mt_k.sum(axis=1) / mt_k.shape[1])[:, None]
-    syy = np.vecdot(yc, yc)
+    kept, groups = keep.sum(axis=1), []
+    for rows in (np.flatnonzero(kept == m) for m in np.unique(kept)):
+        # the group's kept entries, row by row; a fold's c can pass its
+        # held-out width, whose id is NaN and never taken
+        r, j = np.nonzero(keep[rows])
+        mt_k = mt[j].reshape(len(rows), -1)
+        yc = mt_k - (mt_k.sum(axis=1) / mt_k.shape[1])[:, None]
+        groups.append((rows, rows[r] * len(mt) + j, yc, np.vecdot(yc, yc)))
 
     def r2_at(c, **sums):
-        return _r2(compute_id(model, amps_k, widths_k, c[:, None]), yc, syy, **sums)
+        ids, r2 = compute_id(model, amps, widths, c[:, None]), np.empty(len(keep))
+        for rows, kept_ids, yc, syy in groups:
+            r2[rows] = _r2(ids.take(kept_ids).reshape(yc.shape), yc, syy, **sums)
+        return r2
 
     # golden-section refinement of every row under one loop; a row stops
     # moving once its bracket is within tolerance
@@ -237,15 +248,19 @@ def _search_c(model: Model, amps, widths, mt, keep) -> np.ndarray:
     return np.where(r2_at(c_ref) > r2_at(best_c, total=_in_order), c_ref, best_c)
 
 
-def _full_fit(model: Model, amps, widths, mt):
-    """c (None for a fixed model), the ids and the line over every condition."""
-    if model.tremor is Tremor.FREE_C:
-        keep = np.ones((1, len(mt)), dtype=bool)
-        c = float(_search_c(model, amps, widths, mt, keep)[0])
-        ids = compute_id(model, amps, widths, c)
-    else:
-        c = None
-        ids = compute_id(model, amps, widths)
+def _search_cs(model: Model, amps, widths, mt, full=True, folds=False):
+    """c of the full fit (with `full`), then of each leave-one-out fold (with
+    `folds`), from one search; None for a fixed model."""
+    n = len(mt)  # row i of the last n trains on every condition but i
+    keep = np.vstack([np.ones((1, n), dtype=bool)] * full + [~np.eye(n, dtype=bool)] * folds)
+    return _search_c(model, amps, widths, mt, keep) if model.tremor is Tremor.FREE_C else None
+
+
+def _full_fit(model: Model, amps, widths, mt, cs):
+    """c (None for a fixed model), the ids and the line over every condition,
+    c being the full fit's row of `_search_cs`."""
+    c = None if cs is None else float(cs[0])
+    ids = compute_id(model, amps, widths, 0.0 if c is None else c)
     return c, ids, ols_fit(np.column_stack((ids, mt)))
 
 
@@ -261,7 +276,8 @@ def optimize_c(
     """
     if model.tremor is not Tremor.FREE_C:
         raise ValidationError(f"model {model.value} has no free tremor parameter")
-    c, _, fit = _full_fit(model, *_columns(model, summaries))  # widths never NaN
+    amps, widths, mt = _columns(model, summaries)  # widths never NaN
+    c, _, fit = _full_fit(model, amps, widths, mt, _search_cs(model, amps, widths, mt))
     return c, fit
 
 
@@ -306,18 +322,18 @@ def _adjusted_r2(r2: float, n: int, k: int) -> float:
     return 1.0 - (1.0 - r2) * (n - 1) / (n - k)
 
 
-def _loocv_residuals(model: Model, amps, widths, mt):
+def _loocv_residuals(model: Model, amps, widths, mt, cs):
     """Held-out residual of each condition under leave-one-condition-out
-    cross-validation: every fold refits the line, re-optimizing c for a
-    free-c model, all folds in one batched search."""
-    keep = ~np.eye(len(mt), dtype=bool)  # row i trains on every condition but i
-    if model.tremor is Tremor.FREE_C:
-        cs = _search_c(model, amps, widths, mt, keep)
-        train = compute_id(model, amps, widths, cs[:, None])
+    cross-validation: every fold refits the line, a free-c model's at the
+    fold's c, the last n rows of `_search_cs` (None for a fixed model)."""
+    n = len(mt)
+    keep = ~np.eye(n, dtype=bool)  # row i trains on every condition but i
+    if cs is not None:
+        train = compute_id(model, amps, widths, cs[-n:, None])
         # A fold can choose c at or above the held-out width when the held-out
         # condition had the smallest width term; its width term is clamped at
         # EPS_MM and the (huge) difficulty and residual are kept.
-        held_out = compute_id(model, amps, np.fmax(width_term(model, widths, cs), EPS_MM))
+        held_out = compute_id(model, amps, np.fmax(width_term(model, widths, cs[-n:]), EPS_MM))
     else:
         held_out = compute_id(model, amps, widths)
         train = held_out
@@ -348,7 +364,8 @@ def loocv_rmse(
     amps, widths, mt = _columns(model, summaries, sigma_a_mm)
     if np.isnan(widths).any():
         return None
-    return _rmse(_loocv_residuals(model, amps, widths, mt))
+    cs = _search_cs(model, amps, widths, mt, full=False, folds=True)
+    return _rmse(_loocv_residuals(model, amps, widths, mt, cs))
 
 
 def fit_model(
@@ -371,19 +388,21 @@ def fit_model(
 
     n = len(summaries)
     k = 3 if model.tremor is Tremor.FREE_C else 2
+    folds = cv and n >= 4
     amps, widths, mt = _columns(model, summaries, sigma_val)
     # each step runs only when the one before it found no bad condition
     bad, cv_rmse = np.isnan(widths), None
     with np.errstate(all="ignore"):  # every non-finite result is caught here
         if not bad.any():
-            c, ids, fit = _full_fit(model, amps, widths, mt)
+            cs = _search_cs(model, amps, widths, mt, folds=folds)  # full fit, then folds
+            c, ids, fit = _full_fit(model, amps, widths, mt, cs)
             bad = ~np.isfinite(ids)
         if not bad.any():
             pred = fit.a_ms + fit.b_ms_per_bit * ids
             resid = pred - mt
             bad = ~np.isfinite(resid**2)
-        if cv and n >= 4 and not bad.any():
-            cv_resid = _loocv_residuals(model, amps, widths, mt)
+        if folds and not bad.any():
+            cv_resid = _loocv_residuals(model, amps, widths, mt, cs)
             bad = ~np.isfinite(cv_resid**2)
             cv_rmse = _rmse(cv_resid)
         if not bad.any() and not np.isfinite(

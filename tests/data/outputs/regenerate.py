@@ -21,8 +21,9 @@ files of ``fit --dataset`` (all models, ``--sigma-a calib-acc``, md and csv)
 are kept too: the report, its ``.fits.csv`` and ``.intercept.csv`` plot data
 and, for csv, its ``.wf.csv`` matrix.  Also writes ``manifest.json``: the
 arguments of every command, the file holding its stdout (or the files its
-``--out`` writes), and the numpy, scipy and BLAS versions the outputs were
-made with.  Commands run from this directory, so the reports name their
+``--out`` writes), a ``pure_python`` flag on the commands whose output is
+the same on any numpy, scipy and BLAS, and the versions the other outputs
+were made with.  Commands run from this directory, so the reports name their
 inputs by file name.
 
 ``fit-values.json`` pins the fit values themselves as ``float.hex``: c, a, b,
@@ -150,6 +151,12 @@ def commands() -> list[tuple[list[str], str | list[str]]]:
     return cases
 
 
+def pure_python(args: list[str]) -> bool:
+    """True for ``datasets`` and ``sigma --dataset``: they only format bundled
+    constants in pure Python."""
+    return args[0] == "datasets" or args[:2] == ["sigma", "--dataset"]
+
+
 def _hex(x: float | None) -> str | None:
     return None if x is None else float.hex(x)
 
@@ -201,6 +208,8 @@ def main_() -> None:
         else:
             (HERE / name).write_bytes(stdout)
             manifest["cases"].append({"args": args, "stdout": name})
+        if pure_python(args):
+            manifest["cases"][-1]["pure_python"] = True
     (HERE / "manifest.json").write_text(json.dumps(manifest, indent=1) + "\n")
     values = {name: fit_values(*args) for name, args in condition_sets().items()}
     (HERE / "fit-values.json").write_text(json.dumps(values, indent=1) + "\n")

@@ -26,6 +26,13 @@ def runner():
     return CliRunner()
 
 
+def _subprocess_env():
+    """The environment with this checkout's ffitts first on PYTHONPATH."""
+    src = str(Path(ffitts.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+
 class TestFit:
     def test_fit_reference_1d_all_models(self, runner):
         result = runner.invoke(main, [
@@ -540,6 +547,36 @@ class TestDashOut:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestBrokenPipe:
+    """A reader that stops early ends the command quietly: exit status 1 and
+    nothing on stderr."""
+
+    CLI = [sys.executable, "-m", "ffitts.cli"]
+
+    def test_reader_closed_after_one_line(self):
+        proc = subprocess.Popen(
+            self.CLI + ["simulate", "--alpha", "0.01", "--sigma-a", "1", "--trials", "2000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_subprocess_env())
+        assert proc.stdout.readline().startswith(b"#")
+        proc.stdout.close()  # ~3 MB of taps are still to come
+        _, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (1, b"")
+
+    @pytest.mark.parametrize("args", [
+        ["fit", "--dataset", "paper-2d", "--models", "m1,m2"],
+        ["sigma", "--dataset", "paper-2d"],
+    ], ids=lambda args: args[0])
+    def test_reader_closed_before_output(self, args):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(self.CLI + args, stdout=write_end, stderr=subprocess.PIPE,
+                                  env=_subprocess_env(), timeout=60)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (1, b"")
+
+
 class TestByteOrderMark:
     """Spreadsheet "CSV UTF-8" exports start with U+FEFF, which is ignored."""
 
@@ -591,11 +628,8 @@ class TestImport:
         # use them, so commands that never call those start faster
         code = ("import sys, ffitts.cli; "
                 "print([m for m in ('scipy.stats', 'scipy.special') if m in sys.modules])")
-        src = str(Path(ffitts.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                              text=True, timeout=60, check=True)
+        proc = subprocess.run([sys.executable, "-c", code], env=_subprocess_env(),
+                              capture_output=True, text=True, timeout=60, check=True)
         assert proc.stdout.strip() == "[]"
 
 

@@ -15,6 +15,7 @@ from ffitts import (
     SingularFitError,
     ValidationError,
     compare,
+    embedded,
     fit_model,
     information_criteria,
     loocv_rmse,
@@ -22,6 +23,7 @@ from ffitts import (
     ols_fit,
     optimize_c,
 )
+from ffitts import fitting
 from ffitts.fitting import EPS_MM
 from ffitts.idmodels import width_term
 
@@ -461,6 +463,41 @@ class TestFreeCProperties:
         for train in fits:
             _, fit = optimize_c(train, free)
             assert fit.r2 >= fit_model(train, fixed, cv=False).r2 - 1e-12
+
+
+class TestSharedSearch:
+    """fit_model searches the full fit's c and every fold's c together."""
+
+    @_PROPERTY
+    @given(source=st.sampled_from(["paper-1d", "paper-2d"]) | st.integers(0, 2**32 - 1),
+           pair=st.sampled_from(FREE_C_PAIRS))
+    def test_same_bits_as_single_purpose_paths(self, source, pair):
+        model = pair[0]
+        summaries = (list(embedded(source).summaries) if isinstance(source, str)
+                     else random_summaries(source))
+        result = fit_model(summaries, model)
+        assert result.c_mm == optimize_c(summaries, model)[0]
+        assert result.cv_rmse_ms == loocv_rmse(summaries, model)
+
+    @pytest.mark.parametrize("model,grids", [
+        (Model.M3_WE_NOSQRT_C, 2), (Model.M4_WE_SQRT_C, 2),
+        (Model.M5_W_NOSQRT_C, 1), (Model.M6_W_SQRT_C, 1),
+    ])
+    def test_one_grid_per_distinct_c_max(self, paper_2d, monkeypatch, model, grids):
+        # the full fit's c_max is the smallest width, as is that of every
+        # fold keeping it, so only a fold leaving out a smallest width adds one
+        widths = model_widths(model, paper_2d.summaries)
+        c_maxes = {widths.min()} | {np.delete(widths, i).min() for i in range(len(widths))}
+        assert len(c_maxes) == grids
+        calls, real = [], fitting._grid_r2
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(fitting, "_grid_r2", counting)
+        fit_model(list(paper_2d.summaries), model, cv=True)
+        assert len(calls) == grids
 
 
 class TestUsableMeansFinite:
