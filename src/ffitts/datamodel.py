@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -49,6 +49,12 @@ class SigmaMethod(str, Enum):
         return member
 
 
+def _require_positive(what: str, value: float) -> None:
+    """Raise ValidationError unless ``value`` is finite and > 0."""
+    if not 0 < value < math.inf:
+        raise ValidationError(f"{what} must be finite and > 0, got {value}")
+
+
 @dataclass(frozen=True, slots=True)
 class Condition:
     """One task condition: target distance A and target width W, in mm."""
@@ -57,12 +63,8 @@ class Condition:
     width_mm: float
 
     def __post_init__(self):
-        if not 0 < self.amplitude_mm < math.inf:
-            raise ValidationError(
-                f"amplitude must be finite and > 0, got {self.amplitude_mm}"
-            )
-        if not 0 < self.width_mm < math.inf:
-            raise ValidationError(f"width must be finite and > 0, got {self.width_mm}")
+        _require_positive("amplitude", self.amplitude_mm)
+        _require_positive("width", self.width_mm)
 
     def __str__(self) -> str:
         return f"(A={self.amplitude_mm:g}, W={self.width_mm:g})"
@@ -156,16 +158,6 @@ class TapTable:
             i = int(np.argmax(bad))
             raise ValidationError(next(say(i) for mask, say in rules if mask[i]), row=i)
 
-    @classmethod
-    def from_records(cls, records: Iterable[TrialRecord]) -> TapTable:
-        columns = list(zip(*(
-            (r.participant_id, r.block, r.trial, r.condition.amplitude_mm,
-             r.condition.width_mm, r.target_x_mm, r.target_y_mm, r.touch_x_mm,
-             r.touch_y_mm, r.mt_ms, r.tap_index, r.is_practice)
-            for r in records
-        )))
-        return cls(*(columns or [()] * len(TAP_COLUMNS)))
-
     def __len__(self) -> int:
         return len(self.mt_ms)
 
@@ -190,12 +182,8 @@ class ConditionSummary:
     error_rate: float = 0.0
 
     def __post_init__(self):
-        if not 0 < self.mt_ms < math.inf:
-            raise ValidationError(f"mean MT must be finite and > 0, got {self.mt_ms}")
-        if not 0 < self.sigma_obs_mm < math.inf:
-            raise ValidationError(
-                f"endpoint spread must be finite and > 0, got {self.sigma_obs_mm}"
-            )
+        _require_positive("mean MT", self.mt_ms)
+        _require_positive("endpoint spread", self.sigma_obs_mm)
         if self.n_trials < 2:
             raise ValidationError(f"n_trials must be >= 2, got {self.n_trials}")
         if not 0.0 <= self.error_rate <= 1.0:
@@ -215,8 +203,7 @@ class SigmaEstimate:
     source_dataset: str = ""
 
     def __post_init__(self):
-        if not 0 < self.sigma_a_mm < math.inf:
-            raise ValidationError(f"sigma_a must be finite and > 0, got {self.sigma_a_mm}")
+        _require_positive("sigma_a", self.sigma_a_mm)
 
 
 @dataclass(frozen=True, slots=True)
@@ -334,9 +321,9 @@ def summarize(taps: FirstTaps, axis_mode: AxisMode) -> list[ConditionSummary]:
     """Per-condition summaries of a first-tap selection.
 
     MT is the mean movement time of a condition's trials, the endpoint
-    spread is the sample SD (n-1) of signed deviations along the chosen
-    axis, and the error rate is the retapped fraction.  Bivariate mode uses
-    sqrt((var_x + var_y) / 2), the per-axis RMS spread.
+    spread is the ``endpoint_spread`` of their deviations along the chosen
+    axis (both axes in bivariate mode), and the error rate is the retapped
+    fraction.
 
     Raises DegenerateConditionError for any live condition with fewer than
     two retained trials (none included) or zero endpoint variance.
@@ -352,6 +339,8 @@ def summarize(taps: FirstTaps, axis_mode: AxisMode) -> list[ConditionSummary]:
     ))
     counts = np.bincount(taps.condition, minlength=len(taps.conditions))
     groups = np.split(order, np.cumsum(counts)[:-1])
+    axes = {AxisMode.X: (taps.dx_mm,), AxisMode.Y: (taps.dy_mm,),
+            AxisMode.BIVARIATE: (taps.dx_mm, taps.dy_mm)}[axis_mode]
 
     summaries = []
     for cond, g in zip(taps.conditions, groups):
@@ -360,15 +349,7 @@ def summarize(taps: FirstTaps, axis_mode: AxisMode) -> list[ConditionSummary]:
             raise DegenerateConditionError(
                 f"only {n} retained trial(s)", cond.amplitude_mm, cond.width_mm
             )
-        dx, dy = taps.dx_mm[g], taps.dy_mm[g]
-        if axis_mode is AxisMode.X:
-            sigma = float(np.std(dx, ddof=1))
-        elif axis_mode is AxisMode.Y:
-            sigma = float(np.std(dy, ddof=1))
-        else:
-            sigma = float(
-                np.sqrt((np.var(dx, ddof=1) + np.var(dy, ddof=1)) / 2.0)
-            )
+        sigma = endpoint_spread(*(d[g] for d in axes))
         if sigma <= 0:
             raise DegenerateConditionError(
                 "zero endpoint variance", cond.amplitude_mm, cond.width_mm
@@ -383,3 +364,10 @@ def summarize(taps: FirstTaps, axis_mode: AxisMode) -> list[ConditionSummary]:
             )
         )
     return summaries
+
+
+def endpoint_spread(*axes) -> float:
+    """Spread of signed endpoint deviations in mm, one array per axis: the
+    sample SD (n-1) of one axis, or sqrt((var_x + var_y) / 2), the per-axis
+    RMS spread, of two.  Observed and calibration spreads both come from here."""
+    return float(np.sqrt(sum(np.var(d, ddof=1) for d in axes) / len(axes)))

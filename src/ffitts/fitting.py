@@ -173,7 +173,12 @@ def _grid_r2(model: Model, amps, widths, grid, keep, mt):
 
 def _columns(model: Model, summaries, sigma_a_mm=None):
     """Amplitudes, the model's widths (NaN where undefined) and mean movement
-    times as arrays."""
+    times as arrays.  m7 needs a sigma_a, and a given one must be finite and
+    >= 0 (0 makes W_f the effective width); else ValidationError."""
+    if sigma_a_mm is None and model is Model.M7_GIVEN_SIGMA_A:
+        raise ValidationError(f"{model.value} requires a sigma_a value")
+    if sigma_a_mm is not None and not 0 <= sigma_a_mm < math.inf:
+        raise ValidationError(f"sigma_a must be finite and >= 0, got {sigma_a_mm}")
     widths = model_widths(model, summaries, sigma_a_mm=sigma_a_mm)
     amps = np.array([s.condition.amplitude_mm for s in summaries], dtype=float)
     mt = np.array([s.mt_ms for s in summaries], dtype=float)
@@ -379,7 +384,8 @@ def fit_model(
     A model comes back unusable (math_errors populated, metrics None)
     instead of raising when its width term is undefined on any condition,
     or when a condition's difficulty or squared residual (in the full fit
-    or, with cv, held out) is not finite.
+    or, with cv, held out) is not finite.  A bad sigma_a, or none for m7,
+    raises ValidationError.
     """
     if isinstance(sigma_a, SigmaEstimate):
         sigma_est, sigma_val = sigma_a, sigma_a.sigma_a_mm
@@ -482,16 +488,14 @@ def compare(
     """Fit the requested models and rank them on every criterion.
 
     Each requested model is fitted once, in model-number order; an empty
-    request is an error.  A sigma_a source is required if (and only if) m7
-    is requested.  Unusable models stay in the report, flagged, with no
-    metrics.
+    request is an error.  A sigma_a is required if m7 is requested, and it
+    is checked as in fit_model.  Unusable models stay in the report,
+    flagged, with no metrics.
     """
     requested = set(Model if models is None else map(Model, models))
     models = [m for m in Model if m in requested]
     if not models:
         raise ValidationError("no model requested")
-    if Model.M7_GIVEN_SIGMA_A in models and sigma_a is None:
-        raise ValidationError("m7 requires a sigma_a value or catalog method")
 
     results = tuple(
         fit_model(list(dataset.summaries), m, sigma_a=sigma_a, cv=cv) for m in models

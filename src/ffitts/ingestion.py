@@ -14,13 +14,14 @@ with the four tremor-spread estimates reported for each study.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import sys
 from contextlib import contextmanager
 from functools import partial
 from itertools import chain, islice
 from pathlib import Path
-from typing import IO, Iterator
+from typing import IO, Iterator, Sequence
 
 import numpy as np
 
@@ -43,11 +44,9 @@ from .errors import (
     ValidationError,
 )
 
-TRIAL_CSV_COLUMNS = [
-    "participant", "block", "trial", "A_mm", "W_mm",
-    "target_x_mm", "target_y_mm", "touch_x_mm", "touch_y_mm",
-    "mt_ms", "tap_index", "is_practice",
-]
+# the TapTable columns, with the amplitude and width under their short CSV names
+TRIAL_CSV_COLUMNS = [{"amplitude_mm": "A_mm", "width_mm": "W_mm"}.get(name, name)
+                     for name in TAP_COLUMNS]
 
 AGGREGATE_CSV_COLUMNS = ["A_mm", "W_mm", "mt_ms", "sigma_obs_mm"]
 # optional extras preserved by write_aggregate_csv round-trips
@@ -106,9 +105,7 @@ def _read(path: str | Path, trials: bool | None = None) -> TapTable | list[Condi
     ConditionSummary.
     """
     with opened(path) as fh:
-        lines = chain([fh.readline().removeprefix("\ufeff")], fh)
-        rows = ((line, row) for line, row in enumerate(csv.reader(lines), start=1)
-                if row and not row[0].lstrip().startswith("#"))
+        rows = _records(csv.reader(chain([fh.readline().removeprefix("\ufeff")], fh)))
         header_line, header = next(rows, (None, None))
         if header is None:
             raise EmptyDatasetError(f"{source_name(path)}: no header row")
@@ -138,6 +135,16 @@ def _read(path: str | Path, trials: bool | None = None) -> TapTable | list[Condi
         return TapTable(*(np.concatenate([getattr(b, name) for b in blocks])
                           for name in TAP_COLUMNS))
     return [summary for block in blocks for summary in block]
+
+
+def _records(reader) -> Iterator[tuple[int, list[str]]]:
+    """(first line, fields) of each CSV record that is not blank or a '#' row;
+    a quoted field may span lines."""
+    line = 1
+    for row in reader:
+        if row and not row[0].lstrip().startswith("#"):
+            yield line, row
+        line = reader.line_num + 1
 
 
 def _block(lines, rows, width, columns, build):
@@ -258,23 +265,31 @@ def load_aggregate_csv(
     column is ignored.  The path "-" reads from stdin.
     """
     return Dataset(
-        name=name or Path(path).stem,
+        name=name or Path(source_name(path)).stem,
         dimensionality=dimensionality,
         summaries=tuple(_read(path, trials=False)),
     )
 
 
 def write_aggregate_csv(dataset: Dataset, path: str | Path) -> None:
-    """Write condition summaries ("-" = stdout); floats use repr so reload is exact."""
+    """Write condition summaries ("-" = stdout); floats print in full (repr)."""
     with opened(path, "w") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(AGGREGATE_CSV_COLUMNS + _AGGREGATE_OPTIONAL)
-        for s in dataset.summaries:
-            writer.writerow([
-                repr(s.condition.amplitude_mm), repr(s.condition.width_mm),
-                repr(s.mt_ms), repr(s.sigma_obs_mm),
-                s.n_trials, repr(s.error_rate),
-            ])
+        fh.write(csv_text(AGGREGATE_CSV_COLUMNS + _AGGREGATE_OPTIONAL, [
+            (s.condition.amplitude_mm, s.condition.width_mm, s.mt_ms, s.sigma_obs_mm,
+             s.n_trials, s.error_rate)
+            for s in dataset.summaries
+        ]))
+
+
+def csv_text(header: Sequence[str], rows, preamble: str = "") -> str:
+    """A whole table as CSV text: the preamble, the header, then the rows.
+    None is an empty field and a float prints in full (repr)."""
+    buf = io.StringIO()
+    buf.write(preamble)
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def embedded(name: str) -> Dataset:

@@ -21,8 +21,6 @@ The intercept plot needs at least 3 distinct widths; below that it is
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from typing import Sequence
@@ -33,6 +31,7 @@ from .datamodel import Dataset, SigmaEstimate, SigmaMethod
 from .errors import ValidationError
 from .fitting import FitResult, SelectionReport
 from .idmodels import Model, finger_width
+from .ingestion import csv_text
 from .sigma import InterceptFit, sigma_from_intercept
 
 ERR_CELL = "!err"
@@ -47,17 +46,6 @@ def sig(x: float, digits: int = 3) -> str:
     exponent = math.floor(math.log10(abs(x)))
     decimals = max(digits - 1 - exponent, 0)
     return f"{x:.{decimals}f}"
-
-
-def _csv_text(header: Sequence[str], rows, preamble: str = "") -> str:
-    """CSV text: the preamble, the header, then the rows.  None is an empty
-    field and a float prints in full (repr)."""
-    buf = io.StringIO()
-    buf.write(preamble)
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
 
 
 def _description(r: FitResult) -> str:
@@ -130,7 +118,7 @@ def render_comparison_md(report: SelectionReport) -> str:
 
 
 def render_comparison_csv(report: SelectionReport) -> str:
-    return _csv_text(COMPARISON_COLUMNS, [
+    return csv_text(COMPARISON_COLUMNS, [
         {**row, "math_errors": ";".join(row["math_errors"])}.values()
         for row in comparison_rows(report)
     ])
@@ -209,7 +197,7 @@ def render_wf_md(dataset: Dataset, extra: Sequence[SigmaEstimate] = ()) -> str:
 
 
 def render_wf_csv(dataset: Dataset, extra: Sequence[SigmaEstimate] = ()) -> str:
-    return _csv_text(["method", "sigma_a_mm", "A_mm", "W_mm", "wf_mm"], [
+    return csv_text(["method", "sigma_a_mm", "A_mm", "W_mm", "wf_mm"], [
         [row["sigma_a"].method.value, row["sigma_a"].sigma_a_mm, c["A_mm"], c["W_mm"],
          ERR_CELL if c["wf_mm"] is None else c["wf_mm"]]
         for row in wf_matrix(dataset, extra) for c in row["cells"]
@@ -263,7 +251,7 @@ def intercept_plot(dataset: Dataset) -> dict:
 
 
 def render_fits_plot_csv(report: SelectionReport) -> str:
-    return _csv_text(FITS_COLUMNS, [row.values() for row in fits_plot_rows(report)])
+    return csv_text(FITS_COLUMNS, [row.values() for row in fits_plot_rows(report)])
 
 
 def render_intercept_plot_csv(dataset: Dataset) -> str:
@@ -271,7 +259,7 @@ def render_intercept_plot_csv(dataset: Dataset) -> str:
     rows = [["point", p["w2_mm2"], p["sigma_obs2_mm2"]] for p in data["points"]]
     rows += [["fit-line", p["w2_mm2"], p["sigma_obs2_mm2"]] for p in data["line"]]
     preamble = "".join(f"# {key}={data[key]!r}\n" for key in ("slope", "intercept_mm2", "r2"))
-    return _csv_text(["role", "w2_mm2", "sigma_obs2_mm2"], rows, preamble)
+    return csv_text(["role", "w2_mm2", "sigma_obs2_mm2"], rows, preamble)
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +292,7 @@ def render_sigma_md(source: str, rows: Sequence[dict]) -> str:
 
 
 def render_sigma_csv(rows: Sequence[dict]) -> str:
-    return _csv_text(SIGMA_COLUMNS, [row.values() for row in rows])
+    return csv_text(SIGMA_COLUMNS, [row.values() for row in rows])
 
 
 def sigma_document(source: str, rows: Sequence[dict]) -> dict:

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .datamodel import ConditionSummary, SigmaEstimate, SigmaMethod
+from .datamodel import ConditionSummary, SigmaEstimate, SigmaMethod, endpoint_spread
 from .errors import (
     DegenerateDataError,
     NonPhysicalInterceptError,
@@ -46,11 +46,11 @@ def sigma_from_calibration(
     method: SigmaMethod = SigmaMethod.CALIB_RAPID_ACCURATE,
     source_dataset: str = "",
 ) -> SigmaEstimate:
-    """Sample SD of signed tap deviations from a calibration task.
+    """The ``endpoint_spread`` of signed tap deviations from a calibration task.
 
-    Univariate input is a flat sequence of signed deviations; bivariate
-    input is an (n, 2) array of per-axis deviations, reduced to
-    sqrt((var_x + var_y) / 2).  Outliers are assumed already removed.
+    Univariate input is a flat sequence of signed deviations (their sample
+    SD); bivariate input is an (n, 2) array of per-axis deviations, reduced
+    to sqrt((var_x + var_y) / 2).  Outliers are assumed already removed.
     """
     arr = np.asarray(deviations_mm, dtype=float)
     if mode is CalibrationMode.UNIVARIATE:
@@ -58,13 +58,13 @@ def sigma_from_calibration(
             raise ValidationError("univariate mode expects a flat sequence")
         if arr.size < 2:
             raise DegenerateDataError("need at least 2 deviations")
-        sigma = float(np.std(arr, ddof=1))
+        sigma = endpoint_spread(arr)
     else:
         if arr.ndim != 2 or arr.shape[1] != 2:
             raise ValidationError("bivariate mode expects an (n, 2) array")
         if arr.shape[0] < 2:
             raise DegenerateDataError("need at least 2 (x, y) pairs")
-        sigma = float(sqrt((np.var(arr[:, 0], ddof=1) + np.var(arr[:, 1], ddof=1)) / 2.0))
+        sigma = endpoint_spread(arr[:, 0], arr[:, 1])
     if sigma <= 0:
         raise DegenerateDataError("zero variance in calibration deviations")
     return SigmaEstimate(sigma_a_mm=sigma, method=method, source_dataset=source_dataset)

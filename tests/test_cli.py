@@ -15,6 +15,7 @@ import ffitts
 from ffitts import Model, compare, datamodel, embedded
 from ffitts import cli
 from ffitts.cli import main
+from ffitts.report import sig
 
 DATA = Path(__file__).parent / "data"
 # the hand-built tap log whose sigma and fit outputs are golden outputs too
@@ -241,6 +242,20 @@ class TestFit:
 
 def _raise_on_constant(token):
     raise ValueError(f"non-standard JSON token {token}")
+
+
+class TestSignificantFigures:
+    """The number format of the md reports."""
+
+    @pytest.mark.parametrize("x,digits,text", [
+        (0.0, 3, "0"), (3.14159, 3, "3.14"), (0.0123456, 3, "0.0123"),
+        (1234.56, 4, "1235"), (98765.4, 3, "98765"), (-2.5, 2, "-2.5"), (math.inf, 3, "inf"),
+    ])
+    def test_sig(self, x, digits, text):
+        assert sig(x, digits) == text
+
+    def test_three_figures_by_default(self):
+        assert sig(3.14159) == "3.14"
 
 
 class TestPerfectFit:

@@ -1,12 +1,14 @@
 import math
 import random
+from operator import attrgetter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ffitts import (
     AxisMode,
+    CalibrationMode,
     Condition,
     ConditionSummary,
     Dataset,
@@ -22,6 +24,7 @@ from ffitts import (
     aggregate,
     first_taps,
     generate,
+    sigma_from_calibration,
 )
 from ffitts.datamodel import TAP_COLUMNS
 
@@ -43,7 +46,15 @@ def make_trial(cond, dx=0.5, dy=0.5, mt=300.0, tap_index=1, trial=1,
 
 
 COND = Condition(20.0, 4.0)
-table = TapTable.from_records
+# the TrialRecord attribute that holds each tap column, where the names differ
+_ATTRS = {"participant": "participant_id", "amplitude_mm": "condition.amplitude_mm",
+          "width_mm": "condition.width_mm"}
+
+
+def table(records):
+    """The TapTable of a list of TrialRecords, built from its columns."""
+    return TapTable(**{name: list(map(attrgetter(_ATTRS.get(name, name)), records))
+                       for name in TAP_COLUMNS})
 
 
 class TestTypes:
@@ -55,9 +66,9 @@ class TestTypes:
 
     def test_trial_invariants(self):
         with pytest.raises(ValidationError, match="mt_ms must be finite and >= 0"):
-            TapTable.from_records([make_trial(COND, mt=-1.0)])
+            table([make_trial(COND, mt=-1.0)])
         with pytest.raises(ValidationError, match="tap_index must be >= 1"):
-            TapTable.from_records([make_trial(COND, tap_index=0)])
+            table([make_trial(COND, tap_index=0)])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize(
@@ -68,7 +79,7 @@ class TestTypes:
                       target_y_mm=0.0, touch_x_mm=0.5, touch_y_mm=0.5, mt_ms=300.0)
         values[field] = bad
         with pytest.raises(ValidationError, match="finite") as exc:
-            TapTable.from_records([make_trial(COND), TrialRecord(**values)])
+            table([make_trial(COND), TrialRecord(**values)])
         assert exc.value.row == 1
 
     def test_summary_invariants(self):
@@ -93,6 +104,27 @@ class TestTypes:
             ConditionSummary(COND, mt_ms=300, sigma_obs_mm=1.0, error_rate=bad)
         with pytest.raises(ValidationError):
             SigmaEstimate(bad, SigmaMethod.USER_GIVEN)
+
+    def test_defaults(self):
+        record = TrialRecord("p1", COND, 0.0, 0.0, 0.5, 0.5, 300.0)
+        assert (record.tap_index, record.is_practice, record.block, record.trial) == (
+            1, False, 0, 0)
+        summary = ConditionSummary(COND, mt_ms=300, sigma_obs_mm=1.0)
+        assert (summary.n_trials, summary.error_rate) == (2, 0.0)
+
+    def test_summary_limits_accepted(self):
+        summary = ConditionSummary(COND, mt_ms=0.5, sigma_obs_mm=0.5, n_trials=2,
+                                   error_rate=1.0)
+        assert (summary.mt_ms, summary.sigma_obs_mm, summary.error_rate) == (0.5, 0.5, 1.0)
+
+    def test_catalog_lookup_by_method(self):
+        s = ConditionSummary(COND, mt_ms=300, sigma_obs_mm=1.0)
+        fitts = SigmaEstimate(1.2, SigmaMethod.INTERCEPT_FITTS)
+        calib = SigmaEstimate(0.9, SigmaMethod.CALIB_ACCURACY_ONLY)
+        ds = Dataset("d", Dimensionality.ONE_D, (s,), (fitts, calib))
+        assert ds.sigma_a(SigmaMethod.CALIB_ACCURACY_ONLY) is calib
+        with pytest.raises(KeyError):
+            ds.sigma_a(SigmaMethod.USER_GIVEN)
 
     def test_dataset_rejects_duplicate_conditions(self):
         s = ConditionSummary(COND, mt_ms=300, sigma_obs_mm=1.0)
@@ -119,6 +151,22 @@ class TestTapTable:
     def test_participant_id_with_inner_comma_or_space_kept(self):
         taps = table([make_trial(COND, participant=p) for p in ("p,3", "p 4", "p#5")])
         assert taps.participant.tolist() == ["p,3", "p 4", "p#5"]
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+    @pytest.mark.parametrize("column,what", [("amplitude_mm", "amplitude"),
+                                             ("width_mm", "width")])
+    def test_condition_not_finite_and_positive_rejected(self, column, what, bad):
+        columns = {name: getattr(table([make_trial(COND)] * 2), name) for name in TAP_COLUMNS}
+        columns[column] = [columns[column][0], bad]
+        with pytest.raises(ValidationError) as exc:
+            TapTable(**columns)
+        assert (exc.value.row, exc.value.reason) == (1, f"{what} must be finite and > 0, got {bad}")
+
+    def test_small_positive_values_kept(self):
+        cond = Condition(0.5, 0.25)
+        taps = table([make_trial(cond, mt=0.0), make_trial(cond, mt=0.5)])
+        assert (taps.amplitude_mm.tolist(), taps.width_mm.tolist(), taps.mt_ms.tolist()) == (
+            [0.5, 0.5], [0.25, 0.25], [0.0, 0.5])
 
     def test_columns_of_unequal_length_rejected(self):
         columns = {name: getattr(table([make_trial(COND)] * 2), name)
@@ -182,6 +230,19 @@ class TestAggregate:
         trials.append(make_trial(COND, dy=9.0, trial=50, practice=True))
         (summary,) = aggregate(table(trials))
         assert summary.n_trials == 5
+
+    def test_two_trials_are_enough(self):
+        (summary,) = aggregate(table([make_trial(COND, dy=-0.5, trial=1),
+                                      make_trial(COND, dy=0.5, trial=2)]))
+        assert (summary.n_trials, summary.sigma_obs_mm) == (2, math.sqrt(0.5))
+
+    def test_conditions_told_apart_across_amplitudes_and_widths(self):
+        # amplitude ranks 0, 1, 2 and width ranks 1, 0, 0: rank arithmetic
+        # that mixed them would merge (20, 4) with (45, 2)
+        conds = [Condition(20.0, 4.0), Condition(30.0, 2.0), Condition(45.0, 2.0)]
+        trials = [make_trial(c, dy=0.2 * i - 0.1, trial=i) for c in conds for i in range(3)]
+        summaries = aggregate(table(trials))
+        assert [(s.condition, s.n_trials) for s in summaries] == [(c, 3) for c in conds]
 
     def test_fewer_than_two_trials_is_degenerate(self):
         with pytest.raises(DegenerateConditionError) as exc:
@@ -293,6 +354,19 @@ class TestFirstTaps:
         # only p1's trial 1 has a re-tap inside the radius
         assert taps.retapped.tolist() == [False, False, True]
 
+    def test_deviation_is_touch_minus_target(self):
+        record = TrialRecord("p1", COND, target_x_mm=100.0, target_y_mm=50.0,
+                             touch_x_mm=100.5, touch_y_mm=49.0, mt_ms=300.0)
+        taps = first_taps(table([record]))
+        assert (taps.dx_mm.tolist(), taps.dy_mm.tolist()) == ([0.5], [-1.0])
+
+    def test_tap_on_the_radius_kept(self):
+        # hypot(9, 12) is exactly 15
+        trials = [make_trial(COND, dx=0.0, dy=15.0), make_trial(COND, dx=9.0, dy=12.0, trial=2),
+                  make_trial(COND, dx=0.0, dy=15.5, trial=3)]
+        assert first_taps(table(trials)).dy_mm.tolist() == [15.0, 12.0]
+        assert first_taps(table(trials), outlier_radius_mm=0.5).dy_mm.size == 0
+
     def test_conditions_without_retained_taps_listed(self):
         taps = first_taps(table([make_trial(COND, dy=30.0)]))
         assert taps.conditions == (COND,)
@@ -309,6 +383,8 @@ _CONDS = [Condition(20.0, 2.0), Condition(45.0, 4.0)]
 # multiples of 1/97 sum with rounding, so a changed summation order shows;
 # |coordinate| <= 12.4 puts some taps beyond the 15 mm radius
 _MM = st.integers(-1200, 1200).map(lambda k: k / 97)
+# |coordinate| <= 10 keeps every tap inside the radius
+_MM_IN = st.integers(-970, 970).map(lambda k: k / 97)
 _TAP = st.builds(
     make_trial,
     st.sampled_from(_CONDS),
@@ -327,6 +403,25 @@ _BASE = [
     for cond in _CONDS for i in range(4)
 ]
 _LOGS = st.lists(_TAP, max_size=60).map(lambda drawn: _BASE + drawn)
+
+
+class TestSpreadProperties:
+    @_PROPERTY
+    @given(deviations=st.lists(st.tuples(_MM_IN, _MM_IN), min_size=2, max_size=40))
+    def test_aggregate_and_calibration_give_the_same_spread(self, deviations):
+        dx, dy = (np.array(d) for d in zip(*deviations))
+        assume(np.ptp(dx) > 0 and np.ptp(dy) > 0)
+        # trials numbered 1..n in draw order, which is then summarize's
+        # canonical order, so both sides sum the deviations in one order
+        taps = table([make_trial(COND, dx=x, dy=y, trial=i)
+                      for i, (x, y) in enumerate(deviations, start=1)])
+        for axis, mode, calibration in [
+            (AxisMode.X, CalibrationMode.UNIVARIATE, dx),
+            (AxisMode.Y, CalibrationMode.UNIVARIATE, dy),
+            (AxisMode.BIVARIATE, CalibrationMode.BIVARIATE, np.column_stack([dx, dy])),
+        ]:
+            (summary,) = aggregate(taps, axis)
+            assert summary.sigma_obs_mm == sigma_from_calibration(calibration, mode).sigma_a_mm
 
 
 class TestAggregateProperties:

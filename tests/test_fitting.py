@@ -265,6 +265,44 @@ class TestFitModel:
             )
 
 
+class TestSigmaAArgument:
+    """A bare float sigma_a is checked where fit_model, compare and loocv_rmse
+    take it, before any width is computed."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
+    def test_not_finite_or_negative_rejected(self, paper_2d, bad):
+        summaries = list(paper_2d.summaries)
+        message = f"sigma_a must be finite and >= 0, got {bad}"
+        for call in (
+            lambda: compare(paper_2d, [Model.M1_BASELINE, Model.M7_GIVEN_SIGMA_A],
+                            sigma_a=bad),
+            lambda: fit_model(summaries, Model.M7_GIVEN_SIGMA_A, sigma_a=bad),
+            lambda: loocv_rmse(summaries, Model.M7_GIVEN_SIGMA_A, sigma_a_mm=bad),
+        ):
+            with pytest.raises(ValidationError) as exc:
+                call()
+            assert str(exc.value) == message
+
+    def test_m7_without_sigma_a_rejected(self, paper_2d):
+        summaries = list(paper_2d.summaries)
+        for call in (
+            lambda: compare(paper_2d, [Model.M1_BASELINE, Model.M7_GIVEN_SIGMA_A]),
+            lambda: fit_model(summaries, Model.M7_GIVEN_SIGMA_A),
+            lambda: loocv_rmse(summaries, Model.M7_GIVEN_SIGMA_A),
+        ):
+            with pytest.raises(ValidationError) as exc:
+                call()
+            assert str(exc.value) == "m7 requires a sigma_a value"
+
+    def test_zero_is_the_effective_width_fit(self, paper_2d):
+        summaries = list(paper_2d.summaries)
+        m7 = fit_model(summaries, Model.M7_GIVEN_SIGMA_A, sigma_a=0.0)
+        m2 = fit_model(summaries, Model.M2_EFFECTIVE)
+        assert m7.usable
+        for name in ("a_ms", "b_ms_per_bit", "r2", "cv_rmse_ms"):
+            assert getattr(m7, name) == pytest.approx(getattr(m2, name), rel=1e-12)
+
+
 class TestCompare:
     def test_best_by_adjusted_r2_is_baseline(self, paper_1d):
         sigma = paper_1d.sigma_a_catalog[0]

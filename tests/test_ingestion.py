@@ -1,3 +1,6 @@
+import io
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -67,8 +70,20 @@ class TestTrialsCsv:
         assert str(exc.value) == "line 5: mt_ms must be finite and >= 0, got -5.0"
 
     def test_header_mismatch(self, tmp_path):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as exc:
             load_trials_csv(write(tmp_path, ["a,b,c", "1,2,3"]))
+        assert exc.value.line == 1
+
+    @pytest.mark.parametrize("bad,message", [
+        ("p1,0,1,20,4,0,0,0.3,-0.2,-5.0,1,false", "mt_ms must be finite and >= 0, got -5.0"),
+        ("p1,0,1,20,4,0,0,0.3,-0.2,abc,1,false", "column 'mt_ms': not a number: 'abc'"),
+    ])
+    def test_line_named_after_a_record_that_spans_lines(self, tmp_path, bad, message):
+        # the quoted comment takes lines 3 and 4, so the bad row is on line 5
+        lines = [HEADER, GOOD_ROWS[0], '"# note\ncontinued"', bad]
+        with pytest.raises(ParseError) as exc:
+            load_trials_csv(write(tmp_path, lines))
+        assert str(exc.value) == f"line 5: {message}"
 
     def test_comment_lines_skipped(self, tmp_path):
         lines = ["# seed=7", "# alpha=0.1", HEADER] + GOOD_ROWS
@@ -210,6 +225,14 @@ class TestAggregateCsv:
         assert loaded.summaries == paper_1d.summaries
         assert loaded.name == paper_1d.name
 
+    def test_numpy_floats_written_as_numbers(self, tmp_path):
+        summary = ConditionSummary(Condition(np.float64(20.0), np.float64(2.0)),
+                                   mt_ms=np.float64(444.0), sigma_obs_mm=np.float64(0.69))
+        out = tmp_path / "agg.csv"
+        write_aggregate_csv(Dataset("d", Dimensionality.ONE_D, (summary,)), out)
+        assert out.read_text(encoding="utf-8").splitlines()[1] == "20.0,2.0,444.0,0.69,2,0.0"
+        assert load_aggregate_csv(out).summaries == (summary,)
+
     def test_dash_writes_stdout(self, tmp_path, monkeypatch, capsys, paper_1d):
         monkeypatch.chdir(tmp_path)
         write_aggregate_csv(paper_1d, "agg.csv")
@@ -243,6 +266,26 @@ class TestAggregateCsv:
             load_aggregate_csv(write(tmp_path, lines, "agg.csv"))
         assert exc.value.line == 3
         assert column in str(exc.value)
+
+    @pytest.mark.parametrize("bad,message", [
+        ("45,8,350,-2.0,y", "endpoint spread must be finite and > 0, got -2.0"),
+        ("45,8,abc,2.0,y", "column 'mt_ms': not a number: 'abc'"),
+    ])
+    def test_line_named_after_a_field_that_spans_lines(self, tmp_path, bad, message):
+        # the quoted note takes lines 2 and 3, so the bad row is on line 5
+        lines = [",".join(AGGREGATE_CSV_COLUMNS) + ",note", '20,4,300,1.0,"a\nb"',
+                 "30,4,350,1.2,x", bad]
+        with pytest.raises((ParseError, ValidationError)) as exc:
+            load_aggregate_csv(write(tmp_path, lines, "agg.csv"))
+        assert str(exc.value) == f"line 5: {message}"
+
+    def test_stdin_dataset_named_like_the_cli_names_it(self, tmp_path, monkeypatch,
+                                                        paper_1d):
+        write_aggregate_csv(paper_1d, tmp_path / "agg.csv")
+        text = (tmp_path / "agg.csv").read_text(encoding="utf-8")
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        loaded = load_aggregate_csv("-")
+        assert (loaded.name, loaded.summaries) == ("<stdin>", paper_1d.summaries)
 
     def test_missing_column_is_parse_error(self, tmp_path):
         lines = ["A_mm,W_mm,mt_ms", "20,2,444"]
@@ -358,6 +401,11 @@ class TestEmbedded:
         }
         assert lookup[(60, 10)].mt_ms == 385
         assert lookup[(60, 10)].sigma_obs_mm == pytest.approx(2.31)
+
+    @pytest.mark.parametrize("name", ["paper-1d", "paper-2d"])
+    def test_every_cell_matches_the_golden_dump(self, name):
+        dump = Path(__file__).parent / "data" / "outputs" / f"{name}-aggregate.csv"
+        assert load_aggregate_csv(dump).summaries == embedded(name).summaries
 
     def test_grid_is_4_by_5(self, paper_1d, paper_2d):
         for ds in (paper_1d, paper_2d):

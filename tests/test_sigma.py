@@ -8,6 +8,7 @@ from ffitts import (
     Condition,
     ConditionSummary,
     DegenerateDataError,
+    InterceptFit,
     NonPhysicalInterceptError,
     SigmaMethod,
     UnsupportedSampleSizeError,
@@ -68,6 +69,12 @@ class TestCalibration:
     def test_too_few_points(self):
         with pytest.raises(DegenerateDataError):
             sigma_from_calibration([0.3])
+        with pytest.raises(DegenerateDataError):
+            sigma_from_calibration([[0.3, 0.1]], CalibrationMode.BIVARIATE)
+
+    def test_two_pairs_are_enough(self):
+        est = sigma_from_calibration([[0.0, 1.0], [1.0, 0.0]], CalibrationMode.BIVARIATE)
+        assert est.sigma_a_mm == math.sqrt(0.5)
 
 
 class TestIntercept:
@@ -128,6 +135,13 @@ class TestIntercept:
     def test_needs_three_distinct_widths(self):
         with pytest.raises(ValidationError):
             sigma_from_intercept(summaries_from([2.0, 4.0], [0.7, 1.2]))
+        fit = sigma_from_intercept(summaries_from([2.0, 4.0, 6.0], [0.7, 1.2, 1.5]))
+        assert len(fit.points) == 3
+
+    def test_zero_intercept_is_not_physical(self):
+        fit = InterceptFit(slope=0.01, intercept_mm2=0.0, r2=1.0, points=())
+        with pytest.raises(NonPhysicalInterceptError):
+            _ = fit.sigma_a_mm
 
     def test_estimate_carries_method(self, paper_2d):
         fit = sigma_from_intercept(list(paper_2d.summaries))
@@ -145,6 +159,16 @@ class TestNormality:
     def test_unsupported_sizes(self, n):
         with pytest.raises(UnsupportedSampleSizeError):
             normality_check(np.linspace(-1, 1, n))
+
+    @pytest.mark.parametrize("n", [3, 5000])
+    def test_supported_size_limits(self, n):
+        res = normality_check(np.linspace(-1, 1, n) ** 3)
+        assert 0 < res.statistic <= 1 and 0 <= res.p_value <= 1
+
+    def test_p_value_at_alpha_does_not_pass(self):
+        sample = np.random.Generator(np.random.PCG64(5)).normal(0, 1, 45)
+        p = normality_check(sample).p_value
+        assert not normality_check(sample, alpha=p).passed
 
     def test_normal_sample_usually_passes(self):
         rng = np.random.Generator(np.random.PCG64(5))
