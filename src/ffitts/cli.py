@@ -25,6 +25,7 @@ import numpy as np
 
 from . import report as rpt
 from .datamodel import (
+    OUTLIER_RADIUS_MM,
     AxisMode,
     Dataset,
     Dimensionality,
@@ -80,7 +81,7 @@ class _FiniteFloatRange(click.FloatRange):
 
 _outlier_mm_option = click.option(
     "--outlier-mm", type=_FiniteFloatRange(min=0, min_open=True),
-    default=15.0, show_default=True,
+    default=OUTLIER_RADIUS_MM, show_default=True,
     help="Tap-to-target distance beyond which taps are discarded.")
 
 

@@ -9,7 +9,6 @@ the aggregation between them.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
@@ -49,10 +48,29 @@ class SigmaMethod(str, Enum):
         return member
 
 
-def _require_positive(what: str, value: float) -> None:
-    """Raise ValidationError unless ``value`` is finite and > 0."""
-    if not 0 < value < math.inf:
-        raise ValidationError(f"{what} must be finite and > 0, got {value}")
+#: Taps farther than this from the target center (mm) are outliers.
+OUTLIER_RADIUS_MM = 15.0
+
+
+def finite_rule(rule: str, values):
+    """Where ``values`` (a number or an array) break ``rule``, a name then
+    "> 0" or ">= 0" ("width > 0"; NaN and infinities break both), as a bool
+    mask, with the message for bad element i: the one wording of the rule."""
+    name, op, _ = rule.rsplit(" ", 2)
+    v = np.asarray(values)
+    return (~((v >= 0 if op == ">=" else v > 0) & (v < np.inf)),
+            lambda i: f"{name} must be finite and {op} 0, got {v.flat[i].item()}")
+
+
+def require(*rules) -> None:
+    """Raise ValidationError for the first element that breaks one of the
+    (bad mask, message for element i) ``rules``, worded by the first rule it
+    breaks; an array's element is named as ``row``."""
+    bad = np.logical_or.reduce([mask for mask, _ in rules])
+    if bad.any():
+        i = int(np.argmax(bad))
+        say = next(say for mask, say in rules if mask.flat[i])
+        raise ValidationError(say(i), row=i if np.ndim(bad) else None)
 
 
 @dataclass(frozen=True, slots=True)
@@ -63,8 +81,8 @@ class Condition:
     width_mm: float
 
     def __post_init__(self):
-        _require_positive("amplitude", self.amplitude_mm)
-        _require_positive("width", self.width_mm)
+        require(finite_rule("amplitude > 0", self.amplitude_mm),
+                finite_rule("width > 0", self.width_mm))
 
     def __str__(self) -> str:
         return f"(A={self.amplitude_mm:g}, W={self.width_mm:g})"
@@ -138,25 +156,18 @@ class TapTable:
         if mt.ndim != 1 or any(getattr(self, n).shape != mt.shape for n in TAP_COLUMNS):
             raise ValidationError("tap columns must be 1-D arrays of one length")
         coords = (self.target_x_mm, self.target_y_mm, self.touch_x_mm, self.touch_y_mm)
-        rules = [  # (bad rows, message for row i), in the order a row is checked
+        require(  # (bad rows, message for row i), in the order a row is checked
             (np.strings.startswith(pid, "#") | (np.strings.strip(pid) != pid)
              | (np.strings.find(pid, "\r") >= 0) | (np.strings.find(pid, "\n") >= 0),
              lambda i: f"participant ID must not start with '#', have surrounding "
                        f"whitespace or contain a line break, got {str(pid[i])!r}"),
-            (~((0 < a) & (a < np.inf)),
-             lambda i: f"amplitude must be finite and > 0, got {float(a[i])}"),
-            (~((0 < w) & (w < np.inf)),
-             lambda i: f"width must be finite and > 0, got {float(w[i])}"),
+            finite_rule("amplitude > 0", a),
+            finite_rule("width > 0", w),
             (~np.logical_and.reduce([np.isfinite(c) for c in coords]),
              lambda i: "target and touch coordinates must be finite"),
-            (~((0 <= mt) & (mt < np.inf)),
-             lambda i: f"mt_ms must be finite and >= 0, got {float(mt[i])}"),
+            finite_rule("mt_ms >= 0", mt),
             (tap < 1, lambda i: f"tap_index must be >= 1, got {int(tap[i])}"),
-        ]
-        bad = np.logical_or.reduce([mask for mask, _ in rules])
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise ValidationError(next(say(i) for mask, say in rules if mask[i]), row=i)
+        )
 
     def __len__(self) -> int:
         return len(self.mt_ms)
@@ -182,8 +193,8 @@ class ConditionSummary:
     error_rate: float = 0.0
 
     def __post_init__(self):
-        _require_positive("mean MT", self.mt_ms)
-        _require_positive("endpoint spread", self.sigma_obs_mm)
+        require(finite_rule("mean MT > 0", self.mt_ms),
+                finite_rule("endpoint spread > 0", self.sigma_obs_mm))
         if self.n_trials < 2:
             raise ValidationError(f"n_trials must be >= 2, got {self.n_trials}")
         if not 0.0 <= self.error_rate <= 1.0:
@@ -203,7 +214,7 @@ class SigmaEstimate:
     source_dataset: str = ""
 
     def __post_init__(self):
-        _require_positive("sigma_a", self.sigma_a_mm)
+        require(finite_rule("sigma_a > 0", self.sigma_a_mm))
 
 
 @dataclass(frozen=True, slots=True)
@@ -249,7 +260,7 @@ class FirstTaps:
     retapped: np.ndarray
 
 
-def first_taps(taps: TapTable, outlier_radius_mm: float = 15.0) -> FirstTaps:
+def first_taps(taps: TapTable, outlier_radius_mm: float = OUTLIER_RADIUS_MM) -> FirstTaps:
     """Select the taps that every per-trial statistic is computed from.
 
     Practice taps are dropped, and so are taps farther than
@@ -305,7 +316,7 @@ def _group_ids(*columns: np.ndarray) -> np.ndarray:
 def aggregate(
     taps: TapTable,
     axis_mode: AxisMode = AxisMode.Y,
-    outlier_radius_mm: float = 15.0,
+    outlier_radius_mm: float = OUTLIER_RADIUS_MM,
 ) -> list[ConditionSummary]:
     """Reduce a tap log to per-condition summaries.
 

@@ -10,8 +10,8 @@ class FfittsError(Exception):
 class ValidationError(FfittsError):
     """An input violates a documented invariant (non-positive width, etc.).
 
-    ``row`` is the index of the offending tap-table row, if any, and
-    ``reason`` the message without it.
+    ``row`` is the index of the offending tap-table row or array element,
+    if any, and ``reason`` the message without it.
     """
 
     def __init__(self, message: str, row: int | None = None):
@@ -34,7 +34,7 @@ class EmptyDatasetError(FfittsError):
     """A file or input stream contained a header but no data rows."""
 
 
-class DuplicateConditionError(FfittsError):
+class DuplicateConditionError(ParseError):
     """The same (A, W) pair appeared more than once in an aggregate input."""
 
 

@@ -173,12 +173,7 @@ def _grid_r2(model: Model, amps, widths, grid, keep, mt):
 
 def _columns(model: Model, summaries, sigma_a_mm=None):
     """Amplitudes, the model's widths (NaN where undefined) and mean movement
-    times as arrays.  m7 needs a sigma_a, and a given one must be finite and
-    >= 0 (0 makes W_f the effective width); else ValidationError."""
-    if sigma_a_mm is None and model is Model.M7_GIVEN_SIGMA_A:
-        raise ValidationError(f"{model.value} requires a sigma_a value")
-    if sigma_a_mm is not None and not 0 <= sigma_a_mm < math.inf:
-        raise ValidationError(f"sigma_a must be finite and >= 0, got {sigma_a_mm}")
+    times as arrays; `model_widths` holds the sigma_a rules."""
     widths = model_widths(model, summaries, sigma_a_mm=sigma_a_mm)
     amps = np.array([s.condition.amplitude_mm for s in summaries], dtype=float)
     mt = np.array([s.mt_ms for s in summaries], dtype=float)
@@ -253,11 +248,11 @@ def _search_c(model: Model, amps, widths, mt, keep) -> np.ndarray:
     return np.where(r2_at(c_ref) > r2_at(best_c, total=_in_order), c_ref, best_c)
 
 
-def _search_cs(model: Model, amps, widths, mt, full=True, folds=False):
-    """c of the full fit (with `full`), then of each leave-one-out fold (with
-    `folds`), from one search; None for a fixed model."""
+def _search_cs(model: Model, amps, widths, mt, folds=False):
+    """c of the full fit, then (with `folds`) of each leave-one-out fold,
+    from one search; None for a fixed model."""
     n = len(mt)  # row i of the last n trains on every condition but i
-    keep = np.vstack([np.ones((1, n), dtype=bool)] * full + [~np.eye(n, dtype=bool)] * folds)
+    keep = np.vstack([np.ones((1, n), dtype=bool)] + [~np.eye(n, dtype=bool)] * folds)
     return _search_c(model, amps, widths, mt, keep) if model.tremor is Tremor.FREE_C else None
 
 
@@ -348,29 +343,17 @@ def _loocv_residuals(model: Model, amps, widths, mt, cs):
     return a + b * held_out - mt
 
 
-def _rmse(resid) -> float:
-    return float(math.sqrt(np.mean(resid**2)))
-
-
 def loocv_rmse(
     summaries: Sequence[ConditionSummary],
     model: Model,
     sigma_a_mm: float | None = None,
 ) -> float | None:
-    """Leave-one-condition-out RMSE of movement-time predictions.
-
-    Each fold refits the line, re-optimizing c for free-c models, all folds
-    in one batched search; returns None when any condition's width is
-    undefined.
-    """
+    """Leave-one-condition-out RMSE of movement-time predictions: the
+    ``cv_rmse_ms`` of ``fit_model``, so None where the model is unusable."""
     n = len(summaries)
     if n < 4:
         raise ValidationError(f"need >= 4 conditions for cross-validation, got {n}")
-    amps, widths, mt = _columns(model, summaries, sigma_a_mm)
-    if np.isnan(widths).any():
-        return None
-    cs = _search_cs(model, amps, widths, mt, full=False, folds=True)
-    return _rmse(_loocv_residuals(model, amps, widths, mt, cs))
+    return fit_model(summaries, model, sigma_a_mm).cv_rmse_ms
 
 
 def fit_model(
@@ -410,7 +393,7 @@ def fit_model(
         if folds and not bad.any():
             cv_resid = _loocv_residuals(model, amps, widths, mt, cs)
             bad = ~np.isfinite(cv_resid**2)
-            cv_rmse = _rmse(cv_resid)
+            cv_rmse = float(math.sqrt(np.mean(cv_resid**2)))
         if not bad.any() and not np.isfinite(
                 [fit.r2, fit.rss, 0.0 if cv_rmse is None else cv_rmse]).all():
             bad = np.ones(n, dtype=bool)  # a sum overflowed: every condition is in it

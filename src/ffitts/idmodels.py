@@ -11,7 +11,8 @@ Every formula here takes floats or numpy arrays and broadcasts.  Where a
 width term is not positive (sigma_obs <= sigma_a for m7; w <= 0, c < 0 or
 c at least the width for the c-forms) the result is NaN, not an exception:
 batch evaluation over a whole dataset must find every failing condition so
-a model can be reported unusable.
+a model can be reported unusable.  A spread off its domain (sigma_obs finite
+and > 0, sigma_a finite and >= 0) is bad input instead: ValidationError.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .datamodel import ConditionSummary
+from .datamodel import ConditionSummary, finite_rule, require
+from .errors import ValidationError
 
 #: sqrt(2*pi*e): ratio between a normal sample's 96%-coverage width and its SD.
 SQRT_2PI_E = math.sqrt(2.0 * math.pi * math.e)
@@ -88,11 +90,18 @@ class Model(Enum):
         )
 
 
+def _spreads(sigma_obs_mm, sigma_a_mm=0.0):
+    """sigma_obs and sigma_a as float arrays, after the spread rules (0 is
+    no tremor)."""
+    sigma_obs, sigma_a = (np.asarray(v, dtype=float) for v in (sigma_obs_mm, sigma_a_mm))
+    require(finite_rule("sigma_obs > 0", sigma_obs))
+    require(finite_rule("sigma_a >= 0", sigma_a))
+    return sigma_obs, sigma_a
+
+
 def effective_width(sigma_obs_mm):
     """Width covering ~96% of normally spread endpoints: sqrt(2*pi*e)*sigma."""
-    if np.any(np.asarray(sigma_obs_mm) <= 0):
-        raise ValueError("sigma_obs must be > 0")
-    return SQRT_2PI_E * sigma_obs_mm
+    return _scalar(SQRT_2PI_E * _spreads(sigma_obs_mm)[0])
 
 
 def finger_width(sigma_obs_mm, sigma_a_mm):
@@ -101,10 +110,7 @@ def finger_width(sigma_obs_mm, sigma_a_mm):
     NaN where sigma_obs^2 <= sigma_a^2.  A zero tremor spread gives the
     plain effective width exactly, since sqrt(x*x) == x.
     """
-    sigma_obs = np.asarray(sigma_obs_mm, dtype=float)
-    sigma_a = np.asarray(sigma_a_mm, dtype=float)
-    if np.any(sigma_obs <= 0) or np.any(sigma_a < 0):
-        raise ValueError("sigma_obs must be > 0 and sigma_a >= 0")
+    sigma_obs, sigma_a = _spreads(sigma_obs_mm, sigma_a_mm)
     gap = sigma_obs * sigma_obs - sigma_a * sigma_a
     return _scalar(SQRT_2PI_E * np.sqrt(np.where(gap > 0, gap, np.nan)))
 
@@ -145,12 +151,14 @@ def model_widths(
     """Per-condition width terms for a model, before any c adjustment.
 
     NaN marks a condition whose width is undefined (sigma_obs <= sigma_a).
+    m7 needs a sigma_a, and any model checks a given one; else ValidationError.
     """
     if model.width_kind is WidthKind.FINGER_ADJUSTED and sigma_a_mm is None:
-        raise ValueError(f"{model.value} requires a sigma_a value")
+        raise ValidationError(f"{model.value} requires a sigma_a value")
+    sigma, _ = _spreads([s.sigma_obs_mm for s in summaries],
+                        0.0 if sigma_a_mm is None else sigma_a_mm)
     if model.width_kind is WidthKind.NOMINAL:
         return np.array([s.condition.width_mm for s in summaries], dtype=float)
-    sigma = np.array([s.sigma_obs_mm for s in summaries], dtype=float)
     if model.width_kind is WidthKind.EFFECTIVE:
         return effective_width(sigma)
     return finger_width(sigma, sigma_a_mm)

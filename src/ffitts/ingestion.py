@@ -195,18 +195,17 @@ def _tap_block(lines, columns) -> TapTable:
 
 
 def _summary_block(names, seen, lines, columns) -> list[ConditionSummary]:
-    """The summaries of a block; ``seen`` holds the (A, W) of earlier rows."""
+    """The summaries of a block, a bad row a ParseError; ``seen`` holds the
+    (A, W) of earlier rows."""
     summaries = []
     for line, (a, w, *rest) in zip(lines, zip(*(c.tolist() for c in columns))):
         if (a, w) in seen:
-            raise DuplicateConditionError(
-                f"line {line}: duplicate condition (A={a:g}, W={w:g})"
-            )
+            raise DuplicateConditionError(f"duplicate condition (A={a:g}, W={w:g})", line)
         seen.add((a, w))
         try:
             summaries.append(ConditionSummary(Condition(a, w), **dict(zip(names[2:], rest))))
         except ValidationError as exc:
-            raise ValidationError(f"line {line}: {exc}") from None
+            raise ParseError(exc.reason, line) from None
     return summaries
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .datamodel import Dimensionality, TapTable
+from .datamodel import Dimensionality, TapTable, finite_rule, require
 from .errors import ValidationError
 
 #: Identifier recorded in emitted metadata for cross-checking generators.
@@ -46,10 +46,7 @@ class MovementTimeModel:
         for name in ("a_ms", "b_ms_per_bit"):
             if not math.isfinite(getattr(self, name)):
                 raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
-        if not 0 <= self.noise_sd_ms < math.inf:
-            raise ValidationError(
-                f"noise_sd_ms must be finite and >= 0, got {self.noise_sd_ms}"
-            )
+        require(finite_rule("noise_sd_ms >= 0", self.noise_sd_ms))
 
 
 @dataclass(frozen=True)
@@ -64,9 +61,8 @@ class SimulatorConfig:
     mt_model: MovementTimeModel = field(default_factory=MovementTimeModel)
 
     def __post_init__(self):
-        for name in ("alpha", "sigma_a_mm"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ValidationError(f"{name} must be finite and >= 0")
+        require(finite_rule("alpha >= 0", self.alpha),
+                finite_rule("sigma_a_mm >= 0", self.sigma_a_mm))
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if self.trials_per_condition < 2:

@@ -215,6 +215,18 @@ class TestFit:
         assert "line 2" in result.output
         assert "W_mm" in result.output
 
+    @pytest.mark.parametrize("row, message", [
+        ("45,8,350,-2.0", "line 3: endpoint spread must be finite and > 0, got -2.0"),
+        ("20,2,450,0.70", "line 3: duplicate condition (A=20, W=2)"),
+    ], ids=["non-positive", "duplicate"])
+    def test_bad_aggregate_row_is_usage_error(self, runner, tmp_path, row, message):
+        # every bad CSV row exits 2, as a non-finite number does
+        path = tmp_path / "bad.csv"
+        path.write_text(f"A_mm,W_mm,mt_ms,sigma_obs_mm\n20,2,444,0.69\n{row}\n")
+        result = runner.invoke(main, ["fit", "--input", str(path), "--models", "m1"])
+        assert result.exit_code == 2
+        assert result.output.endswith(f"Error: {message}\n")
+
     def test_missing_input_file_is_usage_error(self, runner):
         result = runner.invoke(main, ["fit", "--input", "/nonexistent.csv"])
         assert result.exit_code == 2

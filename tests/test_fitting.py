@@ -283,6 +283,12 @@ class TestSigmaAArgument:
                 call()
             assert str(exc.value) == message
 
+    def test_bad_sigma_a_rejected_without_m7(self, paper_2d):
+        # the model that ignores sigma_a still checks it
+        with pytest.raises(ValidationError) as exc:
+            compare(paper_2d, [Model.M1_BASELINE], sigma_a=math.nan)
+        assert str(exc.value) == "sigma_a must be finite and >= 0, got nan"
+
     def test_m7_without_sigma_a_rejected(self, paper_2d):
         summaries = list(paper_2d.summaries)
         for call in (
@@ -373,6 +379,7 @@ class TestCompare:
             assert r.math_errors == tuple(s.condition for s in summaries)
             assert (r.r2, r.rss, r.aic, r.cv_rmse_ms) == (None, None, None, None)
         assert report.best_by == {} and report.delta_aic == {}
+        assert [loocv_rmse(summaries, m, 0.5) for m in Model] == [None] * len(Model)
 
     def test_overflowing_sums_make_every_condition_a_math_error(self):
         # each squared residual is finite, but RSS, TSS or the CV mean is not
@@ -383,6 +390,21 @@ class TestCompare:
         assert report.unusable == tuple(Model)
         assert {r.math_errors for r in report.results} == {
             tuple(s.condition for s in summaries)}
+        assert [loocv_rmse(summaries, m, 0.5) for m in Model] == [None] * len(Model)
+
+    @pytest.mark.parametrize("delta, cv, overflows", [
+        (1e120, False, False),  # its residual's square is finite
+        (3e154, False, True),  # its residual's square overflows, no other one does
+        (1.36e154, True, True),  # only its held-out residual's square overflows
+    ])
+    def test_a_square_that_overflows_is_its_conditions_math_error(self, delta, cv, overflows):
+        summaries = grid_summaries(lambda a, w: 100 + 80 * math.log2(a / w + 1),
+                                   lambda a, w: 1 + 0.1 * w)
+        held = summaries[15]
+        summaries[15] = ConditionSummary(held.condition, mt_ms=held.mt_ms + delta,
+                                         sigma_obs_mm=held.sigma_obs_mm)
+        result = fit_model(summaries, Model.M1_BASELINE, cv=cv)
+        assert result.math_errors == ((held.condition,) if overflows else ())
 
     def test_infinite_difficulty_is_a_math_error_of_the_model(self):
         summaries = grid_summaries(lambda a, w: 100 + 80 * a / w, lambda a, w: 1 + 0.1 * w)
@@ -399,6 +421,7 @@ class TestCompare:
             assert r.usable == (r.model not in nominal)
             if r.usable:
                 assert math.isfinite(r.r2) and math.isfinite(r.cv_rmse_ms)
+            assert loocv_rmse(summaries, r.model, 0.5) == r.cv_rmse_ms
 
     def test_each_model_derives_its_widths_once(self, paper_2d, monkeypatch):
         import ffitts.fitting as fitting

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,9 +10,11 @@ from ffitts import (
     Condition,
     Model,
     Tremor,
+    ValidationError,
     WidthKind,
     compute_id,
     effective_width,
+    embedded,
     finger_width,
     model_widths,
 )
@@ -32,7 +35,7 @@ class TestEffectiveWidth:
         assert effective_width(sigma) == pytest.approx(expected, rel=1e-12)
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError, match="sigma_obs must be finite and > 0, got 0.0"):
             effective_width(0.0)
 
 
@@ -131,7 +134,7 @@ class TestModelProperties:
         assert Model.M7_GIVEN_SIGMA_A.tremor is Tremor.GIVEN_SIGMA_A
 
     def test_model_widths_requires_sigma_for_adjusted(self, paper_2d):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError, match="^m7 requires a sigma_a value$"):
             model_widths(Model.M7_GIVEN_SIGMA_A, list(paper_2d.summaries))
 
     def test_model_widths_nan_where_undefined(self, paper_1d):
@@ -202,3 +205,46 @@ class TestKernelProperties:
     @given(sigma=_POSITIVE)
     def test_zero_tremor_finger_width_is_effective_width(self, sigma):
         assert finger_width(sigma, 0.0) == effective_width(sigma)
+
+
+# NaN, the infinities and a value off each spread's bound
+_BAD_SIGMA_OBS = st.sampled_from([math.nan, math.inf]) | st.floats(max_value=0.0)
+_BAD_SIGMA_A = (st.sampled_from([math.nan, math.inf])
+                | st.floats(max_value=0.0, exclude_max=True))
+
+
+def _summary(sigma_obs):
+    """A summary-like record that skips ConditionSummary's own checks."""
+    return SimpleNamespace(condition=COND, sigma_obs_mm=sigma_obs)
+
+
+class TestSpreadRules:
+    """An out-of-domain spread is bad input, never a NaN width."""
+
+    @_PROPERTY
+    @given(bad=_BAD_SIGMA_OBS)
+    def test_bad_sigma_obs_rejected(self, bad):
+        for call in (lambda: effective_width(bad), lambda: finger_width(bad, 0.5),
+                     lambda: model_widths(Model.M2_EFFECTIVE, [_summary(bad)]),
+                     lambda: model_widths(Model.M7_GIVEN_SIGMA_A, [_summary(bad)], 0.5)):
+            with pytest.raises(ValidationError) as exc:
+                call()
+            assert exc.value.reason == f"sigma_obs must be finite and > 0, got {bad}"
+
+    @_PROPERTY
+    @given(bad=_BAD_SIGMA_A)
+    def test_bad_sigma_a_rejected_for_every_model(self, bad):
+        summaries = list(embedded("paper-2d").summaries)
+        calls = [lambda: finger_width(1.0, bad), lambda: finger_width([1.0, 2.0], bad)]
+        calls += [lambda m=m: model_widths(m, summaries, bad) for m in Model]
+        for call in calls:
+            with pytest.raises(ValidationError) as exc:
+                call()
+            assert str(exc.value) == f"sigma_a must be finite and >= 0, got {bad}"
+
+    def test_array_names_its_first_bad_element(self):
+        for call in (lambda: effective_width([1.0, 0.0, math.nan]),
+                     lambda: finger_width([1.0, math.nan, -1.0], 0.5)):
+            with pytest.raises(ValidationError) as exc:
+                call()
+            assert exc.value.row == 1

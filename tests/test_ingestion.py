@@ -18,7 +18,6 @@ from ffitts import (
     TRIAL_CSV_COLUMNS,
     TapTable,
     UnknownDatasetError,
-    ValidationError,
     embedded,
     load_aggregate_csv,
     load_input,
@@ -246,13 +245,17 @@ class TestAggregateCsv:
             "20,2,444,0.69",
             "20,2,450,0.70",
         ]
-        with pytest.raises(DuplicateConditionError):
+        with pytest.raises(DuplicateConditionError) as exc:
             load_aggregate_csv(write(tmp_path, lines, "agg.csv"))
+        assert isinstance(exc.value, ParseError) and exc.value.line == 3
 
     def test_zero_width_is_validation_error(self, tmp_path):
+        # the row breaks a ConditionSummary rule, reported as the row's ParseError
         lines = [",".join(AGGREGATE_CSV_COLUMNS), "20,0,444,0.69"]
-        with pytest.raises(ValidationError):
+        with pytest.raises(ParseError) as exc:
             load_aggregate_csv(write(tmp_path, lines, "agg.csv"))
+        assert (exc.value.line, str(exc.value)) == (
+            2, "line 2: width must be finite and > 0, got 0.0")
 
     @pytest.mark.parametrize("row,column", [
         ("20,nan,444,0.69", "W_mm"),
@@ -275,7 +278,7 @@ class TestAggregateCsv:
         # the quoted note takes lines 2 and 3, so the bad row is on line 5
         lines = [",".join(AGGREGATE_CSV_COLUMNS) + ",note", '20,4,300,1.0,"a\nb"',
                  "30,4,350,1.2,x", bad]
-        with pytest.raises((ParseError, ValidationError)) as exc:
+        with pytest.raises(ParseError) as exc:
             load_aggregate_csv(write(tmp_path, lines, "agg.csv"))
         assert str(exc.value) == f"line 5: {message}"
 
