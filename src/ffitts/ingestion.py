@@ -235,21 +235,39 @@ def write_trials_csv(
     """Write a tap table in the canonical schema.
 
     Metadata is emitted as leading '# key=value' comment lines, which
-    load_trials_csv skips.  Output is deterministic for identical input,
-    and floats are written with repr, so reloading gives every column back
-    exactly.  The path "-" writes to stdout, the mirror of reading "-" from
-    stdin.
+    load_trials_csv skips.  Output is deterministic for identical input.
+    Each field is formatted on its own: a float with repr, so reloading
+    gives every column back exactly, an integer in decimal and is_practice
+    as true/false.  Only a participant ID can need quoting, so only IDs go
+    through csv.writer, each distinct ID of a block once.  The path "-"
+    writes to stdout, the mirror of reading "-" from stdin.
     """
+    formats = [_FORMAT[dtype] for dtype in list(TAP_COLUMNS.values())[1:]]
     with opened(path, "w") as fh:
         for key, value in (metadata or {}).items():
             fh.write(f"# {key}={value}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TRIAL_CSV_COLUMNS)
-        columns = [getattr(taps, name) for name in TAP_COLUMNS]
+        fh.write(",".join(TRIAL_CSV_COLUMNS) + "\n")
         for start in range(0, len(taps), BLOCK_ROWS):
-            block = [col[start:start + BLOCK_ROWS] for col in columns]
-            block[-1] = np.where(block[-1], "true", "false")
-            writer.writerows(zip(*(col.tolist() for col in block)))
+            ids, *rest = (getattr(taps, name)[start:start + BLOCK_ROWS].tolist()
+                          for name in TAP_COLUMNS)
+            quoted = {text: _csv_field(text) for text in set(ids)}
+            fields = [map(quoted.__getitem__, ids)] + [
+                map(fmt, column) for fmt, column in zip(formats, rest)]
+            fh.writelines(map(",".join, zip(*fields)))
+
+
+# how write_trials_csv prints a value of each non-text TapTable column dtype;
+# the one bool column, is_practice, is the last, so it ends the line
+_FORMAT = {np.int64: int.__repr__, float: float.__repr__,
+           bool: ("false\n", "true\n").__getitem__}
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as csv.writer writes it among other fields of a row: quoted
+    when it holds a comma or a quote, and empty when it is empty."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow((text, ""))
+    return buf.getvalue()[:-2]
 
 
 def load_aggregate_csv(

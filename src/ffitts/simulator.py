@@ -68,9 +68,9 @@ class SimulatorConfig:
         if self.trials_per_condition < 2:
             raise ValidationError("need >= 2 trials per condition")
         for name in ("widths_mm", "amplitudes_mm"):
-            values = getattr(self, name)
-            if not values or not all(0 < v < math.inf for v in values):
-                raise ValidationError(f"{name} must be finite, positive and nonempty")
+            if not getattr(self, name):
+                raise ValidationError(f"{name} must be nonempty")
+            require(finite_rule(f"{name} > 0", getattr(self, name)))
 
 
 def config_metadata(config: SimulatorConfig) -> dict[str, str]:

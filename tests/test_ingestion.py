@@ -1,3 +1,4 @@
+import csv
 import io
 from pathlib import Path
 
@@ -40,6 +41,54 @@ def write(tmp_path, lines, name="trials.csv"):
     path = tmp_path / name
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
+
+
+HOSTILE_IDS = ["", "a,b", 'q"x', '"', "é", "mid#hash", "a\tb", "p1"]
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 1e15,
+                  1e16, -1e16, 1e-5, 1e300, -1e300, 1e-300, 1.7976931348623157e308,
+                  0.1, 1 / 3]
+INT64_EXTREMES = [-2**63, -2**63 + 1, -1, 0, 1, 2**63 - 1]
+
+
+@st.composite
+def tap_tables(draw, max_rows=8):
+    n = draw(st.integers(1, max_rows))
+
+    def column(elements):
+        return draw(st.lists(elements, min_size=n, max_size=n))
+
+    finite = (st.sampled_from(SPECIAL_FLOATS)
+              | st.floats(allow_nan=False, allow_infinity=False))
+    int64 = st.sampled_from(INT64_EXTREMES) | st.integers(-2**63, 2**63 - 1)
+    return TapTable(
+        participant=column(st.sampled_from(HOSTILE_IDS) | st.text().filter(
+            lambda p: p == p.strip() and not p.startswith("#")
+            and "\r" not in p and "\n" not in p)),
+        block=column(int64), trial=column(int64),
+        amplitude_mm=column(finite.map(abs).filter(bool)),
+        width_mm=column(finite.map(abs).filter(bool)),
+        target_x_mm=column(finite), target_y_mm=column(finite),
+        touch_x_mm=column(finite), touch_y_mm=column(finite),
+        mt_ms=column(finite.filter(lambda v: v >= 0)),
+        tap_index=column(st.sampled_from([1, 2, 2**63 - 1]) | st.integers(1, 2**63 - 1)),
+        is_practice=column(st.booleans()),
+    )
+
+
+def reference_trials_csv(taps, metadata=None):
+    """The tap CSV as a csv.writer row loop writes it: the oracle of the
+    writer, which formats every field but the participant ID itself."""
+    buf = io.StringIO()
+    for key, value in (metadata or {}).items():
+        buf.write(f"# {key}={value}\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(TRIAL_CSV_COLUMNS)
+    columns = [getattr(taps, name) for name in TAP_COLUMNS]
+    for start in range(0, len(taps), BLOCK_ROWS):
+        block = [col[start:start + BLOCK_ROWS] for col in columns]
+        block[-1] = np.where(block[-1], "true", "false")
+        writer.writerows(zip(*(col.tolist() for col in block)))
+    return buf.getvalue().encode("utf-8")
 
 
 class TestTrialsCsv:
@@ -163,32 +212,12 @@ class TestTrialsCsv:
             load_trials_csv(write(tmp_path, [HEADER, ",".join(fields)]))
 
     @settings(max_examples=100)
-    @given(st.data())
-    def test_write_then_load_gives_back_every_column(self, tmp_path_factory, data):
-        n = data.draw(st.integers(1, 8))
-
-        def column(elements):
-            return data.draw(st.lists(elements, min_size=n, max_size=n))
-
-        finite = st.floats(allow_nan=False, allow_infinity=False)
-        positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
-        int64 = st.integers(-2**63, 2**63 - 1)
-        taps = TapTable(
-            participant=column(st.text().filter(
-                lambda p: p == p.strip() and not p.startswith("#")
-                and "\r" not in p and "\n" not in p)),
-            block=column(int64), trial=column(int64),
-            amplitude_mm=column(positive), width_mm=column(positive),
-            target_x_mm=column(finite), target_y_mm=column(finite),
-            touch_x_mm=column(finite), touch_y_mm=column(finite),
-            mt_ms=column(st.floats(min_value=0.0, allow_infinity=False)),
-            tap_index=column(st.integers(1, 2**63 - 1)),
-            is_practice=column(st.booleans()),
-        )
+    @given(taps=tap_tables(), metadata=st.sampled_from([None, {}, {"seed": "7"}]))
+    def test_write_then_load_gives_back_every_column(self, tmp_path_factory, taps, metadata):
         out = tmp_path_factory.mktemp("round") / "taps.csv"
-        write_trials_csv(taps, out)
+        write_trials_csv(taps, out, metadata=metadata)
+        assert out.read_bytes() == reference_trials_csv(taps, metadata)
         assert_same_columns(load_trials_csv(out), taps)
-
 
     def test_padded_fields_load_as_unpadded(self, tmp_path):
         rows = [row.replace("false", "FALSE") for row in GOOD_ROWS]
@@ -205,13 +234,58 @@ class TestTrialsCsv:
         assert str(exc.value) == "line 2: column 'mt_ms': not a number: 'abc'"
 
 
+class TestTrialsCsvWriter:
+    """Bytes against reference_trials_csv beyond the drawn tables of
+    TestTrialsCsv.test_write_then_load_gives_back_every_column."""
+
+    def test_same_bytes_over_several_blocks(self, tmp_path):
+        n = 2 * BLOCK_ROWS + 3
+        rows = np.arange(n)
+        values = np.array(SPECIAL_FLOATS)
+        taps = TapTable(
+            participant=np.array(HOSTILE_IDS)[rows % len(HOSTILE_IDS)],
+            block=np.array(INT64_EXTREMES)[rows % len(INT64_EXTREMES)],
+            trial=rows - BLOCK_ROWS,
+            amplitude_mm=np.abs(values[rows % len(values)]) + 1e-300,
+            width_mm=rows / 7 + 5e-324,
+            target_x_mm=values[rows % len(values)], target_y_mm=-rows / 3,
+            touch_x_mm=values[(rows * 7) % len(values)], touch_y_mm=rows * 1e15,
+            mt_ms=rows / 11,
+            tap_index=rows + 1,
+            is_practice=rows % 3 == 0,
+        )
+        out = tmp_path / "taps.csv"
+        write_trials_csv(taps, out, metadata={"generator": "test", "seed": "7"})
+        assert out.read_bytes() == reference_trials_csv(
+            taps, {"generator": "test", "seed": "7"})
+        assert_same_columns(load_trials_csv(out), taps)
+
+    def test_quoted_and_empty_ids(self, tmp_path):
+        ids = ["", "a,b", 'q"x', "p1"]
+        taps = load_trials_csv(write(tmp_path, [HEADER] + GOOD_ROWS[:1] * len(ids)))
+        taps = TapTable(**{**{n: getattr(taps, n) for n in TAP_COLUMNS}, "participant": ids})
+        out = tmp_path / "ids.csv"
+        write_trials_csv(taps, out)
+        lines = out.read_text(encoding="utf-8").splitlines()[1:]
+        assert [line.split(",0,1,")[0] for line in lines] == ["", '"a,b"', '"q""x"', "p1"]
+
+    def test_dash_writes_stdout(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        taps = load_trials_csv(write(tmp_path, [HEADER] + GOOD_ROWS))
+        write_trials_csv(taps, "taps.csv", metadata={"seed": "7"})
+        capsys.readouterr()
+        write_trials_csv(taps, "-", metadata={"seed": "7"})
+        assert capsys.readouterr().out == (tmp_path / "taps.csv").read_text(encoding="utf-8")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["taps.csv", "trials.csv"]
+
+
 def assert_same_columns(got, expected):
     """Every column equal, floats bit for bit."""
     for name in TAP_COLUMNS:
         a, b = getattr(got, name), getattr(expected, name)
         assert a.dtype.kind == b.dtype.kind and a.tolist() == b.tolist(), name
-        if a.dtype.kind == "f":
-            assert a.tobytes() == b.tobytes(), name
+        if a.dtype.kind == "f":  # -0.0 is not 0.0
+            assert a.view(np.int64).tolist() == b.view(np.int64).tolist(), name
 
 
 class TestAggregateCsv:

@@ -15,6 +15,8 @@ from ffitts import (
     fit_model,
     Model,
 )
+from ffitts import simulator
+from ffitts.cli import simulate as simulate_command
 from ffitts.datamodel import TAP_COLUMNS
 
 
@@ -88,6 +90,21 @@ class TestDistributions:
         fit = sigma_from_intercept(summaries)
         assert fit.sigma_a_mm == pytest.approx(1.153, rel=0.05)
 
+    def test_tremor_draws_scale_with_sigma_a(self):
+        # with alpha 0 a deviation is one standard normal draw times sigma_a
+        # (a sigma_a of 1.0 draws like any other)
+        one = generate(config(alpha=0.0, sigma_a_mm=1.0)).touch_y_mm
+        two = generate(config(alpha=0.0, sigma_a_mm=2.0)).touch_y_mm
+        assert np.count_nonzero(one) == len(one)
+        assert (one * 2.0).tobytes() == two.tobytes()
+
+    def test_a_uniform_of_zero_gives_a_finite_draw(self):
+        class ZeroUniforms:
+            def random(self, n):
+                return np.zeros(n)
+
+        assert np.isfinite(simulator._normals(ZeroUniforms(), 3, 1.0)).all()
+
     def test_two_d_mode_spreads_both_axes(self):
         records = generate(config(dimensionality=Dimensionality.TWO_D,
                                   trials_per_condition=500))
@@ -106,6 +123,10 @@ class TestMovementTimes:
                 r.condition.amplitude_mm / r.condition.width_mm + 1.0
             )
             assert r.mt_ms == pytest.approx(expect, rel=1e-12)
+
+    def test_times_clamped_at_zero(self):
+        mt = generate(config(mt_model=MovementTimeModel(0.0, 0.0, 5.0))).mt_ms
+        assert mt.min() == 0.0 and 0 < np.count_nonzero(mt) < len(mt)
 
     def test_end_to_end_baseline_recovery(self):
         cfg = config(
@@ -157,6 +178,36 @@ class TestConfigValidation:
     def test_non_finite_configs_rejected(self, make, bad):
         with pytest.raises(ValidationError, match="finite"):
             config(**make(bad))
+
+    @pytest.mark.parametrize("bad, message", [
+        (dict(widths_mm=(2.0, 0.0)), "row 1: widths_mm must be finite and > 0, got 0.0"),
+        (dict(widths_mm=(-0.0,)), "row 0: widths_mm must be finite and > 0, got -0.0"),
+        (dict(amplitudes_mm=(30.0, math.inf)),
+         "row 1: amplitudes_mm must be finite and > 0, got inf"),
+        (dict(amplitudes_mm=(math.nan,)),
+         "row 0: amplitudes_mm must be finite and > 0, got nan"),
+        (dict(widths_mm=()), "widths_mm must be nonempty"),
+        (dict(amplitudes_mm=()), "amplitudes_mm must be nonempty"),
+        (dict(trials_per_condition=1), "need >= 2 trials per condition"),
+    ])
+    def test_message_names_the_bad_value(self, bad, message):
+        with pytest.raises(ValidationError) as exc:
+            config(**bad)
+        assert str(exc.value) == message
+
+    def test_two_trials_per_condition_accepted(self):
+        assert len(generate(config(trials_per_condition=2))) == 2 * 5
+
+    def test_time_law_message_names_the_bad_value(self):
+        with pytest.raises(ValidationError) as exc:
+            MovementTimeModel(a_ms=math.nan)
+        assert str(exc.value) == "a_ms must be finite, got nan"
+
+    def test_defaults_match_the_cli_defaults(self):
+        cli = {p.name: p.default for p in simulate_command.params}
+        assert MovementTimeModel() == MovementTimeModel(
+            cli["mt_a"], cli["mt_b"], cli["mt_noise"])
+        assert SimulatorConfig(0.01, 1.0, (2.0,), (30.0,), 10).seed == cli["seed"]
 
     def test_negative_noise_sd_rejected(self):
         # a negative SD would silently flip the sign of the noise draws
