@@ -375,11 +375,14 @@ def _per_condition_normality(taps, devs, alpha):
 @click.option("--amplitudes", default="20,30,45,60", show_default=True)
 @click.option("--trials", type=int, default=50, show_default=True,
               help="Trials per condition.")
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--dim", type=click.Choice(["1d", "2d"]), default="1d", show_default=True)
-@click.option("--mt-a", type=float, default=100.0, show_default=True)
-@click.option("--mt-b", type=float, default=90.0, show_default=True)
-@click.option("--mt-noise", type=float, default=5.0, show_default=True)
+@click.option("--seed", type=int, default=SimulatorConfig.seed, show_default=True)
+@click.option("--dim", type=click.Choice(["1d", "2d"]),
+              default=SimulatorConfig.dimensionality.value, show_default=True)
+@click.option("--mt-a", type=float, default=MovementTimeModel.a_ms, show_default=True)
+@click.option("--mt-b", type=float, default=MovementTimeModel.b_ms_per_bit,
+              show_default=True)
+@click.option("--mt-noise", type=float, default=MovementTimeModel.noise_sd_ms,
+              show_default=True)
 @click.option("--out", default="-", show_default=True,
               help="Output CSV path ('-' = stdout).")
 def simulate(alpha, sigma_a_mm, widths, amplitudes, trials, seed, dim,

@@ -119,8 +119,12 @@ TAP_COLUMNS = {
 }
 
 #: Taps turned into or out of Python values at a time (CSV read and write,
-#: iteration), so those values never exist for a whole log at once.
-BLOCK_ROWS = 8192
+#: iteration), so those values never exist for a whole log at once.  Small
+#: enough that a block's row lists and tuples (about two containers per row)
+#: die young: at 8192 rows they outlived two young collections, reached the
+#: oldest generation and set off full collections, each a scan of the whole
+#: heap (numpy, scipy, the log being built) and together a third of a load.
+BLOCK_ROWS = 512
 
 
 @dataclass(frozen=True, slots=True, eq=False)

@@ -1,8 +1,10 @@
 import os
+from pathlib import Path
 
 import pytest
 from hypothesis import settings
 
+import ffitts
 from ffitts import embedded
 
 # Hypothesis runs derandomized and without its example database, so every
@@ -30,3 +32,11 @@ def paper_1d():
 @pytest.fixture(scope="session")
 def paper_2d():
     return embedded("paper-2d")
+
+
+@pytest.fixture
+def subprocess_env():
+    """The environment with this checkout's ffitts first on PYTHONPATH."""
+    src = str(Path(ffitts.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))

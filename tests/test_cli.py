@@ -27,13 +27,6 @@ def runner():
     return CliRunner()
 
 
-def _subprocess_env():
-    """The environment with this checkout's ffitts first on PYTHONPATH."""
-    src = str(Path(ffitts.__file__).resolve().parents[1])
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-
-
 class TestFit:
     def test_fit_reference_1d_all_models(self, runner):
         result = runner.invoke(main, [
@@ -580,10 +573,10 @@ class TestBrokenPipe:
 
     CLI = [sys.executable, "-m", "ffitts.cli"]
 
-    def test_reader_closed_after_one_line(self):
+    def test_reader_closed_after_one_line(self, subprocess_env):
         proc = subprocess.Popen(
             self.CLI + ["simulate", "--alpha", "0.01", "--sigma-a", "1", "--trials", "2000"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_subprocess_env())
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=subprocess_env)
         assert proc.stdout.readline().startswith(b"#")
         proc.stdout.close()  # ~3 MB of taps are still to come
         _, err = proc.communicate(timeout=60)
@@ -593,12 +586,12 @@ class TestBrokenPipe:
         ["fit", "--dataset", "paper-2d", "--models", "m1,m2"],
         ["sigma", "--dataset", "paper-2d"],
     ], ids=lambda args: args[0])
-    def test_reader_closed_before_output(self, args):
+    def test_reader_closed_before_output(self, args, subprocess_env):
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
             proc = subprocess.run(self.CLI + args, stdout=write_end, stderr=subprocess.PIPE,
-                                  env=_subprocess_env(), timeout=60)
+                                  env=subprocess_env, timeout=60)
         finally:
             os.close(write_end)
         assert (proc.returncode, proc.stderr) == (1, b"")
@@ -650,12 +643,12 @@ class TestDatasets:
 
 
 class TestImport:
-    def test_cli_import_leaves_scipy_unloaded(self):
+    def test_cli_import_leaves_scipy_unloaded(self, subprocess_env):
         # scipy.stats and scipy.special are imported by the functions that
         # use them, so commands that never call those start faster
         code = ("import sys, ffitts.cli; "
                 "print([m for m in ('scipy.stats', 'scipy.special') if m in sys.modules])")
-        proc = subprocess.run([sys.executable, "-c", code], env=_subprocess_env(),
+        proc = subprocess.run([sys.executable, "-c", code], env=subprocess_env,
                               capture_output=True, text=True, timeout=60, check=True)
         assert proc.stdout.strip() == "[]"
 

@@ -83,6 +83,11 @@ class TestOls:
         assert abs(resid.sum()) / scale < 1e-9
         assert abs(resid @ ids) / (scale * ids.mean()) < 1e-9
 
+    def test_constant_mt_is_a_perfect_flat_line(self):
+        # no MT variance to explain: the flat line leaves no residual, R² 1
+        fit = ols_fit([(1.0, 300.0), (2.0, 300.0), (3.0, 300.0)])
+        assert (fit.a_ms, fit.b_ms_per_bit, fit.rss, fit.r2) == (300.0, 0.0, 0.0, 1.0)
+
     def test_constant_ids_singular(self):
         with pytest.raises(SingularFitError):
             ols_fit([(2.0, 300.0), (2.0, 310.0), (2.0, 320.0)])
@@ -217,6 +222,16 @@ class TestCrossValidation:
         c_fold, _ = optimize_c(summaries[1:], model)
         assert c_fold >= summaries[0].condition.width_mm
         assert loocv_rmse(summaries, model) == pytest.approx(expected, rel=1e-12)
+
+    def test_singular_fold_raises(self):
+        # holding out (30, 2) leaves three conditions of one A/W ratio, so that
+        # fold's difficulties are all equal, while the full fit is defined
+        summaries = [ConditionSummary(Condition(a, w), mt_ms=mt, sigma_obs_mm=0.5)
+                     for a, w, mt in [(20.0, 4.0, 300.0), (40.0, 8.0, 310.0),
+                                      (60.0, 12.0, 320.0), (30.0, 2.0, 420.0)]]
+        assert fit_model(summaries, Model.M1_BASELINE, cv=False).r2 > 0.9
+        with pytest.raises(SingularFitError):
+            fit_model(summaries, Model.M1_BASELINE)
 
     def test_needs_four_conditions(self):
         summaries = grid_summaries(

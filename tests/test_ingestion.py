@@ -1,5 +1,8 @@
 import csv
 import io
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -127,11 +130,19 @@ class TestTrialsCsv:
         ("p1,0,1,20,4,0,0,0.3,-0.2,abc,1,false", "column 'mt_ms': not a number: 'abc'"),
     ])
     def test_line_named_after_a_record_that_spans_lines(self, tmp_path, bad, message):
-        # the quoted comment takes lines 3 and 4, so the bad row is on line 5
-        lines = [HEADER, GOOD_ROWS[0], '"# note\ncontinued"', bad]
-        with pytest.raises(ParseError) as exc:
-            load_trials_csv(write(tmp_path, lines))
-        assert str(exc.value) == f"line 5: {message}"
+        quoted = '"# note\ncontinued"'
+        for lines, line in [
+            # the quoted comment takes lines 3 and 4, so the bad row is on line 5
+            ([HEADER, GOOD_ROWS[0], quoted, bad], 5),
+            # the quoted comment in the first block, a '#' row after its last
+            # row, and the bad row first in the second block
+            ([HEADER] + GOOD_ROWS[:1] * (BLOCK_ROWS - 1) + [quoted, GOOD_ROWS[0],
+                                                            "# seed=7", bad],
+             BLOCK_ROWS + 5),
+        ]:
+            with pytest.raises(ParseError) as exc:
+                load_trials_csv(write(tmp_path, lines))
+            assert str(exc.value) == f"line {line}: {message}"
 
     def test_comment_lines_skipped(self, tmp_path):
         lines = ["# seed=7", "# alpha=0.1", HEADER] + GOOD_ROWS
@@ -277,6 +288,29 @@ class TestTrialsCsvWriter:
         write_trials_csv(taps, "-", metadata={"seed": "7"})
         assert capsys.readouterr().out == (tmp_path / "taps.csv").read_text(encoding="utf-8")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["taps.csv", "trials.csv"]
+
+
+class TestBlockSize:
+    def test_load_sets_off_no_full_collection(self, tmp_path, subprocess_env):
+        # a block's row lists must die in the young generations; blocks of
+        # 8192 rows reached the oldest one and set off full collections,
+        # each a scan of the whole heap
+        code = textwrap.dedent("""
+            import gc, sys
+            from ffitts import (Dimensionality, SimulatorConfig, generate,
+                                load_trials_csv, write_trials_csv)
+            write_trials_csv(generate(SimulatorConfig(
+                0.01, 1.0, (2.0, 4.0, 6.0, 8.0, 10.0), (20.0, 30.0, 45.0, 60.0), 2000,
+                dimensionality=Dimensionality.TWO_D)), sys.argv[1])
+            full = []
+            gc.callbacks.append(lambda phase, info: phase == "start"
+                                and info["generation"] == 2 and full.append(info))
+            print(len(load_trials_csv(sys.argv[1])), len(full))
+        """)
+        proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "taps.csv")],
+                              env=subprocess_env, capture_output=True, text=True,
+                              timeout=60, check=True)
+        assert proc.stdout.split() == ["40000", "0"]
 
 
 def assert_same_columns(got, expected):

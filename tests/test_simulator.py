@@ -207,7 +207,8 @@ class TestConfigValidation:
         cli = {p.name: p.default for p in simulate_command.params}
         assert MovementTimeModel() == MovementTimeModel(
             cli["mt_a"], cli["mt_b"], cli["mt_noise"])
-        assert SimulatorConfig(0.01, 1.0, (2.0,), (30.0,), 10).seed == cli["seed"]
+        config = SimulatorConfig(0.01, 1.0, (2.0,), (30.0,), 10)
+        assert (config.seed, config.dimensionality.value) == (cli["seed"], cli["dim"])
 
     def test_negative_noise_sd_rejected(self):
         # a negative SD would silently flip the sign of the noise draws
