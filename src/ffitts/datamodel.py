@@ -9,6 +9,7 @@ the aggregation between them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
@@ -53,23 +54,37 @@ OUTLIER_RADIUS_MM = 15.0
 
 
 def finite_rule(rule: str, values):
-    """Where ``values`` (a number or an array) break ``rule``, a name then
-    "> 0" or ">= 0" ("width > 0"; NaN and infinities break both), as a bool
-    mask, with the message for bad element i: the one wording of the rule."""
-    name, op, _ = rule.rsplit(" ", 2)
+    """Where ``values`` (a number or an array) break ``rule``, a name alone
+    ("a_ms": finite) or a name then "> 0" or ">= 0" ("width > 0"; NaN and
+    infinities break every rule), as a bool mask (a bool for a Python
+    number), with the message for bad element i: the one wording of the rule."""
+    strict, low, says = _parsed(rule)
+    if isinstance(values, (int, float)):  # a 0-d array costs ~10 us a number
+        return (not ((values > low if strict else values >= low) and values < math.inf),
+                lambda i: f"{says}, got {values}")
     v = np.asarray(values)
-    return (~((v >= 0 if op == ">=" else v > 0) & (v < np.inf)),
-            lambda i: f"{name} must be finite and {op} 0, got {v.flat[i].item()}")
+    return (~((v > low if strict else v >= low) & (v < np.inf)),
+            lambda i: f"{says}, got {v.flat[i].item()}")
+
+
+@cache
+def _parsed(rule: str) -> tuple[bool, float, str]:
+    """(strict, lower bound, wording) of a ``finite_rule`` rule."""
+    if not rule.endswith((" > 0", " >= 0")):
+        return True, -math.inf, f"{rule} must be finite"
+    name, op, _ = rule.rsplit(" ", 2)
+    return op == ">", 0.0, f"{name} must be finite and {op} 0"
 
 
 def require(*rules) -> None:
     """Raise ValidationError for the first element that breaks one of the
     (bad mask, message for element i) ``rules``, worded by the first rule it
     breaks; an array's element is named as ``row``."""
-    bad = np.logical_or.reduce([mask for mask, _ in rules])
-    if bad.any():
+    if any(mask if type(mask) is bool else mask.any() for mask, _ in rules):
+        masks = np.broadcast_arrays(*(mask for mask, _ in rules))
+        bad = np.logical_or.reduce(masks)
         i = int(np.argmax(bad))
-        say = next(say for mask, say in rules if mask.flat[i])
+        say = next(say for mask, (_, say) in zip(masks, rules) if mask.flat[i])
         raise ValidationError(say(i), row=i if np.ndim(bad) else None)
 
 

@@ -17,6 +17,7 @@ import csv
 import io
 import math
 import sys
+import warnings
 from contextlib import contextmanager
 from functools import partial
 from itertools import chain, islice
@@ -86,12 +87,14 @@ def source_name(path: str | Path) -> str:
 @contextmanager
 def opened(path: str | Path, mode: str = "r") -> Iterator[IO[str]]:
     """The file at ``path`` as UTF-8 text with ``newline=""``, closed on exit;
-    the path "-" is stdin when reading and stdout when writing, left open."""
+    the path "-" is stdin when reading and stdout when writing, left open.
+    A reader can always seek: stdin, or a pipe named by its path, is read
+    into memory first, and its lines end where a file's would."""
     if str(path) == "-":
-        yield sys.stdin if mode == "r" else sys.stdout
+        yield io.StringIO(sys.stdin.read(), newline="") if mode == "r" else sys.stdout
         return
     with open(path, mode, newline="", encoding="utf-8") as fh:
-        yield fh
+        yield fh if mode != "r" or fh.seekable() else io.StringIO(fh.read(), newline="")
 
 
 def _read(path: str | Path, trials: bool | None = None) -> TapTable | list[ConditionSummary]:
@@ -99,13 +102,18 @@ def _read(path: str | Path, trials: bool | None = None) -> TapTable | list[Condi
 
     One leading byte-order mark is ignored, and rows that are blank or start
     with '#' (metadata) are skipped.  When ``trials`` is None the header
-    picks the kind: a first cell 'participant' means a tap log.  Each kind
-    converts only its own columns, BLOCK_ROWS rows at a time, one array per
-    column; a tap log becomes a TapTable and condition summaries a list of
-    ConditionSummary.
+    picks the kind: a first cell 'participant' means a tap log.  The lines
+    of a tap log that ``_bulk_taps`` reads exactly are read by it; from the
+    first chunk it cannot read, the csv.reader path reads the rest.  That
+    path converts only its kind's columns, BLOCK_ROWS rows at a time, one
+    array per column; a tap log becomes a TapTable and condition summaries a
+    list of ConditionSummary.
     """
+    blocks = []
     with opened(path) as fh:
-        rows = _records(csv.reader(chain([fh.readline().removeprefix("\ufeff")], fh)))
+        lines = _lines(fh)
+        reader = csv.reader(lines)
+        rows = _records(reader)
         header_line, header = next(rows, (None, None))
         if header is None:
             raise EmptyDatasetError(f"{source_name(path)}: no header row")
@@ -117,6 +125,16 @@ def _read(path: str | Path, trials: bool | None = None) -> TapTable | list[Condi
                     f"header mismatch: expected {','.join(TRIAL_CSV_COLUMNS)}", header_line
                 )
             names, dtypes, build = TRIAL_CSV_COLUMNS, TAP_COLUMNS.values(), _tap_block
+            try:
+                blocks, lines, before = _bulk_taps(lines, reader.line_num)
+            except ValidationError:
+                # a tap rule broken in what numpy read: the csv.reader path
+                # reads the log again and names the first bad line
+                fh.seek(0)
+                rows = _records(csv.reader(_lines(fh)))
+                next(rows)
+            else:
+                rows = _records(csv.reader(lines), before)
         else:
             missing = [c for c in AGGREGATE_CSV_COLUMNS if c not in header]
             if missing:
@@ -127,24 +145,89 @@ def _read(path: str | Path, trials: bool | None = None) -> TapTable | list[Condi
         # a repeated header name reads its last column
         index = {name: i for i, name in enumerate(header)}
         columns = [(name, index[name], dtype) for name, dtype in zip(names, dtypes)]
-        blocks = [_block(*zip(*chunk), len(header), columns, build)
-                  for chunk in iter(lambda: list(islice(rows, BLOCK_ROWS)), [])]
+        blocks += [_block(*zip(*chunk), len(header), columns, build)
+                   for chunk in iter(lambda: list(islice(rows, BLOCK_ROWS)), [])]
     if not blocks:
         raise EmptyDatasetError(f"{source_name(path)}: header but no data rows")
-    if trials:
-        return TapTable(*(np.concatenate([getattr(b, name) for b in blocks])
-                          for name in TAP_COLUMNS))
-    return [summary for block in blocks for summary in block]
+    if not trials:
+        return [summary for block in blocks for summary in block]
+    if len(blocks) == 1:
+        return blocks[0]
+    return TapTable(*(np.concatenate([getattr(b, name) for b in blocks]) for name in TAP_COLUMNS))
 
 
-def _records(reader) -> Iterator[tuple[int, list[str]]]:
-    """(first line, fields) of each CSV record that is not blank or a '#' row;
-    a quoted field may span lines."""
-    line = 1
+# what np.loadtxt could read unlike csv.reader, float() and int(): a quote,
+# which numpy takes literally, the separators \x1c-\x1f, which it strips
+# around a number, and NUL, which no tap log holds
+_NOT_BULK = '"\0\x1c\x1d\x1e\x1f'
+
+# a tap-log row as np.loadtxt reads it; the text columns are Python strings,
+# which _CONVERT turns into arrays (a fixed-width str field would truncate)
+_BULK_ROW = np.dtype([(name, object if dtype in (str, bool) else dtype)
+                      for name, dtype in TAP_COLUMNS.items()])
+
+
+def _bulk_taps(lines, before: int) -> tuple[list[TapTable], Iterator[str], int]:
+    """The taps of the tap-log data ``lines`` read by np.loadtxt, BLOCK_ROWS
+    lines at a time, up to the first chunk it cannot read exactly.
+
+    Returns those taps (a list of one TapTable, or empty), the lines from
+    that chunk on and the number of lines before them (``before`` being
+    those before ``lines``).  On lines without a character of _NOT_BULK or a line beyond
+    csv's field limit, a CSV record is one line split on ',', which
+    np.loadtxt reads in C; its numbers come out as float() and int() read
+    them, bit for bit.  A chunk with such a character or line, a field that
+    does not read, or a numpy warning, is left to the csv.reader path: a
+    numpy that still reads an integer field such as '2.5' via a float, with
+    only a DeprecationWarning, leaves it too.  A tap rule broken in the
+    chunks read raises ValidationError.
+    """
+    blocks = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for chunk in iter(lambda: list(islice(lines, BLOCK_ROWS)), []):
+            text = "".join(chunk)
+            # np.loadtxt skips blank lines itself, but warns on a chunk of
+            # nothing else; a blank line is an empty record to csv.reader
+            kept = chunk
+            if "#" in text or not text.strip("\r\n"):
+                kept = [line for line in chunk if line.rstrip("\r\n") and not _comment(line)]
+            try:
+                if any(c in text for c in _NOT_BULK) or max(map(len, chunk)) > csv.field_size_limit():
+                    raise ValueError("not a plain chunk")
+                if kept:
+                    rows = np.loadtxt(kept, _BULK_ROW, delimiter=",", comments=None,
+                                      quotechar=None, ndmin=1)
+                    # copies, so that the rows and their strings go
+                    blocks.append([(_CONVERT[dtype] if dtype in (str, bool) else np.copy)(rows[name])
+                                   for name, dtype in TAP_COLUMNS.items()])
+            except (ValueError, KeyError, OverflowError, Warning):
+                lines = chain(chunk, lines)
+                break
+            before += len(chunk)
+    taps = [TapTable(*map(np.concatenate, zip(*blocks)))] if blocks else []
+    return taps, lines, before
+
+
+def _lines(fh) -> Iterator[str]:
+    """The lines of ``fh``, one leading byte-order mark dropped."""
+    return chain([fh.readline().removeprefix("\ufeff")], fh)
+
+
+def _comment(text: str) -> bool:
+    """Whether a record is a '#' (metadata) row, given its first field or,
+    when it holds no quote, its line."""
+    return text.lstrip().startswith("#")
+
+
+def _records(reader, before: int = 0) -> Iterator[tuple[int, list[str]]]:
+    """(first line, fields) of each CSV record that is not blank or a '#' row,
+    ``before`` lines preceding the reader's; a quoted field may span lines."""
+    line = before + 1
     for row in reader:
-        if row and not row[0].lstrip().startswith("#"):
+        if row and not _comment(row[0]):
             yield line, row
-        line = reader.line_num + 1
+        line = before + reader.line_num + 1
 
 
 def _block(lines, rows, width, columns, build):

@@ -19,7 +19,6 @@ documented enough to reproduce the distributions elsewhere.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,10 +42,8 @@ class MovementTimeModel:
     noise_sd_ms: float = 5.0
 
     def __post_init__(self):
-        for name in ("a_ms", "b_ms_per_bit"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
-        require(finite_rule("noise_sd_ms >= 0", self.noise_sd_ms))
+        require(finite_rule("a_ms", self.a_ms), finite_rule("b_ms_per_bit", self.b_ms_per_bit),
+                finite_rule("noise_sd_ms >= 0", self.noise_sd_ms))
 
 
 @dataclass(frozen=True)

@@ -423,6 +423,18 @@ class TestSigma:
         (row,) = [r for r in doc["estimates"] if r["method"] == "intercept-fitts"]
         assert abs(row["sigma_a_mm"] - 1.153) / 1.153 < 0.05
 
+    def test_simulated_log_on_stdin_reads_as_the_file(self, runner, tmp_path):
+        simulate = ["simulate", "--alpha", "0.01", "--sigma-a", "1", "--trials", "200",
+                    "--dim", "2d", "--seed", "5"]
+        sim = runner.invoke(main, simulate)
+        assert runner.invoke(main, simulate + ["--out", str(tmp_path / "sim.csv")]).exit_code == 0
+        sigma = ["sigma", "--method", "all", "--dim", "2d", "--format", "csv", "--input"]
+        from_stdin = runner.invoke(main, sigma + ["-"], input=sim.stdout)
+        from_file = runner.invoke(main, sigma + [str(tmp_path / "sim.csv")])
+        assert from_stdin.exit_code == 0, from_stdin.output
+        assert from_stdin.stdout_bytes == from_file.stdout_bytes
+        assert from_stdin.stdout.startswith("method,label,sigma_a_mm,")
+
     def test_calibration_estimate_kept_above_normality_range(self, runner, tmp_path):
         # 20 conditions x 300 trials = 6000 first taps, above the range
         # [3, 5000] of the normality test

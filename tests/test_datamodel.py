@@ -64,6 +64,36 @@ class TestTypes:
         with pytest.raises(ValidationError):
             Condition(20.0, -1.0)
 
+    @pytest.mark.parametrize("value,text", [
+        (math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf"), (0.0, "0.0"),
+        (-1.0, "-1.0"), (0, "0"), (-1, "-1"), (np.float64(-1), "-1.0"),
+        (np.float32(-1), "-1.0"), (np.int64(0), "0"),
+    ])
+    @pytest.mark.parametrize("make,name", [
+        (lambda v: Condition(v, 4.0), "amplitude"),
+        (lambda v: Condition(20.0, v), "width"),
+        (lambda v: ConditionSummary(COND, v, 1.0), "mean MT"),
+        (lambda v: ConditionSummary(COND, 300.0, v), "endpoint spread"),
+        (lambda v: SigmaEstimate(v, SigmaMethod.USER_GIVEN), "sigma_a"),
+    ])
+    def test_number_rule_message(self, make, name, value, text):
+        # an int or float (np.float64 too) takes finite_rule's scalar branch,
+        # np.float32 and np.int64 a 0-d array: one wording either way
+        with pytest.raises(ValidationError) as exc:
+            make(value)
+        assert (str(exc.value), exc.value.row) == (f"{name} must be finite and > 0, got {text}",
+                                                   None)
+
+    @pytest.mark.parametrize("value,text", [(math.nan, "nan"), (-math.inf, "-inf"),
+                                            (np.float32("inf"), "inf")])
+    def test_time_law_numbers_must_be_finite(self, value, text):
+        for field in ("a_ms", "b_ms_per_bit"):
+            with pytest.raises(ValidationError) as exc:
+                MovementTimeModel(**{field: value})
+            assert str(exc.value) == f"{field} must be finite, got {text}"
+            MovementTimeModel(**{field: -1.0})  # finite is enough
+            MovementTimeModel(**{field: 0})
+
     def test_trial_invariants(self):
         with pytest.raises(ValidationError, match="mt_ms must be finite and >= 0"):
             table([make_trial(COND, mt=-1.0)])

@@ -1,9 +1,13 @@
 import csv
 import io
+import os
 import subprocess
 import sys
 import textwrap
+import threading
+import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +26,7 @@ from ffitts import (
     TRIAL_CSV_COLUMNS,
     TapTable,
     UnknownDatasetError,
+    ValidationError,
     embedded,
     load_aggregate_csv,
     load_input,
@@ -29,9 +34,12 @@ from ffitts import (
     write_aggregate_csv,
     write_trials_csv,
 )
+from ffitts import ingestion
 from ffitts.datamodel import BLOCK_ROWS, TAP_COLUMNS
+from ffitts.errors import FfittsError
 
 HEADER = ",".join(TRIAL_CSV_COLUMNS)
+DATA_OUTPUTS = Path(__file__).parent / "data" / "outputs"
 
 GOOD_ROWS = [
     "p1,0,1,20,4,0,0,0.3,-0.2,312.5,1,false",
@@ -311,6 +319,309 @@ class TestBlockSize:
                               env=subprocess_env, capture_output=True, text=True,
                               timeout=60, check=True)
         assert proc.stdout.split() == ["40000", "0"]
+
+
+def bulk_read(path):
+    """The tap log at ``path`` as the np.loadtxt reader reads it, or None
+    where that reader leaves a line to the csv.reader path or is not reached."""
+    read = []
+    real = ingestion._bulk_taps
+
+    def spy(lines, before):
+        taps, rest, before = real(lines, before)
+        rest = list(rest)
+        read.append(None if rest or not taps else taps[0])
+        return taps, iter(rest), before
+
+    with mock.patch.object(ingestion, "_bulk_taps", spy):
+        try:
+            load_trials_csv(path)
+        except (FfittsError, csv.Error):
+            pass
+    return read[0] if read else None
+
+
+def csv_read(path):
+    """The tap log at ``path`` as the csv.reader path reads it."""
+    with mock.patch.object(ingestion, "_bulk_taps", lambda lines, before: ([], lines, before)):
+        return load_trials_csv(path)
+
+
+def outcome(load, path):
+    """What ``load(path)`` returns, or the type, text and line of the error."""
+    try:
+        return load(path)
+    except (FfittsError, csv.Error) as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+
+
+def write_text(path, text):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(text)
+    return path
+
+
+# fields on which np.loadtxt, csv.reader, float(), int() and the text
+# conversions could part: quotes, NUL, separators numpy strips and Python
+# does not, digits only Python reads, non-finite words, padding
+HOSTILE_FIELDS = (
+    st.text(alphabet='0123456789,.+-e_#" \t\r\n\0\x1c\x1f\u0665\u2003', max_size=6)
+    | st.sampled_from(["true", "FALSE", "yes", "0", "nan", "-inf", "Infinity", "1e400",
+                       "1_000", "\u0665", "\u20035\u2003", " 7 ", "\x1c5", "5\x1f", "0x10",
+                       "", "+3", "-0", '"5"', '"a,b"', "5\0"]))
+
+# the forms a field can take besides the canonical one (repr, str, "true")
+NUMBER_FORMS = [" {!r} ".format, "\u2003{!r}\t".format, "{:.3e}".format, "{:+}".format]
+INT_FORMS = [" {} ".format, "{:+d}".format, "{:_d}".format, "\u2003{}".format]
+ID_FORMS = [" p2 ", "", "mid#hash", "a\tb", "\u00e9", "\u2003p3", "#p4", '"p,5"', "x" * 40]
+BOOL_FORMS = ["TRUE", "False", " yes ", "no", "1", "0"]
+
+
+@st.composite
+def tap_log_texts(draw):
+    """A tap-log text: well-formed rows, in canonical forms only or in any
+    form a log can take, up to two hostile fields, whitespace-only, blank and
+    '#' lines, a BOM and \\n, \\r\\n and lone \\r line ends mixed."""
+    # within 1e300, so that the 4-digit form cannot round to infinity
+    finite = st.floats(-1e300, 1e300)
+    positive = st.floats(0.0, 1e300, exclude_min=True)
+    number = {"amplitude_mm": positive, "width_mm": positive, "mt_ms": st.floats(0.0, 1e300)}
+    integer = {"tap_index": st.integers(1, 2**63 - 1)}
+    varied = draw(st.booleans())
+
+    def field(name, dtype):
+        if dtype is str:
+            return draw(st.sampled_from(["P01", "p1", "sim"] + ID_FORMS * varied))
+        if dtype is bool:
+            return draw(st.sampled_from(["true", "false"] + BOOL_FORMS * varied))
+        if dtype is float:
+            value = draw(number.get(name, finite))
+            return draw(st.sampled_from([repr] * 2 + NUMBER_FORMS * varied))(value)
+        value = draw(integer.get(name, st.integers(-2**63, 2**63 - 1)))
+        return draw(st.sampled_from([str] * 2 + INT_FORMS * varied))(value)
+
+    rows = [[field(name, dtype) for name, dtype in TAP_COLUMNS.items()]
+            for _ in range(draw(st.integers(1, 6)))]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(0, len(row) - 1))] = draw(HOSTILE_FIELDS)
+    header = draw(st.sampled_from([HEADER] * 6 + [
+        " , ".join(TRIAL_CSV_COLUMNS), ",".join(f'"{c}"' for c in TRIAL_CSV_COLUMNS),
+        HEADER + ",extra"]))
+    lines = [header] + [",".join(row) for row in rows]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(st.sampled_from(["", "", "# seed=7", "  # meta", "#", "\u2003# x",
+                                           "   "])))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
+                         min_size=len(lines), max_size=len(lines)))
+    ends[-1] = draw(st.sampled_from([ends[-1], ""]))
+    bom = draw(st.sampled_from(["", "\ufeff"]))
+    return bom + "".join(line + end for line, end in zip(lines, ends))
+
+
+class TestBulkReader:
+    """The np.loadtxt reader against the csv.reader path, its reference."""
+
+    @settings(max_examples=200)
+    @given(text=tap_log_texts(), block=st.sampled_from([1, 2, 3, BLOCK_ROWS]))
+    def test_declines_or_reads_what_the_csv_path_reads(self, tmp_path_factory, text, block):
+        # short blocks hand a log over to the csv.reader path part-way
+        path = write_text(tmp_path_factory.getbasetemp() / "bulk.csv", text)
+        exact = outcome(csv_read, path)
+        with mock.patch.object(ingestion, "BLOCK_ROWS", block):
+            bulk, public = bulk_read(path), outcome(load_trials_csv, path)
+        if isinstance(exact, tuple):  # every error comes from the csv.reader path
+            assert bulk is None and public == exact
+            return
+        for got in (public, bulk):
+            if got is not None:
+                assert_same_columns(got, exact)
+                assert [getattr(got, n).dtype for n in TAP_COLUMNS] == [
+                    getattr(exact, n).dtype for n in TAP_COLUMNS]
+
+    @pytest.mark.parametrize("form", [str, "\ufeff{}".format, lambda t: t.replace("\n", "\r\n")],
+                             ids=["plain", "bom", "crlf"])
+    @pytest.mark.parametrize("load", [load_trials_csv, load_input])
+    def test_simulated_log_read_without_the_csv_path(self, tmp_path, monkeypatch, load, form):
+        text = form((DATA_OUTPUTS / "sim-2d-seed3.csv").read_text(encoding="utf-8"))
+        path = write_text(tmp_path / "log.csv", text)
+        expected = csv_read(path)
+        monkeypatch.setattr(ingestion, "_block", mock.Mock(side_effect=AssertionError))
+        assert_same_columns(load(path), expected)
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert_same_columns(load("-"), expected)
+
+    @pytest.mark.parametrize("lines,declined", [
+        # np.loadtxt skips empty lines, as the csv path does ...
+        ([HEADER, "", GOOD_ROWS[0], "\r", GOOD_ROWS[1]], False),
+        # ... but rejects a whitespace-only line, a one-field record there
+        ([HEADER, GOOD_ROWS[0], "   ", GOOD_ROWS[1]], True),
+        # it keeps " P01 " unstripped; the reader strips it as the csv path does
+        ([HEADER, GOOD_ROWS[0].replace("p1", " P01 ")], False),
+        # a fixed-width str field would truncate the longer ID of a later block
+        ([HEADER] + GOOD_ROWS[:1] * BLOCK_ROWS + [GOOD_ROWS[1].replace("p1", "p" * 40)],
+         False),
+        # with quotechar=None it would read '"' literally
+        ([HEADER, GOOD_ROWS[0].replace("p1", '"p,1"')], True),
+        ([HEADER] + GOOD_ROWS[:1] * BLOCK_ROWS + ['"p1",0,1,20,4,0,0,0.3,-0.2,300,1,true'],
+         True),
+        # numpy strips \x1c-\x1f around a number, which int() rejects
+        *(([HEADER, GOOD_ROWS[0].replace(",0,1,", f",{c}0,1,")], True)
+          for c in "\x1c\x1d\x1e\x1f"),
+        ([HEADER, GOOD_ROWS[0].replace("p1", "p\x00")], True),
+        # a '#' row in a later block, and a bad row there
+        ([HEADER] + GOOD_ROWS[:1] * BLOCK_ROWS + ["  # seed=7", GOOD_ROWS[1]], False),
+        ([HEADER] + GOOD_ROWS[:1] * BLOCK_ROWS + ["# seed=7", GOOD_ROWS[1][:-5] + "maybe"],
+         True),
+        # digits and separators that only Python reads
+        ([HEADER, GOOD_ROWS[0].replace(",0,1,", ",1_000,\u0665,")], True),
+        # a one-field record after a '#' row
+        ([HEADER, "# seed=7", "x", GOOD_ROWS[0]], True),
+        # a block of blank lines only, and no data row
+        ([HEADER] + GOOD_ROWS[:1] * BLOCK_ROWS + [""] * BLOCK_ROWS + GOOD_ROWS[1:2], False),
+        ([HEADER, "", "\r"], True),
+        # no data row, no header
+        ([HEADER, "# seed=7"], True),
+        (["# seed=7", ""], True),
+        ([HEADER.replace("block", "blk"), GOOD_ROWS[0]], True),
+        ([HEADER + "x", GOOD_ROWS[0]], True),
+        # csv.reader reads the header, so a quoted one is no bar
+        ([",".join(f'"{c}"' for c in TRIAL_CSV_COLUMNS), GOOD_ROWS[0]], False),
+    ])
+    def test_seams(self, tmp_path, lines, declined):
+        path = write(tmp_path, lines)
+        assert (bulk_read(path) is None) == declined
+        exact, public = outcome(csv_read, path), outcome(load_trials_csv, path)
+        if isinstance(exact, tuple):
+            assert public == exact
+        else:
+            assert_same_columns(public, exact)
+
+    def test_csv_path_reads_from_the_first_chunk_numpy_cannot(self, tmp_path, monkeypatch):
+        quoted = GOOD_ROWS[1].replace("p1", '"p,1"')
+        lines = [HEADER, "# seed=7", ""] + GOOD_ROWS[:1] * (2 * BLOCK_ROWS - 2) + [quoted, ""]
+        lines += GOOD_ROWS[2:] * 3
+        path = write(tmp_path, lines)
+        block, seen = ingestion._block, []
+        monkeypatch.setattr(ingestion, "_block",
+                            lambda numbers, *args: seen.extend(numbers) or block(numbers, *args))
+        taps = load_trials_csv(path)
+        # line 1 is the header, the csv.reader path reads the third chunk only
+        assert seen == [2 * BLOCK_ROWS + 2] + [2 * BLOCK_ROWS + 4 + i for i in range(3)]
+        assert taps.participant.tolist()[-4:] == ["p,1", "p1", "p1", "p1"]
+        monkeypatch.setattr(ingestion, "_block", block)
+        assert_same_columns(taps, csv_read(path))
+
+    @pytest.mark.parametrize("late", [
+        GOOD_ROWS[1].replace("p1", '"p,1"')[:-5] + "maybe", GOOD_ROWS[1].replace("287.0", "x"),
+        GOOD_ROWS[1].replace("287.0", "-1.0"), GOOD_ROWS[1]])
+    @pytest.mark.parametrize("meta", [[], ["# seed=7", ""]], ids=["header", "metadata"])
+    def test_tap_rule_broken_early_named_first(self, tmp_path, late, meta):
+        # numpy reads the first chunk, whose rule break only TapTable sees
+        lines = meta + [HEADER, GOOD_ROWS[0], GOOD_ROWS[0].replace("312.5", "-5.0")]
+        lines += GOOD_ROWS[:1] * BLOCK_ROWS + [late]
+        with pytest.raises(ParseError) as exc:
+            load_trials_csv(write(tmp_path, lines))
+        line = len(meta) + 3
+        assert (str(exc.value), exc.value.line) == (
+            f"line {line}: mt_ms must be finite and >= 0, got -5.0", line)
+
+    def test_field_beyond_the_csv_limit_declined(self, tmp_path):
+        path = write(tmp_path, [HEADER, GOOD_ROWS[0].replace("p1", "p" * 200)])
+        assert bulk_read(path) is not None
+        limit = csv.field_size_limit(100)
+        try:
+            assert bulk_read(path) is None
+            with pytest.raises(csv.Error):
+                load_trials_csv(path)
+        finally:
+            csv.field_size_limit(limit)
+
+
+class TestIntegerViaFloat:
+    """An integer field that only a float reads is a ParseError, with the
+    warning filters of a program, where a DeprecationWarning is ignored."""
+
+    @pytest.mark.parametrize("text", ["1.0", "2.5", "1e3", str(2**63), str(-2**63 - 1)])
+    @pytest.mark.parametrize("column", ["block", "trial", "tap_index"])
+    def test_declined(self, tmp_path, column, text):
+        fields = dict(zip(TRIAL_CSV_COLUMNS, GOOD_ROWS[0].split(",")), **{column: text})
+        path = write(tmp_path, [HEADER, GOOD_ROWS[1], ",".join(fields.values())])
+        assert bulk_read(path) is None
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            public = outcome(load_trials_csv, path)
+        assert public[0] is ParseError and public == outcome(csv_read, path)
+
+    def test_numpy_reading_it_with_a_warning_declined(self, tmp_path, monkeypatch):
+        # a numpy whose loadtxt still reads '2.5' as the int64 2, and only warns
+        real = np.loadtxt
+
+        def via_float(lines, *args, **kwargs):
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                          DeprecationWarning)
+            return real([line.replace("p1,2.5,", "p1,2,") for line in lines], *args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", via_float)
+        path = write(tmp_path, [HEADER, GOOD_ROWS[0].replace("p1,0,", "p1,2.5,")])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            public = outcome(load_trials_csv, path)
+        assert public == (ParseError, "line 2: column 'block': not an integer: '2.5'", 2)
+
+
+class TestStdin:
+    LOG = (DATA_OUTPUTS / "sim-2d-seed3.csv").read_text(encoding="utf-8")
+    BAD = "\n".join([HEADER] + GOOD_ROWS[:1] * (BLOCK_ROWS + 2)
+                    + ["p1,0,1,20,4,0,0,0.3,-0.2,-5.0,1,false", "x"]) + "\n"
+
+    @pytest.mark.parametrize("text", [
+        LOG, LOG.replace("\n", "\r\n"), LOG.replace("\n", "\r"), "\ufeff" + LOG, BAD,
+        BAD.replace("\n", "\r"), '"' + BAD,
+    ], ids=["log", "crlf", "cr", "bom", "bad", "bad-cr", "bad-quoted"])
+    @pytest.mark.parametrize("load", [load_trials_csv, load_input])
+    def test_same_table_or_error_as_the_file(self, tmp_path, monkeypatch, text, load):
+        from_file = outcome(load, write_text(tmp_path / "log.csv", text))
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        from_stdin = outcome(load, "-")
+        if isinstance(from_file, tuple):
+            assert from_stdin == from_file
+        else:
+            assert_same_columns(from_stdin, from_file)
+
+    @pytest.mark.parametrize("text", [LOG, BAD], ids=["log", "bad"])
+    def test_named_pipe_read_like_a_file(self, tmp_path, text):
+        # the csv.reader path reads the bad log again from its start
+        fifo = tmp_path / "log.fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=write_text, args=(fifo, text), daemon=True)
+        writer.start()
+        try:
+            from_pipe = outcome(load_trials_csv, fifo)
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        from_file = outcome(load_trials_csv, write_text(tmp_path / "log.csv", text))
+        if isinstance(from_file, tuple):
+            assert from_pipe == from_file
+        else:
+            assert_same_columns(from_pipe, from_file)
+
+    def test_named_pipe_written_like_a_file(self, tmp_path):
+        taps = load_trials_csv(DATA_OUTPUTS / "sim-2d-seed3.csv")
+        fifo = tmp_path / "log.fifo"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        try:
+            write_trials_csv(taps, fifo, metadata={"seed": "3"})
+        finally:
+            reader.join(timeout=10)
+        assert not reader.is_alive()
+        write_trials_csv(taps, tmp_path / "log.csv", metadata={"seed": "3"})
+        assert got == [(tmp_path / "log.csv").read_bytes()]
 
 
 def assert_same_columns(got, expected):
