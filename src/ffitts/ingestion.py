@@ -19,8 +19,7 @@ import math
 import sys
 import warnings
 from contextlib import contextmanager
-from functools import partial
-from itertools import chain, islice
+from itertools import chain, compress, islice
 from pathlib import Path
 from typing import IO, Iterator, Sequence
 
@@ -88,13 +87,17 @@ def source_name(path: str | Path) -> str:
 def opened(path: str | Path, mode: str = "r") -> Iterator[IO[str]]:
     """The file at ``path`` as UTF-8 text with ``newline=""``, closed on exit;
     the path "-" is stdin when reading and stdout when writing, left open.
-    A reader can always seek: stdin, or a pipe named by its path, is read
-    into memory first, and its lines end where a file's would."""
-    if str(path) == "-":
-        yield io.StringIO(sys.stdin.read(), newline="") if mode == "r" else sys.stdout
-        return
-    with open(path, mode, newline="", encoding="utf-8") as fh:
-        yield fh if mode != "r" or fh.seekable() else io.StringIO(fh.read(), newline="")
+    Stdin is read into memory, so that its lines end where a file's would.
+    Text read that is not UTF-8 is a ParseError naming the source."""
+    try:
+        if str(path) == "-":  # a stdin in UTF-8 mode escapes bytes that are not UTF-8
+            yield (io.StringIO(sys.stdin.read().encode("utf-8", "surrogateescape")
+                               .decode("utf-8"), newline="") if mode == "r" else sys.stdout)
+            return
+        with open(path, mode, newline="", encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError:  # the decoder reads ahead, so no line is named
+        raise ParseError(f"{source_name(path)}: not UTF-8 text") from None
 
 
 def _read(path: str | Path, trials: bool | None = None) -> TapTable | list[ConditionSummary]:
@@ -103,57 +106,56 @@ def _read(path: str | Path, trials: bool | None = None) -> TapTable | list[Condi
     One leading byte-order mark is ignored, and rows that are blank or start
     with '#' (metadata) are skipped.  When ``trials`` is None the header
     picks the kind: a first cell 'participant' means a tap log.  The lines
-    of a tap log that ``_bulk_taps`` reads exactly are read by it; from the
-    first chunk it cannot read, the csv.reader path reads the rest.  That
-    path converts only its kind's columns, BLOCK_ROWS rows at a time, one
-    array per column; a tap log becomes a TapTable and condition summaries a
-    list of ConditionSummary.
+    of a tap log that ``_bulk_taps`` reads exactly are read by it, the rest
+    by the csv.reader path (``_block``).  Both stop at the first row that
+    does not convert; the rows before it become one TapTable or the list of
+    ConditionSummary, whose rules are checked once, so the first bad line is
+    named, whichever path read it.
     """
-    blocks = []
+    blocks, error = [], None
     with opened(path) as fh:
-        lines = _lines(fh)
+        lines = chain([fh.readline().removeprefix("\ufeff")], fh)
         reader = csv.reader(lines)
         rows = _records(reader)
         header_line, header = next(rows, (None, None))
         if header is None:
             raise EmptyDatasetError(f"{source_name(path)}: no header row")
+        if isinstance(header[0], ParseError):
+            raise header[0]
         header = [name.strip() for name in header]
         trials = header[0] == "participant" if trials is None else trials
         if trials:
             if header != TRIAL_CSV_COLUMNS:
-                raise ParseError(
-                    f"header mismatch: expected {','.join(TRIAL_CSV_COLUMNS)}", header_line
-                )
-            names, dtypes, build = TRIAL_CSV_COLUMNS, TAP_COLUMNS.values(), _tap_block
-            try:
-                blocks, lines, before = _bulk_taps(lines, reader.line_num)
-            except ValidationError:
-                # a tap rule broken in what numpy read: the csv.reader path
-                # reads the log again and names the first bad line
-                fh.seek(0)
-                rows = _records(csv.reader(_lines(fh)))
-                next(rows)
-            else:
-                rows = _records(csv.reader(lines), before)
+                raise ParseError(f"header mismatch: expected {','.join(TRIAL_CSV_COLUMNS)}",
+                                 header_line)
+            names, dtypes = TRIAL_CSV_COLUMNS, TAP_COLUMNS.values()
+            blocks, lines, before = _bulk_taps(lines, reader.line_num)
+            rows = _records(csv.reader(lines), before)
         else:
             missing = [c for c in AGGREGATE_CSV_COLUMNS if c not in header]
             if missing:
                 raise ParseError(f"missing column(s): {', '.join(missing)}", header_line)
             names = AGGREGATE_CSV_COLUMNS + [c for c in _AGGREGATE_OPTIONAL if c in header]
             dtypes = [int if name == "n_trials" else float for name in names]
-            build = partial(_summary_block, names, set())
         # a repeated header name reads its last column
         index = {name: i for i, name in enumerate(header)}
         columns = [(name, index[name], dtype) for name, dtype in zip(names, dtypes)]
-        blocks += [_block(*zip(*chunk), len(header), columns, build)
-                   for chunk in iter(lambda: list(islice(rows, BLOCK_ROWS)), [])]
+        for chunk in iter(lambda: list(islice(rows, BLOCK_ROWS)), []):
+            block, error = _block(*zip(*chunk), len(header), columns)
+            blocks.append(block)
+            if error:
+                break
     if not blocks:
         raise EmptyDatasetError(f"{source_name(path)}: header but no data rows")
-    if not trials:
-        return [summary for block in blocks for summary in block]
-    if len(blocks) == 1:
-        return blocks[0]
-    return TapTable(*(np.concatenate([getattr(b, name) for b in blocks]) for name in TAP_COLUMNS))
+    numbers, arrays = zip(*blocks)
+    arrays = map(np.concatenate, zip(*arrays))
+    try:
+        read = TapTable(*arrays) if trials else _summaries(names, chain(*numbers), arrays)
+    except ValidationError as exc:  # a tap rule
+        raise ParseError(exc.reason, list(chain(*numbers))[exc.row]) from None
+    if error:
+        raise error
+    return read
 
 
 # what np.loadtxt could read unlike csv.reader, float() and int(): a quote,
@@ -165,96 +167,101 @@ _NOT_BULK = '"\0\x1c\x1d\x1e\x1f'
 # which _CONVERT turns into arrays (a fixed-width str field would truncate)
 _BULK_ROW = np.dtype([(name, object if dtype in (str, bool) else dtype)
                       for name, dtype in TAP_COLUMNS.items()])
+_FLOAT_COLUMNS = [name for name, dtype in TAP_COLUMNS.items() if dtype is float]
 
 
-def _bulk_taps(lines, before: int) -> tuple[list[TapTable], Iterator[str], int]:
-    """The taps of the tap-log data ``lines`` read by np.loadtxt, BLOCK_ROWS
-    lines at a time, up to the first chunk it cannot read exactly.
+def _bulk_taps(lines, before: int) -> tuple[list, Iterator[str], int]:
+    """The blocks of the tap-log data ``lines`` that np.loadtxt reads,
+    BLOCK_ROWS lines at a time, up to the first chunk it cannot read exactly.
 
-    Returns those taps (a list of one TapTable, or empty), the lines from
-    that chunk on and the number of lines before them (``before`` being
-    those before ``lines``).  On lines without a character of _NOT_BULK or a line beyond
-    csv's field limit, a CSV record is one line split on ',', which
+    Returns those blocks, as ``_block`` gives them, the lines from that
+    chunk on and the number of lines before them (``before`` being those
+    before ``lines``).  On lines without a character of _NOT_BULK or a line
+    beyond csv's field limit, a CSV record is one line split on ',', which
     np.loadtxt reads in C; its numbers come out as float() and int() read
     them, bit for bit.  A chunk with such a character or line, a field that
-    does not read, or a numpy warning, is left to the csv.reader path: a
-    numpy that still reads an integer field such as '2.5' via a float, with
-    only a DeprecationWarning, leaves it too.  A tap rule broken in the
-    chunks read raises ValidationError.
+    does not read, a non-finite number (only _floats words its error) or a
+    numpy warning is left to the csv.reader path, so a numpy that reads an
+    integer field such as '2.5' via a float, and only warns, leaves it too.
+    Python's work per chunk is O(1) unless it holds a blank or '#' line.
     """
-    blocks = []
+    blocks, limit = [], csv.field_size_limit()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for chunk in iter(lambda: list(islice(lines, BLOCK_ROWS)), []):
             text = "".join(chunk)
-            # np.loadtxt skips blank lines itself, but warns on a chunk of
-            # nothing else; a blank line is an empty record to csv.reader
+            # np.loadtxt skips blank lines, but warns on a chunk of only those
             kept = chunk
             if "#" in text or not text.strip("\r\n"):
-                kept = [line for line in chunk if line.rstrip("\r\n") and not _comment(line)]
+                kept = list(filter(_data_line, chunk))
             try:
-                if any(c in text for c in _NOT_BULK) or max(map(len, chunk)) > csv.field_size_limit():
+                if any(c in text for c in _NOT_BULK) or len(text) > limit < max(map(len, chunk)):
                     raise ValueError("not a plain chunk")
                 if kept:
                     rows = np.loadtxt(kept, _BULK_ROW, delimiter=",", comments=None,
                                       quotechar=None, ndmin=1)
+                    # the sum is finite only if every number is; an overflow warns
+                    if not np.isfinite(sum(rows[name].sum() for name in _FLOAT_COLUMNS)):
+                        raise ValueError("not finite")
+                    numbers = range(before + 1, before + 1 + len(chunk))
+                    if len(rows) < len(chunk):
+                        numbers = list(compress(numbers, map(_data_line, chunk)))
                     # copies, so that the rows and their strings go
-                    blocks.append([(_CONVERT[dtype] if dtype in (str, bool) else np.copy)(rows[name])
-                                   for name, dtype in TAP_COLUMNS.items()])
+                    blocks.append((numbers, [(_CONVERT[dtype] if dtype in (str, bool) else np.copy)(
+                        rows[name]) for name, dtype in TAP_COLUMNS.items()]))
             except (ValueError, KeyError, OverflowError, Warning):
                 lines = chain(chunk, lines)
                 break
             before += len(chunk)
-    taps = [TapTable(*map(np.concatenate, zip(*blocks)))] if blocks else []
-    return taps, lines, before
-
-
-def _lines(fh) -> Iterator[str]:
-    """The lines of ``fh``, one leading byte-order mark dropped."""
-    return chain([fh.readline().removeprefix("\ufeff")], fh)
+    return blocks, lines, before
 
 
 def _comment(text: str) -> bool:
-    """Whether a record is a '#' (metadata) row, given its first field or,
-    when it holds no quote, its line."""
+    """Whether a record is a '#' (metadata) row, given its first field or line."""
     return text.lstrip().startswith("#")
 
 
-def _records(reader, before: int = 0) -> Iterator[tuple[int, list[str]]]:
+def _data_line(line: str) -> bool:
+    """Whether a line without a quote is a record: not blank, not a '#' row."""
+    return bool(line.rstrip("\r\n")) and not _comment(line)
+
+
+def _records(reader, before: int = 0) -> Iterator[tuple[int, list]]:
     """(first line, fields) of each CSV record that is not blank or a '#' row,
-    ``before`` lines preceding the reader's; a quoted field may span lines."""
+    ``before`` lines preceding the reader's; a quoted field may span lines.
+    A record csv.reader cannot read ends them, as [its ParseError]."""
     line = before + 1
-    for row in reader:
-        if row and not _comment(row[0]):
-            yield line, row
-        line = before + reader.line_num + 1
-
-
-def _block(lines, rows, width, columns, build):
-    """``build(lines, arrays)`` of a block of CSV rows, one array per column.
-
-    When the block's conversion fails, the same conversion re-runs one row
-    at a time, so the ParseError names the first bad line; so does a fault
-    that ``build`` finds.
-    """
     try:
-        if set(map(len, rows)) != {width}:
+        for row in reader:
+            if row and not _comment(row[0]):
+                yield line, row
+            line = before + reader.line_num + 1
+    except csv.Error as exc:
+        yield line, [ParseError(str(exc), before + reader.line_num)]
+
+
+def _block(lines, rows, width, columns) -> tuple[tuple, ParseError | None]:
+    """A block of CSV rows as (their lines, one array per column), and None;
+    or, when a row does not convert, the block of the rows before the first
+    that does not, and that row's ParseError, naming its line and field."""
+    try:
+        if set(map(len, rows)) - {width}:
             raise ValueError("field count")
-        texts = list(zip(*rows))
-        arrays = [_CONVERT[dtype](texts[i]) for _, i, dtype in columns]
+        texts = list(zip(*rows)) or [()] * width
+        return (lines, [_CONVERT[dtype](texts[i]) for _, i, dtype in columns]), None
     except (ValueError, KeyError, OverflowError):
-        if len(rows) == 1:
-            raise _row_error(rows[0], lines[0], width, columns) from None
-        for i in range(len(rows)):
-            _block(lines[i:i + 1], rows[i:i + 1], width, columns, build)
+        for i, (line, row) in enumerate(zip(lines, rows)):
+            if error := _row_error(row, line, width, columns):
+                return _block(lines[:i], rows[:i], width, columns)[0], error
         raise
-    return build(lines, arrays)
 
 
-def _row_error(row, line, width, columns) -> ParseError:
-    """The error naming the first field of a row that its conversion rejects."""
+def _row_error(row, line, width, columns) -> ParseError | None:
+    """The error naming the first field of a row that its conversion rejects;
+    a record csv.reader could not read is its own (``_records``)."""
     if len(row) != width:
-        return ParseError(f"expected {width} fields, got {len(row)}", line)
+        return row[0] if isinstance(row[0], ParseError) else ParseError(
+            f"expected {width} fields, got {len(row)}", line)
     for name, i, dtype in columns:
         try:
             _CONVERT[dtype]((row[i],))
@@ -270,17 +277,9 @@ def _row_error(row, line, width, columns) -> ParseError:
             return ParseError(f"column {name!r}: {problem}: {text!r}", line)
 
 
-def _tap_block(lines, columns) -> TapTable:
-    try:
-        return TapTable(*columns)
-    except ValidationError as exc:
-        raise ParseError(exc.reason, lines[exc.row]) from None
-
-
-def _summary_block(names, seen, lines, columns) -> list[ConditionSummary]:
-    """The summaries of a block, a bad row a ParseError; ``seen`` holds the
-    (A, W) of earlier rows."""
-    summaries = []
+def _summaries(names, lines, columns) -> list[ConditionSummary]:
+    """The summaries of rows given as one array per column, a bad row a ParseError."""
+    summaries, seen = [], set()
     for line, (a, w, *rest) in zip(lines, zip(*(c.tolist() for c in columns))):
         if (a, w) in seen:
             raise DuplicateConditionError(f"duplicate condition (A={a:g}, W={w:g})", line)

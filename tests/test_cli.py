@@ -640,6 +640,37 @@ class TestByteOrderMark:
         assert outputs[0] == outputs[1]
 
 
+class TestUnreadableInput:
+    """A log csv cannot read, or that is not UTF-8, is a usage error (exit 2)."""
+
+    LOG = (DATA / "outputs" / "sim-2d-seed3.csv").read_bytes()
+    HEADER = LOG.index(b"participant")
+    FIRST_ROW = LOG.index(b"\n", HEADER) + 1
+    LINE = LOG[:FIRST_ROW].count(b"\n") + 1
+
+    @pytest.mark.parametrize("command", [["sigma"], ["fit", "--sigma-a", "1.3"]],
+                             ids=["sigma", "fit"])
+    @pytest.mark.parametrize("stdin", [False, True], ids=["file", "stdin"])
+    @pytest.mark.parametrize("case", ["field-limit", "not-utf8"])
+    def test_usage_error(self, runner, tmp_path, command, stdin, case):
+        row = self.LOG[self.FIRST_ROW:]
+        if case == "field-limit":
+            # beyond csv.field_size_limit(), 131072 by default
+            data = self.LOG[:self.FIRST_ROW] + b"p" * 140000 + row[row.index(b","):]
+        else:
+            data = self.LOG[:self.FIRST_ROW] + b"p\xff" + row[row.index(b","):]
+        path = tmp_path / "log.csv"
+        path.write_bytes(data)
+        if stdin:
+            result = runner.invoke(main, command + ["--input", "-"], input=data)
+        else:
+            result = runner.invoke(main, command + ["--input", str(path)])
+        name = "<stdin>" if stdin else str(path)
+        expected = {"field-limit": f"line {self.LINE}: field larger than field limit (131072)",
+                    "not-utf8": f"{name}: not UTF-8 text"}[case]
+        assert (result.exit_code, result.output.splitlines()[-1]) == (2, f"Error: {expected}")
+
+
 class TestDatasets:
     def test_lists_embedded(self, runner):
         result = runner.invoke(main, ["datasets"])

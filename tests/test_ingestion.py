@@ -133,6 +133,11 @@ class TestTrialsCsv:
             load_trials_csv(write(tmp_path, ["a,b,c", "1,2,3"]))
         assert exc.value.line == 1
 
+    def test_header_mismatch_names_the_expected_header(self, tmp_path):
+        path = write(tmp_path, ["# seed=7", HEADER.replace("mt_ms", "mt"), GOOD_ROWS[0]])
+        assert outcome(load_trials_csv, path) == (
+            ParseError, f"line 2: header mismatch: expected {HEADER}", 2)
+
     @pytest.mark.parametrize("bad,message", [
         ("p1,0,1,20,4,0,0,0.3,-0.2,-5.0,1,false", "mt_ms must be finite and >= 0, got -5.0"),
         ("p1,0,1,20,4,0,0,0.3,-0.2,abc,1,false", "column 'mt_ms': not a number: 'abc'"),
@@ -323,22 +328,28 @@ class TestBlockSize:
 
 def bulk_read(path):
     """The tap log at ``path`` as the np.loadtxt reader reads it, or None
-    where that reader leaves a line to the csv.reader path or is not reached."""
+    where that reader leaves a line to the csv.reader path, is not reached
+    or reads a broken tap rule."""
     read = []
     real = ingestion._bulk_taps
 
     def spy(lines, before):
-        taps, rest, before = real(lines, before)
+        blocks, rest, before = real(lines, before)
         rest = list(rest)
-        read.append(None if rest or not taps else taps[0])
-        return taps, iter(rest), before
+        read.append(None if rest or not blocks else blocks)
+        return blocks, iter(rest), before
 
     with mock.patch.object(ingestion, "_bulk_taps", spy):
         try:
             load_trials_csv(path)
-        except (FfittsError, csv.Error):
+        except FfittsError:
             pass
-    return read[0] if read else None
+    if not read or read[0] is None:
+        return None
+    try:
+        return TapTable(*map(np.concatenate, zip(*(arrays for _, arrays in read[0]))))
+    except ValidationError:
+        return None
 
 
 def csv_read(path):
@@ -533,8 +544,8 @@ class TestBulkReader:
         limit = csv.field_size_limit(100)
         try:
             assert bulk_read(path) is None
-            with pytest.raises(csv.Error):
-                load_trials_csv(path)
+            assert outcome(load_trials_csv, path) == (
+                ParseError, "line 2: field larger than field limit (100)", 2)
         finally:
             csv.field_size_limit(limit)
 
@@ -592,7 +603,7 @@ class TestStdin:
 
     @pytest.mark.parametrize("text", [LOG, BAD], ids=["log", "bad"])
     def test_named_pipe_read_like_a_file(self, tmp_path, text):
-        # the csv.reader path reads the bad log again from its start
+        # a pipe cannot seek: the log is read once, as it streams
         fifo = tmp_path / "log.fifo"
         os.mkfifo(fifo)
         writer = threading.Thread(target=write_text, args=(fifo, text), daemon=True)
@@ -622,6 +633,146 @@ class TestStdin:
         assert not reader.is_alive()
         write_trials_csv(taps, tmp_path / "log.csv", metadata={"seed": "3"})
         assert got == [(tmp_path / "log.csv").read_bytes()]
+
+
+class TestOnePass:
+    """A load reads its input once, checks the tap rules on one TapTable
+    and names the first bad line, whatever found it."""
+
+    SIM = (DATA_OUTPUTS / "sim-2d-seed3.csv").read_text(encoding="utf-8")
+
+    def test_broken_rule_in_the_last_row_read_once(self, tmp_path, monkeypatch):
+        *rest, last = self.SIM.splitlines(keepends=True)
+        fields = last.rstrip("\n").split(",")
+        fields[TRIAL_CSV_COLUMNS.index("mt_ms")] = "-5.0"
+        path = write_text(tmp_path / "log.csv", "".join(rest) + ",".join(fields) + "\n")
+        real, pulled = ingestion._records, []
+
+        def header_only(reader, before=0):
+            for record in real(reader, before):
+                assert not pulled, f"the csv.reader path read line {record[0]}"
+                pulled.append(record)
+                yield record
+
+        monkeypatch.setattr(ingestion, "_records", header_only)
+        line = len(rest) + 1  # in numpy's second chunk
+        assert outcome(load_trials_csv, path) == (
+            ParseError, f"line {line}: mt_ms must be finite and >= 0, got -5.0", line)
+
+    @pytest.mark.parametrize("skipped", [["# seed=7"], [""], ["", "  # x", "\r"]],
+                             ids=["comment", "blank", "mixed"])
+    def test_broken_rule_after_skipped_lines_named(self, tmp_path, monkeypatch, skipped):
+        # numpy reads the chunk; its line numbers must leave out what it skips
+        negative_mt = GOOD_ROWS[1].replace("287.0", "-5.0")
+        path = write(tmp_path, [HEADER, GOOD_ROWS[0]] + skipped + [negative_mt, GOOD_ROWS[2]])
+        monkeypatch.setattr(ingestion, "_block", mock.Mock(side_effect=AssertionError))
+        line = 3 + len(skipped)
+        assert outcome(load_trials_csv, path) == (
+            ParseError, f"line {line}: mt_ms must be finite and >= 0, got -5.0", line)
+
+    def test_no_call_per_line_on_plain_chunks(self, tmp_path, monkeypatch):
+        # only a chunk with a blank or '#' line is filtered line by line
+        path = write_text(tmp_path / "log.csv", self.SIM)
+        data_line = mock.Mock(side_effect=ingestion._data_line)
+        monkeypatch.setattr(ingestion, "_data_line", data_line)
+        assert len(load_trials_csv(path)) > BLOCK_ROWS and data_line.call_count == 0
+        load_trials_csv(write(tmp_path, [HEADER, GOOD_ROWS[0], "", GOOD_ROWS[1]]))
+        assert data_line.call_count == 3
+
+    def test_line_as_long_as_the_csv_limit_read_by_numpy(self, tmp_path):
+        row = GOOD_ROWS[0].replace("p1", "p" * 50)
+        path = write(tmp_path, [HEADER, row, GOOD_ROWS[1]])
+        limit = csv.field_size_limit(len(row) + 1)  # the line with its newline
+        try:
+            assert_same_columns(bulk_read(path), csv_read(path))
+            csv.field_size_limit(len(row))
+            assert bulk_read(path) is None
+        finally:
+            csv.field_size_limit(limit)
+
+    @pytest.mark.parametrize("quoted", [False, True], ids=["numpy", "csv-reader"])
+    def test_one_table_per_load(self, tmp_path, monkeypatch, quoted):
+        start = self.SIM.index("participant")
+        rows = self.SIM[start:].splitlines(keepends=True)[1:]
+        if quoted:
+            rows = ['"{}",{}'.format(*row.split(",", 1)) for row in rows]
+        path = write_text(tmp_path / "log.csv", self.SIM[:self.SIM.index("\n", start) + 1]
+                          + "".join(rows))
+        built = []
+        monkeypatch.setattr(ingestion, "TapTable",
+                            lambda *columns: built.append(len(columns[0])) or TapTable(*columns))
+        taps = load_trials_csv(path)
+        assert built == [len(rows)] == [len(taps)]
+        monkeypatch.undo()
+        assert_same_columns(taps, load_trials_csv(DATA_OUTPUTS / "sim-2d-seed3.csv"))
+
+    @pytest.mark.parametrize("gap", [0, BLOCK_ROWS], ids=["same-block", "later-block"])
+    @pytest.mark.parametrize("early, message", [
+        (GOOD_ROWS[0].replace("312.5", "-5.0"), "mt_ms must be finite and >= 0, got -5.0"),
+        (GOOD_ROWS[0].replace("false", "maybe"), "expected boolean, got 'maybe'"),
+        (GOOD_ROWS[0], None),
+    ], ids=["rule", "field", "none"])
+    def test_unreadable_record_named_after_earlier_bad_lines(self, tmp_path, early, message,
+                                                             gap):
+        long_id = GOOD_ROWS[1].replace("p1", '"' + "p" * 200 + '"')
+        lines = [HEADER, GOOD_ROWS[0], early] + GOOD_ROWS[:1] * gap + [long_id, GOOD_ROWS[2]]
+        path = write(tmp_path, lines)
+        limit = csv.field_size_limit(100)
+        try:
+            got = outcome(load_trials_csv, path)
+        finally:
+            csv.field_size_limit(limit)
+        if message is None:
+            line, message = gap + 4, "field larger than field limit (100)"
+        else:
+            line = 3
+        assert got == (ParseError, f"line {line}: {message}", line)
+
+    @pytest.mark.parametrize("meta", [[], ["# seed=7"]], ids=["header", "metadata"])
+    def test_header_beyond_the_csv_limit(self, tmp_path, meta):
+        path = write(tmp_path, meta + [HEADER.replace("participant", "p" * 200), GOOD_ROWS[0]])
+        limit = csv.field_size_limit(100)
+        try:
+            got = [outcome(load, path) for load in (load_trials_csv, load_input)]
+        finally:
+            csv.field_size_limit(limit)
+        line = len(meta) + 1
+        assert got == [(ParseError, f"line {line}: field larger than field limit (100)", line)] * 2
+
+    def test_summary_beyond_the_csv_limit(self, tmp_path):
+        path = write(tmp_path, ["A_mm,W_mm,mt_ms,sigma_obs_mm", "20,4,300,0.5",
+                                '30,4,"' + "3" * 200 + '",0.5'])
+        limit = csv.field_size_limit(100)
+        try:
+            got = outcome(load_aggregate_csv, path)
+        finally:
+            csv.field_size_limit(limit)
+        assert got == (ParseError, "line 3: field larger than field limit (100)", 3)
+
+
+class TestNotUtf8:
+    """Input that is not UTF-8 is a ParseError naming the source, not a line."""
+
+    LOG = ("\n".join([HEADER, GOOD_ROWS[0], GOOD_ROWS[1].replace("p1", "p\udcff")]) + "\n"
+           ).encode("utf-8", "surrogateescape")
+    SUMMARIES = b"A_mm,W_mm,mt_ms,sigma_obs_mm\n20,4,300,0.5\n30,4,310,0.5 \xff\n"
+
+    @pytest.mark.parametrize("load, data", [
+        (load_trials_csv, LOG), (load_input, LOG), (load_aggregate_csv, SUMMARIES),
+        (load_input, SUMMARIES), (load_trials_csv, b"\xff" + LOG),
+        (load_trials_csv, LOG.replace(b"p1,", b"p1 " * 5000 + b",") + b"# \xff\n"),
+    ], ids=["log", "input-log", "summaries", "input-summaries", "first-byte", "late"])
+    @pytest.mark.parametrize("source", ["file", "stdin", "stdin-utf8-mode"])
+    def test_parse_error_naming_the_source(self, tmp_path, monkeypatch, load, data, source):
+        path = tmp_path / "in.csv"
+        if source == "file":
+            path.write_bytes(data)
+        else:
+            errors = "surrogateescape" if source == "stdin-utf8-mode" else "strict"
+            monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), "utf-8", errors))
+            path = "-"
+        name = "<stdin>" if path == "-" else str(path)
+        assert outcome(load, path) == (ParseError, f"{name}: not UTF-8 text", None)
 
 
 def assert_same_columns(got, expected):
