@@ -263,9 +263,13 @@ def _write_side_files(selection, dataset, out: Path, fmt):
               help="Which estimators to run on --input data.")
 @click.option("--instruction", type=click.Choice(["ra", "acc"]), default="ra",
               show_default=True, help="Calibration instruction tag for --input data.")
-@click.option("--dim", type=click.Choice(["1d", "2d"]), default=None)
+@click.option("--dim", type=click.Choice(["1d", "2d"]), default=None,
+              help="Dimensionality of --input data; with 1d, --axis bivariate "
+                   "means y for both rows.")
 @click.option("--axis", type=click.Choice([a.value for a in AxisMode]), default="y",
-              show_default=True)
+              show_default=True,
+              help="Deviation axis of --input data; the calibration row is "
+                   "bivariate only with bivariate and not --dim 1d.")
 @_outlier_mm_option
 @click.option("--alpha", type=_FiniteFloatRange(0, 1, min_open=True, max_open=True),
               default=0.05, show_default=True, help="Normality-test significance level.")

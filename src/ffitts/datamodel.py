@@ -355,18 +355,16 @@ def summarize(taps: FirstTaps, axis_mode: AxisMode) -> list[ConditionSummary]:
     axis (both axes in bivariate mode), and the error rate is the retapped
     fraction.
 
+    Every sum is exact (``math.fsum``), so the summaries do not depend on
+    the order of the taps.
+
     Raises DegenerateConditionError for any live condition with fewer than
     two retained trials (none included) or zero endpoint variance.
     """
     if not taps.conditions:
         raise ValidationError("all trials are flagged as practice")
 
-    # canonical within-group order makes the float summation order, and
-    # hence the result, independent of input permutation
-    order = np.lexsort((
-        taps.dy_mm, taps.dx_mm, taps.mt_ms,
-        taps.trial, taps.block, taps.participant, taps.condition,
-    ))
+    order = np.argsort(taps.condition)
     counts = np.bincount(taps.condition, minlength=len(taps.conditions))
     groups = np.split(order, np.cumsum(counts)[:-1])
     axes = {AxisMode.X: (taps.dx_mm,), AxisMode.Y: (taps.dy_mm,),
@@ -387,7 +385,7 @@ def summarize(taps: FirstTaps, axis_mode: AxisMode) -> list[ConditionSummary]:
         summaries.append(
             ConditionSummary(
                 condition=cond,
-                mt_ms=float(np.mean(taps.mt_ms[g])),
+                mt_ms=_fsum(taps.mt_ms[g]) / n,
                 sigma_obs_mm=sigma,
                 n_trials=n,
                 error_rate=int(np.count_nonzero(taps.retapped[g])) / n,
@@ -399,5 +397,29 @@ def summarize(taps: FirstTaps, axis_mode: AxisMode) -> list[ConditionSummary]:
 def endpoint_spread(*axes) -> float:
     """Spread of signed endpoint deviations in mm, one array per axis: the
     sample SD (n-1) of one axis, or sqrt((var_x + var_y) / 2), the per-axis
-    RMS spread, of two.  Observed and calibration spreads both come from here."""
-    return float(np.sqrt(sum(np.var(d, ddof=1) for d in axes) / len(axes)))
+    RMS spread, of two.  Each variance is the exact sum of the squared
+    deviations from the exact mean, over n - 1, so the spread does not depend
+    on the order of the deviations.  Observed and calibration spreads both
+    come from here."""
+    return math.sqrt(sum(map(_variance, axes)) / len(axes))
+
+
+def _variance(d: np.ndarray) -> float:
+    """Sample variance (n-1) of ``d`` from exact sums."""
+    dev = d - _fsum(d) / d.size
+    return _fsum(dev * dev) / (d.size - 1)
+
+
+def _fsum(values: np.ndarray) -> float:
+    """The correctly rounded sum of ``values`` (``math.fsum``), the same in
+    any order.  Where fsum raises, the non-finite result instead: nan for
+    inf + -inf; for partial sums past the float range, inf with the sign of
+    the mean, or the mean itself where a nan or inf among the values makes
+    it one."""
+    try:
+        return math.fsum(memoryview(values))
+    except ValueError:  # inf + -inf
+        return math.nan
+    except OverflowError:
+        mean = _fsum(values / values.size)
+        return math.copysign(math.inf, mean) if math.isfinite(mean) else mean

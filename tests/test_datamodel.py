@@ -1,5 +1,6 @@
 import math
 import random
+import statistics
 from operator import attrgetter
 
 import numpy as np
@@ -14,6 +15,7 @@ from ffitts import (
     Dataset,
     DegenerateConditionError,
     Dimensionality,
+    FirstTaps,
     MovementTimeModel,
     SigmaEstimate,
     SigmaMethod,
@@ -26,7 +28,7 @@ from ffitts import (
     generate,
     sigma_from_calibration,
 )
-from ffitts.datamodel import TAP_COLUMNS
+from ffitts.datamodel import TAP_COLUMNS, endpoint_spread, summarize
 
 
 def make_trial(cond, dx=0.5, dy=0.5, mt=300.0, tap_index=1, trial=1,
@@ -441,8 +443,8 @@ class TestSpreadProperties:
     def test_aggregate_and_calibration_give_the_same_spread(self, deviations):
         dx, dy = (np.array(d) for d in zip(*deviations))
         assume(np.ptp(dx) > 0 and np.ptp(dy) > 0)
-        # trials numbered 1..n in draw order, which is then summarize's
-        # canonical order, so both sides sum the deviations in one order
+        # trials numbered 1..n in draw order; both sides sum the deviations
+        # exactly, so that order is not what makes them agree
         taps = table([make_trial(COND, dx=x, dy=y, trial=i)
                       for i, (x, y) in enumerate(deviations, start=1)])
         for axis, mode, calibration in [
@@ -452,6 +454,89 @@ class TestSpreadProperties:
         ]:
             (summary,) = aggregate(taps, axis)
             assert summary.sigma_obs_mm == sigma_from_calibration(calibration, mode).sigma_a_mm
+
+
+# any finite float, also next to values eight orders of magnitude apart,
+# where a float sum's result depends on its order
+_SMALL = st.floats(-10, 10)
+_WIDE = st.one_of(_SMALL, _SMALL.map(lambda v: 1e8 + v), st.floats(-1e100, 1e100))
+_FINITE = st.one_of(_WIDE, st.floats(allow_nan=False, allow_infinity=False))
+
+
+def _outcome(f, *args):
+    """f's result, or the type and message of what it raised."""
+    try:
+        return f(*args)
+    except Exception as exc:  # the error itself is the outcome
+        return type(exc), str(exc)
+
+
+class TestExactSums:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @_PROPERTY
+    @given(rows=st.lists(st.tuples(_FINITE, _FINITE), min_size=2, max_size=40),
+           data=st.data())
+    def test_spread_same_in_any_order(self, rows, data):
+        shuffled = data.draw(st.permutations(rows))
+        dx, dy = (np.array(axis) for axis in zip(*rows))
+        sx, sy = (np.array(axis) for axis in zip(*shuffled))
+        assert endpoint_spread(sx) == endpoint_spread(dx)
+        assert endpoint_spread(sx, sy) == endpoint_spread(dx, dy)
+
+    @_PROPERTY
+    @given(groups=st.lists(
+        st.lists(st.tuples(st.floats(0, 1e300) | _SMALL.map(abs), _WIDE, _WIDE,
+                           st.booleans()), min_size=2, max_size=20),
+        min_size=1, max_size=3), data=st.data())
+    def test_summaries_same_in_any_order(self, groups, data):
+        keyed = [(k, row) for k, group in enumerate(groups) for row in group]
+        rows = [(k, trial, *row) for trial, (k, row) in enumerate(keyed)]
+        shuffled = data.draw(st.permutations(rows))
+        conditions = tuple(Condition(20.0, 2.0 + k) for k in range(len(groups)))
+        for axis in AxisMode:
+            summaries = _outcome(summarize, _first_taps(conditions, rows), axis)
+            assert _outcome(summarize, _first_taps(conditions, shuffled), axis) == summaries
+            if isinstance(summaries, list):
+                assert [s.mt_ms for s in summaries] == [
+                    statistics.fmean([mt for mt, *_ in group]) for group in groups
+                ]
+
+
+def _first_taps(conditions, rows):
+    """A FirstTaps of (condition index, trial, mt, dx, dy, retapped) rows."""
+    condition, trial, mt, dx, dy, retapped = (np.array(column) for column in zip(*rows))
+    n = len(rows)
+    return FirstTaps(conditions, condition, np.full(n, "p1"), np.ones(n, dtype=int),
+                     trial, mt, dx, dy, retapped)
+
+
+class TestSpreadPastFloatRange:
+    """A spread or sum past the float range is an inf or nan that the value
+    types reject, whatever the summation does on the way."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("deviations, text", [
+        ([1e308, 1e308, 1.0], "inf"),
+        ([1.7e308, 1.7e308, -1e308], "inf"),
+        ([math.inf, -math.inf], "nan"),
+        ([-math.inf, 1e308, 1e308], "nan"),
+    ])
+    def test_calibration(self, deviations, text):
+        with pytest.raises(ValidationError) as err:
+            sigma_from_calibration(deviations)
+        assert str(err.value) == f"sigma_a must be finite and > 0, got {text}"
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("dy", [
+        [1e308, 1e308, -1e308],
+        [1.7e308, 1.7e308, -1e308],
+        [1e308, -1e308],
+    ])
+    def test_aggregate(self, dy):
+        taps = table([make_trial(COND, dy=y, trial=i) for i, y in enumerate(dy)])
+        with pytest.raises(ValidationError) as err:
+            aggregate(taps, AxisMode.Y, outlier_radius_mm=math.inf)
+        assert str(err.value) == "endpoint spread must be finite and > 0, got inf"
 
 
 class TestAggregateProperties:
