@@ -325,7 +325,8 @@ def _adjusted_r2(r2: float, n: int, k: int) -> float:
 def _loocv_residuals(model: Model, amps, widths, mt, cs):
     """Held-out residual of each condition under leave-one-condition-out
     cross-validation: every fold refits the line, a free-c model's at the
-    fold's c, the last n rows of `_search_cs` (None for a fixed model)."""
+    fold's c, the last n rows of `_search_cs` (None for a fixed model).
+    None when a fold's training difficulties are all equal."""
     n = len(mt)
     keep = ~np.eye(n, dtype=bool)  # row i trains on every condition but i
     if cs is not None:
@@ -338,9 +339,7 @@ def _loocv_residuals(model: Model, amps, widths, mt, cs):
         held_out = compute_id(model, amps, widths)
         train = held_out
     a, b, sxx = _line(_rows(train, keep), _rows(mt, keep))
-    if not (sxx > 0).all():
-        raise SingularFitError("difficulty values are all equal")
-    return a + b * held_out - mt
+    return a + b * held_out - mt if (sxx > 0).all() else None
 
 
 def loocv_rmse(
@@ -349,7 +348,8 @@ def loocv_rmse(
     sigma_a_mm: float | None = None,
 ) -> float | None:
     """Leave-one-condition-out RMSE of movement-time predictions: the
-    ``cv_rmse_ms`` of ``fit_model``, so None where the model is unusable."""
+    ``cv_rmse_ms`` of ``fit_model``, so None where the model is unusable or
+    a fold's training difficulties are all equal."""
     n = len(summaries)
     if n < 4:
         raise ValidationError(f"need >= 4 conditions for cross-validation, got {n}")
@@ -367,8 +367,9 @@ def fit_model(
     A model comes back unusable (math_errors populated, metrics None)
     instead of raising when its width term is undefined on any condition,
     or when a condition's difficulty or squared residual (in the full fit
-    or, with cv, held out) is not finite.  A bad sigma_a, or none for m7,
-    raises ValidationError.
+    or, with cv, held out) is not finite.  A cv fold whose training
+    difficulties are all equal leaves cv_rmse_ms None and the rest of the
+    fit as it is.  A bad sigma_a, or none for m7, raises ValidationError.
     """
     if isinstance(sigma_a, SigmaEstimate):
         sigma_est, sigma_val = sigma_a, sigma_a.sigma_a_mm
@@ -392,8 +393,9 @@ def fit_model(
             bad = ~np.isfinite(resid**2)
         if folds and not bad.any():
             cv_resid = _loocv_residuals(model, amps, widths, mt, cs)
-            bad = ~np.isfinite(cv_resid**2)
-            cv_rmse = float(math.sqrt(np.mean(cv_resid**2)))
+            if cv_resid is not None:
+                bad = ~np.isfinite(cv_resid**2)
+                cv_rmse = float(math.sqrt(np.mean(cv_resid**2)))
         if not bad.any() and not np.isfinite(
                 [fit.r2, fit.rss, 0.0 if cv_rmse is None else cv_rmse]).all():
             bad = np.ones(n, dtype=bool)  # a sum overflowed: every condition is in it

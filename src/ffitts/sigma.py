@@ -12,19 +12,28 @@ The absolute tremor spread sigma_a can be measured two ways:
   is sigma_a^2.
 
 A Shapiro-Wilk normality check is provided since both estimators assume
-normally distributed deviations.
+normally distributed deviations: Royston's algorithm AS R94 (Royston 1995,
+Applied Statistics 44:547-551), the W coefficients and p-value of samples
+of 3 to 5000.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from math import sqrt
+from math import asin, erfc, exp, inf, log, pi, sqrt
 from typing import Sequence
 
 import numpy as np
 
-from .datamodel import ConditionSummary, SigmaEstimate, SigmaMethod, endpoint_spread
+from .datamodel import (
+    ConditionSummary,
+    SigmaEstimate,
+    SigmaMethod,
+    endpoint_spread,
+    finite_rule,
+    require,
+)
 from .errors import (
     DegenerateDataError,
     NonPhysicalInterceptError,
@@ -131,8 +140,7 @@ class NormalityResult:
 def normality_check(deviations_mm, alpha: float = 0.05) -> NormalityResult:
     """Shapiro-Wilk test on a deviation sample; passed means p > alpha.
 
-    Supported for 3 <= n <= 5000 (the range of the W-statistic
-    approximation used by scipy).
+    W and p come from Royston's AS R94, which covers 3 <= n <= 5000.
     """
     arr = np.asarray(deviations_mm, dtype=float)
     if arr.ndim != 1:
@@ -141,13 +149,66 @@ def normality_check(deviations_mm, alpha: float = 0.05) -> NormalityResult:
         raise UnsupportedSampleSizeError(
             f"sample size {arr.size} outside supported range [3, 5000]"
         )
+    require(finite_rule("deviation", arr))
     if np.ptp(arr) == 0:
         raise DegenerateDataError("zero variance sample")
-    from scipy import stats  # imported on use: it is most of the CLI's start-up
+    w, p = _shapiro_wilk(np.sort(arr))
+    return NormalityResult(statistic=w, p_value=p, passed=bool(p > alpha))
 
-    res = stats.shapiro(arr)
-    return NormalityResult(
-        statistic=float(res.statistic),
-        p_value=float(res.pvalue),
-        passed=bool(res.pvalue > alpha),
-    )
+
+# AS R94's polynomial coefficients, lowest order first: in 1/sqrt(n) for the
+# two largest coefficients, and for the mean and log SD of the normalised W
+# in n (n <= 11) or log n
+_C1 = (0.0, 0.221157, -0.147981, -2.07119, 4.434685, -2.706056)
+_C2 = (0.0, 0.042981, -0.293762, -1.752461, 5.682633, -3.582633)
+_C3 = (0.5440, -0.39978, 0.025054, -6.714e-4)
+_C4 = (1.3822, -0.77857, 0.062767, -0.0020322)
+_C5 = (-1.5861, -0.31082, -0.083751, 0.0038915)
+_C6 = (-0.4803, -0.082676, 0.0030302)
+_GAMMA = (-2.273, 0.459)
+
+
+def _shapiro_wilk(x) -> tuple[float, float]:
+    """W and its upper-tail p-value (AS R94) of a sorted sample of 3 to 5000
+    finite values, not all equal."""
+    # imported on use: importing ffitts loads neither, and scipy.special loads
+    # numpy.polynomial anyway
+    from numpy.polynomial.polynomial import polyval
+    from scipy.special import ndtri
+
+    n, half = x.size, x.size // 2
+    if n == 3:
+        a = np.array([sqrt(0.5)])
+    else:
+        # a_i = -m_i / |m| from the normal scores m_i, the two largest (one
+        # for n <= 5) corrected and the rest rescaled so that sum a^2 = 1
+        m = ndtri((np.arange(1, half + 1) - 0.375) / (n + 0.25))
+        summ2 = 2.0 * float(m @ m)
+        rsn, big = 1.0 / sqrt(n), 2 if n > 5 else 1
+        top = [polyval(rsn, c) - float(mi) / sqrt(summ2) for c, mi in zip((_C1, _C2), m[:big])]
+        fac = sqrt((summ2 - 2.0 * float(m[:big] @ m[:big]))
+                   / (1.0 - 2.0 * sum(t * t for t in top)))
+        a = -m / fac
+        a[:big] = top
+    # W is the squared correlation of the sample with the coefficients; the
+    # median shift and the range scale leave it as is and keep the sums small
+    y = (x - x[half]) / (x[-1] - x[0])
+    yc = y - y.mean()
+    b, ssx = float(a @ (y[::-1][:half] - y[:half])), float(yc @ yc)
+    # 1 - W, exact near W = 1; rounding takes it below 0 for a sample that
+    # lies on its normal scores
+    w1 = max((sqrt(ssx) - b) * (sqrt(ssx) + b) / ssx, 0.0)
+    w = 1.0 - w1
+    if n == 3:  # exact
+        return w, 6.0 / pi * (asin(sqrt(w)) - pi / 3.0)
+    # log(1 - W), normalised for n <= 11, is close to normal with this mean and SD
+    z = log(w1) if w1 > 0 else -inf
+    if n <= 11:
+        # the smallest W of n values, n a_1^2 / (n - 1) (Shapiro and Wilk
+        # 1965), keeps log(1 - W) below gamma, so AS R94's p = 1e-99 for
+        # log(1 - W) >= gamma never applies
+        z = -log(polyval(n, _GAMMA) - z)
+        mean, sd = polyval(n, _C3), exp(polyval(n, _C4))
+    else:
+        mean, sd = polyval(log(n), _C5), exp(polyval(log(n), _C6))
+    return w, 0.5 * erfc((z - mean) / (sd * sqrt(2.0)))

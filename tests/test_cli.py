@@ -208,6 +208,18 @@ class TestFit:
         assert "line 2" in result.output
         assert "W_mm" in result.output
 
+    def test_singular_cv_fold_prints_no_cv_rmse(self, runner, tmp_path):
+        # m1's fold holding out (30, 2) trains on one A/W ratio: its CV RMSE is
+        # undefined, and the fit is still reported
+        path = tmp_path / "singular.csv"
+        path.write_text("A_mm,W_mm,mt_ms,sigma_obs_mm\n"
+                        "20,4,300,0.5\n40,8,310,0.5\n60,12,320,0.5\n30,2,420,0.5\n")
+        result = runner.invoke(main, ["fit", "--input", str(path), "--models", "m1,m2"])
+        assert result.exit_code == 0, result.output
+        assert "| #1 Baseline | log2(A/W + 1) | 0.9784 | 0.9677 | 31.0 | 29.8 | --- |" \
+            in result.output
+        assert "CV RMSE: m2" in result.output
+
     @pytest.mark.parametrize("row, message", [
         ("45,8,350,-2.0", "line 3: endpoint spread must be finite and > 0, got -2.0"),
         ("20,2,450,0.70", "line 3: duplicate condition (A=20, W=2)"),
@@ -694,6 +706,23 @@ class TestImport:
         proc = subprocess.run([sys.executable, "-c", code], env=subprocess_env,
                               capture_output=True, text=True, timeout=60, check=True)
         assert proc.stdout.strip() == "[]"
+
+    def test_normality_check_leaves_scipy_stats_unloaded(self, subprocess_env):
+        code = ("import sys; from ffitts import normality_check; "
+                "normality_check([0.1, -0.4, 0.3, 0.9, -1.2]); "
+                "print([m for m in ('scipy.stats', 'scipy.special') if m in sys.modules])")
+        proc = subprocess.run([sys.executable, "-c", code], env=subprocess_env,
+                              capture_output=True, text=True, timeout=60, check=True)
+        assert proc.stdout.strip() == "['scipy.special']"
+
+    def test_sigma_input_leaves_scipy_stats_unloaded(self, subprocess_env):
+        code = ("import sys; from ffitts.cli import main; "
+                f"main(['sigma', '--input', {FIRST_TAPS!r}], standalone_mode=False); "
+                "print([m for m in ('scipy.stats', 'scipy.special') if m in sys.modules])")
+        proc = subprocess.run([sys.executable, "-c", code], env=subprocess_env,
+                              capture_output=True, text=True, timeout=60, check=True)
+        assert "W=0.973 p=0.317 pass" in proc.stdout
+        assert proc.stdout.splitlines()[-1] == "['scipy.special']"
 
 
 class TestColor:

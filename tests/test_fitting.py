@@ -223,15 +223,22 @@ class TestCrossValidation:
         assert c_fold >= summaries[0].condition.width_mm
         assert loocv_rmse(summaries, model) == pytest.approx(expected, rel=1e-12)
 
-    def test_singular_fold_raises(self):
+    def test_singular_fold_leaves_cv_undefined(self):
         # holding out (30, 2) leaves three conditions of one A/W ratio, so that
-        # fold's difficulties are all equal, while the full fit is defined
+        # fold's difficulties are all equal, while the full fit is defined: m1
+        # keeps its full fit and drops out of the CV RMSE ranking only
         summaries = [ConditionSummary(Condition(a, w), mt_ms=mt, sigma_obs_mm=0.5)
                      for a, w, mt in [(20.0, 4.0, 300.0), (40.0, 8.0, 310.0),
                                       (60.0, 12.0, 320.0), (30.0, 2.0, 420.0)]]
-        assert fit_model(summaries, Model.M1_BASELINE, cv=False).r2 > 0.9
-        with pytest.raises(SingularFitError):
-            fit_model(summaries, Model.M1_BASELINE)
+        result = fit_model(summaries, Model.M1_BASELINE)
+        assert result.usable and result.r2 > 0.9 and result.cv_rmse_ms is None
+        assert result == fit_model(summaries, Model.M1_BASELINE, cv=False)
+        assert loocv_rmse(summaries, Model.M1_BASELINE) is None
+        report = compare(Dataset("singular", Dimensionality.TWO_D, tuple(summaries)),
+                         [Model.M1_BASELINE, Model.M2_EFFECTIVE])
+        assert report.unusable == ()
+        assert report.best_by["aic"] is Model.M1_BASELINE
+        assert report.best_by["cv_rmse_ms"] is Model.M2_EFFECTIVE
 
     def test_needs_four_conditions(self):
         summaries = grid_summaries(

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from scipy import stats
 
 from ffitts import (
     CalibrationMode,
@@ -150,6 +152,9 @@ class TestIntercept:
         assert est.sigma_a_mm == pytest.approx(fit.sigma_a_mm)
 
 
+ELEVEN = [0.3, -1.2, 0.8, 2.5, -0.1, 0.0, 1.1, -0.7, 0.4, 1.9, -2.2]
+
+
 class TestNormality:
     def test_constant_sample_degenerate(self):
         with pytest.raises(DegenerateDataError):
@@ -175,6 +180,67 @@ class TestNormality:
         res = normality_check(rng.normal(0, 1, 45))
         assert 0 < res.statistic <= 1
         assert res.passed
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_deviation_is_rejected(self, bad):
+        with pytest.raises(ValidationError, match=f"^row 3: deviation must be finite, got {bad}$"):
+            normality_check([1.0, 2.0, 3.0, bad, 5.0])
+
+    @pytest.mark.parametrize("sample", [
+        [0.0, 1.0, 3.0],                     # n = 3: exact p
+        [0.0, 1.0, 2.0],                     # n = 3: W = 1, p = 1
+        [0.0, 0.0, 1.0],                     # n = 3: the smallest W, 3/4
+        [0.0, 0.5, 1.5, 4.0],                # n = 4, 5: only a_n corrected
+        [0.0, 0.4, 1.5, 1.7, 4.0],
+        [0.3, -1.2, 0.8, 2.5, -0.1, 0.0],    # 6 <= n <= 11: gamma transform
+        ELEVEN,
+        list(range(12)),                     # n >= 12: log-n polynomials
+        [float(i * i) for i in range(40)],
+        # far from 0 or huge: W is the same up to rounding
+        [1e12 + v for v in ELEVEN],
+        [1e170 * v for v in ELEVEN],
+        # samples on their own normal scores, where 1 - W rounds below 0
+        [-2.243182978201566, 4.808353387762301, 11.859889753726168],
+        [-0.6646392604033582, -0.2413600081423537, 0.0, 0.2413600081423537,
+         0.6646392604033582],
+    ])
+    def test_each_p_branch_agrees_with_scipy(self, sample):
+        res, ref = normality_check(sample), stats.shapiro(sample)
+        assert 0 < res.statistic <= 1 and 0 <= res.p_value <= 1
+        assert res.statistic == pytest.approx(ref.statistic, abs=1e-7)
+        assert res.p_value == pytest.approx(ref.pvalue, abs=1e-5)
+
+    @pytest.mark.parametrize("n", range(4, 12))
+    def test_smallest_w_stays_below_gamma(self, n):
+        # n - 1 ties and one outlier give the smallest W of n values, and
+        # even there log(1 - W) stays below AS R94's gamma = -2.273 + 0.459 n,
+        # the bound past which it would report p = 1e-99
+        sample = [0.0] * (n - 1) + [1.0]
+        res, ref = normality_check(sample), stats.shapiro(sample)
+        assert math.log(1.0 - res.statistic) < -2.273 + 0.459 * n
+        assert res.statistic == pytest.approx(ref.statistic, abs=1e-7)
+        assert res.p_value == pytest.approx(ref.pvalue, abs=1e-5)
+        assert 1e-99 < res.p_value < 0.01
+
+    @settings(max_examples=150)
+    @given(n=st.integers(3, 40) | st.integers(3, 5000),
+           kind=st.sampled_from(["normal", "t3", "exponential", "rounded", "offset"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_agrees_with_scipy(self, n, kind, seed):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        sample = {
+            "normal": lambda: rng.normal(0.0, 1.0, n),
+            "t3": lambda: rng.standard_t(3, n),             # heavy-tailed
+            "exponential": lambda: rng.exponential(1.0, n),  # skewed
+            "rounded": lambda: np.round(rng.normal(0.0, 2.0, n)),  # tied
+            "offset": lambda: 1e6 + rng.normal(0.0, 1.0, n),
+        }[kind]()
+        assume(np.ptp(sample) > 0)
+        res, ref = normality_check(sample), stats.shapiro(sample)
+        assert abs(res.statistic - ref.statistic) <= 1e-7
+        assert abs(res.p_value - ref.pvalue) <= 1e-5
+        if abs(ref.pvalue - 0.05) > 1e-5:
+            assert res.passed == (ref.pvalue > 0.05)
 
     def test_power_against_uniform(self):
         # Monte Carlo power estimate: clearly non-normal data must be
