@@ -350,7 +350,9 @@ def _intercept_row(taps, devs, axis_mode, alpha):
         fit = sigma_from_intercept(summarize(taps, axis_mode))
         est = fit.estimate(method)
         passed, total = _per_condition_normality(taps, devs, alpha)
-        return rpt.sigma_row(method, est.sigma_a_mm, f"{passed}/{total} condition groups pass",
+        normality = (f"{passed}/{total} condition groups pass" if total else
+                     "skipped: no condition group size in supported range [3, 5000]")
+        return rpt.sigma_row(method, est.sigma_a_mm, normality,
                              f"regression R2={fit.r2:.3f}, slope={fit.slope:.4g}")
     except FfittsError as exc:
         return rpt.sigma_row(method, note=f"warning: {exc}")

@@ -138,7 +138,7 @@ TAP_COLUMNS = {
 #: enough that a block's row lists and tuples (about two containers per row)
 #: die young: at 8192 rows they outlived two young collections, reached the
 #: oldest generation and set off full collections, each a scan of the whole
-#: heap (numpy, scipy, the log being built) and together a third of a load.
+#: heap (numpy, the log being built) and together a third of a load.
 BLOCK_ROWS = 512
 
 
@@ -423,3 +423,74 @@ def _fsum(values: np.ndarray) -> float:
     except OverflowError:
         mean = _fsum(values / values.size)
         return math.copysign(math.inf, mean) if math.isfinite(mean) else mean
+
+
+def _ndtri(p: np.ndarray) -> np.ndarray:
+    """The standard normal quantile of each probability in ``p``, all in the
+    open interval (0, 1); 0, 1 and NaN are not handled.
+
+    A port of Cephes' ``ndtri`` (S. L. Moshier), the algorithm behind
+    SciPy's ``ndtri``: the same rational approximations, split points and
+    float64 operation order, so every quantile has the same bits.  Its
+    two tail logarithms go through ``math.log``, the C library's log that
+    Cephes calls, because numpy's vectorised log can differ from it in the
+    last bit.
+    """
+    p = np.asarray(p, dtype=float)
+    upper = p > 1.0 - _EXP_M2
+    y = np.where(upper, 1.0 - p, p)
+    out = np.empty_like(y)
+    # exp(-2) < y < 1 - exp(-2): a rational function of (y - 0.5)^2
+    mid = y > _EXP_M2
+    c = y[mid] - 0.5
+    c2 = c * c
+    out[mid] = (c + c * (c2 * _polevl(c2, _P0) / _polevl(c2, _Q0))) * _SQRT_2PI
+    # the tails, in z = 1/x with x = sqrt(-2 log y): one approximation for
+    # x < 8 (y > exp(-32)), another below
+    tail = ~mid
+    x = np.sqrt(-2.0 * _log(y[tail]))
+    x0 = x - _log(x) / x
+    z = 1.0 / x
+    x1 = z * _polevl(z, _P1) / _polevl(z, _Q1)
+    far = x >= 8.0
+    x1[far] = z[far] * _polevl(z[far], _P2) / _polevl(z[far], _Q2)
+    x = x0 - x1
+    out[tail] = np.where(upper[tail], x, -x)
+    return out
+
+
+def _polevl(x, coefs):
+    """The polynomial with ``coefs``, highest order first, at ``x`` (a number
+    or an array): Horner's rule, one multiply and one add a coefficient."""
+    value = coefs[0]
+    for c in coefs[1:]:
+        value = value * x + c
+    return value
+
+
+def _log(values: np.ndarray) -> np.ndarray:
+    """The natural log of each element through ``math.log``."""
+    return np.fromiter(map(math.log, values.tolist()), float, len(values))
+
+
+# Cephes ndtri's coefficients, highest order first; the leading 1.0 of each
+# denominator is Cephes' p1evl, whose first step 1.0 * x + c is x + c
+_EXP_M2 = 0.13533528323661269189  # exp(-2)
+_SQRT_2PI = 2.50662827463100050242
+_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+       1.39312609387279679503e1, -1.23916583867381258016e0)
+_Q0 = (1.0, 1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+       -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+       1.59056225126211695515e1, -1.18331621121330003142e0)
+_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+       4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+       -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
+_Q1 = (1.0, 1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+       1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+       -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+       1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+       3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
+_Q2 = (1.0, 6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+       2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+       2.89247864745380683936e-6, 6.79019408009981274425e-9)

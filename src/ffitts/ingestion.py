@@ -19,7 +19,7 @@ import math
 import sys
 import warnings
 from contextlib import contextmanager
-from itertools import chain, compress, islice
+from itertools import chain, compress, islice, repeat
 from pathlib import Path
 from typing import IO, Iterator, Sequence
 
@@ -320,9 +320,10 @@ def write_trials_csv(
     load_trials_csv skips.  Output is deterministic for identical input.
     Each field is formatted on its own: a float with repr, so reloading
     gives every column back exactly, an integer in decimal and is_practice
-    as true/false.  Only a participant ID can need quoting, so only IDs go
-    through csv.writer, each distinct ID of a block once.  The path "-"
-    writes to stdout, the mirror of reading "-" from stdin.
+    as true/false; a block's column of one value is formatted once.  Only a
+    participant ID can need quoting, so only IDs go through csv.writer, each
+    distinct ID of a block once.  The path "-" writes to stdout, the mirror
+    of reading "-" from stdin.
     """
     formats = [_FORMAT[dtype] for dtype in list(TAP_COLUMNS.values())[1:]]
     with opened(path, "w") as fh:
@@ -330,12 +331,22 @@ def write_trials_csv(
             fh.write(f"# {key}={value}\n")
         fh.write(",".join(TRIAL_CSV_COLUMNS) + "\n")
         for start in range(0, len(taps), BLOCK_ROWS):
-            ids, *rest = (getattr(taps, name)[start:start + BLOCK_ROWS].tolist()
+            ids, *rest = (getattr(taps, name)[start:start + BLOCK_ROWS]
                           for name in TAP_COLUMNS)
+            ids = ids.tolist()
             quoted = {text: _csv_field(text) for text in set(ids)}
             fields = [map(quoted.__getitem__, ids)] + [
-                map(fmt, column) for fmt, column in zip(formats, rest)]
+                _printed(fmt, column) for fmt, column in zip(formats, rest)]
             fh.writelines(map(",".join, zip(*fields)))
+
+
+def _printed(fmt, column: np.ndarray):
+    """``fmt`` of each value of a block column, formatted once where all the
+    values have the same bits (-0.0 == 0.0, but the two print differently)."""
+    bits = column.view(f"i{column.itemsize}")
+    if bits[0] == bits[-1] and (bits == bits[0]).all():
+        return repeat(fmt(column[0].item()), len(column))
+    return map(fmt, column.tolist())
 
 
 # how write_trials_csv prints a value of each non-text TapTable column dtype;

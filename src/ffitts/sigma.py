@@ -30,6 +30,8 @@ from .datamodel import (
     ConditionSummary,
     SigmaEstimate,
     SigmaMethod,
+    _ndtri,
+    _polevl,
     endpoint_spread,
     finite_rule,
     require,
@@ -156,36 +158,31 @@ def normality_check(deviations_mm, alpha: float = 0.05) -> NormalityResult:
     return NormalityResult(statistic=w, p_value=p, passed=bool(p > alpha))
 
 
-# AS R94's polynomial coefficients, lowest order first: in 1/sqrt(n) for the
+# AS R94's polynomial coefficients, highest order first: in 1/sqrt(n) for the
 # two largest coefficients, and for the mean and log SD of the normalised W
 # in n (n <= 11) or log n
-_C1 = (0.0, 0.221157, -0.147981, -2.07119, 4.434685, -2.706056)
-_C2 = (0.0, 0.042981, -0.293762, -1.752461, 5.682633, -3.582633)
-_C3 = (0.5440, -0.39978, 0.025054, -6.714e-4)
-_C4 = (1.3822, -0.77857, 0.062767, -0.0020322)
-_C5 = (-1.5861, -0.31082, -0.083751, 0.0038915)
-_C6 = (-0.4803, -0.082676, 0.0030302)
-_GAMMA = (-2.273, 0.459)
+_C1 = (-2.706056, 4.434685, -2.07119, -0.147981, 0.221157, 0.0)
+_C2 = (-3.582633, 5.682633, -1.752461, -0.293762, 0.042981, 0.0)
+_C3 = (-6.714e-4, 0.025054, -0.39978, 0.5440)
+_C4 = (-0.0020322, 0.062767, -0.77857, 1.3822)
+_C5 = (0.0038915, -0.083751, -0.31082, -1.5861)
+_C6 = (0.0030302, -0.082676, -0.4803)
+_GAMMA = (0.459, -2.273)
 
 
 def _shapiro_wilk(x) -> tuple[float, float]:
     """W and its upper-tail p-value (AS R94) of a sorted sample of 3 to 5000
     finite values, not all equal."""
-    # imported on use: importing ffitts loads neither, and scipy.special loads
-    # numpy.polynomial anyway
-    from numpy.polynomial.polynomial import polyval
-    from scipy.special import ndtri
-
     n, half = x.size, x.size // 2
     if n == 3:
         a = np.array([sqrt(0.5)])
     else:
         # a_i = -m_i / |m| from the normal scores m_i, the two largest (one
         # for n <= 5) corrected and the rest rescaled so that sum a^2 = 1
-        m = ndtri((np.arange(1, half + 1) - 0.375) / (n + 0.25))
+        m = _ndtri((np.arange(1, half + 1) - 0.375) / (n + 0.25))
         summ2 = 2.0 * float(m @ m)
         rsn, big = 1.0 / sqrt(n), 2 if n > 5 else 1
-        top = [polyval(rsn, c) - float(mi) / sqrt(summ2) for c, mi in zip((_C1, _C2), m[:big])]
+        top = [_polevl(rsn, c) - float(mi) / sqrt(summ2) for c, mi in zip((_C1, _C2), m[:big])]
         fac = sqrt((summ2 - 2.0 * float(m[:big] @ m[:big]))
                    / (1.0 - 2.0 * sum(t * t for t in top)))
         a = -m / fac
@@ -207,8 +204,8 @@ def _shapiro_wilk(x) -> tuple[float, float]:
         # the smallest W of n values, n a_1^2 / (n - 1) (Shapiro and Wilk
         # 1965), keeps log(1 - W) below gamma, so AS R94's p = 1e-99 for
         # log(1 - W) >= gamma never applies
-        z = -log(polyval(n, _GAMMA) - z)
-        mean, sd = polyval(n, _C3), exp(polyval(n, _C4))
+        z = -log(_polevl(n, _GAMMA) - z)
+        mean, sd = _polevl(n, _C3), exp(_polevl(n, _C4))
     else:
-        mean, sd = polyval(log(n), _C5), exp(polyval(log(n), _C6))
+        mean, sd = _polevl(log(n), _C5), exp(_polevl(log(n), _C6))
     return w, 0.5 * erfc((z - mean) / (sd * sqrt(2.0)))

@@ -12,9 +12,11 @@ a + b * log2(A/W + 1), plus normal noise.
 Determinism: conditions are processed in (A, W) order, each with its own
 PCG64 stream spawned from the master seed, and normal variates come from
 the inverse-CDF transform of that stream's uniforms (draw order per
-condition: [x deviations in 2D,] y deviations, movement times).  A fixed
-config therefore reproduces the identical tap table, and the scheme is
-documented enough to reproduce the distributions elsewhere.
+condition: [x deviations in 2D,] y deviations, movement times).  The
+quantile function is Cephes' ``ndtri`` (``datamodel._ndtri``), whose
+results are bit-identical to SciPy's ``ndtri``.  A fixed config therefore
+reproduces the identical tap table, and the scheme is documented enough to
+reproduce the distributions elsewhere.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .datamodel import Dimensionality, TapTable, finite_rule, require
+from .datamodel import Dimensionality, TapTable, _ndtri, finite_rule, require
 from .errors import ValidationError
 
 #: Identifier recorded in emitted metadata for cross-checking generators.
@@ -92,10 +94,8 @@ def _normals(rng: np.random.Generator, n: int, sd: float) -> np.ndarray:
     if sd == 0.0:
         rng.random(n)  # keep the draw sequence fixed regardless of sd
         return np.zeros(n)
-    from scipy.special import ndtri  # imported on use: importing ffitts loads no scipy
-
     u = np.maximum(rng.random(n), _TINY)
-    return ndtri(u) * sd
+    return _ndtri(u) * sd
 
 
 def generate(config: SimulatorConfig) -> TapTable:

@@ -22,8 +22,8 @@ are kept too: the report, its ``.fits.csv`` and ``.intercept.csv`` plot data
 and, for csv, its ``.wf.csv`` matrix.  Also writes ``manifest.json``: the
 arguments of every command, the file holding its stdout (or the files its
 ``--out`` writes), a ``pure_python`` flag on the commands whose output is
-the same on any numpy, scipy and BLAS, and the versions the other outputs
-were made with.  Commands run from this directory, so the reports name their
+the same on any numpy and BLAS, and the versions the other outputs were
+made with.  Commands run from this directory, so the reports name their
 inputs by file name.
 
 ``fit-values.json`` pins the fit values themselves as ``float.hex``: c, a, b,
@@ -41,7 +41,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import scipy
 from click.testing import CliRunner
 
 from ffitts import (
@@ -198,8 +197,7 @@ def run(args: list[str]) -> bytes:
 def main_() -> None:
     os.chdir(HERE)
     aggregate_dumps()
-    manifest = {"numpy": np.__version__, "scipy": scipy.__version__, "blas": blas(),
-                "cases": []}
+    manifest = {"numpy": np.__version__, "blas": blas(), "cases": []}
     for args, name in commands():
         stdout = run(args)
         if isinstance(name, list):

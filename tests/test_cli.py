@@ -18,8 +18,12 @@ from ffitts.cli import main
 from ffitts.report import sig
 
 DATA = Path(__file__).parent / "data"
+OUTPUTS = DATA / "outputs"
 # the hand-built tap log whose sigma and fit outputs are golden outputs too
-FIRST_TAPS = str(DATA / "outputs" / "first_taps.csv")
+FIRST_TAPS = str(OUTPUTS / "first_taps.csv")
+# prints the loaded SciPy modules, in a code string run by a fresh interpreter
+PRINT_SCIPY_MODULES = ("print(sorted(m for m in sys.modules "
+                       "if m == 'scipy' or m.startswith('scipy.')))")
 
 
 @pytest.fixture
@@ -447,6 +451,19 @@ class TestSigma:
         assert from_stdin.stdout_bytes == from_file.stdout_bytes
         assert from_stdin.stdout.startswith("method,label,sigma_a_mm,")
 
+    @pytest.mark.parametrize("trials", [2, 6000])
+    def test_intercept_normality_skipped_without_a_testable_group(self, runner, trials):
+        # 2 or 6000 first taps per condition: every group is outside the
+        # range [3, 5000] of the normality test, so none is tested
+        sim = runner.invoke(main, ["simulate", "--alpha", "0.0108", "--sigma-a", "1.153",
+                                   "--trials", str(trials), "--seed", "3"])
+        result = runner.invoke(main, ["sigma", "--input", "-", "--method", "all"],
+                               input=sim.stdout)
+        assert result.exit_code == 0, result.output
+        row = result.output.splitlines()[-1]
+        assert row.startswith("| Fitts | ")
+        assert " | skipped: no condition group size in supported range [3, 5000] | " in row
+
     def test_calibration_estimate_kept_above_normality_range(self, runner, tmp_path):
         # 20 conditions x 300 trials = 6000 first taps, above the range
         # [3, 5000] of the normality test
@@ -699,30 +716,56 @@ class TestDatasets:
 
 class TestImport:
     def test_cli_import_leaves_scipy_unloaded(self, subprocess_env):
-        # scipy.stats and scipy.special are imported by the functions that
-        # use them, so commands that never call those start faster
+        # ffitts runs without SciPy; the tests below check the commands that
+        # draw or test normals too
         code = ("import sys, ffitts.cli; "
                 "print([m for m in ('scipy.stats', 'scipy.special') if m in sys.modules])")
         proc = subprocess.run([sys.executable, "-c", code], env=subprocess_env,
                               capture_output=True, text=True, timeout=60, check=True)
         assert proc.stdout.strip() == "[]"
 
-    def test_normality_check_leaves_scipy_stats_unloaded(self, subprocess_env):
+    def test_normality_check_leaves_scipy_unloaded(self, subprocess_env):
         code = ("import sys; from ffitts import normality_check; "
-                "normality_check([0.1, -0.4, 0.3, 0.9, -1.2]); "
-                "print([m for m in ('scipy.stats', 'scipy.special') if m in sys.modules])")
+                "normality_check([0.1, -0.4, 0.3, 0.9, -1.2]); " + PRINT_SCIPY_MODULES)
         proc = subprocess.run([sys.executable, "-c", code], env=subprocess_env,
                               capture_output=True, text=True, timeout=60, check=True)
-        assert proc.stdout.strip() == "['scipy.special']"
+        assert proc.stdout.strip() == "[]"
 
-    def test_sigma_input_leaves_scipy_stats_unloaded(self, subprocess_env):
+    def test_sigma_input_leaves_scipy_unloaded(self, subprocess_env):
         code = ("import sys; from ffitts.cli import main; "
                 f"main(['sigma', '--input', {FIRST_TAPS!r}], standalone_mode=False); "
-                "print([m for m in ('scipy.stats', 'scipy.special') if m in sys.modules])")
+                + PRINT_SCIPY_MODULES)
         proc = subprocess.run([sys.executable, "-c", code], env=subprocess_env,
                               capture_output=True, text=True, timeout=60, check=True)
         assert "W=0.973 p=0.317 pass" in proc.stdout
-        assert proc.stdout.splitlines()[-1] == "['scipy.special']"
+        assert proc.stdout.splitlines()[-1] == "[]"
+
+    def test_simulate_out_leaves_scipy_unloaded(self, subprocess_env, tmp_path):
+        code = ("import sys; from ffitts.cli import main; "
+                "main(['simulate', '--alpha', '0.0108', '--sigma-a', '1.153', '--seed', '3', "
+                f"'--out', {str(tmp_path / 'sim.csv')!r}], standalone_mode=False); "
+                + PRINT_SCIPY_MODULES)
+        proc = subprocess.run([sys.executable, "-c", code], env=subprocess_env,
+                              capture_output=True, text=True, timeout=60, check=True)
+        assert proc.stdout.strip() == "[]"
+        assert (tmp_path / "sim.csv").read_bytes() == (OUTPUTS / "sim-1d-seed3.csv").read_bytes()
+
+    def test_simulate_sigma_pipe_runs_where_scipy_cannot_import(self, subprocess_env):
+        # a None entry in sys.modules makes every "import scipy..." raise
+        # ImportError, as where SciPy is not installed
+        code = "import sys; sys.modules['scipy'] = None; from ffitts.cli import main; main()"
+
+        def run(args, stdin=b""):
+            return subprocess.run([sys.executable, "-c", code, *args], env=subprocess_env,
+                                  input=stdin, capture_output=True, timeout=60,
+                                  check=True).stdout
+
+        sim = run(["simulate", "--alpha", "0.0108", "--sigma-a", "1.3", "--trials", "50",
+                   "--seed", "3", "--dim", "2d"])
+        assert sim == (OUTPUTS / "sim-2d-seed3.csv").read_bytes()
+        sigma = run(["sigma", "--input", "-", "--axis", "bivariate", "--dim", "2d",
+                     "--format", "csv"], sim)
+        assert sigma == (OUTPUTS / "sigma-sim-2d-seed3-bivariate.csv").read_bytes()
 
 
 class TestColor:

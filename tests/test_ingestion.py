@@ -86,6 +86,19 @@ def tap_tables(draw, max_rows=8):
     )
 
 
+def tap_table(n, **columns):
+    """An n-tap TapTable: the given columns, the rest a varying default."""
+    rows = np.arange(n)
+    default = dict(
+        participant=np.full(n, "p"), block=np.zeros(n), trial=rows + 1,
+        amplitude_mm=np.full(n, 20.0), width_mm=np.full(n, 4.0),
+        target_x_mm=np.zeros(n), target_y_mm=np.zeros(n),
+        touch_x_mm=rows / 7, touch_y_mm=-rows / 3, mt_ms=rows / 11,
+        tap_index=np.ones(n), is_practice=np.zeros(n, dtype=bool),
+    )
+    return TapTable(**{**default, **columns})
+
+
 def reference_trials_csv(taps, metadata=None):
     """The tap CSV as a csv.writer row loop writes it: the oracle of the
     writer, which formats every field but the participant ID itself."""
@@ -282,6 +295,38 @@ class TestTrialsCsvWriter:
         write_trials_csv(taps, out, metadata={"generator": "test", "seed": "7"})
         assert out.read_bytes() == reference_trials_csv(
             taps, {"generator": "test", "seed": "7"})
+        assert_same_columns(load_trials_csv(out), taps)
+
+    @pytest.mark.parametrize("at", [5, BLOCK_ROWS - 1, 0, BLOCK_ROWS],
+                             ids=["inside", "last-row", "first-row", "second-first-row"])
+    def test_negative_zero_in_a_zero_column(self, tmp_path, at):
+        # a block column of one value is printed once, but -0.0 == 0.0 prints
+        # as "-0.0": equal values are not enough, the bits must be
+        zeros = np.zeros(2 * BLOCK_ROWS)
+        signed = zeros.copy()
+        signed[at] = -0.0
+        taps = tap_table(len(zeros), target_x_mm=signed, touch_y_mm=signed)
+        out = tmp_path / "taps.csv"
+        write_trials_csv(taps, out)
+        assert out.read_bytes() == reference_trials_csv(taps)
+        assert np.signbit(load_trials_csv(out).target_x_mm).tolist() == np.signbit(signed).tolist()
+
+    def test_constant_columns_across_block_boundaries(self, tmp_path):
+        # every column but the trial number holds one value over whole
+        # blocks; amplitude and is_practice change inside the second block,
+        # width only where the third (partial) block starts
+        n = 2 * BLOCK_ROWS + 7
+        rows = np.arange(n)
+        taps = tap_table(
+            n, participant=np.full(n, "p1"), block=np.full(n, 3),
+            amplitude_mm=np.where(rows < BLOCK_ROWS + 9, 20.0, 45.5),
+            width_mm=np.where(rows < 2 * BLOCK_ROWS, 4.0, 0.1),
+            target_x_mm=np.full(n, -2.5), touch_y_mm=np.full(n, 1e-300),
+            tap_index=np.full(n, 2), is_practice=rows > BLOCK_ROWS + 100,
+        )
+        out = tmp_path / "taps.csv"
+        write_trials_csv(taps, out, metadata={"seed": "7"})
+        assert out.read_bytes() == reference_trials_csv(taps, {"seed": "7"})
         assert_same_columns(load_trials_csv(out), taps)
 
     def test_quoted_and_empty_ids(self, tmp_path):

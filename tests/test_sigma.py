@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
-from scipy import stats
+from scipy import special, stats
 
 from ffitts import (
     CalibrationMode,
@@ -19,6 +19,7 @@ from ffitts import (
     sigma_from_calibration,
     sigma_from_intercept,
 )
+from ffitts.datamodel import _ndtri
 
 
 def summaries_from(widths, sigma_obs, mt=300.0, amplitude=30.0):
@@ -251,3 +252,57 @@ class TestNormality:
             for _ in range(2000)
         )
         assert rejections / 2000 > 0.20
+
+
+def assert_ndtri_bits(p):
+    """The port's quantiles of ``p`` have the bits of SciPy's."""
+    p = np.asarray(p, dtype=float)
+    assert np.array_equal(_ndtri(p).view(np.int64), special.ndtri(p).view(np.int64))
+
+
+def around(value, ulps=256):
+    """The floats in (0, 1) within ``ulps`` steps of ``value``, itself included."""
+    v = (np.float64(value).view(np.int64) + np.arange(-ulps, ulps + 1)).view(np.float64)
+    return v[(v > 0.0) & (v < 1.0)]
+
+
+class TestNdtri:
+    """The numpy port of Cephes' ndtri against scipy.special.ndtri, bit for bit."""
+
+    @pytest.mark.parametrize("split", [
+        math.exp(-2), 0.13533528323661269189,          # central and lower tail
+        1.0 - math.exp(-2), 1.0 - 0.13533528323661269189,  # central and upper tail
+        math.exp(-32), 1.0 - math.exp(-32),            # x = sqrt(-2 log y) = 8
+    ])
+    def test_both_sides_of_each_split(self, split):
+        assert_ndtri_bits(around(split))
+
+    @pytest.mark.parametrize("y", [lambda p: p, lambda p: 1.0 - p], ids=["lower", "upper"])
+    def test_x_of_eight_is_crossed(self, y):
+        # the x = 8 switch between the two tail approximations lies inside
+        # the floats tested around exp(-32) and 1 - exp(-32)
+        x = np.sqrt(-2.0 * np.log(y(around(y(math.exp(-32))))))
+        assert x.min() < 8.0 <= x.max()
+
+    @pytest.mark.parametrize("p", [1e-300, 0.5, 1.0 - 2.0**-53, 2.0**-53, 5e-324,
+                                   2.2250738585072014e-308])
+    def test_fixed_points(self, p):
+        assert_ndtri_bits([p])
+
+    def test_every_normal_score_vector(self):
+        # the (i - 3/8) / (n + 1/4) of normality_check, n = 3 ... 5000
+        assert_ndtri_bits(np.concatenate([(np.arange(1, n // 2 + 1) - 0.375) / (n + 0.25)
+                                          for n in range(3, 5001)]))
+
+    def test_seeded_uniforms(self):
+        rng = np.random.Generator(np.random.PCG64(20))
+        assert_ndtri_bits(np.maximum(rng.random(200_000), 1e-300))
+
+    def test_log_spaced_tails(self):
+        tail = np.logspace(-300, math.log10(0.5), 20_000)
+        assert_ndtri_bits(np.concatenate([tail, 1.0 - tail[tail > 1e-16]]))
+
+    @settings(max_examples=300)
+    @given(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), min_size=1))
+    def test_any_probability(self, p):
+        assert_ndtri_bits(p)
