@@ -17,6 +17,11 @@ comes from masked sums over the rows that keep as many conditions (one
 those of a search of its own.  Only a fold's grid R^2 is summed
 differently from a search per fold, so where R^2 is flat to the last bit
 across neighbouring grid points the two could pick different grid maxima.
+Nor are the models of one request searched one by one: every free-c model
+of a `compare` shares that search, a grid per model and one golden-section
+refinement loop over the rows of all of them, each row reduced on its own,
+so a model's bits do not depend on which other models were requested;
+`fit_model` is the one-model case.
 
 The selection battery is R^2, adjusted R^2, AIC, BIC, and
 leave-one-condition-out RMSE.  Information criteria use the Gaussian
@@ -156,16 +161,16 @@ def _grid_r2(model: Model, amps, widths, grid, keep, mt):
     for m in np.unique(kept):
         k = keep[kept == m].astype(float)
         sy = (k @ y)[:, None]
-        groups.append((kept == m, k, m, sy, (k @ (y * y))[:, None] - sy * sy / m))
+        groups.append((kept == m, k, k * y, m, sy, (k @ (y * y))[:, None] - sy * sy / m))
     r2 = np.empty((len(keep), len(grid)))
     for j in range(0, len(grid), _GRID_BLOCK):
         cols = slice(j, j + _GRID_BLOCK)
         ids = compute_id(model, amps[:, None], widths[:, None], grid[cols])
         ids -= ids.mean(axis=0)
-        for rows, k, m, sy, vy in groups:
+        for rows, k, ky, m, sy, vy in groups:
             sx = k @ ids
             xbar = sx / m
-            cov = k @ (ids * y[:, None]) - xbar * sy
+            cov = ky @ ids - xbar * sy
             den = (k @ (ids * ids) - sx * xbar) * vy
             r2[rows, cols] = np.divide(cov * cov, den, out=np.zeros_like(den), where=den > 0)
     return r2
@@ -180,44 +185,54 @@ def _columns(model: Model, summaries, sigma_a_mm=None):
     return amps, widths, mt
 
 
-def _search_c(model: Model, amps, widths, mt, keep) -> np.ndarray:
-    """Best tremor parameter c for each row of an (F, n) bool mask of fits.
+def _search_c(specs, amps, mt, keep) -> np.ndarray:
+    """Best tremor parameter c for each row of an (F, n) bool mask of fits,
+    for each (model, widths) spec of a free-c model: an (S, F) array.
 
     Each row is one fit on the conditions it keeps: all n for a full fit,
-    n - 1 for a leave-one-out fold.  All rows are searched at once with one
-    fit's rules: a 2000-point grid over [0, c_max], c_max being the
-    smallest kept width minus _C_TOL_MM (rows sharing c_max, as a full fit
-    and its folds that keep the smallest width do, share one id table),
-    then golden-section refinement of the bracket around the first grid
-    maximum down to _C_TOL_MM, ties keeping the smaller-c interval.  The
-    refined c replaces the grid c only when its R^2 is strictly higher;
-    c = 0 when c_max <= 0.  Rows keeping n and n - 1 sum apart.
+    n - 1 for a leave-one-out fold.  All rows of all specs are searched at
+    once with one fit's rules: a 2000-point grid over [0, c_max], c_max
+    being the spec's smallest kept width minus _C_TOL_MM (a spec's rows
+    sharing c_max, as a full fit and its folds that keep the smallest width
+    do, share one id table), then golden-section refinement of the bracket
+    around the first grid maximum down to _C_TOL_MM, ties keeping the
+    smaller-c interval.  The refinement is one loop over the stacked rows
+    of every spec, so each free-c model of a request shares it; a model's
+    rows come out as a search of its own would give them.  The refined c
+    replaces the grid c only when its R^2 is strictly higher; c = 0 when
+    c_max <= 0.  Rows keeping n and n - 1 sum apart.
     """
-    c_max = np.where(keep, widths, np.inf).min(axis=1) - _C_TOL_MM
-    best_c, lo, hi = np.zeros(len(keep)), np.zeros(len(keep)), np.zeros(len(keep))
-    for cm in np.unique(c_max[c_max > 0]):
-        rows = np.flatnonzero(c_max == cm)
-        grid = np.linspace(0.0, cm, _GRID_POINTS)
-        # the grid is off the domain only for widths these rows leave out
-        live = widths > cm
-        r2s = _grid_r2(model, amps[live], widths[live], grid,
-                       keep[np.ix_(rows, live)], mt[live])
-        i = np.argmax(r2s, axis=1)  # first max: ties prefer smaller c
-        best_c[rows] = grid[i]
-        lo[rows] = grid[np.maximum(i - 1, 0)]
-        hi[rows] = grid[np.minimum(i + 1, _GRID_POINTS - 1)]
+    f = len(keep)
+    best_c, lo, hi = np.zeros((3, len(specs) * f))
+    for s, (model, widths) in enumerate(specs):
+        c_max = np.where(keep, widths, np.inf).min(axis=1) - _C_TOL_MM
+        for cm in np.unique(c_max[c_max > 0]):
+            rows = np.flatnonzero(c_max == cm)
+            grid = np.linspace(0.0, cm, _GRID_POINTS)
+            # the grid is off the domain only for widths these rows leave out
+            live = widths > cm
+            r2s = _grid_r2(model, amps[live], widths[live], grid,
+                           keep[np.ix_(rows, live)], mt[live])
+            i = np.argmax(r2s, axis=1)  # first max: ties prefer smaller c
+            at = rows + s * f
+            best_c[at] = grid[i]
+            lo[at] = grid[np.maximum(i - 1, 0)]
+            hi[at] = grid[np.minimum(i + 1, _GRID_POINTS - 1)]
 
-    kept, groups = keep.sum(axis=1), []
+    stacked = np.tile(keep, (len(specs), 1))  # spec s owns rows s*f .. s*f + f - 1
+    kept, groups = stacked.sum(axis=1), []
     for rows in (np.flatnonzero(kept == m) for m in np.unique(kept)):
         # the group's kept entries, row by row; a fold's c can pass its
         # held-out width, whose id is NaN and never taken
-        r, j = np.nonzero(keep[rows])
+        r, j = np.nonzero(stacked[rows])
         mt_k = mt[j].reshape(len(rows), -1)
         yc = mt_k - (mt_k.sum(axis=1) / mt_k.shape[1])[:, None]
         groups.append((rows, rows[r] * len(mt) + j, yc, np.vecdot(yc, yc)))
 
     def r2_at(c, **sums):
-        ids, r2 = compute_id(model, amps, widths, c[:, None]), np.empty(len(keep))
+        ids = np.concatenate([compute_id(model, amps, widths, c[s * f:(s + 1) * f, None])
+                              for s, (model, widths) in enumerate(specs)])
+        r2 = np.empty(len(c))
         for rows, kept_ids, yc, syy in groups:
             r2[rows] = _r2(ids.take(kept_ids).reshape(yc.shape), yc, syy, **sums)
         return r2
@@ -245,20 +260,22 @@ def _search_c(model: Model, amps, widths, mt, keep) -> np.ndarray:
     # maximum's R^2 is recomputed with sums in condition order and the
     # refined c's with numpy's pairwise sums: the rule that the reported c
     # and CV RMSE values are pinned with.
-    return np.where(r2_at(c_ref) > r2_at(best_c, total=_in_order), c_ref, best_c)
+    best = np.where(r2_at(c_ref) > r2_at(best_c, total=_in_order), c_ref, best_c)
+    return best.reshape(len(specs), f)
 
 
-def _search_cs(model: Model, amps, widths, mt, folds=False):
-    """c of the full fit, then (with `folds`) of each leave-one-out fold,
-    from one search; None for a fixed model."""
+def _search_cs(specs, amps, mt, folds=False) -> np.ndarray:
+    """For each (model, widths) spec of a free-c model, c of the full fit,
+    then (with `folds`) of each leave-one-out fold: one row per spec, all
+    from one search."""
     n = len(mt)  # row i of the last n trains on every condition but i
     keep = np.vstack([np.ones((1, n), dtype=bool)] + [~np.eye(n, dtype=bool)] * folds)
-    return _search_c(model, amps, widths, mt, keep) if model.tremor is Tremor.FREE_C else None
+    return _search_c(specs, amps, mt, keep)
 
 
 def _full_fit(model: Model, amps, widths, mt, cs):
     """c (None for a fixed model), the ids and the line over every condition,
-    c being the full fit's row of `_search_cs`."""
+    c being the first entry of the model's row of `_search_cs`."""
     c = None if cs is None else float(cs[0])
     ids = compute_id(model, amps, widths, 0.0 if c is None else c)
     return c, ids, ols_fit(np.column_stack((ids, mt)))
@@ -277,7 +294,8 @@ def optimize_c(
     if model.tremor is not Tremor.FREE_C:
         raise ValidationError(f"model {model.value} has no free tremor parameter")
     amps, widths, mt = _columns(model, summaries)  # widths never NaN
-    c, _, fit = _full_fit(model, amps, widths, mt, _search_cs(model, amps, widths, mt))
+    cs = _search_cs([(model, widths)], amps, mt)[0]
+    c, _, fit = _full_fit(model, amps, widths, mt, cs)
     return c, fit
 
 
@@ -325,8 +343,9 @@ def _adjusted_r2(r2: float, n: int, k: int) -> float:
 def _loocv_residuals(model: Model, amps, widths, mt, cs):
     """Held-out residual of each condition under leave-one-condition-out
     cross-validation: every fold refits the line, a free-c model's at the
-    fold's c, the last n rows of `_search_cs` (None for a fixed model).
-    None when a fold's training difficulties are all equal."""
+    fold's c, the last n entries of the model's row of `_search_cs` (None
+    for a fixed model).  None when a fold's training difficulties are all
+    equal."""
     n = len(mt)
     keep = ~np.eye(n, dtype=bool)  # row i trains on every condition but i
     if cs is not None:
@@ -371,20 +390,40 @@ def fit_model(
     difficulties are all equal leaves cv_rmse_ms None and the rest of the
     fit as it is.  A bad sigma_a, or none for m7, raises ValidationError.
     """
+    return _fit_models(summaries, [model], sigma_a, cv)[0]
+
+
+def _fit_models(summaries, models, sigma_a, cv) -> list[FitResult]:
+    """`fit_model` for each of `models`, their c values from one search.
+
+    Each model derives its widths once; every free-c model whose widths are
+    all defined joins the one `_search_cs` call."""
     if isinstance(sigma_a, SigmaEstimate):
         sigma_est, sigma_val = sigma_a, sigma_a.sigma_a_mm
     else:
         sigma_est, sigma_val = None, sigma_a
+    folds = cv and len(summaries) >= 4
+    columns = [_columns(m, summaries, sigma_val) for m in models]
+    amps, _, mt = columns[0]
+    specs = [(m, widths) for m, (_, widths, _) in zip(models, columns)
+             if m.tremor is Tremor.FREE_C and not np.isnan(widths).any()]
+    with np.errstate(all="ignore"):  # every non-finite result is caught per model
+        rows = _search_cs(specs, amps, mt, folds) if specs else []
+    cs = {m: row for (m, _), row in zip(specs, rows)}
+    return [_fit_result(summaries, m, col, cs.get(m), sigma_est, folds)
+            for m, col in zip(models, columns)]
 
+
+def _fit_result(summaries, model: Model, columns, cs, sigma_est, folds) -> FitResult:
+    """One model's FitResult from its `_columns` and its row of `_search_cs`
+    (None for a fixed model or one whose widths are undefined)."""
+    amps, widths, mt = columns
     n = len(summaries)
     k = 3 if model.tremor is Tremor.FREE_C else 2
-    folds = cv and n >= 4
-    amps, widths, mt = _columns(model, summaries, sigma_val)
     # each step runs only when the one before it found no bad condition
     bad, cv_rmse = np.isnan(widths), None
     with np.errstate(all="ignore"):  # every non-finite result is caught here
         if not bad.any():
-            cs = _search_cs(model, amps, widths, mt, folds=folds)  # full fit, then folds
             c, ids, fit = _full_fit(model, amps, widths, mt, cs)
             bad = ~np.isfinite(ids)
         if not bad.any():
@@ -472,9 +511,10 @@ def compare(
 ) -> SelectionReport:
     """Fit the requested models and rank them on every criterion.
 
-    Each requested model is fitted once, in model-number order; an empty
-    request is an error.  A sigma_a is required if m7 is requested, and it
-    is checked as in fit_model.  Unusable models stay in the report,
+    Each requested model is fitted once, in model-number order, as
+    fit_model fits it, every free-c model's c coming from one shared
+    search; an empty request is an error.  A sigma_a is required if m7 is
+    requested, and it is checked as in fit_model.  Unusable models stay in the report,
     flagged, with no metrics.
     """
     requested = set(Model if models is None else map(Model, models))
@@ -482,9 +522,7 @@ def compare(
     if not models:
         raise ValidationError("no model requested")
 
-    results = tuple(
-        fit_model(list(dataset.summaries), m, sigma_a=sigma_a, cv=cv) for m in models
-    )
+    results = tuple(_fit_models(list(dataset.summaries), models, sigma_a, cv))
 
     usable = [r for r in results if r.usable]
     best_by: dict[str, Model] = {}

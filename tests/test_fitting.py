@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from ffitts import (
     Condition,
@@ -350,15 +350,13 @@ class TestCompare:
             assert report.rejected(m)
 
     def test_each_model_fitted_once_in_model_order(self, paper_1d, monkeypatch):
-        from ffitts import fitting
+        fitted, real = [], fitting._fit_result
 
-        fitted, real = [], fitting.fit_model
-
-        def recording(summaries, model, **kwargs):
+        def recording(summaries, model, *args):
             fitted.append(model)
-            return real(summaries, model, **kwargs)
+            return real(summaries, model, *args)
 
-        monkeypatch.setattr(fitting, "fit_model", recording)
+        monkeypatch.setattr(fitting, "_fit_result", recording)
         requested = [Model.M6_W_SQRT_C, Model.M1_BASELINE, Model.M6_W_SQRT_C,
                      Model.M1_BASELINE]
         report = compare(paper_1d, requested, cv=False)
@@ -548,22 +546,34 @@ class TestFreeCProperties:
             assert fit.r2 >= fit_model(train, fixed, cv=False).r2 - 1e-12
 
 
+def summaries_of(source):
+    """A bundled dataset's summaries by name, random_summaries by seed, or
+    drawn summaries as they are."""
+    if isinstance(source, str):
+        return list(embedded(source).summaries)
+    return random_summaries(source) if isinstance(source, int) else source
+
+
+def _hex(value):
+    return None if value is None else value.hex()
+
+
 class TestSharedSearch:
-    """fit_model searches the full fit's c and every fold's c together."""
+    """fit_model searches the full fit's c and every fold's c together, and
+    compare searches those of every free-c model it fits together."""
 
     @_PROPERTY
     @given(source=st.sampled_from(["paper-1d", "paper-2d"]) | st.integers(0, 2**32 - 1),
            pair=st.sampled_from(FREE_C_PAIRS))
     def test_same_bits_as_single_purpose_paths(self, source, pair):
         model = pair[0]
-        summaries = (list(embedded(source).summaries) if isinstance(source, str)
-                     else random_summaries(source))
+        summaries = summaries_of(source)
         result = fit_model(summaries, model)
         assert result.c_mm == optimize_c(summaries, model)[0]
         # each fold's row of the search fit_model runs, against a search of
         # that fold's own (as regenerate.py pins fold_c_mm)
         amps, widths, mt = fitting._columns(model, summaries)
-        fold_cs = fitting._search_cs(model, amps, widths, mt, folds=True)[1:]
+        fold_cs = fitting._search_cs([(model, widths)], amps, mt, folds=True)[0][1:]
         assert [c.hex() for c in fold_cs.tolist()] == [
             optimize_c(summaries[:i] + summaries[i + 1:], model)[0].hex()
             for i in range(len(summaries))]
@@ -587,6 +597,43 @@ class TestSharedSearch:
         monkeypatch.setattr(fitting, "_grid_r2", counting)
         fit_model(list(paper_2d.summaries), model, cv=True)
         assert len(calls) == grids
+
+    def test_one_refinement_loop_for_every_model_of_a_compare(self, paper_2d, monkeypatch):
+        # the grids stay per model and c_max (2 + 2 + 1 + 1, as above)
+        calls = {"_search_c": 0, "_grid_r2": 0}
+
+        def counting(name, real):
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(fitting, name, counting(name, getattr(fitting, name)))
+        report = compare(paper_2d, None, sigma_a=paper_2d.sigma_a_catalog[0], cv=True)
+        assert len(report.results) == len(Model)
+        assert calls == {"_search_c": 1, "_grid_r2": 6}
+
+    @_PROPERTY
+    @given(source=st.sampled_from(["paper-1d", "paper-2d"]) | st.integers(0, 2**32 - 1)
+           | condition_sets(),
+           models=st.sets(st.sampled_from(list(Model)), min_size=1),
+           cv=st.booleans(), sigma_a=st.floats(0.1, 2.0))
+    # m5 and m6 at c = 0 (seeds 0 and 4), m4 with a clamped fold (seed 2)
+    @example(source=0, models=set(Model), cv=True, sigma_a=0.6)
+    @example(source=4, models=set(Model), cv=True, sigma_a=0.6)
+    @example(source=2, models=set(Model), cv=True, sigma_a=0.6)
+    @example(source="paper-1d", models=set(Model), cv=True, sigma_a=0.8837)
+    @example(source="paper-2d", models=set(Model), cv=True, sigma_a=1.163)
+    def test_compare_fits_each_model_as_fit_model_does(self, source, models, cv, sigma_a):
+        summaries = summaries_of(source)
+        report = compare(Dataset("drawn", Dimensionality.TWO_D, tuple(summaries)), models,
+                         sigma_a=sigma_a, cv=cv)
+        for m in models:
+            shared, alone = report.result(m), fit_model(summaries, m, sigma_a=sigma_a, cv=cv)
+            assert shared == alone
+            assert [_hex(getattr(shared, name)) for name in ("c_mm", "cv_rmse_ms", "r2")] == [
+                _hex(getattr(alone, name)) for name in ("c_mm", "cv_rmse_ms", "r2")]
 
 
 class TestUsableMeansFinite:
