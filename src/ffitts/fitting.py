@@ -46,11 +46,7 @@ import numpy as np
 
 from .datamodel import Condition, ConditionSummary, Dataset, SigmaEstimate
 from .errors import SingularFitError, ValidationError
-from .idmodels import Model, Tremor, compute_id, model_widths, width_term
-
-#: Guard width (mm) at the domain boundary: keeps difficulty finite when a
-#: cross-validation fold's c reaches a held-out condition's width.
-EPS_MM = 1e-6
+from .idmodels import Model, Tremor, compute_id, model_widths
 
 _GRID_POINTS = 2000
 # grid columns per id table: against whole-grid (n, 2000) tables, blocks
@@ -344,21 +340,20 @@ def _loocv_residuals(model: Model, amps, widths, mt, cs):
     """Held-out residual of each condition under leave-one-condition-out
     cross-validation: every fold refits the line, a free-c model's at the
     fold's c, the last n entries of the model's row of `_search_cs` (None
-    for a fixed model).  None when a fold's training difficulties are all
-    equal."""
+    for a fixed model).  Row i of one id table holds every condition's
+    difficulty at fold i's c; fold i trains on the row's other entries and
+    predicts condition i from its diagonal entry.  None when a fold's
+    training difficulties are all equal, or when its c reaches the width of
+    the condition it holds out (that difficulty is NaN)."""
     n = len(mt)
     keep = ~np.eye(n, dtype=bool)  # row i trains on every condition but i
-    if cs is not None:
-        train = compute_id(model, amps, widths, cs[-n:, None])
-        # A fold can choose c at or above the held-out width when the held-out
-        # condition had the smallest width term; its width term is clamped at
-        # EPS_MM and the (huge) difficulty and residual are kept.
-        held_out = compute_id(model, amps, np.fmax(width_term(model, widths, cs[-n:]), EPS_MM))
-    else:
-        held_out = compute_id(model, amps, widths)
-        train = held_out
-    a, b, sxx = _line(_rows(train, keep), _rows(mt, keep))
-    return a + b * held_out - mt if (sxx > 0).all() else None
+    c = 0.0 if cs is None else cs[-n:, None]
+    ids = np.broadcast_to(compute_id(model, amps, widths, c), (n, n))
+    a, b, sxx = _line(_rows(ids, keep), _rows(mt, keep))
+    held_out = ids.diagonal()
+    if np.isnan(held_out).any() or not (sxx > 0).all():
+        return None
+    return a + b * held_out - mt
 
 
 def loocv_rmse(
@@ -367,8 +362,9 @@ def loocv_rmse(
     sigma_a_mm: float | None = None,
 ) -> float | None:
     """Leave-one-condition-out RMSE of movement-time predictions: the
-    ``cv_rmse_ms`` of ``fit_model``, so None where the model is unusable or
-    a fold's training difficulties are all equal."""
+    ``cv_rmse_ms`` of ``fit_model``, so None where the model is unusable, a
+    fold's training difficulties are all equal or a fold's c reaches the
+    width of the condition it holds out."""
     n = len(summaries)
     if n < 4:
         raise ValidationError(f"need >= 4 conditions for cross-validation, got {n}")
@@ -387,8 +383,9 @@ def fit_model(
     instead of raising when its width term is undefined on any condition,
     or when a condition's difficulty or squared residual (in the full fit
     or, with cv, held out) is not finite.  A cv fold whose training
-    difficulties are all equal leaves cv_rmse_ms None and the rest of the
-    fit as it is.  A bad sigma_a, or none for m7, raises ValidationError.
+    difficulties are all equal, or whose c reaches the width of the
+    condition it holds out, leaves cv_rmse_ms None and the rest of the fit
+    as it is.  A bad sigma_a, or none for m7, raises ValidationError.
     """
     return _fit_models(summaries, [model], sigma_a, cv)[0]
 

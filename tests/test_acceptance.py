@@ -24,10 +24,11 @@ in the tests below, next to independent checks of the methods themselves:
 * criterion 6, the 2D m5 CV RMSE 42.29 ms: every 2D training fold keeps
   three W = 2 mm conditions, so c_max is 2 - 1e-6 mm in every fold, and the
   per-fold R^2(c) peaks at c <= 0.27 mm for m5 and c <= 0.84 mm for m6.  No
-  fold's c reaches a held-out width, the EPS_MM clamp never fires, and both
-  models' CV RMSE land near 11 ms (the m6 reference 11.05 reproduces).  With
-  the other folds near 11 ms, an RMSE of 42.29 over 20 folds needs one
-  residual of about 183 ms, which only the clamp path could produce.
+  fold's c reaches a held-out width (one that did would leave the CV RMSE
+  undefined), and both models' CV RMSE land near 11 ms (the m6 reference
+  11.05 reproduces).  With the other folds near 11 ms, an RMSE of 42.29 over
+  20 folds needs one residual of about 183 ms, which no fold of these data
+  produces.
 """
 
 import math

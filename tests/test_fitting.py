@@ -24,7 +24,6 @@ from ffitts import (
     optimize_c,
 )
 from ffitts import fitting
-from ffitts.fitting import EPS_MM
 from ffitts.idmodels import width_term
 
 AMPLITUDES = (20.0, 30.0, 45.0, 60.0)
@@ -199,15 +198,12 @@ class TestCrossValidation:
         rmse = loocv_rmse(list(paper_1d.summaries), Model.M1_BASELINE)
         assert rmse == pytest.approx(13.30, abs=0.5)
 
-    @pytest.mark.parametrize(
-        "model,expected",
-        [(Model.M5_W_NOSQRT_C, 764.4091022350881),
-         (Model.M6_W_SQRT_C, 793.1988677646812)],
-    )
-    def test_clamped_fold_prediction(self, model, expected):
+    @pytest.mark.parametrize("model", [Model.M5_W_NOSQRT_C, Model.M6_W_SQRT_C])
+    def test_cv_undefined_past_held_out_width(self, model):
         # the fold holding out W = 1 trains on data generated at c = 2, so
-        # its c exceeds the held-out width and the EPS_MM clamp sets the
-        # held-out width term; the expected RMSE is pinned, not derived
+        # its c reaches the held-out width and that condition's difficulty
+        # is undefined: the model keeps its full fit and drops out of the CV
+        # RMSE ranking only
         def term(w, c):
             return w - c if model is Model.M5_W_NOSQRT_C else math.sqrt(w * w - c * c)
 
@@ -221,7 +217,14 @@ class TestCrossValidation:
         ]
         c_fold, _ = optimize_c(summaries[1:], model)
         assert c_fold >= summaries[0].condition.width_mm
-        assert loocv_rmse(summaries, model) == pytest.approx(expected, rel=1e-12)
+        assert loocv_rmse(summaries, model) is None
+        result = fit_model(summaries, model)
+        assert result.usable and result.cv_rmse_ms is None
+        assert result == fit_model(summaries, model, cv=False)
+        report = compare(Dataset("past", Dimensionality.TWO_D, tuple(summaries)),
+                         [Model.M1_BASELINE, model])
+        assert report.unusable == ()
+        assert report.best_by["cv_rmse_ms"] is Model.M1_BASELINE
 
     def test_singular_fold_leaves_cv_undefined(self):
         # holding out (30, 2) leaves three conditions of one A/W ratio, so that
@@ -258,6 +261,19 @@ class TestFitModel:
         errs = {(c.amplitude_mm, c.width_mm) for c in result.math_errors}
         assert errs == {(20, 2), (45, 2)}
         assert result.r2 is None and result.aic is None and result.cv_rmse_ms is None
+
+    def test_undefined_width_stops_the_fit_before_difficulties(self):
+        # one condition's W_f is undefined (sigma_obs < sigma_a) and another's
+        # difficulty overflows (A / W_f > float max): only the first is
+        # reported, and the second is once the first is defined
+        summaries = grid_summaries(lambda a, w: 100 + 80 * math.log2(a / w + 1),
+                                   lambda a, w: 1 + 0.1 * w)
+        undefined, huge = Condition(20.0, 2.0), Condition(1e308, 4.0)
+        summaries[1] = ConditionSummary(huge, mt_ms=300.0, sigma_obs_mm=0.51)
+        for sigma_obs, errors in ((0.4, (undefined,)), (1.2, (huge,))):
+            summaries[0] = ConditionSummary(undefined, mt_ms=300.0, sigma_obs_mm=sigma_obs)
+            result = fit_model(summaries, Model.M7_GIVEN_SIGMA_A, sigma_a=0.5)
+            assert result.math_errors == errors
 
     def test_usable_m7_2d(self, paper_2d):
         result = fit_model(list(paper_2d.summaries), Model.M7_GIVEN_SIGMA_A,
@@ -412,10 +428,26 @@ class TestCompare:
             tuple(s.condition for s in summaries)}
         assert [loocv_rmse(summaries, m, 0.5) for m in Model] == [None] * len(Model)
 
+    def test_overflowing_cv_mean_makes_every_condition_a_math_error(self):
+        # every square, RSS and TSS is finite; only the mean of the held-out
+        # squares overflows
+        summaries = grid_summaries(lambda a, w: 100 + 80 * math.log2(a / w + 1),
+                                   lambda a, w: 1 + 0.1 * w)
+        for i in (0, 4):
+            s = summaries[i]
+            summaries[i] = ConditionSummary(s.condition, mt_ms=s.mt_ms + 9.6e153,
+                                            sigma_obs_mm=s.sigma_obs_mm)
+        assert fit_model(summaries, Model.M1_BASELINE, cv=False).usable
+        assert fit_model(summaries, Model.M1_BASELINE).math_errors == tuple(
+            s.condition for s in summaries)
+
     @pytest.mark.parametrize("delta, cv, overflows", [
         (1e120, False, False),  # its residual's square is finite
         (3e154, False, True),  # its residual's square overflows, no other one does
         (1.36e154, True, True),  # only its held-out residual's square overflows
+        # its residual's square overflows; CV, where (45, 2)'s held-out square
+        # would overflow too, is not run
+        (5e154, True, True),
     ])
     def test_a_square_that_overflows_is_its_conditions_math_error(self, delta, cv, overflows):
         summaries = grid_summaries(lambda a, w: 100 + 80 * math.log2(a / w + 1),
@@ -437,10 +469,15 @@ class TestCompare:
         for m in nominal:
             assert report.result(m).math_errors == (tiny,)
             assert m not in report.best_by.values()
+        # the fold holding out the tiny condition picks, for m3 and m4, a c
+        # past its W_e, so their CV is undefined; m2 and m7 keep a finite one
+        undefined_cv = {Model.M3_WE_NOSQRT_C, Model.M4_WE_SQRT_C}
         for r in report.results:
             assert r.usable == (r.model not in nominal)
             if r.usable:
-                assert math.isfinite(r.r2) and math.isfinite(r.cv_rmse_ms)
+                assert math.isfinite(r.r2)
+                assert (r.cv_rmse_ms is None if r.model in undefined_cv
+                        else math.isfinite(r.cv_rmse_ms))
             assert loocv_rmse(summaries, r.model, 0.5) == r.cv_rmse_ms
 
     def test_each_model_derives_its_widths_once(self, paper_2d, monkeypatch):
@@ -512,13 +549,14 @@ def condition_sets(draw):
 
 
 def refit_loocv_rmse(summaries, model):
-    """Leave-one-condition-out RMSE from one optimize_c call per fold, with
-    the held-out width term clamped at EPS_MM."""
+    """Leave-one-condition-out RMSE from one optimize_c call per fold; None
+    when a fold's c leaves the held-out width term not positive."""
     sq = []
     for i, held in enumerate(summaries):
         c, fit = optimize_c(summaries[:i] + summaries[i + 1:], model)
-        width = model_widths(model, [held])[0]
-        term = float(np.fmax(width_term(model, width, c), EPS_MM))
+        term = float(width_term(model, model_widths(model, [held])[0], c))
+        if not term > 0:
+            return None
         id_bits = math.log2(held.condition.amplitude_mm / term + 1.0)
         sq.append((fit.a_ms + fit.b_ms_per_bit * id_bits - held.mt_ms) ** 2)
     return math.sqrt(sum(sq) / len(sq))
@@ -532,8 +570,9 @@ class TestFreeCProperties:
         # relative on these examples); 1e-9 still fails a batch whose
         # converged folds keep refining (1.3e-7 in a mutation check)
         model = pair[0]
-        assert loocv_rmse(summaries, model) == pytest.approx(
-            refit_loocv_rmse(summaries, model), rel=1e-9)
+        expected = refit_loocv_rmse(summaries, model)
+        assert loocv_rmse(summaries, model) == (
+            None if expected is None else pytest.approx(expected, rel=1e-9))
 
     @_PROPERTY
     @given(summaries=condition_sets(), pair=st.sampled_from(FREE_C_PAIRS))
@@ -619,7 +658,7 @@ class TestSharedSearch:
            | condition_sets(),
            models=st.sets(st.sampled_from(list(Model)), min_size=1),
            cv=st.booleans(), sigma_a=st.floats(0.1, 2.0))
-    # m5 and m6 at c = 0 (seeds 0 and 4), m4 with a clamped fold (seed 2)
+    # m5 and m6 at c = 0 (seeds 0 and 4), m4 with CV undefined (seed 2)
     @example(source=0, models=set(Model), cv=True, sigma_a=0.6)
     @example(source=4, models=set(Model), cv=True, sigma_a=0.6)
     @example(source=2, models=set(Model), cv=True, sigma_a=0.6)
@@ -655,5 +694,45 @@ class TestUsableMeansFinite:
             if not r.usable:
                 assert r.r2 is None and r.model not in report.best_by.values()
                 continue
-            assert all(map(math.isfinite, (r.r2, r.adj_r2, r.rss, r.cv_rmse_ms)))
+            assert all(map(math.isfinite, (r.r2, r.adj_r2, r.rss)))
+            assert r.cv_rmse_ms is None or math.isfinite(r.cv_rmse_ms)
             assert math.isfinite(r.aic) or (r.rss == 0 and r.aic == -math.inf)
+
+
+def transformed(summaries, k=1.0, q=1.0, p=0.0):
+    """Summaries with every length scaled by k and MT mapped to q * MT + p."""
+    return [ConditionSummary(Condition(s.condition.amplitude_mm * k, s.condition.width_mm * k),
+                             mt_ms=q * s.mt_ms + p, sigma_obs_mm=s.sigma_obs_mm * k)
+            for s in summaries]
+
+
+@pytest.mark.parametrize("source, sigma_a", [("paper-1d", 0.8), ("paper-2d", 0.8)]
+                         + [(seed, 0.5) for seed in range(10)])
+def test_compare_invariants(source, sigma_a):
+    """Scaling every length by k scales c by k and keeps R^2 and CV RMSE;
+    mapping MT to q * MT + p keeps R^2 and c and scales CV RMSE by q; a row
+    permutation changes nothing beyond rounding.  Which models are usable
+    and which have an undefined CV never changes.  best_by is not pinned:
+    near-ties between m1 and m6 at c near 0 flip the CV pick under scaling."""
+    summaries = summaries_of(source)
+
+    def report(rows, sigma=sigma_a):
+        return compare(Dataset("t", Dimensionality.TWO_D, tuple(rows)), None, sigma_a=sigma)
+
+    base = report(summaries)
+    order = np.random.Generator(np.random.PCG64(0)).permutation(len(summaries))
+    cases = [(report(transformed(summaries, k=k), sigma_a * k), k, 1.0, 1e-4)
+             for k in (2.54, 10.0)]
+    cases += [(report(transformed(summaries, q=q, p=p)), 1.0, q, 1e-5)
+              for q, p in ((0.5, 0.0), (3.0, 250.0))]
+    cases.append((report([summaries[i] for i in order]), 1.0, 1.0, 1e-5))
+    for other, k, q, cv_rel in cases:
+        for r, t in zip(base.results, other.results):
+            assert (t.usable, t.cv_rmse_ms is None) == (r.usable, r.cv_rmse_ms is None)
+            if not r.usable:
+                continue
+            assert t.r2 == pytest.approx(r.r2, abs=1e-12)
+            if r.c_mm is not None:
+                assert t.c_mm / k == pytest.approx(r.c_mm, abs=1e-5)
+            if r.cv_rmse_ms is not None:
+                assert t.cv_rmse_ms / q == pytest.approx(r.cv_rmse_ms, rel=cv_rel)
