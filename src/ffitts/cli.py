@@ -56,6 +56,7 @@ from .ingestion import (
     write_trials_csv,
 )
 from .sigma import (
+    NORMALITY_SIZES,
     CalibrationMode,
     normality_check,
     sigma_from_calibration,
@@ -351,7 +352,8 @@ def _intercept_row(taps, devs, axis_mode, alpha):
         est = fit.estimate(method)
         passed, total = _per_condition_normality(taps, devs, alpha)
         normality = (f"{passed}/{total} condition groups pass" if total else
-                     "skipped: no condition group size in supported range [3, 5000]")
+                     "skipped: no condition group size in supported range "
+                     "[{}, {}]".format(*NORMALITY_SIZES))
         return rpt.sigma_row(method, est.sigma_a_mm, normality,
                              f"regression R2={fit.r2:.3f}, slope={fit.slope:.4g}")
     except FfittsError as exc:

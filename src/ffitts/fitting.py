@@ -8,20 +8,21 @@ smaller c.  c_max is the smallest width term, for both the subtractive and
 the square-root forms.
 
 Leave-one-condition-out cross-validation re-optimizes c in every fold.
-The full fit and its folds are not searched one by one: one batched
-search takes a mask of training sets, an all-kept row for the full fit
-and one row per fold, and runs the same grid and refinement for all rows
-at once.  Rows sharing c_max share the grid's id table, and each grid R^2
-comes from masked sums over the rows that keep as many conditions (one
-(rows, n) @ (n, grid block) product per sum), so the full fit's bits are
-those of a search of its own.  Only a fold's grid R^2 is summed
-differently from a search per fold, so where R^2 is flat to the last bit
-across neighbouring grid points the two could pick different grid maxima.
-Nor are the models of one request searched one by one: every free-c model
-of a `compare` shares that search, a grid per model and one golden-section
-refinement loop over the rows of all of them, each row reduced on its own,
-so a model's bits do not depend on which other models were requested;
-`fit_model` is the one-model case.
+The full fit is row 0 of the fold table: one batched search fits row 0 on
+every condition and row i + 1 on all but condition i, with the same grid
+and refinement for all rows at once, and one id table per model holds the
+difficulties of the same rows, each at its row's c.  Rows sharing c_max
+share the grid's id table, and each grid R^2 comes from masked sums over
+the rows that keep as many conditions (one (rows, n) @ (n, grid block)
+product per sum), so the full fit's bits are those of a search of its
+own.  Only a fold's grid R^2 is summed differently from a search per
+fold, so where R^2 is flat to the last bit across neighbouring grid
+points the two could pick different grid maxima.  Nor are the models of
+one request searched one by one: every free-c model of a `compare` shares
+that search, a grid per model and one golden-section refinement loop over
+the rows of all of them, each row reduced on its own, so a model's bits
+do not depend on which other models were requested; `fit_model` is the
+one-model case.
 
 The selection battery is R^2, adjusted R^2, AIC, BIC, and
 leave-one-condition-out RMSE.  Information criteria use the Gaussian
@@ -181,23 +182,25 @@ def _columns(model: Model, summaries, sigma_a_mm=None):
     return amps, widths, mt
 
 
-def _search_c(specs, amps, mt, keep) -> np.ndarray:
-    """Best tremor parameter c for each row of an (F, n) bool mask of fits,
-    for each (model, widths) spec of a free-c model: an (S, F) array.
+def _search_c(specs, amps, mt, folds=False) -> np.ndarray:
+    """Best tremor parameter c of each (model, widths) spec of a free-c
+    model, as an (S, 1) array, or with `folds` (S, n + 1): row 0 fits all n
+    conditions and row i + 1 every condition but i.
 
-    Each row is one fit on the conditions it keeps: all n for a full fit,
-    n - 1 for a leave-one-out fold.  All rows of all specs are searched at
-    once with one fit's rules: a 2000-point grid over [0, c_max], c_max
-    being the spec's smallest kept width minus _C_TOL_MM (a spec's rows
-    sharing c_max, as a full fit and its folds that keep the smallest width
-    do, share one id table), then golden-section refinement of the bracket
-    around the first grid maximum down to _C_TOL_MM, ties keeping the
-    smaller-c interval.  The refinement is one loop over the stacked rows
-    of every spec, so each free-c model of a request shares it; a model's
-    rows come out as a search of its own would give them.  The refined c
-    replaces the grid c only when its R^2 is strictly higher; c = 0 when
-    c_max <= 0.  Rows keeping n and n - 1 sum apart.
+    All rows of all specs are searched at once with one fit's rules: a
+    2000-point grid over [0, c_max], c_max being the spec's smallest kept
+    width minus _C_TOL_MM (rows sharing c_max, as the full fit and the folds
+    that keep the smallest width do, share one id table), then golden-section
+    refinement of the bracket around the first grid maximum down to
+    _C_TOL_MM, ties keeping the smaller-c interval.  The refinement is one
+    loop over the stacked rows of every spec, so each free-c model of a
+    request shares it; a model's rows come out as a search of its own would
+    give them.  The refined c replaces the grid c only when its R^2 is
+    strictly higher; c = 0 when c_max <= 0.  Rows keeping n and n - 1 sum
+    apart.
     """
+    n = len(mt)
+    keep = np.vstack([np.ones((1, n), dtype=bool)] + [~np.eye(n, dtype=bool)] * folds)
     f = len(keep)
     best_c, lo, hi = np.zeros((3, len(specs) * f))
     for s, (model, widths) in enumerate(specs):
@@ -260,21 +263,15 @@ def _search_c(specs, amps, mt, keep) -> np.ndarray:
     return best.reshape(len(specs), f)
 
 
-def _search_cs(specs, amps, mt, folds=False) -> np.ndarray:
-    """For each (model, widths) spec of a free-c model, c of the full fit,
-    then (with `folds`) of each leave-one-out fold: one row per spec, all
-    from one search."""
-    n = len(mt)  # row i of the last n trains on every condition but i
-    keep = np.vstack([np.ones((1, n), dtype=bool)] + [~np.eye(n, dtype=bool)] * folds)
-    return _search_c(specs, amps, mt, keep)
-
-
-def _full_fit(model: Model, amps, widths, mt, cs):
-    """c (None for a fixed model), the ids and the line over every condition,
-    c being the first entry of the model's row of `_search_cs`."""
-    c = None if cs is None else float(cs[0])
-    ids = compute_id(model, amps, widths, 0.0 if c is None else c)
-    return c, ids, ols_fit(np.column_stack((ids, mt)))
+def _line_fit(ids, mt):
+    """The line of mt on ids over every condition, its predictions (None
+    when a difficulty is not finite) and the conditions it leaves undefined:
+    those whose difficulty is not finite, else whose squared residual."""
+    fit = ols_fit(np.column_stack((ids, mt)))
+    if (bad := ~np.isfinite(ids)).any():
+        return fit, None, bad
+    pred = fit.a_ms + fit.b_ms_per_bit * ids
+    return fit, pred, ~np.isfinite((pred - mt) ** 2)
 
 
 def optimize_c(
@@ -285,13 +282,23 @@ def optimize_c(
 
     Deterministic: the same summaries always give the same c to the search
     tolerance.  c = 0 is always feasible, so optimization never loses to
-    the corresponding fixed model.
+    the corresponding fixed model.  Where the fit at c is not finite,
+    ValidationError names the conditions `fit_model(..., cv=False)` reports
+    as math_errors: those whose difficulty, else whose squared residual, is
+    not finite, or all of them when a sum overflows.
     """
     if model.tremor is not Tremor.FREE_C:
         raise ValidationError(f"model {model.value} has no free tremor parameter")
     amps, widths, mt = _columns(model, summaries)  # widths never NaN
-    cs = _search_cs([(model, widths)], amps, mt)[0]
-    c, _, fit = _full_fit(model, amps, widths, mt, cs)
+    with np.errstate(all="ignore"):  # every non-finite result is caught here
+        c = float(_search_c([(model, widths)], amps, mt)[0, 0])
+        fit, _, bad = _line_fit(compute_id(model, amps, widths, c), mt)
+    if not bad.any() and not np.isfinite([fit.r2, fit.rss]).all():
+        bad[:] = True  # a sum overflowed: every condition is in it
+    if bad.any():
+        raise ValidationError(
+            f"{model.value}: mathematical error in {bad.sum()} condition(s): "
+            + ", ".join(str(s.condition) for s, b in zip(summaries, bad) if b))
     return c, fit
 
 
@@ -336,19 +343,15 @@ def _adjusted_r2(r2: float, n: int, k: int) -> float:
     return 1.0 - (1.0 - r2) * (n - 1) / (n - k)
 
 
-def _loocv_residuals(model: Model, amps, widths, mt, cs):
+def _loocv_residuals(ids, mt):
     """Held-out residual of each condition under leave-one-condition-out
-    cross-validation: every fold refits the line, a free-c model's at the
-    fold's c, the last n entries of the model's row of `_search_cs` (None
-    for a fixed model).  Row i of one id table holds every condition's
-    difficulty at fold i's c; fold i trains on the row's other entries and
-    predicts condition i from its diagonal entry.  None when a fold's
-    training difficulties are all equal, or when its c reaches the width of
-    the condition it holds out (that difficulty is NaN)."""
-    n = len(mt)
-    keep = ~np.eye(n, dtype=bool)  # row i trains on every condition but i
-    c = 0.0 if cs is None else cs[-n:, None]
-    ids = np.broadcast_to(compute_id(model, amps, widths, c), (n, n))
+    cross-validation, from an (n, n) id table whose row i holds every
+    condition's difficulty at fold i's c: fold i refits the line on the
+    row's other entries and predicts condition i from its diagonal entry.
+    None when a fold's training difficulties are all equal, or when its c
+    reaches the width of the condition it holds out (that difficulty is
+    NaN)."""
+    keep = ~np.eye(len(mt), dtype=bool)  # row i trains on every condition but i
     a, b, sxx = _line(_rows(ids, keep), _rows(mt, keep))
     held_out = ids.diagonal()
     if np.isnan(held_out).any() or not (sxx > 0).all():
@@ -394,26 +397,26 @@ def _fit_models(summaries, models, sigma_a, cv) -> list[FitResult]:
     """`fit_model` for each of `models`, their c values from one search.
 
     Each model derives its widths once; every free-c model whose widths are
-    all defined joins the one `_search_cs` call."""
-    if isinstance(sigma_a, SigmaEstimate):
-        sigma_est, sigma_val = sigma_a, sigma_a.sigma_a_mm
-    else:
-        sigma_est, sigma_val = None, sigma_a
+    all defined joins the one `_search_c` call."""
+    sigma_est = sigma_a if isinstance(sigma_a, SigmaEstimate) else None
+    sigma_val = sigma_a if sigma_est is None else sigma_est.sigma_a_mm
     folds = cv and len(summaries) >= 4
     columns = [_columns(m, summaries, sigma_val) for m in models]
     amps, _, mt = columns[0]
     specs = [(m, widths) for m, (_, widths, _) in zip(models, columns)
              if m.tremor is Tremor.FREE_C and not np.isnan(widths).any()]
     with np.errstate(all="ignore"):  # every non-finite result is caught per model
-        rows = _search_cs(specs, amps, mt, folds) if specs else []
+        rows = _search_c(specs, amps, mt, folds) if specs else []
     cs = {m: row for (m, _), row in zip(specs, rows)}
     return [_fit_result(summaries, m, col, cs.get(m), sigma_est, folds)
             for m, col in zip(models, columns)]
 
 
 def _fit_result(summaries, model: Model, columns, cs, sigma_est, folds) -> FitResult:
-    """One model's FitResult from its `_columns` and its row of `_search_cs`
-    (None for a fixed model or one whose widths are undefined)."""
+    """One model's FitResult from its `_columns` and its row of `_search_c`
+    (None for a fixed model or one whose widths are undefined).  One id
+    table holds every difficulty: row 0 is the full fit's and the last n
+    rows (one row, broadcast, for a fixed model) the folds'."""
     amps, widths, mt = columns
     n = len(summaries)
     k = 3 if model.tremor is Tremor.FREE_C else 2
@@ -421,14 +424,12 @@ def _fit_result(summaries, model: Model, columns, cs, sigma_est, folds) -> FitRe
     bad, cv_rmse = np.isnan(widths), None
     with np.errstate(all="ignore"):  # every non-finite result is caught here
         if not bad.any():
-            c, ids, fit = _full_fit(model, amps, widths, mt, cs)
-            bad = ~np.isfinite(ids)
-        if not bad.any():
-            pred = fit.a_ms + fit.b_ms_per_bit * ids
-            resid = pred - mt
-            bad = ~np.isfinite(resid**2)
+            c = None if cs is None else float(cs[0])
+            table = np.atleast_2d(compute_id(model, amps, widths,
+                                             0.0 if cs is None else cs[:, None]))
+            fit, pred, bad = _line_fit(table[0], mt)
         if folds and not bad.any():
-            cv_resid = _loocv_residuals(model, amps, widths, mt, cs)
+            cv_resid = _loocv_residuals(np.broadcast_to(table[-n:], (n, n)), mt)
             if cv_resid is not None:
                 bad = ~np.isfinite(cv_resid**2)
                 cv_rmse = float(math.sqrt(np.mean(cv_resid**2)))
@@ -438,13 +439,6 @@ def _fit_result(summaries, model: Model, columns, cs, sigma_est, folds) -> FitRe
     if bad.any():
         errors = tuple(s.condition for s, b in zip(summaries, bad) if b)
         return FitResult(model=model, n=n, k=k, sigma_a=sigma_est, math_errors=errors)
-
-    per_cond = [
-        PerCondition(s.condition, id_bits, p, r)
-        for s, id_bits, p, r in zip(
-            summaries, ids.tolist(), pred.tolist(), resid.tolist()
-        )
-    ]
 
     aic, bic = information_criteria(fit.rss, n, k)
     return FitResult(
@@ -461,8 +455,8 @@ def _fit_result(summaries, model: Model, columns, cs, sigma_est, folds) -> FitRe
         bic=bic,
         cv_rmse_ms=cv_rmse,
         rss=fit.rss,
-        per_condition=tuple(per_cond),
-        math_errors=(),
+        per_condition=tuple(map(PerCondition, [s.condition for s in summaries],
+                                table[0].tolist(), pred.tolist(), (pred - mt).tolist())),
     )
 
 
@@ -538,12 +532,11 @@ def compare(
     delta_aic = {r.model: 0.0 if r.aic == aic_min else r.aic - aic_min for r in usable}
     delta_bic = {r.model: 0.0 if r.bic == bic_min else r.bic - bic_min for r in usable}
 
-    sigma_est = sigma_a if isinstance(sigma_a, SigmaEstimate) else None
     return SelectionReport(
         dataset_name=dataset.name,
         results=results,
         best_by=best_by,
         delta_aic=delta_aic,
         delta_bic=delta_bic,
-        sigma_a=sigma_est,
+        sigma_a=results[0].sigma_a,
     )

@@ -132,6 +132,9 @@ def sigma_from_intercept(summaries: Sequence[ConditionSummary]) -> InterceptFit:
     )
 
 
+NORMALITY_SIZES = (3, 5000)  # the smallest and largest n that AS R94 covers
+
+
 @dataclass(frozen=True)
 class NormalityResult:
     statistic: float
@@ -147,10 +150,10 @@ def normality_check(deviations_mm, alpha: float = 0.05) -> NormalityResult:
     arr = np.asarray(deviations_mm, dtype=float)
     if arr.ndim != 1:
         raise ValidationError("expected a flat sequence of deviations")
-    if not 3 <= arr.size <= 5000:
+    lo, hi = NORMALITY_SIZES
+    if not lo <= arr.size <= hi:
         raise UnsupportedSampleSizeError(
-            f"sample size {arr.size} outside supported range [3, 5000]"
-        )
+            f"sample size {arr.size} outside supported range [{lo}, {hi}]")
     require(finite_rule("deviation", arr))
     if np.ptp(arr) == 0:
         raise DegenerateDataError("zero variance sample")

@@ -10,9 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 import ffitts
-from ffitts import Model, compare, datamodel, embedded
+from ffitts import Model, TapTable, compare, datamodel, embedded, write_trials_csv
 from ffitts import cli
 from ffitts.cli import main
 from ffitts.report import sig
@@ -492,6 +493,47 @@ class TestSigma:
         assert keep.sum() > 5000
         expected = np.sqrt((np.var(dx[keep], ddof=1) + np.var(dy[keep], ddof=1)) / 2)
         assert row["sigma_a_mm"] == pytest.approx(float(expected), rel=1e-12)
+
+
+@st.composite
+def small_tap_logs(draw):
+    """A 2D tap log of 4 to 6 conditions of 3 to 5 trials: a first tap and
+    sometimes a re-tap per trial, some practice rows and some taps past the
+    15 mm outlier radius."""
+    conditions = draw(st.lists(st.tuples(st.sampled_from([20.0, 30.0, 45.0, 60.0]),
+                                         st.sampled_from([2.0, 4.0, 6.0, 8.0])),
+                               min_size=4, max_size=6, unique=True))
+    rows = []
+    for a, w in conditions:
+        for trial in range(1, draw(st.integers(3, 5)) + 1):
+            pid = draw(st.sampled_from(["p1", "p2"]))
+            for tap in range(1, draw(st.sampled_from([1, 1, 2])) + 1):
+                dx, dy = draw(st.integers(-160, 160)), draw(st.integers(-60, 60))
+                rows.append((pid, 0, trial, a, w, a, 0.0, a + dx / 10, dy / 10,
+                             float(draw(st.integers(150, 900))), tap,
+                             draw(st.integers(0, 9)) == 0))
+    return TapTable(*map(list, zip(*rows)))
+
+
+@settings(max_examples=8, deadline=None)
+@given(log=small_tap_logs(), seed=st.integers(0, 2**32 - 1))
+def test_row_order_does_not_reach_the_output(log, seed):
+    """A tap log and a row permutation of it, each written under one file
+    name, give the same exit code and stdout bytes for fit and sigma."""
+    order = np.random.Generator(np.random.PCG64(seed)).permutation(len(log))
+    shuffled = TapTable(*(getattr(log, name)[order] for name in datamodel.TAP_COLUMNS))
+    commands = [[*cmd, "--format", fmt] for fmt in ("md", "csv", "json") for cmd in (
+        ["fit", "--input", "taps.csv", "--models", "all", "--sigma-a", "1.0"],
+        ["sigma", "--input", "taps.csv", "--method", "all"])]
+    runner = CliRunner()
+
+    def outputs(taps):
+        with runner.isolated_filesystem():
+            write_trials_csv(taps, "taps.csv")
+            return [(r.exit_code, r.stdout_bytes)
+                    for r in (runner.invoke(main, args) for args in commands)]
+
+    assert outputs(shuffled) == outputs(log)
 
 
 class TestFirstTapsGolden:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -138,9 +139,10 @@ class TestOptimizeC:
             lambda a, w: 100.0 + 90.0 * math.log2(a / math.sqrt(w * w - c_true**2) + 1.0),
             lambda a, w: 1.0,
         )
-        c, fit = optimize_c(summaries, Model.M6_W_SQRT_C)
-        assert abs(c - c_true) <= 0.01
-        assert fit.r2 == pytest.approx(1.0, abs=1e-9)
+        for k in (1.0, 0.25):  # at 0.25 every width, so c_max, is below 1 mm
+            c, fit = optimize_c(transformed(summaries, k=k), Model.M6_W_SQRT_C)
+            assert abs(c - c_true * k) <= 0.01 * k
+            assert fit.r2 == pytest.approx(1.0, abs=1e-9)
 
     def test_recovers_known_c_subtractive_form(self):
         c_true = 0.8
@@ -148,8 +150,21 @@ class TestOptimizeC:
             lambda a, w: 100.0 + 90.0 * math.log2(a / (w - c_true) + 1.0),
             lambda a, w: 1.0,
         )
+        for k in (1.0, 0.25):
+            c, fit = optimize_c(transformed(summaries, k=k), Model.M5_W_NOSQRT_C)
+            assert abs(c - c_true * k) <= 0.01 * k
+
+    def test_recovers_c_inside_the_last_grid_step(self):
+        # half a grid step below c_max (the smallest width minus 1e-6 mm),
+        # between the last two grid points
+        c_max = min(WIDTHS) - 1e-6
+        c_true = c_max - 0.5 * c_max / (fitting._GRID_POINTS - 1)
+        summaries = grid_summaries(
+            lambda a, w: 100.0 + 90.0 * math.log2(a / (w - c_true) + 1.0),
+            lambda a, w: 1.0,
+        )
         c, fit = optimize_c(summaries, Model.M5_W_NOSQRT_C)
-        assert abs(c - c_true) <= 0.01
+        assert c == pytest.approx(c_true, abs=1e-5)
 
     def test_deterministic(self, paper_1d):
         c1, _ = optimize_c(list(paper_1d.summaries), Model.M6_W_SQRT_C)
@@ -169,6 +184,39 @@ class TestOptimizeC:
     def test_rejects_fixed_models(self, paper_1d):
         with pytest.raises(ValidationError):
             optimize_c(list(paper_1d.summaries), Model.M1_BASELINE)
+
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_fit_raises_naming_its_conditions(self):
+        # a denormal width: A / W overflows at every c m5 and m6 can take,
+        # while m3's effective widths stay finite
+        summaries = grid_summaries(lambda a, w: 100 + 80 * a / w, lambda a, w: 1 + 0.1 * w)
+        tiny = Condition(20.0, 5e-324)
+        summaries[0] = ConditionSummary(tiny, mt_ms=500.0, sigma_obs_mm=1.0)
+        for model in (Model.M5_W_NOSQRT_C, Model.M6_W_SQRT_C):
+            assert fit_model(summaries, model, cv=False).math_errors == (tiny,)
+            with pytest.raises(ValidationError) as exc:
+                optimize_c(summaries, model)
+            assert str(exc.value) == f"{model.value}: mathematical error in 1 condition(s): {tiny}"
+        c, fit = optimize_c(summaries, Model.M3_WE_NOSQRT_C)
+        assert all(map(math.isfinite, (c, fit.a_ms, fit.b_ms_per_bit, fit.rss, fit.r2)))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("mt_fn", [
+        lambda a, w: 1e160 * (1 + a / w),  # every squared residual overflows
+        # each squared residual is finite, RSS or TSS is not
+        lambda a, w: 3e152 * (1 + a / w) * (1 + 0.3 * (a * w % 7)),
+        # one squared residual overflows
+        lambda a, w: 100 + 80 * math.log2(a / w + 1) + (3e154 if (a, w) == (45.0, 2.0) else 0),
+    ], ids=["squares", "sums", "one-square"])
+    def test_raises_on_the_conditions_fit_model_reports(self, mt_fn):
+        summaries = grid_summaries(mt_fn, lambda a, w: 1 + 0.1 * w)
+        for model, _ in FREE_C_PAIRS:
+            errors = fit_model(summaries, model, cv=False).math_errors
+            assert errors
+            with pytest.raises(ValidationError) as exc:
+                optimize_c(summaries, model)
+            assert str(exc.value) == (f"{model.value}: mathematical error in {len(errors)} "
+                                      f"condition(s): {', '.join(map(str, errors))}")
 
     def test_never_below_fixed_counterpart(self, paper_1d, paper_2d):
         pairs = [
@@ -612,7 +660,7 @@ class TestSharedSearch:
         # each fold's row of the search fit_model runs, against a search of
         # that fold's own (as regenerate.py pins fold_c_mm)
         amps, widths, mt = fitting._columns(model, summaries)
-        fold_cs = fitting._search_cs([(model, widths)], amps, mt, folds=True)[0][1:]
+        fold_cs = fitting._search_c([(model, widths)], amps, mt, folds=True)[0][1:]
         assert [c.hex() for c in fold_cs.tolist()] == [
             optimize_c(summaries[:i] + summaries[i + 1:], model)[0].hex()
             for i in range(len(summaries))]
@@ -675,6 +723,20 @@ class TestSharedSearch:
                 _hex(getattr(alone, name)) for name in ("c_mm", "cv_rmse_ms", "r2")]
 
 
+@_PROPERTY
+@given(source=st.sampled_from(["paper-1d", "paper-2d"]) | st.integers(0, 2**32 - 1),
+       sigma_a=st.floats(0.1, 2.0))
+def test_full_fit_does_not_depend_on_cv(source, sigma_a):
+    """The full fit is the same with and without cross-validation: its
+    difficulties are row 0 of an (n + 1, n) id table with CV and of a (1, n)
+    one without."""
+    summaries = summaries_of(source)
+    for m in Model:
+        with_cv = fit_model(summaries, m, sigma_a=sigma_a)
+        assert dataclasses.replace(with_cv, cv_rmse_ms=None) == fit_model(
+            summaries, m, sigma_a=sigma_a, cv=False)
+
+
 class TestUsableMeansFinite:
     @_PROPERTY
     @given(mt_exp=st.integers(-300, 300), w_exp=st.integers(-1070, 0),
@@ -724,7 +786,7 @@ def test_compare_invariants(source, sigma_a):
     cases = [(report(transformed(summaries, k=k), sigma_a * k), k, 1.0, 1e-4)
              for k in (2.54, 10.0)]
     cases += [(report(transformed(summaries, q=q, p=p)), 1.0, q, 1e-5)
-              for q, p in ((0.5, 0.0), (3.0, 250.0))]
+              for q, p in ((0.5, 0.0), (3.0, 250.0), (1e-4, 0.0))]
     cases.append((report([summaries[i] for i in order]), 1.0, 1.0, 1e-5))
     for other, k, q, cv_rel in cases:
         for r, t in zip(base.results, other.results):
