@@ -144,7 +144,7 @@ def _resolve_sigma(token: str | None, dataset: Dataset) -> SigmaEstimate | None:
         try:
             return dataset.sigma_a(method)
         except KeyError as exc:
-            raise click.UsageError(str(exc)) from None
+            raise click.UsageError(exc.args[0]) from None
     try:
         value = float(token)
     except ValueError:
@@ -174,18 +174,20 @@ def _parse_models(token: str) -> list[Model]:
 def _writing(path):
     """Turn a failed write of an output file into a one-line error naming it.
 
-    A reader that closes the stdout pipe early ends the command quietly with
-    exit status 1: stdout then points at devnull, so that the flush at exit
-    does not fail again (the note on SIGPIPE in Python's signal docs).
+    A failed write of stdout points it at devnull, so that the flush at exit
+    does not fail again (the note on SIGPIPE in Python's signal docs), and a
+    reader that closes the stdout pipe early ends the command quietly with
+    exit status 1.
     """
     try:
         yield
         if path == "-":
             sys.stdout.flush()
     except OSError as exc:
-        if path == "-" and isinstance(exc, BrokenPipeError):
+        if path == "-":
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            sys.exit(1)
+            if isinstance(exc, BrokenPipeError):
+                sys.exit(1)
         raise click.ClickException(f"cannot write {path}: {exc.strerror or exc}") from None
 
 

@@ -174,7 +174,6 @@ class TapTable:
                               self.mt_ms, self.tap_index)
         if mt.ndim != 1 or any(getattr(self, n).shape != mt.shape for n in TAP_COLUMNS):
             raise ValidationError("tap columns must be 1-D arrays of one length")
-        coords = (self.target_x_mm, self.target_y_mm, self.touch_x_mm, self.touch_y_mm)
         require(  # (bad rows, message for row i), in the order a row is checked
             (np.strings.startswith(pid, "#") | (np.strings.strip(pid) != pid)
              | (np.strings.find(pid, "\r") >= 0) | (np.strings.find(pid, "\n") >= 0),
@@ -182,8 +181,8 @@ class TapTable:
                        f"whitespace or contain a line break, got {str(pid[i])!r}"),
             finite_rule("amplitude > 0", a),
             finite_rule("width > 0", w),
-            (~np.logical_and.reduce([np.isfinite(c) for c in coords]),
-             lambda i: "target and touch coordinates must be finite"),
+            *(finite_rule(n, getattr(self, n))
+              for n in ("target_x_mm", "target_y_mm", "touch_x_mm", "touch_y_mm")),
             finite_rule("mt_ms >= 0", mt),
             (tap < 1, lambda i: f"tap_index must be >= 1, got {int(tap[i])}"),
         )

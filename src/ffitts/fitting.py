@@ -45,7 +45,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .datamodel import Condition, ConditionSummary, Dataset, SigmaEstimate
+from .datamodel import (Condition, ConditionSummary, Dataset, SigmaEstimate, finite_rule,
+                        require)
 from .errors import SingularFitError, ValidationError
 from .idmodels import Model, Tremor, compute_id, model_widths
 
@@ -72,11 +73,13 @@ class OlsFit:
 def ols_fit(points) -> OlsFit:
     """Least-squares line mt = a + b*id over (id_bits, mt_ms) points.
 
-    `points` is any (n, 2) array-like: a list of pairs or a stacked array.
+    `points` is any (n, 2) array-like: a list of pairs or a stacked array;
+    a non-finite coordinate raises ValidationError naming its row.
     """
     if len(points) < 3:
         raise ValidationError(f"need >= 3 points, got {len(points)}")
     x, y = np.asarray(points, dtype=float).T.copy()
+    require(finite_rule("point x", x), finite_rule("point y", y))
     a, b, sxx = (float(v[0]) for v in _line(x[None], y[None]))
     if sxx <= 0:
         raise SingularFitError("difficulty values are all equal")
@@ -109,8 +112,7 @@ def information_criteria(rss: float, n: int, k: int) -> tuple[float, float]:
     A zero residual sum of squares is a perfect fit; both criteria are
     reported as -inf so the model ranks first rather than erroring.
     """
-    if rss < 0:
-        raise ValidationError("rss must be >= 0")
+    require(finite_rule("rss >= 0", rss))
     if n <= k:
         raise ValidationError(f"need n > k, got n={n}, k={k}")
     if rss == 0:
@@ -263,43 +265,23 @@ def _search_c(specs, amps, mt, folds=False) -> np.ndarray:
     return best.reshape(len(specs), f)
 
 
-def _line_fit(ids, mt):
-    """The line of mt on ids over every condition, its predictions (None
-    when a difficulty is not finite) and the conditions it leaves undefined:
-    those whose difficulty is not finite, else whose squared residual."""
-    fit = ols_fit(np.column_stack((ids, mt)))
-    if (bad := ~np.isfinite(ids)).any():
-        return fit, None, bad
-    pred = fit.a_ms + fit.b_ms_per_bit * ids
-    return fit, pred, ~np.isfinite((pred - mt) ** 2)
-
-
-def optimize_c(
-    summaries: Sequence[ConditionSummary],
-    model: Model,
-) -> tuple[float, OlsFit]:
-    """Best tremor parameter c for a free-c model (m3..m6) and its fit.
+def optimize_c(summaries: Sequence[ConditionSummary], model: Model) -> tuple[float, OlsFit]:
+    """Best tremor parameter c for a free-c model (m3..m6) and its fit: the
+    c and line of `fit_model(summaries, model, cv=False)`.
 
     Deterministic: the same summaries always give the same c to the search
     tolerance.  c = 0 is always feasible, so optimization never loses to
-    the corresponding fixed model.  Where the fit at c is not finite,
-    ValidationError names the conditions `fit_model(..., cv=False)` reports
-    as math_errors: those whose difficulty, else whose squared residual, is
-    not finite, or all of them when a sum overflows.
+    the corresponding fixed model.  Where that fit is unusable,
+    ValidationError names its math_errors.
     """
     if model.tremor is not Tremor.FREE_C:
         raise ValidationError(f"model {model.value} has no free tremor parameter")
-    amps, widths, mt = _columns(model, summaries)  # widths never NaN
-    with np.errstate(all="ignore"):  # every non-finite result is caught here
-        c = float(_search_c([(model, widths)], amps, mt)[0, 0])
-        fit, _, bad = _line_fit(compute_id(model, amps, widths, c), mt)
-    if not bad.any() and not np.isfinite([fit.r2, fit.rss]).all():
-        bad[:] = True  # a sum overflowed: every condition is in it
-    if bad.any():
+    r = fit_model(summaries, model, cv=False)
+    if not r.usable:
         raise ValidationError(
-            f"{model.value}: mathematical error in {bad.sum()} condition(s): "
-            + ", ".join(str(s.condition) for s, b in zip(summaries, bad) if b))
-    return c, fit
+            f"{model.value}: mathematical error in {len(r.math_errors)} condition(s): "
+            + ", ".join(map(str, r.math_errors)))
+    return r.c_mm, OlsFit(r.a_ms, r.b_ms_per_bit, r.rss, r.r2)
 
 
 @dataclass(frozen=True)
@@ -315,7 +297,8 @@ class FitResult:
     """One model's fit and selection metrics over a dataset.
 
     When math_errors is nonempty the model is unusable on this data and
-    every metric is None.
+    every metric is None.  A usable fit over no more conditions than it has
+    coefficients (n <= k) has no adj_r2, aic or bic: they are None.
     """
 
     model: Model
@@ -337,10 +320,6 @@ class FitResult:
     @property
     def usable(self) -> bool:
         return not self.math_errors
-
-
-def _adjusted_r2(r2: float, n: int, k: int) -> float:
-    return 1.0 - (1.0 - r2) * (n - 1) / (n - k)
 
 
 def _loocv_residuals(ids, mt):
@@ -416,7 +395,8 @@ def _fit_result(summaries, model: Model, columns, cs, sigma_est, folds) -> FitRe
     """One model's FitResult from its `_columns` and its row of `_search_c`
     (None for a fixed model or one whose widths are undefined).  One id
     table holds every difficulty: row 0 is the full fit's and the last n
-    rows (one row, broadcast, for a fixed model) the folds'."""
+    rows (one row, broadcast, for a fixed model) the folds'.  At n <= k
+    adj_r2, AIC and BIC are undefined and left None."""
     amps, widths, mt = columns
     n = len(summaries)
     k = 3 if model.tremor is Tremor.FREE_C else 2
@@ -427,7 +407,11 @@ def _fit_result(summaries, model: Model, columns, cs, sigma_est, folds) -> FitRe
             c = None if cs is None else float(cs[0])
             table = np.atleast_2d(compute_id(model, amps, widths,
                                              0.0 if cs is None else cs[:, None]))
-            fit, pred, bad = _line_fit(table[0], mt)
+            bad = ~np.isfinite(ids := table[0])
+        if not bad.any():
+            fit = ols_fit(np.column_stack((ids, mt)))
+            pred = fit.a_ms + fit.b_ms_per_bit * ids
+            bad = ~np.isfinite((pred - mt) ** 2)
         if folds and not bad.any():
             cv_resid = _loocv_residuals(np.broadcast_to(table[-n:], (n, n)), mt)
             if cv_resid is not None:
@@ -440,7 +424,7 @@ def _fit_result(summaries, model: Model, columns, cs, sigma_est, folds) -> FitRe
         errors = tuple(s.condition for s, b in zip(summaries, bad) if b)
         return FitResult(model=model, n=n, k=k, sigma_a=sigma_est, math_errors=errors)
 
-    aic, bic = information_criteria(fit.rss, n, k)
+    aic, bic = information_criteria(fit.rss, n, k) if n > k else (None, None)
     return FitResult(
         model=model,
         n=n,
@@ -450,13 +434,13 @@ def _fit_result(summaries, model: Model, columns, cs, sigma_est, folds) -> FitRe
         c_mm=c,
         sigma_a=sigma_est,
         r2=fit.r2,
-        adj_r2=_adjusted_r2(fit.r2, n, k),
+        adj_r2=1.0 - (1.0 - fit.r2) * (n - 1) / (n - k) if n > k else None,
         aic=aic,
         bic=bic,
         cv_rmse_ms=cv_rmse,
         rss=fit.rss,
         per_condition=tuple(map(PerCondition, [s.condition for s in summaries],
-                                table[0].tolist(), pred.tolist(), (pred - mt).tolist())),
+                                ids.tolist(), pred.tolist(), (pred - mt).tolist())),
     )
 
 
@@ -506,7 +490,8 @@ def compare(
     fit_model fits it, every free-c model's c coming from one shared
     search; an empty request is an error.  A sigma_a is required if m7 is
     requested, and it is checked as in fit_model.  Unusable models stay in the report,
-    flagged, with no metrics.
+    flagged, with no metrics.  A usable model drops out of the ranking, and
+    the AIC or BIC deltas, of each criterion its fit leaves None.
     """
     requested = set(Model if models is None else map(Model, models))
     models = [m for m in Model if m in requested]
@@ -527,10 +512,11 @@ def compare(
         best_by[crit] = pick.model
 
     # a model at the minimum has delta 0, also when a perfect fit puts it at -inf
-    aic_min = min((r.aic for r in usable), default=None)
-    bic_min = min((r.bic for r in usable), default=None)
-    delta_aic = {r.model: 0.0 if r.aic == aic_min else r.aic - aic_min for r in usable}
-    delta_bic = {r.model: 0.0 if r.bic == bic_min else r.bic - bic_min for r in usable}
+    scored = [r for r in usable if r.aic is not None]
+    aic_min = min((r.aic for r in scored), default=None)
+    bic_min = min((r.bic for r in scored), default=None)
+    delta_aic = {r.model: 0.0 if r.aic == aic_min else r.aic - aic_min for r in scored}
+    delta_bic = {r.model: 0.0 if r.bic == bic_min else r.bic - bic_min for r in scored}
 
     return SelectionReport(
         dataset_name=dataset.name,

@@ -61,7 +61,8 @@ def sigma_from_calibration(
 
     Univariate input is a flat sequence of signed deviations (their sample
     SD); bivariate input is an (n, 2) array of per-axis deviations, reduced
-    to sqrt((var_x + var_y) / 2).  Outliers are assumed already removed.
+    to sqrt((var_x + var_y) / 2).  Outliers are assumed already removed; a
+    non-finite deviation raises ValidationError naming its row.
     """
     arr = np.asarray(deviations_mm, dtype=float)
     if mode is CalibrationMode.UNIVARIATE:
@@ -69,13 +70,15 @@ def sigma_from_calibration(
             raise ValidationError("univariate mode expects a flat sequence")
         if arr.size < 2:
             raise DegenerateDataError("need at least 2 deviations")
-        sigma = endpoint_spread(arr)
+        axes = {"deviation": arr}
     else:
         if arr.ndim != 2 or arr.shape[1] != 2:
             raise ValidationError("bivariate mode expects an (n, 2) array")
         if arr.shape[0] < 2:
             raise DegenerateDataError("need at least 2 (x, y) pairs")
-        sigma = endpoint_spread(arr[:, 0], arr[:, 1])
+        axes = {"x deviation": arr[:, 0], "y deviation": arr[:, 1]}
+    require(*(finite_rule(name, devs) for name, devs in axes.items()))
+    sigma = endpoint_spread(*axes.values())
     if sigma <= 0:
         raise DegenerateDataError("zero variance in calibration deviations")
     return SigmaEstimate(sigma_a_mm=sigma, method=method, source_dataset=source_dataset)

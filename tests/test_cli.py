@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,10 +11,23 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import ffitts
-from ffitts import Model, TapTable, compare, datamodel, embedded, write_trials_csv
+from ffitts import (
+    Dataset,
+    Dimensionality,
+    FfittsError,
+    Model,
+    TapTable,
+    aggregate,
+    compare,
+    datamodel,
+    embedded,
+    write_aggregate_csv,
+    write_trials_csv,
+)
+from ffitts.datamodel import TAP_COLUMNS
 from ffitts import cli
 from ffitts.cli import main
 from ffitts.report import sig
@@ -91,6 +105,17 @@ class TestFit:
             "fit", "--dataset", "paper-1d", "--input", "x.csv",
         ])
         assert result.exit_code == 2
+        for command in ("fit", "sigma"):
+            result = runner.invoke(main, [command, "--dataset", "paper-1d",
+                                          "--input", FIRST_TAPS])
+            assert result.exit_code == 2
+            assert result.output.endswith("Error: provide exactly one of --dataset or --input\n")
+
+    @pytest.mark.parametrize("command", ["fit", "sigma"])
+    def test_directory_input_is_usage_error(self, runner, tmp_path, command):
+        result = runner.invoke(main, [command, "--input", str(tmp_path)])
+        assert result.exit_code == 2
+        assert "is a directory" in result.output
 
     def test_json_round_trips_fit_fields(self, runner):
         result = runner.invoke(main, [
@@ -127,6 +152,9 @@ class TestFit:
             "--no-cv", "--out", str(out),
         ])
         assert result.exit_code == 0
+        assert result.stderr == "".join(
+            f"wrote {tmp_path / name}\n"
+            for name in ("report.md", "report.fits.csv", "report.intercept.csv"))
         assert out.exists()
         assert (tmp_path / "report.fits.csv").exists()
         assert (tmp_path / "report.intercept.csv").exists()
@@ -252,6 +280,29 @@ class TestFit:
         assert "--sigma-a" in result.output
 
 
+    @pytest.mark.parametrize("source, token, message", [
+        ("eq.csv", "calib-ra", "no calib-ra estimate in dataset 'eq'"),
+        ("paper-2d", "user", "no user estimate in dataset 'paper-2d'"),
+        ("paper-2d", "abc", "--sigma-a must be a number in mm or one of: calib-ra, "
+                            "calib-acc, intercept-fitts, intercept-random"),
+    ], ids=["not-in-input", "not-in-catalog", "neither"])
+    def test_sigma_a_the_dataset_cannot_give_is_usage_error(self, runner, tmp_path, source,
+                                                            token, message):
+        (tmp_path / "eq.csv").write_text((OUTPUTS / "paper-2d-aggregate.csv").read_text())
+        where = (["--input", str(tmp_path / source)] if source.endswith(".csv")
+                 else ["--dataset", source])
+        result = runner.invoke(main, ["fit", *where, "--sigma-a", token])
+        assert result.exit_code == 2
+        assert result.output.endswith(f"Error: {message}\n")
+
+    def test_fit_that_fails_is_an_error(self, runner):
+        # one A/W ratio: m1's difficulties are all equal, so no line is defined
+        result = runner.invoke(main, ["fit", "--input", "-", "--models", "m1"], input=(
+            "A_mm,W_mm,mt_ms,sigma_obs_mm\n20,4,300,0.5\n40,8,310,0.6\n"
+            "60,12,320,0.7\n10,2,330,0.8\n"))
+        assert result.exit_code == 1
+        assert result.output == "Error: difficulty values are all equal\n"
+
     @pytest.mark.parametrize("text, message", [
         ("", "<stdin>: no header row"),
         ("A_mm,W_mm,mt_ms,sigma_obs_mm\n", "<stdin>: header but no data rows"),
@@ -260,6 +311,54 @@ class TestFit:
         result = runner.invoke(main, ["fit", "--input", "-"], input=text)
         assert result.exit_code == 2
         assert result.output.endswith(f"Error: {message}\n")
+
+
+class TestThreeConditions:
+    """A free-c model fits three conditions with as many coefficients: its
+    adjusted R^2, AIC and BIC are undefined, and the report still stands."""
+
+    CSV = "A_mm,W_mm,mt_ms,sigma_obs_mm\n20,2,450,0.8\n30,4,420,1.2\n45,8,400,2.0\n"
+    ARGS = ["fit", "--input", "-", "--sigma-a", "0.5", "--format"]
+
+    def test_md_prints_undefined_criteria_as_dashes(self, runner):
+        result = runner.invoke(main, self.ARGS + ["md"], input=self.CSV)
+        assert result.exit_code == 0, result.output
+        rows = [line.split(" | ") for line in result.stdout.splitlines()
+                if line.startswith("| #")]
+        assert len(rows) == 7
+        for i, row in enumerate(rows, 1):  # cells 3-5: adj R2, AIC, BIC
+            assert row[0].startswith(f"| #{i} ")
+            assert (row[3:6] == ["---"] * 3) is (3 <= i <= 6) and row[2] != "---"
+        assert "Best by criterion: R2: m4, adj R2: m1, AIC: m1, BIC: m1\n" in result.stdout
+
+    def test_json_prints_undefined_criteria_as_null(self, runner):
+        result = runner.invoke(main, self.ARGS + ["json"], input=self.CSV)
+        assert result.exit_code == 0, result.output
+        models = json.loads(result.stdout, parse_constant=_raise_on_constant)["models"]
+        for row in models:
+            undefined = row["model"] in ("m3", "m4", "m5", "m6")
+            assert row["usable"] and row["rejected"] is (row["model"] == "m2")
+            for key in ("adj_r2", "aic", "bic", "delta_aic", "delta_bic"):
+                assert (row[key] is None) is undefined
+
+
+class TestHelp:
+    """--help notes each option's choices, default, range and requiredness."""
+
+    @pytest.mark.parametrize("command, notes", [
+        ("fit", ["[1d|2d]", "[default: all]", "[x|y|bivariate]", "[default: y]",
+                 "[default: 15.0; x>0]", "[default: cv]", "[md|csv|json]", "[default: md]"]),
+        ("sigma", ["[all|calib|intercept]", "[default: all]", "[ra|acc]", "[default: ra]",
+                   "[1d|2d]", "[x|y|bivariate]", "[default: y]", "[default: 15.0; x>0]",
+                   "[default: 0.05; 0<x<1]", "[md|csv|json]", "[default: md]"]),
+        ("simulate", ["[required]", "[required]", "[default: 2,4,6,8,10]",
+                      "[default: 20,30,45,60]", "[default: 50]", "[default: 0]", "[1d|2d]",
+                      "[default: 1d]", "[default: 100.0]", "[default: 90.0]",
+                      "[default: 5.0]", "[default: -]"]),
+    ])
+    def test_option_notes(self, runner, command, notes):
+        text = " ".join(runner.invoke(main, [command, "--help"]).output.split())
+        assert re.findall(r"\[[^]]*\]", text) == ["[OPTIONS]"] + notes
 
 
 def _raise_on_constant(token):
@@ -389,6 +488,16 @@ class TestSigma:
         assert result.exit_code == 2
         assert "--alpha" in result.output
 
+    def test_instruction_tags_the_calibration_row(self, runner):
+        rows = {}
+        for instruction in ("ra", "acc"):
+            result = runner.invoke(main, ["sigma", "--input", FIRST_TAPS, "--method", "calib",
+                                          "--instruction", instruction, "--format", "json"])
+            assert result.exit_code == 0, result.output
+            (rows[instruction],) = json.loads(result.stdout)["estimates"]
+        assert (rows["ra"]["method"], rows["acc"]["method"]) == ("calib-ra", "calib-acc")
+        assert rows["ra"]["sigma_a_mm"] == rows["acc"]["sigma_a_mm"]
+
     def test_input_selects_first_taps_once(self, runner, monkeypatch):
         # the calibration and intercept rows share one selection
         calls, real = [], datamodel.first_taps
@@ -495,6 +604,42 @@ class TestSigma:
         assert row["sigma_a_mm"] == pytest.approx(float(expected), rel=1e-12)
 
 
+def _first_tap_log(path, groups):
+    """Write a tap log of first taps at (A, W, dx values, dy values) groups,
+    one trial per (dx, dy) pair."""
+    rows = [("p1", 0, t, a, w, a, 0.0, a + dx, dy, 300.0 + t, 1, False)
+            for a, w, dxs, dys in groups for t, (dx, dy) in enumerate(zip(dxs, dys), 1)]
+    write_trials_csv(TapTable(*map(list, zip(*rows))), path)
+
+
+class TestSigmaRowsThatFail:
+    SPREAD = [-1.0, -0.5, 0.0, 0.5, 1.0]
+
+    def test_calibration_that_fails_is_a_warning_row(self, runner, tmp_path):
+        # every tap on the target's y: the y deviations have no spread
+        log = tmp_path / "log.csv"
+        _first_tap_log(log, [(30.0, w, self.SPREAD, [0.0] * 5) for w in (2.0, 4.0, 6.0)])
+        result = runner.invoke(main, ["sigma", "--input", str(log), "--method", "calib",
+                                      "--format", "json"])
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.stdout)["estimates"] == [{
+            "method": "calib-ra", "label": "Calib (R&A)", "sigma_a_mm": None,
+            "normality": None, "note": "warning: zero variance in calibration deviations"}]
+
+    def test_zero_variance_group_counts_as_failing_normality(self, runner, tmp_path):
+        # the W = 6 group's dy is constant while its dx varies: its bivariate
+        # spread is defined, and its dy sample fails the normality test
+        log = tmp_path / "log.csv"
+        _first_tap_log(log, [(30.0, 2.0, self.SPREAD, self.SPREAD),
+                             (30.0, 4.0, self.SPREAD[::-1], [1.2 * d for d in self.SPREAD]),
+                             (30.0, 6.0, [2 * d for d in self.SPREAD], [0.3] * 5)])
+        result = runner.invoke(main, ["sigma", "--input", str(log), "--method", "intercept",
+                                      "--axis", "bivariate", "--format", "json"])
+        assert result.exit_code == 0, result.output
+        (row,) = json.loads(result.stdout)["estimates"]
+        assert row["sigma_a_mm"] > 0 and row["normality"] == "2/3 condition groups pass"
+
+
 @st.composite
 def small_tap_logs(draw):
     """A 2D tap log of 4 to 6 conditions of 3 to 5 trials: a first tap and
@@ -515,25 +660,87 @@ def small_tap_logs(draw):
     return TapTable(*map(list, zip(*rows)))
 
 
+# fit and sigma of a log written as taps.csv, in every format
+_LOG_COMMANDS = [[*cmd, "--format", fmt] for fmt in ("md", "csv", "json") for cmd in (
+    ["fit", "--input", "taps.csv", "--models", "all", "--sigma-a", "1.0"],
+    ["sigma", "--input", "taps.csv", "--method", "all"])]
+
+
+def _outputs(taps, commands=_LOG_COMMANDS):
+    """Exit code and stdout bytes of each command on a log written as taps.csv."""
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        write_trials_csv(taps, "taps.csv")
+        return [(r.exit_code, r.stdout_bytes)
+                for r in (runner.invoke(main, args) for args in commands)]
+
+
 @settings(max_examples=8, deadline=None)
 @given(log=small_tap_logs(), seed=st.integers(0, 2**32 - 1))
 def test_row_order_does_not_reach_the_output(log, seed):
     """A tap log and a row permutation of it, each written under one file
     name, give the same exit code and stdout bytes for fit and sigma."""
     order = np.random.Generator(np.random.PCG64(seed)).permutation(len(log))
-    shuffled = TapTable(*(getattr(log, name)[order] for name in datamodel.TAP_COLUMNS))
-    commands = [[*cmd, "--format", fmt] for fmt in ("md", "csv", "json") for cmd in (
-        ["fit", "--input", "taps.csv", "--models", "all", "--sigma-a", "1.0"],
-        ["sigma", "--input", "taps.csv", "--method", "all"])]
+    shuffled = TapTable(*(getattr(log, name)[order] for name in TAP_COLUMNS))
+    assert _outputs(shuffled) == _outputs(log)
+
+
+# participant IDs that the tap CSV keeps: no leading '#', surrounding
+# whitespace or line break
+_PARTICIPANT_IDS = st.text(alphabet='p1 ,"#\u00e9', min_size=1, max_size=4).filter(
+    lambda pid: pid == pid.strip() and not pid.startswith("#"))
+
+
+@settings(max_examples=6, deadline=None)
+@given(log=small_tap_logs(),
+       labels=st.lists(_PARTICIPANT_IDS, min_size=2, max_size=2, unique=True))
+def test_participant_labels_do_not_reach_the_output(log, labels):
+    """Relabelling the participants one to one changes no output byte."""
+    relabelled = TapTable(**{name: getattr(log, name) for name in TAP_COLUMNS
+                             if name != "participant"},
+                          participant=np.where(log.participant == "p1", *labels))
+    assert _outputs(relabelled) == _outputs(log)
+
+
+@settings(max_examples=6, deadline=None)
+@given(log=small_tap_logs(), data=st.data())
+def test_dropped_rows_do_not_reach_the_output(log, data):
+    """Practice rows anywhere, at any condition, and taps past the 15 mm
+    outlier radius at the log's live conditions (those with a row that is
+    not practice) change no output byte.  A far tap elsewhere would make a
+    live condition with no retained trial, an error by design."""
+    live = ~log.is_practice
+    conditions = sorted(set(zip(log.amplitude_mm[live].tolist(), log.width_mm[live].tolist())))
+    rows = list(zip(*(getattr(log, name).tolist() for name in TAP_COLUMNS)))
+    for _ in range(data.draw(st.integers(1, 6))):
+        practice = data.draw(st.booleans()) or not conditions
+        a, w = data.draw(st.sampled_from(conditions + [(90.0, 3.0)] * practice))
+        dx = (data.draw(st.integers(-160, 160)) if practice
+              else data.draw(st.sampled_from([-1, 1])) * data.draw(st.integers(151, 400)))
+        row = (data.draw(st.sampled_from(["p1", "p2", "p3"])), 0, data.draw(st.integers(1, 5)),
+               a, w, a, 0.0, a + dx / 10, data.draw(st.integers(-60, 60)) / 10,
+               float(data.draw(st.integers(150, 900))), data.draw(st.integers(1, 2)), practice)
+        rows.insert(data.draw(st.integers(0, len(rows))), row)
+    assert _outputs(TapTable(*map(list, zip(*rows)))) == _outputs(log)
+
+
+@settings(max_examples=6, deadline=None)
+@given(log=small_tap_logs())
+def test_log_and_its_aggregate_dump_fit_alike(log):
+    """fit --input of a log and of its write_aggregate_csv dump, under one
+    file stem, print the same bytes."""
+    try:
+        summaries = aggregate(log)
+    except FfittsError:  # a log that no fit reads, such as one of practice rows only
+        assume(False)
+    fits = [cmd for cmd in _LOG_COMMANDS if cmd[0] == "fit"]
     runner = CliRunner()
-
-    def outputs(taps):
-        with runner.isolated_filesystem():
-            write_trials_csv(taps, "taps.csv")
-            return [(r.exit_code, r.stdout_bytes)
-                    for r in (runner.invoke(main, args) for args in commands)]
-
-    assert outputs(shuffled) == outputs(log)
+    with runner.isolated_filesystem():
+        write_aggregate_csv(Dataset("taps", Dimensionality.TWO_D, tuple(summaries)),
+                            "taps.csv")
+        dumped = [(r.exit_code, r.stdout_bytes)
+                  for r in (runner.invoke(main, args) for args in fits)]
+    assert dumped == _outputs(log, fits)
 
 
 class TestFirstTapsGolden:
@@ -580,8 +787,11 @@ class TestSimulate:
         ]
         piped = runner.invoke(main, args)
         out = tmp_path / "f.csv"
-        assert runner.invoke(main, args + ["--out", str(out)]).exit_code == 0
+        written = runner.invoke(main, args + ["--out", str(out)])
+        assert written.exit_code == 0
         assert piped.output == out.read_text()
+        taps = sum(not line.startswith("#") for line in piped.output.splitlines()) - 1
+        assert written.stderr == f"wrote {out} ({taps} taps)\n"
 
     @pytest.mark.parametrize("flag", ["--alpha", "--sigma-a", "--widths", "--amplitudes",
                                       "--mt-a", "--mt-b", "--mt-noise"])
@@ -629,9 +839,25 @@ class TestUnwritableOut:
     def test_one_line_error_naming_the_path(self, runner, args):
         result = runner.invoke(main, args + ["--out", self.OUT])
         assert result.exit_code == 1
-        assert result.output.startswith(f"Error: cannot write {self.OUT}: ")
-        assert result.output.count("\n") == 1
+        assert result.output == f"Error: cannot write {self.OUT}: No such file or directory\n"
         assert not isinstance(result.exception, OSError)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("buffered", [True, False])
+    @pytest.mark.parametrize("args", [
+        ["simulate", "--alpha", "0.01", "--sigma-a", "1", "--trials", "5"],
+        ["fit", "--dataset", "paper-2d", "--models", "m1", "--no-cv"],
+    ], ids=lambda args: args[0])
+    def test_full_stdout_is_one_line_error(self, subprocess_env, args, buffered):
+        # the unwritten rest of stdout's buffer must not fail again at exit
+        subprocess_env.pop("PYTHONUNBUFFERED", None)
+        if not buffered:
+            subprocess_env["PYTHONUNBUFFERED"] = "1"
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, "-m", "ffitts.cli", *args], stdout=full,
+                                  stderr=subprocess.PIPE, env=subprocess_env, timeout=60)
+        assert (proc.returncode, proc.stderr) == (
+            1, b"Error: cannot write -: No space left on device\n")
 
 
 class TestDashOut:
@@ -670,6 +896,9 @@ class TestBrokenPipe:
         ["sigma", "--dataset", "paper-2d"],
     ], ids=lambda args: args[0])
     def test_reader_closed_before_output(self, args, subprocess_env):
+        # stdout buffered, as it is unless PYTHONUNBUFFERED is set: the report
+        # reaches the closed pipe only when the command flushes it
+        subprocess_env.pop("PYTHONUNBUFFERED", None)
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
@@ -818,3 +1047,9 @@ class TestColor:
         assert "\x1b[" not in runner.invoke(main, ["datasets"]).output
         monkeypatch.setenv("FFITTS_NO_COLOR", "1")
         assert "\x1b[" not in runner.invoke(main, ["datasets"], color=True).output
+
+    def test_dataset_names_in_bold_on_a_terminal(self, runner, monkeypatch):
+        monkeypatch.delenv("FFITTS_NO_COLOR", raising=False)
+        lines = runner.invoke(main, ["datasets"], color=True).output.splitlines()
+        assert [line for line in lines if line.startswith("\x1b[")] == [
+            "\x1b[1mpaper-1d\x1b[0m", "\x1b[1mpaper-2d\x1b[0m"]

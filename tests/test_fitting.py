@@ -25,6 +25,7 @@ from ffitts import (
     optimize_c,
 )
 from ffitts import fitting
+from ffitts.report import comparison_rows
 from ffitts.idmodels import width_term
 
 AMPLITUDES = (20.0, 30.0, 45.0, 60.0)
@@ -96,6 +97,16 @@ class TestOls:
         with pytest.raises(ValidationError):
             ols_fit([(1.0, 2.0), (2.0, 3.0)])
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("points, message", [
+        ([(1, 2), (2, math.nan), (3, 4)], "row 1: point y must be finite, got nan"),
+        ([(1, 2), (2, 3), (-math.inf, 4)], "row 2: point x must be finite, got -inf"),
+    ], ids=["nan-y", "minus-inf-x"])
+    def test_non_finite_point_names_its_row(self, points, message):
+        with pytest.raises(ValidationError) as exc:
+            ols_fit(points)
+        assert str(exc.value) == message
+
 
 class TestInformationCriteria:
     @pytest.mark.parametrize("k,n", [(2, 20), (3, 20), (2, 7), (3, 50)])
@@ -118,6 +129,13 @@ class TestInformationCriteria:
             information_criteria(-1.0, 20, 2)
         with pytest.raises(ValidationError):
             information_criteria(1.0, 2, 2)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("rss", [math.nan, math.inf])
+    def test_non_finite_rss_rejected(self, rss):
+        with pytest.raises(ValidationError) as exc:
+            information_criteria(rss, 20, 2)
+        assert str(exc.value) == f"rss must be finite and >= 0, got {rss}"
 
     def test_ranking_invariant_to_additive_constant(self, paper_1d):
         models = [Model.M1_BASELINE, Model.M2_EFFECTIVE, Model.M5_W_NOSQRT_C,
@@ -631,6 +649,43 @@ class TestFreeCProperties:
         for train in fits:
             _, fit = optimize_c(train, free)
             assert fit.r2 >= fit_model(train, fixed, cv=False).r2 - 1e-12
+
+
+class TestThreeConditions:
+    """Three conditions: a free-c model has as many coefficients as
+    conditions, so its adjusted R^2, AIC and BIC are undefined.  It keeps its
+    fit and drops out of those rankings only, as with an undefined CV."""
+
+    SUMMARIES = [ConditionSummary(Condition(a, w), mt_ms=mt, sigma_obs_mm=s)
+                 for a, w, mt, s in [(20.0, 2.0, 450.0, 0.8), (30.0, 4.0, 420.0, 1.2),
+                                     (45.0, 8.0, 400.0, 2.0)]]
+    FIXED = [Model.M1_BASELINE, Model.M2_EFFECTIVE, Model.M7_GIVEN_SIGMA_A]
+    FREE = [model for model, _ in FREE_C_PAIRS]
+
+    def test_free_c_criteria_undefined_and_fixed_models_ranked_alone(self):
+        dataset = Dataset("three", Dimensionality.TWO_D, tuple(self.SUMMARIES))
+        report = compare(dataset, None, sigma_a=0.5)
+        assert report.unusable == ()
+        rows = {row["model"]: row for row in comparison_rows(report)}
+        for model in self.FREE:
+            r = report.result(model)
+            assert r.usable and math.isfinite(r.r2) and 0 <= r.c_mm
+            assert (r.adj_r2, r.aic, r.bic, r.cv_rmse_ms) == (None, None, None, None)
+            assert model not in report.delta_aic and model not in report.delta_bic
+            row = rows[model.value]
+            assert (row["delta_aic"], row["delta_bic"], row["rejected"]) == (None, None, False)
+        fixed = compare(dataset, self.FIXED, sigma_a=0.5)
+        assert tuple(map(report.result, self.FIXED)) == fixed.results
+        assert (report.delta_aic, report.delta_bic) == (fixed.delta_aic, fixed.delta_bic)
+        for crit in ("adj_r2", "aic", "bic"):
+            assert report.best_by[crit] is fixed.best_by[crit]
+            assert report.best_by[crit] in self.FIXED
+
+    def test_optimize_c_is_the_fit_model_fit(self):
+        for model in self.FREE:
+            r = fit_model(self.SUMMARIES, model)
+            assert optimize_c(self.SUMMARIES, model) == (
+                r.c_mm, fitting.OlsFit(r.a_ms, r.b_ms_per_bit, r.rss, r.r2))
 
 
 def summaries_of(source):

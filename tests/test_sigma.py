@@ -75,6 +75,22 @@ class TestCalibration:
         with pytest.raises(DegenerateDataError):
             sigma_from_calibration([[0.3, 0.1]], CalibrationMode.BIVARIATE)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("deviations, message", [
+        ([math.nan, 1.0, 2.0], "row 0: deviation must be finite, got nan"),
+        ([math.inf, -math.inf], "row 0: deviation must be finite, got inf"),
+        ([-math.inf, 1e308, 1e308], "row 0: deviation must be finite, got -inf"),
+        ([[0.5, 1.0], [1.0, math.inf], [0.0, 0.2]], "row 1: y deviation must be finite, got inf"),
+        ([[0.5, 1.0], [1.0, 0.5], [math.nan, math.inf]],
+         "row 2: x deviation must be finite, got nan"),
+    ], ids=["nan", "inf-minus-inf", "minus-inf", "bivariate-inf", "bivariate-nan"])
+    def test_non_finite_deviation_names_its_row(self, deviations, message):
+        mode = (CalibrationMode.BIVARIATE if np.ndim(deviations) == 2
+                else CalibrationMode.UNIVARIATE)
+        with pytest.raises(ValidationError) as exc:
+            sigma_from_calibration(deviations, mode)
+        assert str(exc.value) == message
+
     def test_two_pairs_are_enough(self):
         est = sigma_from_calibration([[0.0, 1.0], [1.0, 0.0]], CalibrationMode.BIVARIATE)
         assert est.sigma_a_mm == math.sqrt(0.5)
