@@ -82,14 +82,14 @@ class _FiniteFloatRange(click.FloatRange):
 
 _outlier_mm_option = click.option(
     "--outlier-mm", type=_FiniteFloatRange(min=0, min_open=True),
-    default=OUTLIER_RADIUS_MM, show_default=True,
-    help="Tap-to-target distance beyond which taps are discarded.")
-
-
+    default=OUTLIER_RADIUS_MM, help="Tap-to-target distance beyond which taps are discarded.")
+_dataset_option = click.option("--dataset", "dataset_name", help="Bundled dataset name.")
+_format_option = click.option("--format", "fmt", type=click.Choice(["md", "csv", "json"]),
+                              default="md")
 _input_path = click.Path(exists=True, dir_okay=False, allow_dash=True)
 
 
-@click.group()
+@click.group(context_settings={"show_default": True})
 def main():
     """Movement-time model fitting for touch pointing data."""
 
@@ -201,22 +201,19 @@ def _emit(text: str, out: str | Path | None):
 
 
 @main.command()
-@click.option("--dataset", "dataset_name", help="Bundled dataset name.")
+@_dataset_option
 @click.option("--input", "input_path", type=_input_path,
               help="Tap log or aggregate CSV ('-' = stdin).")
 @click.option("--dim", type=click.Choice(["1d", "2d"]), default=None,
               help="Dimensionality label for --input data (default 2d).")
-@click.option("--models", default="all", show_default=True,
-              help="Comma-separated m1..m7, or 'all'.")
+@click.option("--models", default="all", help="Comma-separated m1..m7, or 'all'.")
 @click.option("--sigma-a", "sigma_a_token", default=None,
               help="Tremor spread: catalog method name or a value in mm (m7).")
 @click.option("--axis", type=click.Choice([a.value for a in AxisMode]), default="y",
-              show_default=True, help="Deviation axis when aggregating a tap log.")
+              help="Deviation axis when aggregating a tap log.")
 @_outlier_mm_option
-@click.option("--cv/--no-cv", default=True, show_default=True,
-              help="Leave-one-condition-out cross-validation.")
-@click.option("--format", "fmt", type=click.Choice(["md", "csv", "json"]),
-              default="md", show_default=True)
+@click.option("--cv/--no-cv", default=True, help="Leave-one-condition-out cross-validation.")
+@_format_option
 @click.option("--out", default=None, help="Output path (default stdout).")
 def fit(dataset_name, input_path, dim, models, sigma_a_token, axis, outlier_mm,
         cv, fmt, out):
@@ -245,8 +242,8 @@ def fit(dataset_name, input_path, dim, models, sigma_a_token, axis, outlier_mm,
 
 def _write_side_files(selection, dataset, out: Path, fmt):
     """Write the W_f matrix (csv only) and the plot-ready CSVs next to --out;
-    json embeds the plots instead.  Below 3 distinct widths the intercept
-    plot is undefined: a note says so and its file is not written."""
+    json embeds the plots instead.  Where the intercept plot is undefined
+    (see `report`), a note says so and its file is not written."""
     files = {"wf": rpt.render_wf_csv(dataset, rpt.wf_extra(selection))} if fmt == "csv" else {}
     files["fits"] = rpt.render_fits_plot_csv(selection)
     try:
@@ -258,26 +255,23 @@ def _write_side_files(selection, dataset, out: Path, fmt):
 
 
 @main.command()
-@click.option("--dataset", "dataset_name", help="Bundled dataset name.")
+@_dataset_option
 @click.option("--input", "input_path", type=_input_path,
               help="Tap log CSV ('-' = stdin).")
-@click.option("--method", type=click.Choice(["all", "calib", "intercept"]),
-              default="all", show_default=True,
+@click.option("--method", type=click.Choice(["all", "calib", "intercept"]), default="all",
               help="Which estimators to run on --input data.")
 @click.option("--instruction", type=click.Choice(["ra", "acc"]), default="ra",
-              show_default=True, help="Calibration instruction tag for --input data.")
+              help="Calibration instruction tag for --input data.")
 @click.option("--dim", type=click.Choice(["1d", "2d"]), default=None,
               help="Dimensionality of --input data; with 1d, --axis bivariate "
                    "means y for both rows.")
 @click.option("--axis", type=click.Choice([a.value for a in AxisMode]), default="y",
-              show_default=True,
               help="Deviation axis of --input data; the calibration row is "
                    "bivariate only with bivariate and not --dim 1d.")
 @_outlier_mm_option
 @click.option("--alpha", type=_FiniteFloatRange(0, 1, min_open=True, max_open=True),
-              default=0.05, show_default=True, help="Normality-test significance level.")
-@click.option("--format", "fmt", type=click.Choice(["md", "csv", "json"]),
-              default="md", show_default=True)
+              default=0.05, help="Normality-test significance level.")
+@_format_option
 @click.option("--out", default=None)
 def sigma(dataset_name, input_path, method, instruction, dim, axis, outlier_mm,
           alpha, fmt, out):
@@ -381,20 +375,16 @@ def _per_condition_normality(taps, devs, alpha):
               help="Width-proportional variance coefficient.")
 @click.option("--sigma-a", "sigma_a_mm", type=float, required=True,
               help="Absolute tremor spread in mm (0 allowed).")
-@click.option("--widths", default="2,4,6,8,10", show_default=True)
-@click.option("--amplitudes", default="20,30,45,60", show_default=True)
-@click.option("--trials", type=int, default=50, show_default=True,
-              help="Trials per condition.")
-@click.option("--seed", type=int, default=SimulatorConfig.seed, show_default=True)
+@click.option("--widths", default="2,4,6,8,10")
+@click.option("--amplitudes", default="20,30,45,60")
+@click.option("--trials", type=int, default=50, help="Trials per condition.")
+@click.option("--seed", type=int, default=SimulatorConfig.seed)
 @click.option("--dim", type=click.Choice(["1d", "2d"]),
-              default=SimulatorConfig.dimensionality.value, show_default=True)
-@click.option("--mt-a", type=float, default=MovementTimeModel.a_ms, show_default=True)
-@click.option("--mt-b", type=float, default=MovementTimeModel.b_ms_per_bit,
-              show_default=True)
-@click.option("--mt-noise", type=float, default=MovementTimeModel.noise_sd_ms,
-              show_default=True)
-@click.option("--out", default="-", show_default=True,
-              help="Output CSV path ('-' = stdout).")
+              default=SimulatorConfig.dimensionality.value)
+@click.option("--mt-a", type=float, default=MovementTimeModel.a_ms)
+@click.option("--mt-b", type=float, default=MovementTimeModel.b_ms_per_bit)
+@click.option("--mt-noise", type=float, default=MovementTimeModel.noise_sd_ms)
+@click.option("--out", default="-", help="Output CSV path ('-' = stdout).")
 def simulate(alpha, sigma_a_mm, widths, amplitudes, trials, seed, dim,
              mt_a, mt_b, mt_noise, out):
     """Generate a synthetic tap log; deterministic for a fixed seed."""

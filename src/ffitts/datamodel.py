@@ -297,8 +297,9 @@ def first_taps(taps: TapTable, outlier_radius_mm: float = OUTLIER_RADIUS_MM) -> 
         col[live] for col in (taps.participant, taps.block, taps.trial, taps.tap_index)
     )
     mt = taps.mt_ms[live]
-    dx = taps.touch_x_mm[live] - taps.target_x_mm[live]
-    dy = taps.touch_y_mm[live] - taps.target_y_mm[live]
+    with np.errstate(over="ignore"):  # an overflowed deviation is inf: an outlier
+        dx = taps.touch_x_mm[live] - taps.target_x_mm[live]
+        dy = taps.touch_y_mm[live] - taps.target_y_mm[live]
 
     keep = np.hypot(dx, dy) <= outlier_radius_mm
     first = np.flatnonzero(keep & (tap_index == 1))

@@ -96,11 +96,12 @@ def _line(x, y):
     """Least-squares line of each row of y on the same row of x, both (F, m).
 
     Returns per-row intercepts, slopes and centered sums of squares of x;
-    a row whose x values are all equal gets a NaN or infinite slope.
+    a row whose x values are all equal gets sxx 0, though their mean need
+    not round back to their value, and a NaN or infinite slope.
     """
     xbar, ybar = x.sum(axis=1) / x.shape[1], y.sum(axis=1) / y.shape[1]
     xc = x - xbar[:, None]
-    sxx = np.vecdot(xc, xc)
+    sxx = np.where(x.max(axis=1) > x.min(axis=1), np.vecdot(xc, xc), 0.0)
     with np.errstate(invalid="ignore", divide="ignore"):
         b = np.vecdot(xc, y - ybar[:, None]) / sxx
     return ybar - b * xbar, b, sxx
@@ -119,12 +120,6 @@ def information_criteria(rss: float, n: int, k: int) -> tuple[float, float]:
         return float("-inf"), float("-inf")
     base = n * math.log(2.0 * math.pi * rss / n) + n
     return base + 2.0 * k, base + k * math.log(n)
-
-
-def _rows(values, keep):
-    """The entries of `values`, (n,) or (F, n), that each row of the (F, n)
-    bool mask `keep` keeps, as an (F, m) array; every row keeps m entries."""
-    return np.broadcast_to(values, keep.shape)[keep].reshape(len(keep), -1)
 
 
 def _in_order(v):
@@ -173,15 +168,6 @@ def _grid_r2(model: Model, amps, widths, grid, keep, mt):
             den = (k @ (ids * ids) - sx * xbar) * vy
             r2[rows, cols] = np.divide(cov * cov, den, out=np.zeros_like(den), where=den > 0)
     return r2
-
-
-def _columns(model: Model, summaries, sigma_a_mm=None):
-    """Amplitudes, the model's widths (NaN where undefined) and mean movement
-    times as arrays; `model_widths` holds the sigma_a rules."""
-    widths = model_widths(model, summaries, sigma_a_mm=sigma_a_mm)
-    amps = np.array([s.condition.amplitude_mm for s in summaries], dtype=float)
-    mt = np.array([s.mt_ms for s in summaries], dtype=float)
-    return amps, widths, mt
 
 
 def _search_c(specs, amps, mt, folds=False) -> np.ndarray:
@@ -327,11 +313,13 @@ def _loocv_residuals(ids, mt):
     cross-validation, from an (n, n) id table whose row i holds every
     condition's difficulty at fold i's c: fold i refits the line on the
     row's other entries and predicts condition i from its diagonal entry.
-    None when a fold's training difficulties are all equal, or when its c
+    None when a fold's training difficulties are one float, or when its c
     reaches the width of the condition it holds out (that difficulty is
     NaN)."""
-    keep = ~np.eye(len(mt), dtype=bool)  # row i trains on every condition but i
-    a, b, sxx = _line(_rows(ids, keep), _rows(mt, keep))
+    n = len(mt)
+    keep = ~np.eye(n, dtype=bool)  # row i trains on every condition but i
+    a, b, sxx = _line(ids[keep].reshape(n, -1),
+                      np.broadcast_to(mt, (n, n))[keep].reshape(n, -1))
     held_out = ids.diagonal()
     if np.isnan(held_out).any() or not (sxx > 0).all():
         return None
@@ -375,24 +363,26 @@ def fit_model(
 def _fit_models(summaries, models, sigma_a, cv) -> list[FitResult]:
     """`fit_model` for each of `models`, their c values from one search.
 
-    Each model derives its widths once; every free-c model whose widths are
-    all defined joins the one `_search_c` call."""
+    The amplitudes and movement times are read once per request and each
+    model's widths once; every free-c model whose widths are all defined
+    joins the one `_search_c` call."""
     sigma_est = sigma_a if isinstance(sigma_a, SigmaEstimate) else None
     sigma_val = sigma_a if sigma_est is None else sigma_est.sigma_a_mm
     folds = cv and len(summaries) >= 4
-    columns = [_columns(m, summaries, sigma_val) for m in models]
-    amps, _, mt = columns[0]
-    specs = [(m, widths) for m, (_, widths, _) in zip(models, columns)
-             if m.tremor is Tremor.FREE_C and not np.isnan(widths).any()]
+    amps = np.array([s.condition.amplitude_mm for s in summaries], dtype=float)
+    mt = np.array([s.mt_ms for s in summaries], dtype=float)
+    widths = [model_widths(m, summaries, sigma_a_mm=sigma_val) for m in models]
+    specs = [(m, w) for m, w in zip(models, widths)
+             if m.tremor is Tremor.FREE_C and not np.isnan(w).any()]
     with np.errstate(all="ignore"):  # every non-finite result is caught per model
         rows = _search_c(specs, amps, mt, folds) if specs else []
     cs = {m: row for (m, _), row in zip(specs, rows)}
-    return [_fit_result(summaries, m, col, cs.get(m), sigma_est, folds)
-            for m, col in zip(models, columns)]
+    return [_fit_result(summaries, m, (amps, w, mt), cs.get(m), sigma_est, folds)
+            for m, w in zip(models, widths)]
 
 
 def _fit_result(summaries, model: Model, columns, cs, sigma_est, folds) -> FitResult:
-    """One model's FitResult from its `_columns` and its row of `_search_c`
+    """One model's FitResult from its (amps, widths, mt) and its row of `_search_c`
     (None for a fixed model or one whose widths are undefined).  One id
     table holds every difficulty: row 0 is the full fit's and the last n
     rows (one row, broadcast, for a fixed model) the folds'.  At n <= k

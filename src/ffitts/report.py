@@ -15,8 +15,8 @@ and JSON carry full precision.
 JSON is strict: ``null`` marks a value that is not finite.  Only a perfect
 fit (zero residual sum of squares) gives one: its AIC and BIC are -inf and
 the other models' delta AIC/BIC inf, which md and csv print as -inf and inf.
-The intercept plot needs at least 3 distinct widths; below that it is
-``null`` in JSON and ``fit --out`` writes no ``.intercept.csv``.
+The intercept plot needs 3 distinct widths and finite squared widths and
+spreads; else it is ``null`` in JSON and ``fit --out`` writes no ``.intercept.csv``.
 """
 
 from __future__ import annotations

@@ -125,7 +125,9 @@ def sigma_from_intercept(summaries: Sequence[ConditionSummary]) -> InterceptFit:
     """
     if len({s.condition.width_mm for s in summaries}) < 3:
         raise ValidationError("need summaries at >= 3 distinct widths")
-    points = [(s.condition.width_mm**2, s.sigma_obs_mm**2) for s in summaries]
+    # `*`, not `**`, which raises OverflowError where the square is not finite
+    points = [(s.condition.width_mm * s.condition.width_mm, s.sigma_obs_mm * s.sigma_obs_mm)
+              for s in summaries]
     fit = ols_fit(points)
     return InterceptFit(
         slope=fit.b_ms_per_bit,

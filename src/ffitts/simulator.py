@@ -21,6 +21,7 @@ reproduce the distributions elsewhere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -113,7 +114,7 @@ def generate(config: SimulatorConfig) -> TapTable:
     dev_x, dev_y, mt = [], [], []
     for (a, w), stream in zip(conditions, streams):
         rng = np.random.Generator(np.random.PCG64(stream))
-        sd_r = np.sqrt(config.alpha) * w
+        sd_r = math.sqrt(config.alpha) * w
         if two_d:
             dev_x.append(_normals(rng, n, sd_r) + _normals(rng, n, config.sigma_a_mm))
         else:

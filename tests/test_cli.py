@@ -303,6 +303,14 @@ class TestFit:
         assert result.exit_code == 1
         assert result.output == "Error: difficulty values are all equal\n"
 
+    def test_equal_difficulties_whose_mean_rounds_away_are_an_error(self, runner):
+        # one A/sigma_obs ratio: m2's three difficulties are the same float
+        result = runner.invoke(main, ["fit", "--input", "-", "--models", "m2", "--no-cv"],
+                               input=("A_mm,W_mm,mt_ms,sigma_obs_mm\n10,1,400,0.2\n"
+                                      "10,2,410,0.2\n20,3,430,0.4\n"))
+        assert result.exit_code == 1
+        assert result.output == "Error: difficulty values are all equal\n"
+
     @pytest.mark.parametrize("text, message", [
         ("", "<stdin>: no header row"),
         ("A_mm,W_mm,mt_ms,sigma_obs_mm\n", "<stdin>: header but no data rows"),
@@ -422,7 +430,7 @@ class TestTwoWidths:
         assert result.exit_code == 0, result.output
         doc = json.loads(result.stdout, parse_constant=_raise_on_constant)
         assert doc["plots"]["intercept"] is None
-        assert len(doc["plots"]["fits"]) == 5
+        assert len(doc["plots"]["fits"]) == self.CSV.count("\n") - 1
 
     @pytest.mark.parametrize("fmt", ["md", "csv"])
     def test_out_skips_intercept_file_with_note(self, runner, tmp_path, fmt):
@@ -433,6 +441,14 @@ class TestTwoWidths:
         written = {"r.md": ["r.fits.csv"], "r.csv": ["r.fits.csv", "r.wf.csv"]}[out.name]
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted([out.name, *written])
         assert f"note: r.intercept.csv not written: {self.REASON}\n" in result.stderr
+
+
+class TestWidthPastFloatRange(TestTwoWidths):
+    """The intercept plot needs finite squared widths; 1e200 squared is not."""
+
+    CSV = ("A_mm,W_mm,mt_ms,sigma_obs_mm\n20,2,450,0.8\n30,4,420,1.2\n45,8,400,2.0\n"
+           "50,1e200,300,2.5\n")
+    REASON = "row 3: point x must be finite, got inf"
 
 
 def test_to_json_rejects_non_finite_values():
@@ -814,6 +830,14 @@ class TestSimulate:
         args[flag] = value
         return runner.invoke(main, ["simulate", "--trials", "5"]
                              + [t for kv in args.items() for t in kv])
+
+    def test_spread_past_float_range_is_usage_error(self, runner):
+        # sqrt(alpha) * W is inf: the table of taps rejects it, with no warning
+        result = runner.invoke(main, ["simulate", "--alpha", "1e308", "--sigma-a", "1",
+                                      "--widths", "1e300", "--amplitudes", "20",
+                                      "--trials", "3"])
+        assert result.exit_code == 2
+        assert result.output.endswith("Error: row 0: touch_y_mm must be finite, got inf\n")
 
     def test_negative_seed_is_usage_error(self, runner):
         result = self._simulate(runner, "--seed", "-1")

@@ -158,6 +158,10 @@ class TestTypes:
         with pytest.raises(KeyError):
             ds.sigma_a(SigmaMethod.USER_GIVEN)
 
+    def test_dataset_needs_a_condition(self):
+        with pytest.raises(ValidationError, match="at least one condition"):
+            Dataset("d", Dimensionality.ONE_D, ())
+
     def test_dataset_rejects_duplicate_conditions(self):
         s = ConditionSummary(COND, mt_ms=300, sigma_obs_mm=1.0)
         with pytest.raises(ValidationError):
@@ -347,6 +351,11 @@ class TestAggregate:
         with pytest.raises(ValidationError):
             aggregate(table([]))
 
+    def test_all_practice_rejected(self):
+        trials = [make_trial(COND, dy=0.2 * i, trial=i, practice=True) for i in range(3)]
+        with pytest.raises(ValidationError, match="all trials are flagged as practice"):
+            aggregate(table(trials))
+
     def test_condition_without_retained_trial_is_degenerate(self):
         # every live tap of the only condition is an outlier
         trials = [make_trial(COND, dy=20.0 + i, trial=i) for i in range(5)]
@@ -413,6 +422,13 @@ class TestFirstTaps:
         taps = first_taps(table([make_trial(COND, dy=30.0)]))
         assert taps.conditions == (COND,)
         assert taps.dy_mm.size == 0
+
+    def test_deviation_past_float_range_is_an_outlier(self):
+        # touch minus target overflows to inf, which no finite radius keeps
+        far = TrialRecord("p1", COND, target_x_mm=-1e308, target_y_mm=0.0,
+                          touch_x_mm=1e308, touch_y_mm=0.0, mt_ms=300.0, trial=2)
+        taps = first_taps(table([make_trial(COND), far]))
+        assert taps.trial.tolist() == [1]
 
     def test_all_practice_gives_empty_selection(self):
         taps = first_taps(table([make_trial(COND, practice=True)]))
@@ -546,6 +562,15 @@ class TestSpreadPastFloatRange:
         with pytest.raises(ValidationError) as err:
             aggregate(taps, AxisMode.Y, outlier_radius_mm=math.inf)
         assert str(err.value) == "endpoint spread must be finite and > 0, got inf"
+
+    def test_aggregate_of_opposite_infinite_deviations(self):
+        # touch minus target overflows to +inf and -inf, whose sum is nan
+        taps = table([TrialRecord("p1", COND, target_x_mm=-x, target_y_mm=0.0, touch_x_mm=x,
+                                  touch_y_mm=0.0, mt_ms=300.0, trial=i)
+                      for i, x in enumerate((1e308, -1e308))])
+        with pytest.raises(ValidationError) as err:
+            aggregate(taps, AxisMode.X, outlier_radius_mm=math.inf)
+        assert str(err.value) == "endpoint spread must be finite and > 0, got nan"
 
 
 class TestAggregateProperties:

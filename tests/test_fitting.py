@@ -26,7 +26,7 @@ from ffitts import (
 )
 from ffitts import fitting
 from ffitts.report import comparison_rows
-from ffitts.idmodels import width_term
+from ffitts.idmodels import compute_id, width_term
 
 AMPLITUDES = (20.0, 30.0, 45.0, 60.0)
 WIDTHS = (2.0, 4.0, 6.0, 8.0, 10.0)
@@ -92,6 +92,12 @@ class TestOls:
     def test_constant_ids_singular(self):
         with pytest.raises(SingularFitError):
             ols_fit([(2.0, 300.0), (2.0, 310.0), (2.0, 320.0)])
+
+    def test_equal_ids_whose_mean_rounds_away_singular(self):
+        # the mean of three 0.1s is not 0.1, so the centred ids are not 0
+        assert sum([0.1] * 3) / 3 != 0.1
+        with pytest.raises(SingularFitError, match="difficulty values are all equal"):
+            ols_fit([(0.1, 1.0), (0.1, 2.0), (0.1, 4.0)])
 
     def test_too_few_points(self):
         with pytest.raises(ValidationError):
@@ -341,6 +347,17 @@ class TestFitModel:
             result = fit_model(summaries, Model.M7_GIVEN_SIGMA_A, sigma_a=0.5)
             assert result.math_errors == errors
 
+    def test_equal_difficulties_are_singular(self):
+        # one A/sigma_obs ratio: every W_e difficulty is the same float, but
+        # their mean is not
+        summaries = [ConditionSummary(Condition(a, w), mt_ms=mt, sigma_obs_mm=s)
+                     for a, w, mt, s in ((10, 1, 400, 0.2), (10, 2, 410, 0.2), (20, 3, 430, 0.4))]
+        widths = model_widths(Model.M2_EFFECTIVE, summaries)
+        ids = compute_id(Model.M2_EFFECTIVE, np.array([10.0, 10.0, 20.0]), widths).tolist()
+        assert len(set(ids)) == 1 and sum(ids) / 3 != ids[0]
+        with pytest.raises(SingularFitError, match="difficulty values are all equal"):
+            fit_model(summaries, Model.M2_EFFECTIVE, cv=False)
+
     def test_usable_m7_2d(self, paper_2d):
         result = fit_model(list(paper_2d.summaries), Model.M7_GIVEN_SIGMA_A,
                            sigma_a=1.163, cv=False)
@@ -562,6 +579,12 @@ class TestCompare:
         compare(paper_2d, None, sigma_a=paper_2d.sigma_a_catalog[0], cv=True)
         assert calls == ["model_widths"] * len(Model)
 
+    def test_result_of_a_model_not_fitted_is_a_key_error(self, paper_1d):
+        report = compare(paper_1d, [Model.M1_BASELINE], cv=False)
+        assert report.result(Model.M1_BASELINE).model is Model.M1_BASELINE
+        with pytest.raises(KeyError):
+            report.result(Model.M2_EFFECTIVE)
+
     def test_results_ordered_by_model_number(self, paper_1d):
         report = compare(
             paper_1d, [Model.M6_W_SQRT_C, Model.M1_BASELINE], cv=False
@@ -714,8 +737,10 @@ class TestSharedSearch:
         assert result.c_mm == optimize_c(summaries, model)[0]
         # each fold's row of the search fit_model runs, against a search of
         # that fold's own (as regenerate.py pins fold_c_mm)
-        amps, widths, mt = fitting._columns(model, summaries)
-        fold_cs = fitting._search_c([(model, widths)], amps, mt, folds=True)[0][1:]
+        amps = np.array([s.condition.amplitude_mm for s in summaries])
+        mt = np.array([s.mt_ms for s in summaries])
+        fold_cs = fitting._search_c([(model, model_widths(model, summaries))], amps, mt,
+                                    folds=True)[0][1:]
         assert [c.hex() for c in fold_cs.tolist()] == [
             optimize_c(summaries[:i] + summaries[i + 1:], model)[0].hex()
             for i in range(len(summaries))]

@@ -95,6 +95,18 @@ class TestCalibration:
         est = sigma_from_calibration([[0.0, 1.0], [1.0, 0.0]], CalibrationMode.BIVARIATE)
         assert est.sigma_a_mm == math.sqrt(0.5)
 
+    @pytest.mark.parametrize("deviations, mode, message", [
+        ([[0.5, 1.0], [1.0, 0.5]], CalibrationMode.UNIVARIATE,
+         "univariate mode expects a flat sequence"),
+        ([0.5, 1.0, 1.5], CalibrationMode.BIVARIATE, "bivariate mode expects an (n, 2) array"),
+        ([[0.5, 1.0, 0.0], [1.0, 0.5, 0.0]], CalibrationMode.BIVARIATE,
+         "bivariate mode expects an (n, 2) array"),
+    ], ids=["univariate-2d", "bivariate-1d", "bivariate-3-columns"])
+    def test_wrong_shape_rejected(self, deviations, mode, message):
+        with pytest.raises(ValidationError) as exc:
+            sigma_from_calibration(deviations, mode)
+        assert str(exc.value) == message
+
 
 class TestIntercept:
     def test_exact_line_recovers_parameters(self):
@@ -157,6 +169,13 @@ class TestIntercept:
         fit = sigma_from_intercept(summaries_from([2.0, 4.0, 6.0], [0.7, 1.2, 1.5]))
         assert len(fit.points) == 3
 
+    def test_square_past_float_range_names_its_row(self):
+        # the square of a 1e200 mm width is past the float range
+        summaries = summaries_from([2.0, 4.0, 8.0, 1e200], [0.8, 1.2, 2.0, 2.5])
+        with pytest.raises(ValidationError) as exc:
+            sigma_from_intercept(summaries)
+        assert str(exc.value) == "row 3: point x must be finite, got inf"
+
     def test_zero_intercept_is_not_physical(self):
         fit = InterceptFit(slope=0.01, intercept_mm2=0.0, r2=1.0, points=())
         with pytest.raises(NonPhysicalInterceptError):
@@ -176,6 +195,10 @@ class TestNormality:
     def test_constant_sample_degenerate(self):
         with pytest.raises(DegenerateDataError):
             normality_check([1.0] * 10)
+
+    def test_sample_that_is_not_flat_rejected(self):
+        with pytest.raises(ValidationError, match="expected a flat sequence of deviations"):
+            normality_check(np.ones((5, 2)))
 
     @pytest.mark.parametrize("n", [2, 5001])
     def test_unsupported_sizes(self, n):
