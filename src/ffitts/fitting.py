@@ -2,10 +2,11 @@
 
 Movement time is regressed linearly on the index of difficulty.  Models
 with a free tremor parameter c maximize R^2 over c with a bounded search:
-a 2000-point coarse grid over [0, c_max - 1e-6] followed by golden-section
-refinement of the bracketing interval down to 1e-6 mm, ties broken toward
-smaller c.  c_max is the smallest width term, for both the subtractive and
-the square-root forms.
+a 2000-point coarse grid over [0, c_max] followed by golden-section
+refinement of the bracketing interval, ties broken toward smaller c.  Both
+bounds scale with the smallest width term W, for the subtractive and the
+square-root forms alike: c_max is W * (1 - 5e-7) and the refinement stops
+within W * 5e-7.  c stays 0 unless it raises R^2 by more than 1e-12.
 
 Leave-one-condition-out cross-validation re-optimizes c in every fold.
 The full fit is row 0 of the fold table: one batched search fits row 0 on
@@ -56,7 +57,8 @@ _GRID_POINTS = 2000
 # RSS from 40.8 to 38.3 MB (medians of 10 alternating pairs, 10/10 wins,
 # 2-core Xeon VM)
 _GRID_BLOCK = 500
-_C_TOL_MM = 1e-6
+_C_REL = 5e-7  # of the smallest width: 1e-6 mm at the bundled data's 2 mm
+_R2_MARGIN = 1e-12  # an R^2 gain or gap this small is rounding, not fit
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 CRITERIA = ("r2", "adj_r2", "aic", "bic", "cv_rmse_ms")
@@ -96,12 +98,13 @@ def _line(x, y):
     """Least-squares line of each row of y on the same row of x, both (F, m).
 
     Returns per-row intercepts, slopes and centered sums of squares of x;
-    a row whose x values are all equal gets sxx 0, though their mean need
-    not round back to their value, and a NaN or infinite slope.
+    a row whose x values are all equal, their spread at most 1e-12 of their
+    largest magnitude, gets sxx 0 and a NaN or infinite slope.
     """
     xbar, ybar = x.sum(axis=1) / x.shape[1], y.sum(axis=1) / y.shape[1]
     xc = x - xbar[:, None]
-    sxx = np.where(x.max(axis=1) > x.min(axis=1), np.vecdot(xc, xc), 0.0)
+    spread = np.ptp(x, axis=1) > 1e-12 * np.abs(x).max(axis=1)
+    sxx = np.where(spread, np.vecdot(xc, xc), 0.0)
     with np.errstate(invalid="ignore", divide="ignore"):
         b = np.vecdot(xc, y - ybar[:, None]) / sxx
     return ybar - b * xbar, b, sxx
@@ -120,25 +123,6 @@ def information_criteria(rss: float, n: int, k: int) -> tuple[float, float]:
         return float("-inf"), float("-inf")
     base = n * math.log(2.0 * math.pi * rss / n) + n
     return base + 2.0 * k, base + k * math.log(n)
-
-
-def _in_order(v):
-    """Row sums of an (F, m) array taken strictly left to right."""
-    return np.add.accumulate(v, axis=1)[:, -1]
-
-
-def _r2(x, yc, syy, total=lambda v: v.sum(axis=1)):
-    """R^2 of y on x for each row of the (F, m) array x.
-
-    `yc` holds each row's y minus its mean and `syy` its sum of squares;
-    `total` sums each row of an (F, m) array, by numpy's pairwise sums
-    unless told otherwise.  Simple-OLS R^2 is the squared correlation; 0
-    where either variance vanishes.
-    """
-    xc = x - (total(x) / x.shape[1])[:, None]
-    sxy = total(xc * yc)
-    den = total(xc * xc) * syy
-    return np.divide(sxy * sxy, den, out=np.zeros_like(den), where=den > 0)
 
 
 def _grid_r2(model: Model, amps, widths, grid, keep, mt):
@@ -175,25 +159,27 @@ def _search_c(specs, amps, mt, folds=False) -> np.ndarray:
     model, as an (S, 1) array, or with `folds` (S, n + 1): row 0 fits all n
     conditions and row i + 1 every condition but i.
 
-    All rows of all specs are searched at once with one fit's rules: a
-    2000-point grid over [0, c_max], c_max being the spec's smallest kept
-    width minus _C_TOL_MM (rows sharing c_max, as the full fit and the folds
-    that keep the smallest width do, share one id table), then golden-section
-    refinement of the bracket around the first grid maximum down to
-    _C_TOL_MM, ties keeping the smaller-c interval.  The refinement is one
-    loop over the stacked rows of every spec, so each free-c model of a
-    request shares it; a model's rows come out as a search of its own would
-    give them.  The refined c replaces the grid c only when its R^2 is
-    strictly higher; c = 0 when c_max <= 0.  Rows keeping n and n - 1 sum
-    apart.
+    All rows of all specs are searched at once with one fit's rules, each
+    relative to the row's smallest kept width W: a 2000-point grid over
+    [0, c_max], c_max = W - W * _C_REL (rows sharing c_max, as the full fit
+    and the folds that keep the smallest width do, share one id table), then
+    golden-section refinement of the bracket around the first grid maximum
+    down to W - c_max, ties keeping the smaller-c interval.  The refinement
+    is one loop over the stacked rows of every spec, so each free-c model of
+    a request shares it; a model's rows come out as a search of its own
+    would give them.  The refined c replaces the grid c only when its R^2 is
+    strictly higher, and c = 0 unless that R^2 beats the grid's at c = 0 by
+    more than _R2_MARGIN; so too where c_max rounds to W.  Rows keeping n
+    and n - 1 sum apart.
     """
     n = len(mt)
     keep = np.vstack([np.ones((1, n), dtype=bool)] + [~np.eye(n, dtype=bool)] * folds)
     f = len(keep)
-    best_c, lo, hi = np.zeros((3, len(specs) * f))
+    best_c, lo, hi, tol, r2_0 = np.zeros((5, len(specs) * f))
     for s, (model, widths) in enumerate(specs):
-        c_max = np.where(keep, widths, np.inf).min(axis=1) - _C_TOL_MM
-        for cm in np.unique(c_max[c_max > 0]):
+        w_min = np.where(keep, widths, np.inf).min(axis=1)
+        c_max = w_min - w_min * _C_REL
+        for cm in np.unique(c_max[c_max < w_min]):
             rows = np.flatnonzero(c_max == cm)
             grid = np.linspace(0.0, cm, _GRID_POINTS)
             # the grid is off the domain only for widths these rows leave out
@@ -202,7 +188,7 @@ def _search_c(specs, amps, mt, folds=False) -> np.ndarray:
                            keep[np.ix_(rows, live)], mt[live])
             i = np.argmax(r2s, axis=1)  # first max: ties prefer smaller c
             at = rows + s * f
-            best_c[at] = grid[i]
+            best_c[at], r2_0[at], tol[at] = grid[i], r2s[:, 0], w_min[rows] - cm
             lo[at] = grid[np.maximum(i - 1, 0)]
             hi[at] = grid[np.minimum(i + 1, _GRID_POINTS - 1)]
 
@@ -216,20 +202,24 @@ def _search_c(specs, amps, mt, folds=False) -> np.ndarray:
         yc = mt_k - (mt_k.sum(axis=1) / mt_k.shape[1])[:, None]
         groups.append((rows, rows[r] * len(mt) + j, yc, np.vecdot(yc, yc)))
 
-    def r2_at(c, **sums):
+    def r2_at(c):
+        """Each row's R^2 at its c: the squared correlation, 0 where a variance vanishes."""
         ids = np.concatenate([compute_id(model, amps, widths, c[s * f:(s + 1) * f, None])
                               for s, (model, widths) in enumerate(specs)])
         r2 = np.empty(len(c))
         for rows, kept_ids, yc, syy in groups:
-            r2[rows] = _r2(ids.take(kept_ids).reshape(yc.shape), yc, syy, **sums)
+            x = ids.take(kept_ids).reshape(yc.shape)
+            xc = x - (x.sum(axis=1) / x.shape[1])[:, None]
+            sxy, den = (xc * yc).sum(axis=1), (xc * xc).sum(axis=1) * syy
+            r2[rows] = np.divide(sxy * sxy, den, out=np.zeros_like(den), where=den > 0)
         return r2
 
     # golden-section refinement of every row under one loop; a row stops
-    # moving once its bracket is within tolerance
+    # moving once its bracket is within its tolerance
     x1 = hi - _GOLDEN * (hi - lo)
     x2 = lo + _GOLDEN * (hi - lo)
     f1, f2 = r2_at(x1), r2_at(x2)
-    while (active := hi - lo > _C_TOL_MM).any():
+    while (active := hi - lo > tol).any():
         left = f1 >= f2  # maximize; ties keep the left (smaller-c) interval
         new_lo, new_hi = np.where(left, lo, x1), np.where(left, x2, hi)
         step = _GOLDEN * (new_hi - new_lo)
@@ -242,12 +232,9 @@ def _search_c(specs, amps, mt, folds=False) -> np.ndarray:
                      for new, old in zip(state, (lo, hi, x1, f1, x2, f2))]
         lo, hi, x1, f1, x2, f2 = state
     c_ref = np.where(f1 >= f2, lo, x2)
-    # Near c = 0 the sqrt forms' R^2 is flat to the last bit, so the order
-    # of the sums decides between the grid c and the refined one.  The grid
-    # maximum's R^2 is recomputed with sums in condition order and the
-    # refined c's with numpy's pairwise sums: the rule that the reported c
-    # and CV RMSE values are pinned with.
-    best = np.where(r2_at(c_ref) > r2_at(best_c, total=_in_order), c_ref, best_c)
+    r2_ref, r2_grid = r2_at(c_ref), r2_at(best_c)
+    best = np.where(r2_ref > r2_grid, c_ref, best_c)
+    best[~(np.maximum(r2_ref, r2_grid) > r2_0 + _R2_MARGIN)] = 0.0
     return best.reshape(len(specs), f)
 
 
@@ -481,7 +468,9 @@ def compare(
     search; an empty request is an error.  A sigma_a is required if m7 is
     requested, and it is checked as in fit_model.  Unusable models stay in the report,
     flagged, with no metrics.  A usable model drops out of the ranking, and
-    the AIC or BIC deltas, of each criterion its fit leaves None.
+    the AIC or BIC deltas, of each criterion its fit leaves None.  The R^2
+    and adjusted R^2 picks go to the first model, in model order, within
+    _R2_MARGIN of the best.
     """
     requested = set(Model if models is None else map(Model, models))
     models = [m for m in Model if m in requested]
@@ -493,13 +482,12 @@ def compare(
     usable = [r for r in results if r.usable]
     best_by: dict[str, Model] = {}
     for crit in CRITERIA:
-        candidates = [r for r in usable if getattr(r, crit) is not None]
-        if not candidates:
-            continue
-        pick = (max if crit in ("r2", "adj_r2") else min)(
-            candidates, key=lambda r: getattr(r, crit)
-        )
-        best_by[crit] = pick.model
+        values = {r.model: getattr(r, crit) for r in usable if getattr(r, crit) is not None}
+        if values and crit in ("r2", "adj_r2"):  # the first within the margin of the best
+            top = max(values.values())
+            best_by[crit] = next(m for m, v in values.items() if v >= top - _R2_MARGIN)
+        elif values:
+            best_by[crit] = min(values, key=values.get)
 
     # a model at the minimum has delta 0, also when a perfect fit puts it at -inf
     scored = [r for r in usable if r.aic is not None]

@@ -71,6 +71,8 @@ class SimulatorConfig:
             if not getattr(self, name):
                 raise ValidationError(f"{name} must be nonempty")
             require(finite_rule(f"{name} > 0", getattr(self, name)))
+            # plain floats: a numpy scalar's overflow would warn in generate
+            object.__setattr__(self, name, tuple(map(float, getattr(self, name))))
 
 
 def config_metadata(config: SimulatorConfig) -> dict[str, str]:

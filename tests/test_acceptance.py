@@ -22,7 +22,7 @@ in the tests below, next to independent checks of the methods themselves:
   the study's points; 0.9543 came from other (per-participant) points that
   the package does not hold.
 * criterion 6, the 2D m5 CV RMSE 42.29 ms: every 2D training fold keeps
-  three W = 2 mm conditions, so c_max is 2 - 1e-6 mm in every fold, and the
+  three W = 2 mm conditions, so c_max is 1.999999 mm in every fold, and the
   per-fold R^2(c) peaks at c <= 0.27 mm for m5 and c <= 0.84 mm for m6.  No
   fold's c reaches a held-out width (one that did would leave the CV RMSE
   undefined), and both models' CV RMSE land near 11 ms (the m6 reference

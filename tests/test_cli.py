@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import ffitts
 from ffitts import (
@@ -24,6 +24,7 @@ from ffitts import (
     compare,
     datamodel,
     embedded,
+    load_trials_csv,
     write_aggregate_csv,
     write_trials_csv,
 )
@@ -337,7 +338,7 @@ class TestThreeConditions:
         for i, row in enumerate(rows, 1):  # cells 3-5: adj R2, AIC, BIC
             assert row[0].startswith(f"| #{i} ")
             assert (row[3:6] == ["---"] * 3) is (3 <= i <= 6) and row[2] != "---"
-        assert "Best by criterion: R2: m4, adj R2: m1, AIC: m1, BIC: m1\n" in result.stdout
+        assert "Best by criterion: R2: m3, adj R2: m1, AIC: m1, BIC: m1\n" in result.stdout
 
     def test_json_prints_undefined_criteria_as_null(self, runner):
         result = runner.invoke(main, self.ARGS + ["json"], input=self.CSV)
@@ -757,6 +758,47 @@ def test_log_and_its_aggregate_dump_fit_alike(log):
         dumped = [(r.exit_code, r.stdout_bytes)
                   for r in (runner.invoke(main, args) for args in fits)]
     assert dumped == _outputs(log, fits)
+
+
+_LENGTHS = ("amplitude_mm", "width_mm", "target_x_mm", "target_y_mm", "touch_x_mm",
+            "touch_y_mm")
+
+
+def _json_outputs(taps, k):
+    """Exit code and JSON of fit and sigma on a log whose lengths are in
+    units 1/k of a millimetre: --sigma-a and --outlier-mm scale by k too."""
+    scaled = ["--outlier-mm", repr(15.0 * k), "--format", "json"]
+    return [(code, json.loads(out) if code == 0 else None) for code, out in _outputs(taps, [
+        ["fit", "--input", "taps.csv", "--models", "all", "--sigma-a", repr(k), *scaled],
+        ["sigma", "--input", "taps.csv", "--method", "all", *scaled]])]
+
+
+@settings(max_examples=6, deadline=None)
+@given(log=small_tap_logs(), k=st.sampled_from([2.54, 0.1, 10.0]))
+@example(log=load_trials_csv(FIRST_TAPS), k=2.54)
+def test_unit_of_length_scales_c_and_sigma_a(log, k):
+    """Scaling every length of a log by k scales each model's c and each
+    sigma_a estimate by k, up to rounding, and keeps every CV RMSE."""
+    # a first tap on the 15 mm radius could round to either side of it
+    dist = np.hypot(log.touch_x_mm - log.target_x_mm, log.touch_y_mm - log.target_y_mm)
+    assume(not (abs(dist - 15.0) < 1e-9).any())
+    scaled = TapTable(**{name: getattr(log, name) * k if name in _LENGTHS
+                         else getattr(log, name) for name in TAP_COLUMNS})
+    base, other = _json_outputs(log, 1.0), _json_outputs(scaled, k)
+    assert [code for code, _ in other] == [code for code, _ in base]
+    (_, fit), (_, sigma) = base
+    (_, fit_k), (_, sigma_k) = other
+    for r, t in zip(fit["models"], fit_k["models"]) if fit else ():
+        assert (t["c_mm"] is None, t["cv_rmse_ms"] is None) == (
+            r["c_mm"] is None, r["cv_rmse_ms"] is None)
+        if r["c_mm"] is not None:
+            assert t["c_mm"] / k == pytest.approx(r["c_mm"], rel=1e-9, abs=1e-5)
+        if r["cv_rmse_ms"] is not None:
+            assert t["cv_rmse_ms"] == pytest.approx(r["cv_rmse_ms"], rel=1e-4)
+    for r, t in zip(sigma["estimates"], sigma_k["estimates"]) if sigma else ():
+        assert (t["sigma_a_mm"] is None) == (r["sigma_a_mm"] is None)
+        if r["sigma_a_mm"] is not None:
+            assert t["sigma_a_mm"] / k == pytest.approx(r["sigma_a_mm"], rel=1e-9)
 
 
 class TestFirstTapsGolden:

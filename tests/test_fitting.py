@@ -25,7 +25,7 @@ from ffitts import (
     optimize_c,
 )
 from ffitts import fitting
-from ffitts.report import comparison_rows
+from ffitts.report import comparison_rows, render_fit_md
 from ffitts.idmodels import compute_id, width_term
 
 AMPLITUDES = (20.0, 30.0, 45.0, 60.0)
@@ -179,9 +179,9 @@ class TestOptimizeC:
             assert abs(c - c_true * k) <= 0.01 * k
 
     def test_recovers_c_inside_the_last_grid_step(self):
-        # half a grid step below c_max (the smallest width minus 1e-6 mm),
+        # half a grid step below c_max (the smallest width less 5e-7 of it),
         # between the last two grid points
-        c_max = min(WIDTHS) - 1e-6
+        c_max = min(WIDTHS) - min(WIDTHS) * fitting._C_REL
         c_true = c_max - 0.5 * c_max / (fitting._GRID_POINTS - 1)
         summaries = grid_summaries(
             lambda a, w: 100.0 + 90.0 * math.log2(a / (w - c_true) + 1.0),
@@ -357,6 +357,17 @@ class TestFitModel:
         assert len(set(ids)) == 1 and sum(ids) / 3 != ids[0]
         with pytest.raises(SingularFitError, match="difficulty values are all equal"):
             fit_model(summaries, Model.M2_EFFECTIVE, cv=False)
+
+    def test_difficulties_a_last_bit_apart_are_singular(self):
+        # one A/W ratio: four difficulties are one float and the fifth the
+        # next float up, a spread of rounding, not of difficulty
+        summaries = [ConditionSummary(Condition(10.0 * k, 1.3 * k), mt_ms=393.0 + 7 * k,
+                                      sigma_obs_mm=0.4 + 0.1 * k) for k in range(1, 6)]
+        ids = compute_id(Model.M1_BASELINE, np.array([10.0 * k for k in range(1, 6)]),
+                         model_widths(Model.M1_BASELINE, summaries))
+        assert 0 < np.ptp(ids) <= 1e-15 * ids.max()
+        with pytest.raises(SingularFitError, match="difficulty values are all equal"):
+            fit_model(summaries, Model.M1_BASELINE)
 
     def test_usable_m7_2d(self, paper_2d):
         result = fit_model(list(paper_2d.summaries), Model.M7_GIVEN_SIGMA_A,
@@ -597,6 +608,16 @@ class TestCompare:
         with pytest.raises(ValidationError):
             compare(paper_2d, [Model.M7_GIVEN_SIGMA_A], sigma_a=None, cv=False)
 
+    def test_c_whose_gain_is_rounding_prints_as_zero(self):
+        # m6's best R^2 beats its R^2 at c = 0 by rounding only, so c is 0
+        # and not a value below what the search resolves
+        dataset = Dataset("46", Dimensionality.TWO_D, tuple(random_summaries(46)))
+        report = compare(dataset, None, sigma_a=0.5)
+        assert report.result(Model.M6_W_SQRT_C).c_mm == 0.0
+        row = next(line for line in render_fit_md(report, dataset).splitlines()
+                   if line.startswith("| #6 "))
+        assert row.endswith(" | 0 |")
+
     def test_sigma_estimate_accepted(self, paper_2d):
         est = SigmaEstimate(1.163, SigmaMethod.CALIB_ACCURACY_ONLY, "paper-2d")
         report = compare(paper_2d, [Model.M7_GIVEN_SIGMA_A], sigma_a=est, cv=False)
@@ -651,6 +672,20 @@ def refit_loocv_rmse(summaries, model):
     return math.sqrt(sum(sq) / len(sq))
 
 
+def summaries_from(rows):
+    """Condition summaries from (A, W, MT, sigma_obs) rows."""
+    return [ConditionSummary(Condition(a, w), mt_ms=mt, sigma_obs_mm=s) for a, w, mt, s in rows]
+
+
+# a condition_sets() draw whose m3 fold holding out the third condition has
+# nearly its c = 0 R^2 at c_max: with c_max an absolute 1e-6 mm below the
+# smallest width, that fold's c stayed 0 in mm but went to c_max, past the
+# held-out width, with every length scaled by 2.54, and CV became undefined
+UNIT_SENSITIVE = summaries_from([
+    (10.0, 8.4, 201.81200799504273, 1.64), (11.0, 4.7, 256.60287074925907, 2.48),
+    (10.0, 0.8, 437.93987519471216, 0.2), (13.0, 0.8, 466.86720111003524, 1.86)])
+
+
 class TestFreeCProperties:
     @_PROPERTY
     @given(summaries=condition_sets(), pair=st.sampled_from(FREE_C_PAIRS))
@@ -672,6 +707,25 @@ class TestFreeCProperties:
         for train in fits:
             _, fit = optimize_c(train, free)
             assert fit.r2 >= fit_model(train, fixed, cv=False).r2 - 1e-12
+
+    def test_cv_does_not_depend_on_the_unit_of_length(self):
+        expected = fit_model(UNIT_SENSITIVE, Model.M3_WE_NOSQRT_C).cv_rmse_ms
+        assert expected is not None
+        for k in (2.54, 0.1):
+            scaled = fit_model(transformed(UNIT_SENSITIVE, k=k), Model.M3_WE_NOSQRT_C)
+            assert scaled.cv_rmse_ms == pytest.approx(expected, rel=1e-9)
+
+    @pytest.mark.parametrize("model", [Model.M3_WE_NOSQRT_C, Model.M4_WE_SQRT_C])
+    def test_flat_fold_keeps_c_zero(self, model):
+        # the fold holding out (10, 1.0) trains on one W_e at two amplitudes,
+        # so its R^2 is the same at every c and only rounding could pick one
+        summaries = summaries_from([
+            (10.0, 0.8, 437.93987519471216, 0.2), (10.0, 0.9, 423.84333910011526, 0.2),
+            (11.0, 0.8, 449.4378744425657, 0.2), (10.0, 1.0, 411.34884567735673, 0.21)])
+        assert optimize_c(summaries[:3], model)[0] == 0.0
+        expected = refit_loocv_rmse(summaries, model)
+        assert expected == pytest.approx(14.8876, abs=1e-4)
+        assert loocv_rmse(summaries, model) == pytest.approx(expected, rel=1e-9)
 
 
 class TestThreeConditions:
@@ -703,6 +757,14 @@ class TestThreeConditions:
         for crit in ("adj_r2", "aic", "bic"):
             assert report.best_by[crit] is fixed.best_by[crit]
             assert report.best_by[crit] in self.FIXED
+
+    def test_r2_pick_is_the_first_model_within_the_margin(self):
+        # every free-c model passes through the three points: their R^2 are
+        # 1 up to rounding, so the first of them in model order is picked
+        report = compare(Dataset("three", Dimensionality.TWO_D, tuple(self.SUMMARIES)), None,
+                         sigma_a=0.5)
+        assert all(report.result(m).r2 == pytest.approx(1.0, abs=1e-12) for m in self.FREE)
+        assert report.best_by["r2"] is Model.M3_WE_NOSQRT_C
 
     def test_optimize_c_is_the_fit_model_fit(self):
         for model in self.FREE:
@@ -848,33 +910,53 @@ def transformed(summaries, k=1.0, q=1.0, p=0.0):
             for s in summaries]
 
 
+def assert_same_ranking(base, other, k=1.0, q=1.0, cv_rel=1e-5):
+    """`other` is the report of `base`'s data with every length scaled by k
+    and MT mapped to q * MT + p, or its rows permuted: c scales by k, R^2
+    stays, CV RMSE scales by q, and which models are usable, which have an
+    undefined CV and which model each criterion picks never change."""
+    assert other.best_by == base.best_by
+    for r, t in zip(base.results, other.results):
+        assert (t.usable, t.cv_rmse_ms is None) == (r.usable, r.cv_rmse_ms is None)
+        if not r.usable:
+            continue
+        assert t.r2 == pytest.approx(r.r2, abs=1e-12)
+        if r.c_mm is not None:
+            assert t.c_mm / k == pytest.approx(r.c_mm, abs=1e-5)
+        if r.cv_rmse_ms is not None:
+            assert t.cv_rmse_ms / q == pytest.approx(r.cv_rmse_ms, rel=cv_rel)
+
+
+def report_of(rows, sigma_a):
+    return compare(Dataset("t", Dimensionality.TWO_D, tuple(rows)), None, sigma_a=sigma_a)
+
+
+LENGTH_SCALES = (2.54, 10.0, 0.1)
+
+
+# seeds 26 and 36 have a near-tie between m1 and m6 at c near 0 that flipped
+# the CV pick under scaling while the search's bounds were absolute
 @pytest.mark.parametrize("source, sigma_a", [("paper-1d", 0.8), ("paper-2d", 0.8)]
-                         + [(seed, 0.5) for seed in range(10)])
+                         + [(seed, 0.5) for seed in (*range(10), 26)] + [(36, 1.2)])
 def test_compare_invariants(source, sigma_a):
-    """Scaling every length by k scales c by k and keeps R^2 and CV RMSE;
-    mapping MT to q * MT + p keeps R^2 and c and scales CV RMSE by q; a row
-    permutation changes nothing beyond rounding.  Which models are usable
-    and which have an undefined CV never changes.  best_by is not pinned:
-    near-ties between m1 and m6 at c near 0 flip the CV pick under scaling."""
+    """Scaling every length by k, mapping MT to q * MT + p or permuting the
+    rows keeps each model's fit as `assert_same_ranking` says."""
     summaries = summaries_of(source)
-
-    def report(rows, sigma=sigma_a):
-        return compare(Dataset("t", Dimensionality.TWO_D, tuple(rows)), None, sigma_a=sigma)
-
-    base = report(summaries)
+    base = report_of(summaries, sigma_a)
     order = np.random.Generator(np.random.PCG64(0)).permutation(len(summaries))
-    cases = [(report(transformed(summaries, k=k), sigma_a * k), k, 1.0, 1e-4)
-             for k in (2.54, 10.0)]
-    cases += [(report(transformed(summaries, q=q, p=p)), 1.0, q, 1e-5)
-              for q, p in ((0.5, 0.0), (3.0, 250.0), (1e-4, 0.0))]
-    cases.append((report([summaries[i] for i in order]), 1.0, 1.0, 1e-5))
-    for other, k, q, cv_rel in cases:
-        for r, t in zip(base.results, other.results):
-            assert (t.usable, t.cv_rmse_ms is None) == (r.usable, r.cv_rmse_ms is None)
-            if not r.usable:
-                continue
-            assert t.r2 == pytest.approx(r.r2, abs=1e-12)
-            if r.c_mm is not None:
-                assert t.c_mm / k == pytest.approx(r.c_mm, abs=1e-5)
-            if r.cv_rmse_ms is not None:
-                assert t.cv_rmse_ms / q == pytest.approx(r.cv_rmse_ms, rel=cv_rel)
+    for k in LENGTH_SCALES:
+        assert_same_ranking(base, report_of(transformed(summaries, k=k), sigma_a * k),
+                            k=k, cv_rel=1e-4)
+    for q, p in ((0.5, 0.0), (3.0, 250.0), (1e-4, 0.0)):
+        assert_same_ranking(base, report_of(transformed(summaries, q=q, p=p), sigma_a), q=q)
+    assert_same_ranking(base, report_of([summaries[i] for i in order], sigma_a))
+
+
+@_PROPERTY
+@given(summaries=condition_sets(), sigma_a=st.floats(0.1, 2.0))
+@example(summaries=UNIT_SENSITIVE, sigma_a=0.5)
+def test_length_scaling_of_drawn_sets(summaries, sigma_a):
+    base = report_of(summaries, sigma_a)
+    for k in LENGTH_SCALES:
+        assert_same_ranking(base, report_of(transformed(summaries, k=k), sigma_a * k),
+                            k=k, cv_rel=1e-4)

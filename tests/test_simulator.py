@@ -210,6 +210,15 @@ class TestConfigValidation:
         config = SimulatorConfig(0.01, 1.0, (2.0,), (30.0,), 10)
         assert (config.seed, config.dimensionality.value) == (cli["seed"], cli["dim"])
 
+    def test_numpy_widths_overflow_without_a_warning(self):
+        # stored as Python floats, sqrt(alpha) * W overflows to a silent inf,
+        # which the tap table then rejects, as for the CLI's float widths
+        cfg = config(alpha=1e308, widths_mm=(np.float64(1e300),), amplitudes_mm=(20.0,),
+                     trials_per_condition=3)
+        assert all(type(v) is float for v in cfg.widths_mm + cfg.amplitudes_mm)
+        with pytest.raises(ValidationError, match="row 0: touch_y_mm must be finite, got inf"):
+            generate(cfg)
+
     def test_negative_noise_sd_rejected(self):
         # a negative SD would silently flip the sign of the noise draws
         with pytest.raises(ValidationError, match="noise_sd_ms"):
