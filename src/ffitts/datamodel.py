@@ -284,8 +284,8 @@ def first_taps(taps: TapTable, outlier_radius_mm: float = OUTLIER_RADIUS_MM) -> 
     Practice taps are dropped, and so are taps farther than
     ``outlier_radius_mm`` (Euclidean) from the target center.  Each
     retained first tap (tap_index 1) defines one trial; the trial is
-    ``retapped`` (an error) when a retained re-tap with the same condition
-    and (participant, block, trial) key follows it.
+    ``retapped`` (an error) when the log holds a retained re-tap with the
+    same condition and (participant, block, trial) key, before or after it.
     """
     if not outlier_radius_mm > 0:
         raise ValidationError(f"outlier radius must be > 0, got {outlier_radius_mm}")

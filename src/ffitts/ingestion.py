@@ -19,7 +19,7 @@ import math
 import sys
 import warnings
 from contextlib import contextmanager
-from itertools import chain, compress, islice, repeat
+from itertools import chain, islice, repeat
 from pathlib import Path
 from typing import IO, Iterator, Sequence
 
@@ -104,13 +104,14 @@ def _read(path: str | Path, trials: bool | None = None) -> TapTable | list[Condi
     """Read a tap log or condition summaries from CSV; the path "-" is stdin.
 
     One leading byte-order mark is ignored, and rows that are blank or start
-    with '#' (metadata) are skipped.  When ``trials`` is None the header
-    picks the kind: a first cell 'participant' means a tap log.  The lines
-    of a tap log that ``_bulk_taps`` reads exactly are read by it, the rest
-    by the csv.reader path (``_block``).  Both stop at the first row that
-    does not convert; the rows before it become one TapTable or the list of
-    ConditionSummary, whose rules are checked once, so the first bad line is
-    named, whichever path read it.
+    with '#' (metadata) are skipped, by ``_records`` alone.  When ``trials``
+    is None the header picks the kind: a first cell 'participant' means a
+    tap log.  The lines of a tap log that ``_bulk_taps`` reads exactly, one
+    record per line, are read by it, the rest by the csv.reader path
+    (``_block``), from the first chunk with a blank or '#' line, say, on.
+    Both stop at the first row that does not convert; the rows before it
+    become one TapTable or the list of ConditionSummary, whose rules are
+    checked once, so the first bad line is named, whichever path read it.
     """
     blocks, error = [], None
     with opened(path) as fh:
@@ -160,8 +161,9 @@ def _read(path: str | Path, trials: bool | None = None) -> TapTable | list[Condi
 
 # what np.loadtxt could read unlike csv.reader, float() and int(): a quote,
 # which numpy takes literally, the separators \x1c-\x1f, which it strips
-# around a number, and NUL, which no tap log holds
-_NOT_BULK = '"\0\x1c\x1d\x1e\x1f'
+# around a number, and NUL, which no tap log holds; and '#', which may start
+# a metadata row that only _records skips
+_NOT_BULK = '"#\0\x1c\x1d\x1e\x1f'
 
 # a tap-log row as np.loadtxt reads it; the text columns are Python strings,
 # which _CONVERT turns into arrays (a fixed-width str field would truncate)
@@ -179,51 +181,36 @@ def _bulk_taps(lines, before: int) -> tuple[list, Iterator[str], int]:
     before ``lines``).  On lines without a character of _NOT_BULK or a line
     beyond csv's field limit, a CSV record is one line split on ',', which
     np.loadtxt reads in C; its numbers come out as float() and int() read
-    them, bit for bit.  A chunk with such a character or line, a field that
+    them, bit for bit.  A chunk with such a character or line, a blank line
+    (numpy would skip it, so it gives fewer rows than lines), a field that
     does not read, a non-finite number (only _floats words its error) or a
     numpy warning is left to the csv.reader path, so a numpy that reads an
     integer field such as '2.5' via a float, and only warns, leaves it too.
-    Python's work per chunk is O(1) unless it holds a blank or '#' line.
     """
     blocks, limit = [], csv.field_size_limit()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for chunk in iter(lambda: list(islice(lines, BLOCK_ROWS)), []):
             text = "".join(chunk)
-            # np.loadtxt skips blank lines, but warns on a chunk of only those
-            kept = chunk
-            if "#" in text or not text.strip("\r\n"):
-                kept = list(filter(_data_line, chunk))
             try:
                 if any(c in text for c in _NOT_BULK) or len(text) > limit < max(map(len, chunk)):
                     raise ValueError("not a plain chunk")
-                if kept:
-                    rows = np.loadtxt(kept, _BULK_ROW, delimiter=",", comments=None,
-                                      quotechar=None, ndmin=1)
-                    # the sum is finite only if every number is; an overflow warns
-                    if not np.isfinite(sum(rows[name].sum() for name in _FLOAT_COLUMNS)):
-                        raise ValueError("not finite")
-                    numbers = range(before + 1, before + 1 + len(chunk))
-                    if len(rows) < len(chunk):
-                        numbers = list(compress(numbers, map(_data_line, chunk)))
-                    # copies, so that the rows and their strings go
-                    blocks.append((numbers, [(_CONVERT[dtype] if dtype in (str, bool) else np.copy)(
-                        rows[name]) for name, dtype in TAP_COLUMNS.items()]))
+                rows = np.loadtxt(chunk, _BULK_ROW, delimiter=",", comments=None,
+                                  quotechar=None, ndmin=1)
+                if len(rows) != len(chunk):
+                    raise ValueError("not one row per line")
+                # the sum is finite only if every number is; an overflow warns
+                if not np.isfinite(sum(rows[name].sum() for name in _FLOAT_COLUMNS)):
+                    raise ValueError("not finite")
+                # copies, so that the rows and their strings go
+                blocks.append((range(before + 1, before + 1 + len(chunk)), [
+                    (_CONVERT[dtype] if dtype in (str, bool) else np.copy)(rows[name])
+                    for name, dtype in TAP_COLUMNS.items()]))
             except (ValueError, KeyError, OverflowError, Warning):
                 lines = chain(chunk, lines)
                 break
             before += len(chunk)
     return blocks, lines, before
-
-
-def _comment(text: str) -> bool:
-    """Whether a record is a '#' (metadata) row, given its first field or line."""
-    return text.lstrip().startswith("#")
-
-
-def _data_line(line: str) -> bool:
-    """Whether a line without a quote is a record: not blank, not a '#' row."""
-    return bool(line.rstrip("\r\n")) and not _comment(line)
 
 
 def _records(reader, before: int = 0) -> Iterator[tuple[int, list]]:
@@ -233,7 +220,7 @@ def _records(reader, before: int = 0) -> Iterator[tuple[int, list]]:
     line = before + 1
     try:
         for row in reader:
-            if row and not _comment(row[0]):
+            if row and not row[0].lstrip().startswith("#"):
                 yield line, row
             line = before + reader.line_num + 1
     except csv.Error as exc:

@@ -1,4 +1,5 @@
 import os
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -15,13 +16,14 @@ settings.load_profile("ffitts")
 
 def pytest_configure(config):
     # Hypothesis caches constants it reads from local source files at
-    # collection time; keep that cache in pytest's cache directory rather
-    # than in a .hypothesis/ directory of the checkout.
+    # collection time, and a failing property writes its patches; keep both
+    # in pytest's cache directory, or in the temporary directory when the
+    # cache plugin is off, rather than in a .hypothesis/ directory of the
+    # checkout.
     cache = getattr(config, "cache", None)
-    if cache is not None:
-        os.environ.setdefault(
-            "HYPOTHESIS_STORAGE_DIRECTORY", str(cache.mkdir("hypothesis"))
-        )
+    directory = (cache.mkdir("hypothesis") if cache is not None
+                 else Path(tempfile.gettempdir()) / "ffitts-hypothesis")
+    os.environ.setdefault("HYPOTHESIS_STORAGE_DIRECTORY", str(directory))
 
 
 @pytest.fixture(scope="session")

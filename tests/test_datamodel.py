@@ -405,6 +405,15 @@ class TestFirstTaps:
         # only p1's trial 1 has a re-tap inside the radius
         assert taps.retapped.tolist() == [False, False, True]
 
+    def test_retap_listed_before_its_first_tap(self):
+        # the rule is per trial key, not per row order
+        trials = [
+            make_trial(COND, dy=0.7, tap_index=2, trial=1),
+            make_trial(COND, dy=0.1, trial=1),
+            make_trial(COND, dy=0.2, trial=2),
+        ]
+        assert first_taps(table(trials)).retapped.tolist() == [True, False]
+
     def test_deviation_is_touch_minus_target(self):
         record = TrialRecord("p1", COND, target_x_mm=100.0, target_y_mm=50.0,
                              touch_x_mm=100.5, touch_y_mm=49.0, mt_ms=300.0)

@@ -509,9 +509,9 @@ class TestBulkReader:
         assert_same_columns(load("-"), expected)
 
     @pytest.mark.parametrize("lines,declined", [
-        # np.loadtxt skips empty lines, as the csv path does ...
-        ([HEADER, "", GOOD_ROWS[0], "\r", GOOD_ROWS[1]], False),
-        # ... but rejects a whitespace-only line, a one-field record there
+        # np.loadtxt skips empty lines, so it gives fewer rows than lines ...
+        ([HEADER, "", GOOD_ROWS[0], "\r", GOOD_ROWS[1]], True),
+        # ... and rejects a whitespace-only line, a one-field record there
         ([HEADER, GOOD_ROWS[0], "   ", GOOD_ROWS[1]], True),
         # it keeps " P01 " unstripped; the reader strips it as the csv path does
         ([HEADER, GOOD_ROWS[0].replace("p1", " P01 ")], False),
@@ -527,7 +527,7 @@ class TestBulkReader:
           for c in "\x1c\x1d\x1e\x1f"),
         ([HEADER, GOOD_ROWS[0].replace("p1", "p\x00")], True),
         # a '#' row in a later block, and a bad row there
-        ([HEADER] + GOOD_ROWS[:1] * BLOCK_ROWS + ["  # seed=7", GOOD_ROWS[1]], False),
+        ([HEADER] + GOOD_ROWS[:1] * BLOCK_ROWS + ["  # seed=7", GOOD_ROWS[1]], True),
         ([HEADER] + GOOD_ROWS[:1] * BLOCK_ROWS + ["# seed=7", GOOD_ROWS[1][:-5] + "maybe"],
          True),
         # digits and separators that only Python reads
@@ -535,7 +535,7 @@ class TestBulkReader:
         # a one-field record after a '#' row
         ([HEADER, "# seed=7", "x", GOOD_ROWS[0]], True),
         # a block of blank lines only, and no data row
-        ([HEADER] + GOOD_ROWS[:1] * BLOCK_ROWS + [""] * BLOCK_ROWS + GOOD_ROWS[1:2], False),
+        ([HEADER] + GOOD_ROWS[:1] * BLOCK_ROWS + [""] * BLOCK_ROWS + GOOD_ROWS[1:2], True),
         ([HEADER, "", "\r"], True),
         # no data row, no header
         ([HEADER, "# seed=7"], True),
@@ -544,6 +544,14 @@ class TestBulkReader:
         ([HEADER + "x", GOOD_ROWS[0]], True),
         # csv.reader reads the header, so a quoted one is no bar
         ([",".join(f'"{c}"' for c in TRIAL_CSV_COLUMNS), GOOD_ROWS[0]], False),
+        # with the cases above, a '#' row and a blank line each in the first
+        # chunk, a later one and on the last line; only the csv path skips them
+        ([HEADER, GOOD_ROWS[0], "# seed=7", GOOD_ROWS[1]], True),
+        ([HEADER] + GOOD_ROWS[:1] * BLOCK_ROWS + GOOD_ROWS[1:] + ["# end"], True),
+        ([HEADER] + GOOD_ROWS[:1] * BLOCK_ROWS + [GOOD_ROWS[1], "", GOOD_ROWS[2]], True),
+        ([HEADER] + GOOD_ROWS[:1] * BLOCK_ROWS + GOOD_ROWS[1:] + [""], True),
+        # a '#' inside a participant ID, which the csv path reads as an ID
+        ([HEADER, GOOD_ROWS[0].replace("p1", "mid#hash"), GOOD_ROWS[1]], True),
     ])
     def test_seams(self, tmp_path, lines, declined):
         path = write(tmp_path, lines)
@@ -556,15 +564,16 @@ class TestBulkReader:
 
     def test_csv_path_reads_from_the_first_chunk_numpy_cannot(self, tmp_path, monkeypatch):
         quoted = GOOD_ROWS[1].replace("p1", '"p,1"')
-        lines = [HEADER, "# seed=7", ""] + GOOD_ROWS[:1] * (2 * BLOCK_ROWS - 2) + [quoted, ""]
-        lines += GOOD_ROWS[2:] * 3
+        lines = ["# seed=7", "", HEADER] + GOOD_ROWS[:1] * (2 * BLOCK_ROWS) + [quoted, ""]
+        lines += ["  # x"] + GOOD_ROWS[2:] * 3
         path = write(tmp_path, lines)
         block, seen = ingestion._block, []
         monkeypatch.setattr(ingestion, "_block",
                             lambda numbers, *args: seen.extend(numbers) or block(numbers, *args))
         taps = load_trials_csv(path)
-        # line 1 is the header, the csv.reader path reads the third chunk only
-        assert seen == [2 * BLOCK_ROWS + 2] + [2 * BLOCK_ROWS + 4 + i for i in range(3)]
+        # line 3 is the header, the csv.reader path reads the third chunk only,
+        # skipping its blank and '#' lines
+        assert seen == [2 * BLOCK_ROWS + 4] + [2 * BLOCK_ROWS + 7 + i for i in range(3)]
         assert taps.participant.tolist()[-4:] == ["p,1", "p1", "p1", "p1"]
         monkeypatch.setattr(ingestion, "_block", block)
         assert_same_columns(taps, csv_read(path))
@@ -706,23 +715,13 @@ class TestOnePass:
 
     @pytest.mark.parametrize("skipped", [["# seed=7"], [""], ["", "  # x", "\r"]],
                              ids=["comment", "blank", "mixed"])
-    def test_broken_rule_after_skipped_lines_named(self, tmp_path, monkeypatch, skipped):
-        # numpy reads the chunk; its line numbers must leave out what it skips
+    def test_broken_rule_after_skipped_lines_named(self, tmp_path, skipped):
+        # the line numbers of the rows read must leave out what is skipped
         negative_mt = GOOD_ROWS[1].replace("287.0", "-5.0")
         path = write(tmp_path, [HEADER, GOOD_ROWS[0]] + skipped + [negative_mt, GOOD_ROWS[2]])
-        monkeypatch.setattr(ingestion, "_block", mock.Mock(side_effect=AssertionError))
         line = 3 + len(skipped)
         assert outcome(load_trials_csv, path) == (
             ParseError, f"line {line}: mt_ms must be finite and >= 0, got -5.0", line)
-
-    def test_no_call_per_line_on_plain_chunks(self, tmp_path, monkeypatch):
-        # only a chunk with a blank or '#' line is filtered line by line
-        path = write_text(tmp_path / "log.csv", self.SIM)
-        data_line = mock.Mock(side_effect=ingestion._data_line)
-        monkeypatch.setattr(ingestion, "_data_line", data_line)
-        assert len(load_trials_csv(path)) > BLOCK_ROWS and data_line.call_count == 0
-        load_trials_csv(write(tmp_path, [HEADER, GOOD_ROWS[0], "", GOOD_ROWS[1]]))
-        assert data_line.call_count == 3
 
     def test_line_as_long_as_the_csv_limit_read_by_numpy(self, tmp_path):
         row = GOOD_ROWS[0].replace("p1", "p" * 50)
