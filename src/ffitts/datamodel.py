@@ -56,15 +56,12 @@ OUTLIER_RADIUS_MM = 15.0
 def finite_rule(rule: str, values):
     """Where ``values`` (a number or an array) break ``rule``, a name alone
     ("a_ms": finite) or a name then "> 0" or ">= 0" ("width > 0"; NaN and
-    infinities break every rule), as a bool mask (a bool for a Python
-    number), with the message for bad element i: the one wording of the rule."""
+    infinities break every rule), as a bool mask, with the message for bad
+    element i: the one wording of the rule."""
     strict, low, says = _parsed(rule)
-    if isinstance(values, (int, float)):  # a 0-d array costs ~10 us a number
-        return (not ((values > low if strict else values >= low) and values < math.inf),
-                lambda i: f"{says}, got {values}")
     v = np.asarray(values)
     return (~((v > low if strict else v >= low) & (v < np.inf)),
-            lambda i: f"{says}, got {v.flat[i].item()}")
+            lambda i: f"{says}, got {v.item(i)}")
 
 
 @cache
@@ -80,7 +77,7 @@ def require(*rules) -> None:
     """Raise ValidationError for the first element that breaks one of the
     (bad mask, message for element i) ``rules``, worded by the first rule it
     breaks; an array's element is named as ``row``."""
-    if any(mask if type(mask) is bool else mask.any() for mask, _ in rules):
+    if any(mask.any() for mask, _ in rules):
         masks = np.broadcast_arrays(*(mask for mask, _ in rules))
         bad = np.logical_or.reduce(masks)
         i = int(np.argmax(bad))

@@ -5,7 +5,8 @@ with a free tremor parameter c maximize R^2 over c with a bounded search:
 a 2000-point coarse grid over [0, c_max] followed by golden-section
 refinement of the bracketing interval, ties broken toward smaller c.  Both
 bounds scale with the smallest width term W, for the subtractive and the
-square-root forms alike: c_max is W * (1 - 5e-7) and the refinement stops
+square-root forms alike: c_max is W * (1 - 5e-7), and the refinement takes
+a fixed 16 steps, the fewest that close a bracket of two grid spacings
 within W * 5e-7.  c stays 0 unless it raises R^2 by more than 1e-12.
 
 Leave-one-condition-out cross-validation re-optimizes c in every fold.
@@ -60,6 +61,9 @@ _GRID_BLOCK = 500
 _C_REL = 5e-7  # of the smallest width: 1e-6 mm at the bundled data's 2 mm
 _R2_MARGIN = 1e-12  # an R^2 gain or gap this small is rounding, not fit
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# golden-section steps: the fewest that close a bracket of two grid
+# spacings within W * _C_REL, whatever the smallest width W
+_STEPS = math.ceil(math.log((_GRID_POINTS - 1) * _C_REL / (2 * (1 - _C_REL)), _GOLDEN))
 
 CRITERIA = ("r2", "adj_r2", "aic", "bic", "cv_rmse_ms")
 
@@ -163,19 +167,19 @@ def _search_c(specs, amps, mt, folds=False) -> np.ndarray:
     relative to the row's smallest kept width W: a 2000-point grid over
     [0, c_max], c_max = W - W * _C_REL (rows sharing c_max, as the full fit
     and the folds that keep the smallest width do, share one id table), then
-    golden-section refinement of the bracket around the first grid maximum
-    down to W - c_max, ties keeping the smaller-c interval.  The refinement
-    is one loop over the stacked rows of every spec, so each free-c model of
-    a request shares it; a model's rows come out as a search of its own
-    would give them.  The refined c replaces the grid c only when its R^2 is
-    strictly higher, and c = 0 unless that R^2 beats the grid's at c = 0 by
-    more than _R2_MARGIN; so too where c_max rounds to W.  Rows keeping n
-    and n - 1 sum apart.
+    _STEPS golden-section steps on the bracket around the first grid
+    maximum, which close it within W - c_max for every row, ties keeping the
+    smaller-c interval.  The refinement is one loop over the stacked rows of
+    every spec, so each free-c model of a request shares it; a model's rows
+    come out as a search of its own would give them.  The refined c replaces
+    the grid c only when its R^2 is strictly higher, and c = 0 unless that
+    R^2 beats the grid's at c = 0 by more than _R2_MARGIN; so too where c_max
+    rounds to W.  Rows keeping n and n - 1 sum apart.
     """
     n = len(mt)
     keep = np.vstack([np.ones((1, n), dtype=bool)] + [~np.eye(n, dtype=bool)] * folds)
     f = len(keep)
-    best_c, lo, hi, tol, r2_0 = np.zeros((5, len(specs) * f))
+    best_c, lo, hi, r2_0 = np.zeros((4, len(specs) * f))
     for s, (model, widths) in enumerate(specs):
         w_min = np.where(keep, widths, np.inf).min(axis=1)
         c_max = w_min - w_min * _C_REL
@@ -188,7 +192,7 @@ def _search_c(specs, amps, mt, folds=False) -> np.ndarray:
                            keep[np.ix_(rows, live)], mt[live])
             i = np.argmax(r2s, axis=1)  # first max: ties prefer smaller c
             at = rows + s * f
-            best_c[at], r2_0[at], tol[at] = grid[i], r2s[:, 0], w_min[rows] - cm
+            best_c[at], r2_0[at] = grid[i], r2s[:, 0]
             lo[at] = grid[np.maximum(i - 1, 0)]
             hi[at] = grid[np.minimum(i + 1, _GRID_POINTS - 1)]
 
@@ -214,23 +218,18 @@ def _search_c(specs, amps, mt, folds=False) -> np.ndarray:
             r2[rows] = np.divide(sxy * sxy, den, out=np.zeros_like(den), where=den > 0)
         return r2
 
-    # golden-section refinement of every row under one loop; a row stops
-    # moving once its bracket is within its tolerance
+    # golden-section refinement of every row under one loop of _STEPS steps
     x1 = hi - _GOLDEN * (hi - lo)
     x2 = lo + _GOLDEN * (hi - lo)
     f1, f2 = r2_at(x1), r2_at(x2)
-    while (active := hi - lo > tol).any():
+    for _ in range(_STEPS):
         left = f1 >= f2  # maximize; ties keep the left (smaller-c) interval
-        new_lo, new_hi = np.where(left, lo, x1), np.where(left, x2, hi)
-        step = _GOLDEN * (new_hi - new_lo)
-        x = np.where(left, new_hi - step, new_lo + step)
+        lo, hi = np.where(left, lo, x1), np.where(left, x2, hi)
+        step = _GOLDEN * (hi - lo)
+        x = np.where(left, hi - step, lo + step)
         fx = r2_at(x)
-        state = (new_lo, new_hi, np.where(left, x, x2), np.where(left, fx, f2),
-                 np.where(left, x1, x), np.where(left, f1, fx))
-        if not active.all():  # rows already within tolerance keep their state
-            state = [np.where(active, new, old)
-                     for new, old in zip(state, (lo, hi, x1, f1, x2, f2))]
-        lo, hi, x1, f1, x2, f2 = state
+        x1, f1, x2, f2 = (np.where(left, x, x2), np.where(left, fx, f2),
+                          np.where(left, x1, x), np.where(left, f1, fx))
     c_ref = np.where(f1 >= f2, lo, x2)
     r2_ref, r2_grid = r2_at(c_ref), r2_at(best_c)
     best = np.where(r2_ref > r2_grid, c_ref, best_c)

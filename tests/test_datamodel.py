@@ -79,8 +79,8 @@ class TestTypes:
         (lambda v: SigmaEstimate(v, SigmaMethod.USER_GIVEN), "sigma_a"),
     ])
     def test_number_rule_message(self, make, name, value, text):
-        # an int or float (np.float64 too) takes finite_rule's scalar branch,
-        # np.float32 and np.int64 a 0-d array: one wording either way
+        # a Python or numpy int or float, as a 0-d array: each worded as the
+        # Python number it holds
         with pytest.raises(ValidationError) as exc:
             make(value)
         assert (str(exc.value), exc.value.row) == (f"{name} must be finite and > 0, got {text}",

@@ -190,6 +190,13 @@ class TestOptimizeC:
         c, fit = optimize_c(summaries, Model.M5_W_NOSQRT_C)
         assert c == pytest.approx(c_true, abs=1e-5)
 
+    def test_steps_close_two_grid_spacings_within_the_tolerance(self):
+        # the least n that takes a bracket of two grid spacings, 2 * c_max /
+        # (_GRID_POINTS - 1), within W * _C_REL for any smallest width W
+        ratio = 2 * (1 - fitting._C_REL) / ((fitting._GRID_POINTS - 1) * fitting._C_REL)
+        n = fitting._STEPS
+        assert fitting._GOLDEN ** n * ratio <= 1 < fitting._GOLDEN ** (n - 1) * ratio
+
     def test_deterministic(self, paper_1d):
         c1, _ = optimize_c(list(paper_1d.summaries), Model.M6_W_SQRT_C)
         c2, _ = optimize_c(list(paper_1d.summaries), Model.M6_W_SQRT_C)

@@ -6,6 +6,7 @@ import sys
 import textwrap
 import threading
 import warnings
+from itertools import chain
 from pathlib import Path
 from unittest import mock
 
@@ -411,6 +412,28 @@ def outcome(load, path):
         return type(exc), str(exc), getattr(exc, "line", None)
 
 
+def lines_read(load, path):
+    """What ``outcome(load, path)`` gives, and the line of every row read on
+    the way, in order: the numbers of each block ``_bulk_taps`` returns and
+    those ``_block`` gets.  On a log that loads, each row is read once."""
+    lines = []
+    bulk_taps, block = ingestion._bulk_taps, ingestion._block
+
+    def bulk_spy(*args):
+        blocks, rest, before = bulk_taps(*args)
+        lines.extend(chain.from_iterable(numbers for numbers, _ in blocks))
+        return blocks, rest, before
+
+    def block_spy(*args):
+        (numbers, arrays), error = block(*args)
+        lines.extend(numbers)
+        return (numbers, arrays), error
+
+    with (mock.patch.object(ingestion, "_bulk_taps", bulk_spy),
+          mock.patch.object(ingestion, "_block", block_spy)):
+        return outcome(load, path), lines
+
+
 def write_text(path, text):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(text)
@@ -484,12 +507,14 @@ class TestBulkReader:
     def test_declines_or_reads_what_the_csv_path_reads(self, tmp_path_factory, text, block):
         # short blocks hand a log over to the csv.reader path part-way
         path = write_text(tmp_path_factory.getbasetemp() / "bulk.csv", text)
-        exact = outcome(csv_read, path)
+        exact, exact_lines = lines_read(csv_read, path)
         with mock.patch.object(ingestion, "BLOCK_ROWS", block):
-            bulk, public = bulk_read(path), outcome(load_trials_csv, path)
+            bulk = bulk_read(path)
+            public, public_lines = lines_read(load_trials_csv, path)
         if isinstance(exact, tuple):  # every error comes from the csv.reader path
             assert bulk is None and public == exact
             return
+        assert public_lines == exact_lines  # each row from the line csv.reader gives it
         for got in (public, bulk):
             if got is not None:
                 assert_same_columns(got, exact)
