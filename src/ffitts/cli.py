@@ -21,7 +21,6 @@ from contextlib import contextmanager
 from pathlib import Path
 
 import click
-import numpy as np
 
 from . import report as rpt
 from .datamodel import (
@@ -34,14 +33,12 @@ from .datamodel import (
     TapTable,
     aggregate,
     first_taps,
-    summarize,
 )
 from .errors import (
     EmptyDatasetError,
     FfittsError,
     ParseError,
     UnknownDatasetError,
-    UnsupportedSampleSizeError,
     ValidationError,
 )
 from .fitting import compare
@@ -54,13 +51,6 @@ from .ingestion import (
     opened,
     source_name,
     write_trials_csv,
-)
-from .sigma import (
-    NORMALITY_SIZES,
-    CalibrationMode,
-    normality_check,
-    sigma_from_calibration,
-    sigma_from_intercept,
 )
 from .simulator import MovementTimeModel, SimulatorConfig, config_metadata, generate
 
@@ -283,15 +273,16 @@ def sigma(dataset_name, input_path, method, instruction, dim, axis, outlier_mm,
     """
     dataset = _embedded_or_none(dataset_name, input_path)
     if dataset is not None:
-        source = dataset_name
-        rows = [rpt.sigma_row(est.method, est.sigma_a_mm,
-                              note="cataloged value; raw deviations not available")
-                for est in dataset.sigma_a_catalog]
+        source, rows = dataset_name, rpt.catalog_sigma_rows(dataset)
     else:
         source = source_name(input_path)
-        rows = _sigma_rows_from_log(
-            input_path, method, instruction, dim, axis, outlier_mm, alpha
-        )
+        try:
+            taps = first_taps(load_trials_csv(input_path), outlier_mm)
+        except (ParseError, EmptyDatasetError) as exc:
+            raise click.UsageError(str(exc)) from None
+        calib, intercept = SigmaMethod(f"calib-{instruction}"), SigmaMethod.INTERCEPT_FITTS
+        estimators = {"all": (calib, intercept), "calib": (calib,), "intercept": (intercept,)}
+        rows = rpt.sigma_rows(taps, estimators[method], _axis_mode(axis, dim), alpha)
 
     if fmt == "json":
         text = rpt.to_json(rpt.sigma_document(source, rows))
@@ -300,74 +291,6 @@ def sigma(dataset_name, input_path, method, instruction, dim, axis, outlier_mm,
     else:
         text = rpt.render_sigma_md(source, rows)
     _emit(text, out)
-
-
-def _sigma_rows_from_log(input_path, method, instruction, dim, axis, outlier_mm,
-                         alpha) -> list[dict]:
-    try:
-        taps = first_taps(load_trials_csv(input_path), outlier_mm)
-    except (ParseError, EmptyDatasetError, ValidationError) as exc:
-        raise click.UsageError(str(exc)) from None
-
-    axis_mode = _axis_mode(axis, dim)
-    devs = taps.dx_mm if axis_mode is AxisMode.X else taps.dy_mm
-    rows = []
-    if method in ("all", "calib"):
-        tag = (SigmaMethod.CALIB_RAPID_ACCURATE if instruction == "ra"
-               else SigmaMethod.CALIB_ACCURACY_ONLY)
-        bivariate = axis_mode is AxisMode.BIVARIATE
-        rows.append(_calibration_row(taps, devs, bivariate, tag, alpha))
-    if method in ("all", "intercept"):
-        rows.append(_intercept_row(taps, devs, axis_mode, alpha))
-    return rows
-
-
-def _calibration_row(taps, devs, bivariate, tag, alpha):
-    samples = np.column_stack([taps.dx_mm, taps.dy_mm]) if bivariate else devs
-    mode = CalibrationMode.BIVARIATE if bivariate else CalibrationMode.UNIVARIATE
-    try:
-        est = sigma_from_calibration(samples, mode, method=tag)
-    except FfittsError as exc:
-        return rpt.sigma_row(tag, note=f"warning: {exc}")
-    # the estimate stands whether or not the normality test can run
-    try:
-        check = normality_check(devs, alpha=alpha)
-        normality = (
-            f"W={check.statistic:.3f} p={check.p_value:.3f} "
-            f"{'pass' if check.passed else 'FAIL'}"
-        )
-    except FfittsError as exc:
-        normality = f"skipped: {exc}"
-    return rpt.sigma_row(tag, est.sigma_a_mm, normality)
-
-
-def _intercept_row(taps, devs, axis_mode, alpha):
-    method = SigmaMethod.INTERCEPT_FITTS
-    try:
-        fit = sigma_from_intercept(summarize(taps, axis_mode))
-        est = fit.estimate(method)
-        passed, total = _per_condition_normality(taps, devs, alpha)
-        normality = (f"{passed}/{total} condition groups pass" if total else
-                     "skipped: no condition group size in supported range "
-                     "[{}, {}]".format(*NORMALITY_SIZES))
-        return rpt.sigma_row(method, est.sigma_a_mm, normality,
-                             f"regression R2={fit.r2:.3f}, slope={fit.slope:.4g}")
-    except FfittsError as exc:
-        return rpt.sigma_row(method, note=f"warning: {exc}")
-
-
-def _per_condition_normality(taps, devs, alpha):
-    """Shapiro-Wilk per condition; groups of unsupported size are not counted."""
-    passed = total = 0
-    for i in range(len(taps.conditions)):
-        try:
-            passed += normality_check(devs[taps.condition == i], alpha=alpha).passed
-        except UnsupportedSampleSizeError:
-            continue
-        except FfittsError:
-            pass
-        total += 1
-    return passed, total
 
 
 @main.command()

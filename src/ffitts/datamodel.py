@@ -64,7 +64,6 @@ def finite_rule(rule: str, values):
             lambda i: f"{says}, got {v.item(i)}")
 
 
-@cache
 def _parsed(rule: str) -> tuple[bool, float, str]:
     """(strict, lower bound, wording) of a ``finite_rule`` rule."""
     if not rule.endswith((" > 0", " >= 0")):

@@ -3,7 +3,8 @@
 Each table has one builder that returns full-precision rows: the model
 comparison (``comparison_rows``), the adjusted-width matrix (``wf_matrix``),
 the fits plot (``fits_plot_rows``), the intercept plot (``intercept_plot``)
-and the tremor-spread estimates (``sigma_row``).  The renderers below only
+and the tremor-spread estimates (``sigma_rows`` from a log's first taps,
+``catalog_sigma_rows`` from a dataset's catalog).  The renderers below only
 format those rows.
 
 Markdown mirrors the conventions of the reference tables this package
@@ -27,12 +28,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .datamodel import Dataset, SigmaEstimate, SigmaMethod
-from .errors import ValidationError
+from .datamodel import AxisMode, Dataset, FirstTaps, SigmaEstimate, SigmaMethod, summarize
+from .errors import FfittsError, UnsupportedSampleSizeError, ValidationError
 from .fitting import FitResult, SelectionReport
 from .idmodels import Model, finger_width
 from .ingestion import csv_text
-from .sigma import InterceptFit, sigma_from_intercept
+from .sigma import (NORMALITY_SIZES, CalibrationMode, InterceptFit, normality_check,
+                    sigma_from_calibration, sigma_from_intercept)
 
 ERR_CELL = "!err"
 
@@ -267,12 +269,85 @@ def render_intercept_plot_csv(dataset: Dataset) -> str:
 # ---------------------------------------------------------------------------
 
 SIGMA_COLUMNS = ["method", "label", "sigma_a_mm", "normality", "note"]
+_TAP_ESTIMATORS = (SigmaMethod.CALIB_RAPID_ACCURATE, SigmaMethod.CALIB_ACCURACY_ONLY,
+                   SigmaMethod.INTERCEPT_FITTS)
 
 
 def sigma_row(method: SigmaMethod, sigma_a_mm: float | None = None,
               normality: str | None = None, note: str = "") -> dict:
     """One tremor-spread estimate tagged by its method; None when it failed."""
     return dict(zip(SIGMA_COLUMNS, (method.value, method.label, sigma_a_mm, normality, note)))
+
+
+def catalog_sigma_rows(dataset: Dataset) -> list[dict]:
+    """One row per cataloged estimate of a dataset, with no normality text."""
+    return [sigma_row(est.method, est.sigma_a_mm,
+                      note="cataloged value; raw deviations not available")
+            for est in dataset.sigma_a_catalog]
+
+
+def sigma_rows(taps: FirstTaps, estimators: Sequence[SigmaMethod],
+               axis_mode: AxisMode = AxisMode.Y, alpha: float = 0.05) -> list[dict]:
+    """One row per estimator of a first-tap selection, in the order given.
+
+    ``calib-ra`` and ``calib-acc`` tag the calibration spread of all first
+    taps (bivariate under ``AxisMode.BIVARIATE``), and ``intercept-fitts``
+    regresses the ``summarize`` spreads on W^2.  A row holds its Shapiro-Wilk
+    text at ``alpha`` (along y when bivariate), or no value and a warning.
+    """
+    if unknown := [m.value for m in estimators if m not in _TAP_ESTIMATORS]:
+        raise ValueError(f"no tap-log estimator for {', '.join(unknown)}")
+    devs = taps.dx_mm if axis_mode is AxisMode.X else taps.dy_mm
+    return [_intercept_row(taps, devs, axis_mode, alpha) if m is SigmaMethod.INTERCEPT_FITTS
+            else _calibration_row(taps, devs, axis_mode is AxisMode.BIVARIATE, m, alpha)
+            for m in estimators]
+
+
+def _calibration_row(taps: FirstTaps, devs, bivariate: bool, method: SigmaMethod,
+                     alpha: float) -> dict:
+    samples = np.column_stack([taps.dx_mm, taps.dy_mm]) if bivariate else devs
+    mode = CalibrationMode.BIVARIATE if bivariate else CalibrationMode.UNIVARIATE
+    try:
+        est = sigma_from_calibration(samples, mode, method=method)
+    except FfittsError as exc:
+        return sigma_row(method, note=f"warning: {exc}")
+    # the estimate stands whether or not the normality test can run
+    try:
+        check = normality_check(devs, alpha=alpha)
+        normality = (f"W={check.statistic:.3f} p={check.p_value:.3f} "
+                     f"{'pass' if check.passed else 'FAIL'}")
+    except FfittsError as exc:
+        normality = f"skipped: {exc}"
+    return sigma_row(method, est.sigma_a_mm, normality)
+
+
+def _intercept_row(taps: FirstTaps, devs, axis_mode: AxisMode, alpha: float) -> dict:
+    method = SigmaMethod.INTERCEPT_FITTS
+    try:
+        fit = sigma_from_intercept(summarize(taps, axis_mode))
+        est = fit.estimate(method)
+    except FfittsError as exc:
+        return sigma_row(method, note=f"warning: {exc}")
+    passed, total = _per_condition_normality(taps, devs, alpha)
+    normality = (f"{passed}/{total} condition groups pass" if total else
+                 "skipped: no condition group size in supported range "
+                 "[{}, {}]".format(*NORMALITY_SIZES))
+    return sigma_row(method, est.sigma_a_mm, normality,
+                     f"regression R2={fit.r2:.3f}, slope={fit.slope:.4g}")
+
+
+def _per_condition_normality(taps: FirstTaps, devs, alpha: float) -> tuple[int, int]:
+    """Shapiro-Wilk per condition; groups of unsupported size are not counted."""
+    passed = total = 0
+    for i in range(len(taps.conditions)):
+        try:
+            passed += normality_check(devs[taps.condition == i], alpha=alpha).passed
+        except UnsupportedSampleSizeError:
+            continue
+        except FfittsError:
+            pass
+        total += 1
+    return passed, total
 
 
 def render_sigma_md(source: str, rows: Sequence[dict]) -> str:

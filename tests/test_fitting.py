@@ -814,6 +814,25 @@ class TestSharedSearch:
             optimize_c(summaries[:i] + summaries[i + 1:], model)[0].hex()
             for i in range(len(summaries))]
 
+    @pytest.mark.parametrize("source", ["paper-1d", "paper-2d", *range(10)])
+    @pytest.mark.parametrize("model", [model for model, _ in FREE_C_PAIRS])
+    def test_full_fit_grid_has_the_same_bits_beside_the_folds(self, source, model):
+        # _grid_r2 sums the full fit's row apart from the folds' rows, which
+        # keep one condition fewer, so the grid R^2 of the full fit, and the
+        # c it picks, do not depend on whether the folds are searched with it
+        summaries = summaries_of(source)
+        n = len(summaries)
+        amps = np.array([s.condition.amplitude_mm for s in summaries])
+        mt = np.array([s.mt_ms for s in summaries])
+        widths = model_widths(model, summaries)
+        w_min = widths.min()
+        grid = np.linspace(0.0, w_min * (1 - fitting._C_REL), fitting._GRID_POINTS)
+        full = np.ones((1, n), dtype=bool)
+        with_folds = fitting._grid_r2(model, amps, widths, grid,
+                                      np.vstack([full, ~np.eye(n, dtype=bool)]), mt)
+        alone = fitting._grid_r2(model, amps, widths, grid, full, mt)
+        assert np.array_equal(with_folds[0].view(np.int64), alone[0].view(np.int64))
+
     @pytest.mark.parametrize("model,grids", [
         (Model.M3_WE_NOSQRT_C, 2), (Model.M4_WE_SQRT_C, 2),
         (Model.M5_W_NOSQRT_C, 1), (Model.M6_W_SQRT_C, 1),
