@@ -143,8 +143,9 @@ class TapTable:
     """A tap log as parallel arrays, one element per tap, in log order.
 
     The constructor converts each column to its ``TAP_COLUMNS`` dtype and
-    holds the per-tap rules; a broken rule raises ValidationError naming the
-    first bad row (its ``row``).  A participant ID may not start with '#',
+    holds the per-tap rules; a value that does not convert exactly (back to
+    itself) or a broken rule raises ValidationError naming the first bad
+    row (its ``row``).  A participant ID may not start with '#',
     carry surrounding whitespace or contain a line break (CR or LF), which
     the tap CSV would not keep.  Iterating yields one ``TrialRecord`` per
     tap.
@@ -165,7 +166,7 @@ class TapTable:
 
     def __post_init__(self):
         for name, dtype in TAP_COLUMNS.items():
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype))
+            object.__setattr__(self, name, _column(name, getattr(self, name), dtype))
         pid, a, w, mt, tap = (self.participant, self.amplitude_mm, self.width_mm,
                               self.mt_ms, self.tap_index)
         if mt.ndim != 1 or any(getattr(self, n).shape != mt.shape for n in TAP_COLUMNS):
@@ -194,6 +195,29 @@ class TapTable:
             for pid, blk, trial, a, w, tx, ty, x, y, mt, tap, practice in zip(*block):
                 yield TrialRecord(pid, condition(a, w), tx, ty, x, y, mt, tap, practice,
                                   blk, trial)
+
+
+def _column(name: str, values, dtype) -> np.ndarray:
+    """``values`` as an array of ``dtype``, which each value must convert to
+    exactly: "false" to bool, 2.7 or NaN to int64 raises ValidationError."""
+    given = np.asarray(values)
+    if not np.can_cast(given.dtype, dtype, "equiv"):  # the reader's columns are typed
+        require((_lost(given, dtype),
+                 lambda i: f"{name} must convert exactly to {np.dtype(dtype)}, "
+                           f"got {given.item(i)!r}"))
+    return given.astype(dtype, copy=False)
+
+
+def _lost(given: np.ndarray, dtype) -> np.ndarray:
+    """Where the values of ``given`` do not convert to ``dtype`` and back to
+    themselves."""
+    try:
+        with np.errstate(invalid="ignore"):  # NaN or an overflow casts to garbage
+            return given.astype(dtype).astype(given.dtype) != given
+    except (TypeError, ValueError, OverflowError):  # a value does not convert
+        if not given.ndim:
+            return np.True_
+        return np.array([_lost(np.asarray(v), dtype) for v in given.ravel().tolist()])
 
 
 @dataclass(frozen=True, slots=True)

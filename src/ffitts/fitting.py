@@ -260,6 +260,7 @@ def optimize_c(summaries: Sequence[ConditionSummary], model: Model) -> tuple[flo
 class PerCondition:
     condition: Condition
     id_bits: float
+    mt_ms: float  # observed
     predicted_mt_ms: float
     residual_ms: float
 
@@ -416,7 +417,8 @@ def _fit_result(summaries, model: Model, columns, cs, sigma_est, folds) -> FitRe
         cv_rmse_ms=cv_rmse,
         rss=fit.rss,
         per_condition=tuple(map(PerCondition, [s.condition for s in summaries],
-                                ids.tolist(), pred.tolist(), (pred - mt).tolist())),
+                                ids.tolist(), mt.tolist(), pred.tolist(),
+                                (pred - mt).tolist())),
     )
 
 

@@ -304,18 +304,22 @@ def write_trials_csv(
     """Write a tap table in the canonical schema.
 
     Metadata is emitted as leading '# key=value' comment lines, which
-    load_trials_csv skips.  Output is deterministic for identical input.
-    Each field is formatted on its own: a float with repr, so reloading
-    gives every column back exactly, an integer in decimal and is_practice
-    as true/false; a block's column of one value is formatted once.  Only a
-    participant ID can need quoting, so only IDs go through csv.writer, each
-    distinct ID of a block once.  The path "-" writes to stdout, the mirror
-    of reading "-" from stdin.
+    load_trials_csv skips; a key or value with a line break (CR or LF)
+    raises ValidationError before the file is opened.  Output is
+    deterministic for identical input.  Each field is formatted on its own:
+    a float with repr, so reloading gives every column back exactly, an
+    integer in decimal and is_practice as true/false; a block's column of
+    one value is formatted once.  Only a participant ID can need quoting, so
+    only IDs go through csv.writer, each distinct ID of a block once.  The
+    path "-" writes to stdout, the mirror of reading "-" from stdin.
     """
     formats = [_FORMAT[dtype] for dtype in list(TAP_COLUMNS.values())[1:]]
+    comments = [f"# {key}={value}" for key, value in (metadata or {}).items()]
+    for text in comments:
+        if "\r" in text or "\n" in text:
+            raise ValidationError(f"metadata must not contain a line break, got {text[2:]!r}")
     with opened(path, "w") as fh:
-        for key, value in (metadata or {}).items():
-            fh.write(f"# {key}={value}\n")
+        fh.writelines(f"{text}\n" for text in comments)
         fh.write(",".join(TRIAL_CSV_COLUMNS) + "\n")
         for start in range(0, len(taps), BLOCK_ROWS):
             ids, *rest = (getattr(taps, name)[start:start + BLOCK_ROWS]

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import asdict
 from typing import Sequence
 
 import numpy as np
@@ -224,7 +225,7 @@ def fits_plot_rows(report: SelectionReport) -> list[dict]:
                 "A_mm": pc.condition.amplitude_mm,
                 "W_mm": pc.condition.width_mm,
                 "id_bits": pc.id_bits,
-                "mt_ms": pc.predicted_mt_ms - pc.residual_ms,
+                "mt_ms": pc.mt_ms,
                 "predicted_mt_ms": pc.predicted_mt_ms,
                 "residual_ms": pc.residual_ms,
             })
@@ -378,14 +379,6 @@ def sigma_document(source: str, rows: Sequence[dict]) -> dict:
 # JSON document
 # ---------------------------------------------------------------------------
 
-def _estimate_dict(est: SigmaEstimate) -> dict:
-    return {
-        "sigma_a_mm": est.sigma_a_mm,
-        "method": est.method.value,
-        "source_dataset": est.source_dataset,
-    }
-
-
 def fit_document(report: SelectionReport, dataset: Dataset) -> dict:
     """Complete fit output as one strict-JSON document; a non-finite value in
     the comparison rows is None, and so is an undefined intercept plot."""
@@ -396,7 +389,7 @@ def fit_document(report: SelectionReport, dataset: Dataset) -> dict:
     return {
         "dataset": dataset.name,
         "dimensionality": dataset.dimensionality.value,
-        "sigma_a": _estimate_dict(report.sigma_a) if report.sigma_a else None,
+        "sigma_a": asdict(report.sigma_a) if report.sigma_a else None,
         "models": [
             {k: None if isinstance(v, float) and not math.isfinite(v) else v
              for k, v in row.items()}
@@ -404,7 +397,7 @@ def fit_document(report: SelectionReport, dataset: Dataset) -> dict:
         ],
         "best_by": {k: m.value for k, m in report.best_by.items()},
         "wf_matrix": [
-            {"sigma_a": _estimate_dict(row["sigma_a"]), "cells": row["cells"]}
+            {"sigma_a": asdict(row["sigma_a"]), "cells": row["cells"]}
             for row in wf_matrix(dataset, wf_extra(report))
         ],
         "plots": {"fits": fits_plot_rows(report), "intercept": intercept},

@@ -12,11 +12,14 @@ a + b * log2(A/W + 1), plus normal noise.
 Determinism: conditions are processed in (A, W) order, each with its own
 PCG64 stream spawned from the master seed, and normal variates come from
 the inverse-CDF transform of that stream's uniforms (draw order per
-condition: [x deviations in 2D,] y deviations, movement times).  The
-quantile function is Cephes' ``ndtri`` (``datamodel._ndtri``), whose
-results are bit-identical to SciPy's ``ndtri``.  A fixed config therefore
-reproduces the identical tap table, and the scheme is documented enough to
-reproduce the distributions elsewhere.
+condition: [x deviations in 2D,] y deviations, movement times).  A zero
+spread (alpha, sigma_a or the MT noise) still draws its uniforms and scales
+their quantiles by 0, so the other draws do not move; a deviation with no
+spread at all is +0.0, never -0.0.  The quantile function is Cephes'
+``ndtri`` (``datamodel._ndtri``), whose results are bit-identical to
+SciPy's ``ndtri``.  A fixed config therefore reproduces the identical tap
+table, and the scheme is documented enough to reproduce the distributions
+elsewhere.
 """
 
 from __future__ import annotations
@@ -72,7 +75,11 @@ class SimulatorConfig:
                 raise ValidationError(f"{name} must be nonempty")
             require(finite_rule(f"{name} > 0", getattr(self, name)))
             # plain floats: a numpy scalar's overflow would warn in generate
-            object.__setattr__(self, name, tuple(map(float, getattr(self, name))))
+            values = tuple(map(float, getattr(self, name)))
+            for i, v in enumerate(values):
+                if v in values[:i]:  # its condition would be written twice
+                    raise ValidationError(f"{name} must not repeat a value, got {v}", row=i)
+            object.__setattr__(self, name, values)
 
 
 def config_metadata(config: SimulatorConfig) -> dict[str, str]:
@@ -94,11 +101,7 @@ def config_metadata(config: SimulatorConfig) -> dict[str, str]:
 
 
 def _normals(rng: np.random.Generator, n: int, sd: float) -> np.ndarray:
-    if sd == 0.0:
-        rng.random(n)  # keep the draw sequence fixed regardless of sd
-        return np.zeros(n)
-    u = np.maximum(rng.random(n), _TINY)
-    return _ndtri(u) * sd
+    return _ndtri(np.maximum(rng.random(n), _TINY)) * sd
 
 
 def generate(config: SimulatorConfig) -> TapTable:
@@ -117,11 +120,8 @@ def generate(config: SimulatorConfig) -> TapTable:
     for (a, w), stream in zip(conditions, streams):
         rng = np.random.Generator(np.random.PCG64(stream))
         sd_r = math.sqrt(config.alpha) * w
-        if two_d:
-            dev_x.append(_normals(rng, n, sd_r) + _normals(rng, n, config.sigma_a_mm))
-        else:
-            dev_x.append(np.zeros(n))
-        dev_y.append(_normals(rng, n, sd_r) + _normals(rng, n, config.sigma_a_mm))
+        for dev in (dev_x, dev_y) if two_d else (dev_y,):
+            dev.append(_normals(rng, n, sd_r) + _normals(rng, n, config.sigma_a_mm) + 0.0)
         base_mt = mtm.a_ms + mtm.b_ms_per_bit * np.log2(a / w + 1.0)
         mt.append(np.maximum(base_mt + _normals(rng, n, mtm.noise_sd_ms), 0.0))
     zeros = np.zeros(n * len(conditions))
@@ -133,7 +133,7 @@ def generate(config: SimulatorConfig) -> TapTable:
         width_mm=np.repeat([w for _, w in conditions], n),
         target_x_mm=zeros,
         target_y_mm=zeros,
-        touch_x_mm=np.concatenate(dev_x),
+        touch_x_mm=np.concatenate(dev_x) if two_d else zeros,
         touch_y_mm=np.concatenate(dev_y),
         mt_ms=np.concatenate(mt),
         tap_index=np.ones(len(zeros)),

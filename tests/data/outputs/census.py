@@ -1,5 +1,6 @@
-"""Print a digest of every fit of a fixed census of condition sets, and of
-every ``ffitts sigma`` run of a fixed census of tap logs.
+"""Print a digest of every fit of a fixed census of condition sets, of
+every ``ffitts sigma`` run of a fixed census of tap logs and of every
+``ffitts simulate`` run of a fixed census of configs.
 
 Usage (from the repository root):
 
@@ -21,8 +22,15 @@ in 1D and 2D at alpha 0.0108 and every sigma_a of ``LOG_SIGMA_A``, plus two
 degenerate logs: no spread at all (alpha and sigma_a 0) and 2 trials per
 condition.  ``ffitts sigma --input LOG --format json`` runs on each with
 every ``--axis`` and ``--dim`` and each of ``SIGMA_RUNS``; one line per run
-gives its arguments, exit code and the sha1 of its stdout.  Every command
-goes through click's ``CliRunner``, so the script runs on any checkout.
+gives its arguments, exit code and the sha1 of its stdout.
+
+Simulated logs: ``ffitts simulate`` runs at ``SIM_SEEDS`` in 1D and 2D at
+each (alpha, sigma_a, --mt-noise) of ``SIM_SPREADS``, zero spreads
+included; one line per run gives its arguments, exit code and the sha1 of
+its stdout, the log itself.
+
+Every command goes through click's ``CliRunner``, so the script runs on any
+checkout.
 """
 
 from __future__ import annotations
@@ -48,6 +56,9 @@ LOGS = [(f"sim-{dim}-{sigma_a}-seed{seed}.csv",
     ("no-spread.csv", ["--alpha", "0", "--sigma-a", "0", "--trials", "30"]),
     ("two-trials.csv", ["--alpha", "0.0108", "--sigma-a", "0.6", "--trials", "2"]),
 ]
+SIM_SEEDS = range(4)
+SIM_SPREADS = [("0.0108", "1.2", "5"), ("0", "1.2", "5"), ("0.0108", "0", "5"), ("0", "0", "5"),
+               ("0.0108", "1.2", "0")]
 SIGMA_RUNS = [["--method", "all"], ["--method", "calib"], ["--method", "intercept"],
               ["--method", "calib", "--instruction", "acc"]]
 
@@ -78,6 +89,18 @@ def sigma_census() -> None:
                         print(" ".join(args), result.exit_code, sha1(result.stdout))
 
 
+def simulate_census() -> None:
+    """Print a line per simulate run, its log on stdout."""
+    runner = CliRunner()
+    for dim in ("1d", "2d"):
+        for alpha, sigma_a, noise in SIM_SPREADS:
+            for seed in SIM_SEEDS:
+                args = ["simulate", "--alpha", alpha, "--sigma-a", sigma_a, "--mt-noise", noise,
+                        "--trials", "30", "--seed", str(seed), "--dim", dim]
+                result = runner.invoke(cli, args)
+                print(" ".join(args), result.exit_code, sha1(result.stdout))
+
+
 def main() -> None:
     for dataset in datasets():
         for sigma_a in SIGMA_A:
@@ -86,6 +109,7 @@ def main() -> None:
                               for f in FIT_FIELDS)
             print(dataset.name, sigma_a, sha1(render_fit_md(report, dataset)), sha1(values))
     sigma_census()
+    simulate_census()
 
 
 if __name__ == "__main__":

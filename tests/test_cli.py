@@ -162,6 +162,19 @@ class TestFit:
         fits = (tmp_path / "report.fits.csv").read_text()
         assert fits.startswith("model,A_mm,W_mm,id_bits,mt_ms,predicted_mt_ms")
 
+    def test_fits_plot_mt_is_the_observed_mt(self, runner, tmp_path):
+        # 177.7 - (p - 177.7) + p for a prediction p far from it is not 177.7
+        path = tmp_path / "far.csv"
+        path.write_text("A_mm,W_mm,mt_ms,sigma_obs_mm\n60,6,177.7,1.0\n45,8,520,1.0\n"
+                        "45,10,499.1,1.0\n60,4,1322.7,1.0\n")
+        args = ["fit", "--input", str(path), "--models", "m1", "--no-cv"]
+        doc = json.loads(runner.invoke(main, args + ["--format", "json"]).output)
+        observed = [177.7, 520.0, 499.1, 1322.7]
+        assert [row["mt_ms"] for row in doc["plots"]["fits"]] == observed
+        assert runner.invoke(main, args + ["--out", str(tmp_path / "r.md")]).exit_code == 0
+        rows = csv.DictReader(io.StringIO((tmp_path / "r.fits.csv").read_text()))
+        assert [float(r["mt_ms"]) for r in rows] == observed
+
     def test_csv_out_includes_wf_matrix_file(self, runner, tmp_path):
         out = tmp_path / "report.csv"
         result = runner.invoke(main, [
@@ -885,6 +898,17 @@ class TestSimulate:
         result = self._simulate(runner, "--seed", "-1")
         assert result.exit_code == 2
         assert "seed must be >= 0, got -1" in result.output
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--widths", "2,2,4", "row 1: widths_mm must not repeat a value, got 2.0"),
+        ("--widths", "4,2,4.0", "row 2: widths_mm must not repeat a value, got 4.0"),
+        ("--amplitudes", "30,3e1", "row 1: amplitudes_mm must not repeat a value, got 30.0"),
+    ])
+    def test_repeated_width_or_amplitude_is_usage_error(self, runner, flag, value, message):
+        # the repeated condition would be written twice under the same trial keys
+        result = self._simulate(runner, flag, value)
+        assert result.exit_code == 2
+        assert result.output.endswith(f"Error: {message}\n")
 
     def test_bad_width_list_is_usage_error(self, runner):
         result = runner.invoke(main, [

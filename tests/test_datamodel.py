@@ -208,6 +208,39 @@ class TestTapTable:
             TapTable(**columns)
         assert str(exc.value) == f"row 1: {column} must be finite, got {bad}"
 
+    @pytest.mark.parametrize("column,values,message", [
+        ("is_practice", ["false", "false", "true"],
+         "row 0: is_practice must convert exactly to bool, got 'false'"),
+        ("is_practice", [0.0, 1.0, 0.5], "row 2: is_practice must convert exactly to bool, got 0.5"),
+        ("tap_index", [1.0, 2.7, 1.0], "row 1: tap_index must convert exactly to int64, got 2.7"),
+        ("trial", [1, math.nan, 3], "row 1: trial must convert exactly to int64, got nan"),
+        ("block", [0, None, 0], "row 1: block must convert exactly to int64, got None"),
+        ("block", [0, 0, 2**64], f"row 2: block must convert exactly to int64, got {2**64}"),
+        ("width_mm", ["4", "four", "4"],
+         "row 1: width_mm must convert exactly to float64, got 'four'"),
+    ])
+    def test_column_that_does_not_convert_exactly_rejected(self, column, values, message):
+        columns = {name: getattr(table([make_trial(COND)] * 3), name) for name in TAP_COLUMNS}
+        with pytest.raises(ValidationError) as exc:
+            TapTable(**{**columns, column: values})
+        assert str(exc.value) == message
+
+    def test_column_that_converts_exactly_kept(self):
+        columns = {name: getattr(table([make_trial(COND)] * 3), name) for name in TAP_COLUMNS}
+        zeros, ones = np.zeros(3), np.ones(3)  # as generate gives them
+        taps = TapTable(**{**columns, "block": zeros, "trial": [1.0, 2.0, 3.0],
+                           "tap_index": ones, "is_practice": [0, 1, 0],
+                           "mt_ms": np.array([300, 301, 302], dtype=np.int32)})
+        assert (taps.block.tolist(), taps.trial.tolist(), taps.tap_index.tolist(),
+                taps.is_practice.tolist(), taps.mt_ms.tolist()) == (
+            [0, 0, 0], [1, 2, 3], [1, 1, 1], [False, True, False], [300.0, 301.0, 302.0])
+        assert taps.block.dtype == np.int64 and taps.is_practice.dtype == bool
+
+    def test_column_of_its_own_dtype_not_copied(self):
+        columns = {name: getattr(table([make_trial(COND)] * 3), name) for name in TAP_COLUMNS}
+        taps = TapTable(**columns)
+        assert all(getattr(taps, name) is columns[name] for name in TAP_COLUMNS)
+
     def test_small_positive_values_kept(self):
         cond = Condition(0.5, 0.25)
         taps = table([make_trial(cond, mt=0.0), make_trial(cond, mt=0.5)])

@@ -198,6 +198,20 @@ class TestTrialsCsv:
         write_trials_csv(taps, out, metadata={"seed": "7"})
         assert_same_columns(load_trials_csv(out), taps)
 
+    @pytest.mark.parametrize("metadata,text", [
+        ({"note": "two\nlines"}, "note=two\\nlines"),
+        ({"note": "cr\r"}, "note=cr\\r"),
+        ({"a\r\nb": "7"}, "a\\r\\nb=7"),
+    ])
+    def test_metadata_with_a_line_break_rejected_before_writing(self, tmp_path, metadata,
+                                                                text):
+        taps = load_trials_csv(write(tmp_path, [HEADER] + GOOD_ROWS))
+        out = tmp_path / "meta.csv"
+        with pytest.raises(ValidationError) as exc:
+            write_trials_csv(taps, out, metadata={"seed": "7", **metadata})
+        assert str(exc.value) == f"metadata must not contain a line break, got '{text}'"
+        assert not out.exists()
+
     def test_participant_ids_round_trip(self, tmp_path):
         # "#p1" (read back as a comment) and " p2 " (read back stripped)
         # cannot enter a table; the others come back as written

@@ -98,6 +98,22 @@ class TestDistributions:
         assert np.count_nonzero(one) == len(one)
         assert (one * 2.0).tobytes() == two.tobytes()
 
+    @pytest.mark.parametrize("dim", list(Dimensionality))
+    def test_zero_tremor_spread_keeps_the_draw_order(self, dim):
+        # a zero spread draws its uniforms like any other, so the movement
+        # times, drawn after the deviations, do not move
+        zero = generate(config(sigma_a_mm=0.0, dimensionality=dim))
+        some = generate(config(sigma_a_mm=1.3, dimensionality=dim))
+        assert zero.mt_ms.tobytes() == some.mt_ms.tobytes()
+
+    @pytest.mark.parametrize("dim", list(Dimensionality))
+    def test_no_spread_gives_positive_zeros(self, dim):
+        # half the scaled quantiles are -0.0; the deviations are +0.0, as the
+        # log prints them ("0.0", never "-0.0")
+        taps = generate(config(alpha=0.0, sigma_a_mm=0.0, dimensionality=dim))
+        for column in (taps.touch_x_mm, taps.touch_y_mm):
+            assert not column.any() and not np.signbit(column).any()
+
     def test_a_uniform_of_zero_gives_a_finite_draw(self):
         class ZeroUniforms:
             def random(self, n):
@@ -189,6 +205,9 @@ class TestConfigValidation:
         (dict(widths_mm=()), "widths_mm must be nonempty"),
         (dict(amplitudes_mm=()), "amplitudes_mm must be nonempty"),
         (dict(trials_per_condition=1), "need >= 2 trials per condition"),
+        (dict(widths_mm=(2.0, 4.0, 2)), "row 2: widths_mm must not repeat a value, got 2.0"),
+        (dict(amplitudes_mm=(np.float32(30.0), 30.0)),
+         "row 1: amplitudes_mm must not repeat a value, got 30.0"),
     ])
     def test_message_names_the_bad_value(self, bad, message):
         with pytest.raises(ValidationError) as exc:
