@@ -1,30 +1,24 @@
 """Model fitting, tremor-parameter optimization, and model selection.
 
 Movement time is regressed linearly on the index of difficulty.  Models
-with a free tremor parameter c maximize R^2 over c with a bounded search:
-a 2000-point coarse grid over [0, c_max] followed by golden-section
-refinement of the bracketing interval, ties broken toward smaller c.  Both
-bounds scale with the smallest width term W, for the subtractive and the
-square-root forms alike: c_max is W * (1 - 5e-7), and the refinement takes
-a fixed 16 steps, the fewest that close a bracket of two grid spacings
-within W * 5e-7.  c stays 0 unless it raises R^2 by more than 1e-12.
+with a free tremor parameter c maximize R^2 over c in [0, W - W * 5e-7], W
+the smallest width term, for the subtractive and the square-root forms
+alike.  A 500-point grid finds the peak, and c is the root of dR^2/dc
+between the grid points beside it: R^2 is flat to rounding there, but its
+slope changes sign cleanly.  c stays 0 unless it raises R^2 by more than
+1e-12.
 
 Leave-one-condition-out cross-validation re-optimizes c in every fold.
 The full fit is row 0 of the fold table: one batched search fits row 0 on
-every condition and row i + 1 on all but condition i, with the same grid
-and refinement for all rows at once, and one id table per model holds the
-difficulties of the same rows, each at its row's c.  Rows sharing c_max
-share the grid's id table, and each grid R^2 comes from masked sums over
-the rows that keep as many conditions (one (rows, n) @ (n, grid block)
-product per sum), so the full fit's bits are those of a search of its
-own.  Only a fold's grid R^2 is summed differently from a search per
-fold, so where R^2 is flat to the last bit across neighbouring grid
-points the two could pick different grid maxima.  Nor are the models of
-one request searched one by one: every free-c model of a `compare` shares
-that search, a grid per model and one golden-section refinement loop over
-the rows of all of them, each row reduced on its own, so a model's bits
-do not depend on which other models were requested; `fit_model` is the
-one-model case.
+every condition and row i + 1 on all but condition i, and one id table per
+model holds the difficulties of the same rows, each at its row's c.  Rows
+sharing c_max share the grid's id table, whose R^2 comes from one masked
+(rows, n) @ (n, grid) product per sum; the grid only picks each row's
+bracket.  Nor are the models of one request searched one by one: every
+free-c model of a `compare` shares that search, a grid per model and one
+root-finding loop over the rows of all of them, each row reduced on its
+own, so a model's c does not depend on which other models were
+requested; `fit_model` is the one-model case.
 
 The selection battery is R^2, adjusted R^2, AIC, BIC, and
 leave-one-condition-out RMSE.  Information criteria use the Gaussian
@@ -50,20 +44,11 @@ import numpy as np
 from .datamodel import (Condition, ConditionSummary, Dataset, SigmaEstimate, finite_rule,
                         require)
 from .errors import SingularFitError, ValidationError
-from .idmodels import Model, Tremor, compute_id, model_widths
+from .idmodels import Model, Tremor, compute_id, id_slope, model_widths
 
-_GRID_POINTS = 2000
-# grid columns per id table: against whole-grid (n, 2000) tables, blocks
-# cut the `select` benchmark's op_p50 from 50.8 to 43.5 ms and its peak
-# RSS from 40.8 to 38.3 MB (medians of 10 alternating pairs, 10/10 wins,
-# 2-core Xeon VM)
-_GRID_BLOCK = 500
-_C_REL = 5e-7  # of the smallest width: 1e-6 mm at the bundled data's 2 mm
+_GRID_POINTS = 500
+_C_REL = 5e-7  # c_max's margin, of the smallest width: 1e-6 mm at the bundled data's 2 mm
 _R2_MARGIN = 1e-12  # an R^2 gain or gap this small is rounding, not fit
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-# golden-section steps: the fewest that close a bracket of two grid
-# spacings within W * _C_REL, whatever the smallest width W
-_STEPS = math.ceil(math.log((_GRID_POINTS - 1) * _C_REL / (2 * (1 - _C_REL)), _GOLDEN))
 
 CRITERIA = ("r2", "adj_r2", "aic", "bic", "cv_rmse_ms")
 
@@ -132,30 +117,19 @@ def information_criteria(rss: float, n: int, k: int) -> tuple[float, float]:
 def _grid_r2(model: Model, amps, widths, grid, keep, mt):
     """R^2 at every c of `grid` for each row of the (F, n) mask `keep`.
 
-    The id table is built one block of grid columns at a time, and each
-    masked sum is one (rows, n) @ (n, block) product per group of rows
-    keeping the same number of conditions, so no (F, n, grid) array is
-    built and a row's bits do not depend on the other groups.  The ids are
-    shifted by their column means (R^2 does not depend on the shift).
+    One id table holds every condition's difficulty at every grid c, its
+    ids shifted by their column means (R^2 does not depend on the shift),
+    and each masked sum is one (F, n) @ (n, grid) product over all rows.
     """
-    y = mt - mt.mean()
-    kept, groups = keep.sum(axis=1), []
-    for m in np.unique(kept):
-        k = keep[kept == m].astype(float)
-        sy = (k @ y)[:, None]
-        groups.append((kept == m, k, k * y, m, sy, (k @ (y * y))[:, None] - sy * sy / m))
-    r2 = np.empty((len(keep), len(grid)))
-    for j in range(0, len(grid), _GRID_BLOCK):
-        cols = slice(j, j + _GRID_BLOCK)
-        ids = compute_id(model, amps[:, None], widths[:, None], grid[cols])
-        ids -= ids.mean(axis=0)
-        for rows, k, ky, m, sy, vy in groups:
-            sx = k @ ids
-            xbar = sx / m
-            cov = ky @ ids - xbar * sy
-            den = (k @ (ids * ids) - sx * xbar) * vy
-            r2[rows, cols] = np.divide(cov * cov, den, out=np.zeros_like(den), where=den > 0)
-    return r2
+    y, k = mt - mt.mean(), keep.astype(float)
+    m, sy = k.sum(axis=1)[:, None], (k @ y)[:, None]
+    ids = compute_id(model, amps[:, None], widths[:, None], grid)
+    ids -= ids.mean(axis=0)
+    sx = k @ ids
+    xbar = sx / m
+    cov = (k * y) @ ids - xbar * sy
+    den = (k @ (ids * ids) - sx * xbar) * ((k @ (y * y))[:, None] - sy * sy / m)
+    return np.divide(cov * cov, den, out=np.zeros_like(den), where=den > 0)
 
 
 def _search_c(specs, amps, mt, folds=False) -> np.ndarray:
@@ -164,17 +138,18 @@ def _search_c(specs, amps, mt, folds=False) -> np.ndarray:
     conditions and row i + 1 every condition but i.
 
     All rows of all specs are searched at once with one fit's rules, each
-    relative to the row's smallest kept width W: a 2000-point grid over
-    [0, c_max], c_max = W - W * _C_REL (rows sharing c_max, as the full fit
-    and the folds that keep the smallest width do, share one id table), then
-    _STEPS golden-section steps on the bracket around the first grid
-    maximum, which close it within W - c_max for every row, ties keeping the
-    smaller-c interval.  The refinement is one loop over the stacked rows of
-    every spec, so each free-c model of a request shares it; a model's rows
-    come out as a search of its own would give them.  The refined c replaces
-    the grid c only when its R^2 is strictly higher, and c = 0 unless that
-    R^2 beats the grid's at c = 0 by more than _R2_MARGIN; so too where c_max
-    rounds to W.  Rows keeping n and n - 1 sum apart.
+    relative to the row's smallest kept width W: the first maximum of a
+    _GRID_POINTS grid over [0, c_max], c_max = W - W * _C_REL (rows sharing
+    c_max, as the full fit and the folds that keep the smallest width do,
+    share one id table), and its slope pick the grid step where dR^2/dc
+    goes from positive to negative.  One Illinois (false-position) loop over
+    the stacked rows of every spec finds each row's root there on the row's
+    own sums, so a model's rows come out as a search of its own would give
+    them; a row stops once its bracket stops shrinking or its slope is
+    exactly 0, and one whose slope does not change sign keeps its grid c.
+    The root replaces the grid c only when its R^2 is strictly higher, and
+    c = 0 unless that R^2 beats the grid's at c = 0 by more than
+    _R2_MARGIN; so too where c_max rounds to W.
     """
     n = len(mt)
     keep = np.vstack([np.ones((1, n), dtype=bool)] + [~np.eye(n, dtype=bool)] * folds)
@@ -193,8 +168,7 @@ def _search_c(specs, amps, mt, folds=False) -> np.ndarray:
             i = np.argmax(r2s, axis=1)  # first max: ties prefer smaller c
             at = rows + s * f
             best_c[at], r2_0[at] = grid[i], r2s[:, 0]
-            lo[at] = grid[np.maximum(i - 1, 0)]
-            hi[at] = grid[np.minimum(i + 1, _GRID_POINTS - 1)]
+            lo[at], hi[at] = grid[np.maximum(i - 1, 0)], grid[np.minimum(i + 1, len(grid) - 1)]
 
     stacked = np.tile(keep, (len(specs), 1))  # spec s owns rows s*f .. s*f + f - 1
     kept, groups = stacked.sum(axis=1), []
@@ -204,34 +178,43 @@ def _search_c(specs, amps, mt, folds=False) -> np.ndarray:
         r, j = np.nonzero(stacked[rows])
         mt_k = mt[j].reshape(len(rows), -1)
         yc = mt_k - (mt_k.sum(axis=1) / mt_k.shape[1])[:, None]
-        groups.append((rows, rows[r] * len(mt) + j, yc, np.vecdot(yc, yc)))
+        groups.append((rows, rows[r] * n + j, yc, (yc * yc).sum(axis=1)))
 
-    def r2_at(c):
-        """Each row's R^2 at its c: the squared correlation, 0 where a variance vanishes."""
-        ids = np.concatenate([compute_id(model, amps, widths, c[s * f:(s + 1) * f, None])
-                              for s, (model, widths) in enumerate(specs)])
-        r2 = np.empty(len(c))
+    def fit_at(c):
+        """Each row's R^2 at its c, the squared correlation (0 where a
+        variance vanishes), and the sign-carrying factor of its dR^2/dc,
+        sxy * (sx'y * sxx - sxy * sxx') with x' = d id/dc."""
+        ids, slopes = (np.concatenate([fn(model, amps, widths, c[s * f:(s + 1) * f, None])
+                                       for s, (model, widths) in enumerate(specs)])
+                       for fn in (compute_id, id_slope))
+        r2, slope = np.empty((2, len(c)))
         for rows, kept_ids, yc, syy in groups:
-            x = ids.take(kept_ids).reshape(yc.shape)
-            xc = x - (x.sum(axis=1) / x.shape[1])[:, None]
-            sxy, den = (xc * yc).sum(axis=1), (xc * xc).sum(axis=1) * syy
+            x, dx = (t - (t.sum(axis=1) / t.shape[1])[:, None]
+                     for t in (ids.take(kept_ids).reshape(yc.shape),
+                               slopes.take(kept_ids).reshape(yc.shape)))
+            sxy, sxx = (x * yc).sum(axis=1), (x * x).sum(axis=1)
+            den = sxx * syy
             r2[rows] = np.divide(sxy * sxy, den, out=np.zeros_like(den), where=den > 0)
-        return r2
+            slope[rows] = sxy * ((dx * yc).sum(axis=1) * sxx - sxy * (x * dx).sum(axis=1))
+        return r2, slope
 
-    # golden-section refinement of every row under one loop of _STEPS steps
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1, f2 = r2_at(x1), r2_at(x2)
-    for _ in range(_STEPS):
-        left = f1 >= f2  # maximize; ties keep the left (smaller-c) interval
-        lo, hi = np.where(left, lo, x1), np.where(left, x2, hi)
-        step = _GOLDEN * (hi - lo)
-        x = np.where(left, hi - step, lo + step)
-        fx = r2_at(x)
-        x1, f1, x2, f2 = (np.where(left, x, x2), np.where(left, fx, f2),
-                          np.where(left, x1, x), np.where(left, f1, fx))
-    c_ref = np.where(f1 >= f2, lo, x2)
-    r2_ref, r2_grid = r2_at(c_ref), r2_at(best_c)
+    r2_grid, f_mid = fit_at(best_c)
+    right = f_mid > 0  # the peak is past the grid point
+    a, b = np.where(right, best_c, lo), np.where(right, hi, best_c)
+    f_end = fit_at(np.where(right, hi, lo))[1]
+    fa, fb = np.where(right, f_mid, f_end), np.where(right, f_end, f_mid)
+    c_ref, active = best_c, (fa >= 0) & (fb <= 0) & (fa != fb)
+    while active.any():
+        x = b - np.divide(fb * (b - a), fb - fa, out=np.zeros_like(b), where=active)
+        inside = np.sign(x - a) * np.sign(x - b)  # -1 strictly between a and b, 0 at one
+        c_ref = np.where(active & (inside <= 0), x, c_ref)
+        fx = fit_at(c_ref)[1]
+        active &= (inside < 0) & ((fx < 0) | (fx > 0))
+        # b is the newest end; a kept end has its slope halved (Illinois)
+        flip = active & (np.signbit(fx) != np.signbit(fb))
+        a, fa = np.where(flip, b, a), np.where(flip, fb, np.where(active, fa / 2, fa))
+        b, fb = np.where(active, x, b), np.where(active, fx, fb)
+    r2_ref = fit_at(c_ref)[0]
     best = np.where(r2_ref > r2_grid, c_ref, best_c)
     best[~(np.maximum(r2_ref, r2_grid) > r2_0 + _R2_MARGIN)] = 0.0
     return best.reshape(len(specs), f)

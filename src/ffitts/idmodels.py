@@ -143,6 +143,15 @@ def compute_id(model: Model, amplitude_mm, width_mm, c_mm=0.0):
     return _scalar(np.log2(amplitude_mm / width_term(model, width_mm, c_mm) + 1.0))
 
 
+def id_slope(model: Model, amplitude_mm, width_mm, c_mm):
+    """d id/dc of a free-c model, -A * t' / (t * (A + t) * ln 2) with t the
+    width term and t' its derivative in c: -1 for W - c, -c / t for
+    sqrt(W^2 - c^2).  NaN where compute_id is; broadcasts as it does."""
+    t = width_term(model, width_mm, c_mm)
+    dt = -np.asarray(c_mm, dtype=float) / t if model.uses_sqrt else -1.0
+    return _scalar(-amplitude_mm * dt / (t * (amplitude_mm + t) * math.log(2.0)))
+
+
 def model_widths(
     model: Model,
     summaries: Sequence[ConditionSummary],

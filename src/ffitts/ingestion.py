@@ -103,21 +103,26 @@ def opened(path: str | Path, mode: str = "r") -> Iterator[IO[str]]:
 def _read(path: str | Path, trials: bool | None = None) -> TapTable | list[ConditionSummary]:
     """Read a tap log or condition summaries from CSV; the path "-" is stdin.
 
-    One leading byte-order mark is ignored, and rows that are blank or start
-    with '#' (metadata) are skipped, by ``_records`` alone.  When ``trials``
-    is None the header picks the kind: a first cell 'participant' means a
-    tap log.  The lines of a tap log that ``_bulk_taps`` reads exactly, one
-    record per line, are read by it, the rest by the csv.reader path
-    (``_block``), from the first chunk with a blank or '#' line, say, on.
-    Both stop at the first row that does not convert; the rows before it
-    become one TapTable or the list of ConditionSummary, whose rules are
-    checked once, so the first bad line is named, whichever path read it.
+    One leading byte-order mark is ignored, the '#' (metadata) lines before
+    the header are read as plain text, where a quote opens no CSV field, and
+    after it rows that are blank or start with '#' are skipped, by
+    ``_records`` alone.  When ``trials`` is None the header picks the kind:
+    a first cell 'participant' means a tap log.  The lines of a tap log that
+    ``_bulk_taps`` reads exactly, one record per line, are read by it, the
+    rest by the csv.reader path (``_block``), from the first chunk with a
+    blank or '#' line, say, on.  Both stop at the first row that does not
+    convert; the rows before it become one TapTable or the list of
+    ConditionSummary, whose rules are checked once, so the first bad line is
+    named, whichever path read it.
     """
     blocks, error = [], None
     with opened(path) as fh:
-        lines = chain([fh.readline().removeprefix("\ufeff")], fh)
+        line, before = fh.readline().removeprefix("\ufeff"), 0
+        while line.lstrip().startswith("#"):
+            line, before = fh.readline(), before + 1
+        lines = chain([line], fh)
         reader = csv.reader(lines)
-        rows = _records(reader)
+        rows = _records(reader, before)
         header_line, header = next(rows, (None, None))
         if header is None:
             raise EmptyDatasetError(f"{source_name(path)}: no header row")
@@ -130,7 +135,7 @@ def _read(path: str | Path, trials: bool | None = None) -> TapTable | list[Condi
                 raise ParseError(f"header mismatch: expected {','.join(TRIAL_CSV_COLUMNS)}",
                                  header_line)
             names, dtypes = TRIAL_CSV_COLUMNS, TAP_COLUMNS.values()
-            blocks, lines, before = _bulk_taps(lines, reader.line_num)
+            blocks, lines, before = _bulk_taps(lines, before + reader.line_num)
             rows = _records(csv.reader(lines), before)
         else:
             missing = [c for c in AGGREGATE_CSV_COLUMNS if c not in header]

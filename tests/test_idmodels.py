@@ -18,6 +18,8 @@ from ffitts import (
     finger_width,
     model_widths,
 )
+from ffitts.fitting import _C_REL
+from ffitts.idmodels import id_slope
 
 COND = Condition(20.0, 2.0)
 
@@ -200,6 +202,27 @@ class TestKernelProperties:
                     want = compute_id(model, a, w, c)
                     got = float(table[i, j])
                     assert got == want or (math.isnan(got) and math.isnan(want))
+
+    @_PROPERTY
+    @given(w=_POSITIVE, ratio=st.floats(1e-3, 1e3), u=st.floats(0.01, 1.0, exclude_max=True))
+    def test_slope_is_the_derivative_of_the_difficulty(self, w, ratio, u):
+        # c = u * c_max; a five-point central difference with steps of 1% of
+        # c's distance to 0 or W, whichever is nearer, is accurate to 1e-7
+        # here.  Closer to 0 the square-root forms' slope, which vanishes
+        # with c, drops under the difficulty's rounding over any step: at
+        # A/W = 1e-3 it is 2.3e-6 off at c = 1e-3 * c_max.
+        a, c = w * ratio, u * (w - w * _C_REL)
+        h = 0.01 * min(c, w - c)
+        for model in _C_FORMS:
+            d = [compute_id(model, a, w, c + k * h) for k in (-2, -1, 1, 2)]
+            central = (d[0] - 8 * d[1] + 8 * d[2] - d[3]) / (12 * h)
+            assert id_slope(model, a, w, c) == pytest.approx(central, rel=1e-6)
+
+    @_PROPERTY
+    @given(a=_POSITIVE, w=_SIGNED, c=_SIGNED)
+    def test_slope_nan_exactly_where_the_difficulty_is(self, a, w, c):
+        for model in _C_FORMS:
+            assert math.isnan(id_slope(model, a, w, c)) == math.isnan(compute_id(model, a, w, c))
 
     @_PROPERTY
     @given(sigma=_POSITIVE)

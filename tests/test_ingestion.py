@@ -198,6 +198,23 @@ class TestTrialsCsv:
         write_trials_csv(taps, out, metadata={"seed": "7"})
         assert_same_columns(load_trials_csv(out), taps)
 
+    def test_metadata_with_a_comma_and_a_quote_round_trips(self, tmp_path):
+        # read through csv.reader, the quote would open a field running over
+        # the header and the rows
+        taps = load_trials_csv(write(tmp_path, [HEADER] + GOOD_ROWS))
+        out = tmp_path / "meta.csv"
+        write_trials_csv(taps, out, metadata={"note": 'a,"b'})
+        assert out.read_text(encoding="utf-8").startswith('# note=a,"b\n')
+        assert_same_columns(load_trials_csv(out), taps)
+
+    @pytest.mark.parametrize("bad", [GOOD_ROWS[1].replace("287.0", "-1.0"),
+                                     GOOD_ROWS[1].replace("287.0", "x")])
+    def test_bad_row_after_metadata_named_by_its_file_line(self, tmp_path, bad):
+        lines = ["# seed=7", '# note=a,"b', " # alpha=0.1", HEADER, GOOD_ROWS[0], bad]
+        error = outcome(load_trials_csv, write(tmp_path, lines))
+        assert error[0] is ParseError and error[2] == 6
+        assert str(error[1]).startswith("line 6: ")
+
     @pytest.mark.parametrize("metadata,text", [
         ({"note": "two\nlines"}, "note=two\\nlines"),
         ({"note": "cr\r"}, "note=cr\\r"),
@@ -682,8 +699,9 @@ class TestStdin:
 
     @pytest.mark.parametrize("text", [
         LOG, LOG.replace("\n", "\r\n"), LOG.replace("\n", "\r"), "\ufeff" + LOG, BAD,
-        BAD.replace("\n", "\r"), '"' + BAD,
-    ], ids=["log", "crlf", "cr", "bom", "bad", "bad-cr", "bad-quoted"])
+        BAD.replace("\n", "\r"), '"' + BAD, '# note=a,"b\n' + LOG, '# note=a,"b\n' + BAD,
+    ], ids=["log", "crlf", "cr", "bom", "bad", "bad-cr", "bad-quoted", "quoted-metadata",
+            "bad-after-quoted-metadata"])
     @pytest.mark.parametrize("load", [load_trials_csv, load_input])
     def test_same_table_or_error_as_the_file(self, tmp_path, monkeypatch, text, load):
         from_file = outcome(load, write_text(tmp_path / "log.csv", text))
