@@ -5,8 +5,9 @@ with a free tremor parameter c maximize R^2 over c in [0, W - W * 5e-7], W
 the smallest width term, for the subtractive and the square-root forms
 alike.  A 500-point grid finds the peak, and c is the root of dR^2/dc
 between the grid points beside it: R^2 is flat to rounding there, but its
-slope changes sign cleanly.  c stays 0 unless it raises R^2 by more than
-1e-12.
+slope changes sign cleanly (the slope in c^2 for the square-root forms,
+whose dR^2/dc is 0 at c = 0).  c stays 0 unless it raises R^2 by more
+than 1e-12.
 
 Leave-one-condition-out cross-validation re-optimizes c in every fold.
 The full fit is row 0 of the fold table: one batched search fits row 0 on
@@ -141,11 +142,11 @@ def _search_c(specs, amps, mt, folds=False) -> np.ndarray:
     relative to the row's smallest kept width W: the first maximum of a
     _GRID_POINTS grid over [0, c_max], c_max = W - W * _C_REL (rows sharing
     c_max, as the full fit and the folds that keep the smallest width do,
-    share one id table), and its slope pick the grid step where dR^2/dc
-    goes from positive to negative.  One Illinois (false-position) loop over
-    the stacked rows of every spec finds each row's root there on the row's
-    own sums, so a model's rows come out as a search of its own would give
-    them; a row stops once its bracket stops shrinking or its slope is
+    share one id table), and its slope pick the grid step where dR^2/dv
+    (v as in `id_slope`) goes from + to -.  One Illinois (false-position)
+    loop over the stacked rows of every spec finds each row's root there on
+    the row's own sums, so a model's rows come out as a search of its own
+    would give them; a row stops once its bracket stops shrinking or its slope is
     exactly 0, and one whose slope does not change sign keeps its grid c.
     The root replaces the grid c only when its R^2 is strictly higher, and
     c = 0 unless that R^2 beats the grid's at c = 0 by more than
@@ -182,8 +183,8 @@ def _search_c(specs, amps, mt, folds=False) -> np.ndarray:
 
     def fit_at(c):
         """Each row's R^2 at its c, the squared correlation (0 where a
-        variance vanishes), and the sign-carrying factor of its dR^2/dc,
-        sxy * (sx'y * sxx - sxy * sxx') with x' = d id/dc."""
+        variance vanishes), and the sign-carrying factor of its dR^2/dv,
+        sxy * (sx'y * sxx - sxy * sxx') with x' = d id/dv (`id_slope`)."""
         ids, slopes = (np.concatenate([fn(model, amps, widths, c[s * f:(s + 1) * f, None])
                                        for s, (model, widths) in enumerate(specs)])
                        for fn in (compute_id, id_slope))
@@ -203,18 +204,17 @@ def _search_c(specs, amps, mt, folds=False) -> np.ndarray:
     a, b = np.where(right, best_c, lo), np.where(right, hi, best_c)
     f_end = fit_at(np.where(right, hi, lo))[1]
     fa, fb = np.where(right, f_mid, f_end), np.where(right, f_end, f_mid)
-    c_ref, active = best_c, (fa >= 0) & (fb <= 0) & (fa != fb)
+    c_ref, r2_ref, active = best_c, r2_grid, (fa >= 0) & (fb <= 0) & (fa != fb)
     while active.any():
         x = b - np.divide(fb * (b - a), fb - fa, out=np.zeros_like(b), where=active)
         inside = np.sign(x - a) * np.sign(x - b)  # -1 strictly between a and b, 0 at one
         c_ref = np.where(active & (inside <= 0), x, c_ref)
-        fx = fit_at(c_ref)[1]
+        r2_ref, fx = fit_at(c_ref)
         active &= (inside < 0) & ((fx < 0) | (fx > 0))
         # b is the newest end; a kept end has its slope halved (Illinois)
         flip = active & (np.signbit(fx) != np.signbit(fb))
         a, fa = np.where(flip, b, a), np.where(flip, fb, np.where(active, fa / 2, fa))
         b, fb = np.where(active, x, b), np.where(active, fx, fb)
-    r2_ref = fit_at(c_ref)[0]
     best = np.where(r2_ref > r2_grid, c_ref, best_c)
     best[~(np.maximum(r2_ref, r2_grid) > r2_0 + _R2_MARGIN)] = 0.0
     return best.reshape(len(specs), f)

@@ -144,12 +144,13 @@ def compute_id(model: Model, amplitude_mm, width_mm, c_mm=0.0):
 
 
 def id_slope(model: Model, amplitude_mm, width_mm, c_mm):
-    """d id/dc of a free-c model, -A * t' / (t * (A + t) * ln 2) with t the
-    width term and t' its derivative in c: -1 for W - c, -c / t for
-    sqrt(W^2 - c^2).  NaN where compute_id is; broadcasts as it does."""
+    """d id/dv of a free-c model, A * r / (t * (A + t) * ln 2), t the width
+    term and r = -dt/dv: v = c, r = 1 for W - c; v = c^2, r = 1 / (2t) for
+    sqrt(W^2 - c^2), whose d id/dc is 0 at c = 0.  NaN where compute_id is;
+    broadcasts as it does."""
     t = width_term(model, width_mm, c_mm)
-    dt = -np.asarray(c_mm, dtype=float) / t if model.uses_sqrt else -1.0
-    return _scalar(-amplitude_mm * dt / (t * (amplitude_mm + t) * math.log(2.0)))
+    r = 0.5 / t if model.uses_sqrt else 1.0
+    return _scalar(amplitude_mm * r / (t * (amplitude_mm + t) * math.log(2.0)))
 
 
 def model_widths(

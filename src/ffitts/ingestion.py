@@ -103,11 +103,11 @@ def opened(path: str | Path, mode: str = "r") -> Iterator[IO[str]]:
 def _read(path: str | Path, trials: bool | None = None) -> TapTable | list[ConditionSummary]:
     """Read a tap log or condition summaries from CSV; the path "-" is stdin.
 
-    One leading byte-order mark is ignored, the '#' (metadata) lines before
-    the header are read as plain text, where a quote opens no CSV field, and
-    after it rows that are blank or start with '#' are skipped, by
-    ``_records`` alone.  When ``trials`` is None the header picks the kind:
-    a first cell 'participant' means a tap log.  The lines of a tap log that
+    One leading byte-order mark is ignored, the blank and '#' (metadata)
+    lines before the header are read as plain text, where a quote opens no
+    CSV field, and after it blank and '#' rows are skipped, by ``_records``
+    alone.  When ``trials`` is None the header picks the kind: a first cell
+    'participant' means a tap log.  The lines of a tap log that
     ``_bulk_taps`` reads exactly, one record per line, are read by it, the
     rest by the csv.reader path (``_block``), from the first chunk with a
     blank or '#' line, say, on.  Both stop at the first row that does not
@@ -118,7 +118,7 @@ def _read(path: str | Path, trials: bool | None = None) -> TapTable | list[Condi
     blocks, error = [], None
     with opened(path) as fh:
         line, before = fh.readline().removeprefix("\ufeff"), 0
-        while line.lstrip().startswith("#"):
+        while line and (not line.rstrip("\r\n") or line.lstrip().startswith("#")):
             line, before = fh.readline(), before + 1
         lines = chain([line], fh)
         reader = csv.reader(lines)

@@ -914,6 +914,25 @@ def test_report_does_not_depend_on_the_grid_size(source, monkeypatch):
     assert reports[1] == reports[0] and reports[2] == reports[0]
 
 
+def test_square_root_peak_below_the_first_grid_point(monkeypatch):
+    """A square-root form's dR^2/dc is 0 at c = 0, but its slope in c^2 is
+    not, so a peak between 0 and a 250-point grid's first point is found as
+    a 2000-point grid finds it."""
+    summaries = grid_summaries(
+        lambda a, w: 100.0 + 90.0 * math.log2(a / math.sqrt(w * w - 0.007**2) + 1.0)
+        + 1e-3 * math.sin(a * w),
+        lambda a, w: 1.0,
+    )
+    dataset = Dataset("m6-peak", Dimensionality.TWO_D, tuple(summaries))
+    reports = []
+    for points in (250, 2000):
+        monkeypatch.setattr(fitting, "_GRID_POINTS", points)
+        report = compare(dataset, None, sigma_a=0.5)
+        reports.append(render_fit_md(report, dataset))
+    assert 0 < report.result(Model.M6_W_SQRT_C).c_mm < min(WIDTHS) / 249
+    assert reports[0] == reports[1]
+
+
 @_PROPERTY
 @given(source=st.sampled_from(["paper-1d", "paper-2d"]) | st.integers(0, 2**32 - 1),
        sigma_a=st.floats(0.1, 2.0))

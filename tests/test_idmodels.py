@@ -206,17 +206,24 @@ class TestKernelProperties:
     @_PROPERTY
     @given(w=_POSITIVE, ratio=st.floats(1e-3, 1e3), u=st.floats(0.01, 1.0, exclude_max=True))
     def test_slope_is_the_derivative_of_the_difficulty(self, w, ratio, u):
-        # c = u * c_max; a five-point central difference with steps of 1% of
-        # c's distance to 0 or W, whichever is nearer, is accurate to 1e-7
-        # here.  Closer to 0 the square-root forms' slope, which vanishes
-        # with c, drops under the difficulty's rounding over any step: at
-        # A/W = 1e-3 it is 2.3e-6 off at c = 1e-3 * c_max.
+        # c = u * c_max, and the slope is in v = c for W - c and v = c^2 for
+        # sqrt(W^2 - c^2); a five-point central difference in v with steps
+        # of 1% of v's distance to 0 or to its value at c = W, whichever is
+        # nearer, is accurate to 3e-7 here
         a, c = w * ratio, u * (w - w * _C_REL)
-        h = 0.01 * min(c, w - c)
         for model in _C_FORMS:
-            d = [compute_id(model, a, w, c + k * h) for k in (-2, -1, 1, 2)]
+            power = 2 if model.uses_sqrt else 1
+            v = c**power
+            h = 0.01 * min(v, w**power - v)
+            d = [compute_id(model, a, w, (v + k * h) ** (1 / power)) for k in (-2, -1, 1, 2)]
             central = (d[0] - 8 * d[1] + 8 * d[2] - d[3]) / (12 * h)
             assert id_slope(model, a, w, c) == pytest.approx(central, rel=1e-6)
+
+    @pytest.mark.parametrize("model", [m for m in _C_FORMS if m.uses_sqrt])
+    def test_square_root_slope_is_not_0_at_c_0(self, model):
+        # d id/dc is 0 there, and a root finder would take c = 0 for a root
+        assert id_slope(model, 20.0, 2.0, 0.0) == pytest.approx(
+            20.0 / (2 * 2.0**2 * 22.0 * math.log(2.0)), rel=1e-15)
 
     @_PROPERTY
     @given(a=_POSITIVE, w=_SIGNED, c=_SIGNED)

@@ -209,11 +209,15 @@ class TestTrialsCsv:
 
     @pytest.mark.parametrize("bad", [GOOD_ROWS[1].replace("287.0", "-1.0"),
                                      GOOD_ROWS[1].replace("287.0", "x")])
-    def test_bad_row_after_metadata_named_by_its_file_line(self, tmp_path, bad):
-        lines = ["# seed=7", '# note=a,"b', " # alpha=0.1", HEADER, GOOD_ROWS[0], bad]
+    @pytest.mark.parametrize("lead", [[], [""], ["", "# seed=6", ""]],
+                             ids=["metadata", "blank-first", "blank-between"])
+    def test_bad_row_after_metadata_named_by_its_file_line(self, tmp_path, bad, lead):
+        # blank lines before the header are read as plain text too, so the
+        # quote after them opens no field
+        lines = lead + ["# seed=7", '# note=a,"b', " # alpha=0.1", HEADER, GOOD_ROWS[0], bad]
         error = outcome(load_trials_csv, write(tmp_path, lines))
-        assert error[0] is ParseError and error[2] == 6
-        assert str(error[1]).startswith("line 6: ")
+        assert error[0] is ParseError and error[2] == len(lines)
+        assert str(error[1]).startswith(f"line {len(lines)}: ")
 
     @pytest.mark.parametrize("metadata,text", [
         ({"note": "two\nlines"}, "note=two\\nlines"),
@@ -700,8 +704,9 @@ class TestStdin:
     @pytest.mark.parametrize("text", [
         LOG, LOG.replace("\n", "\r\n"), LOG.replace("\n", "\r"), "\ufeff" + LOG, BAD,
         BAD.replace("\n", "\r"), '"' + BAD, '# note=a,"b\n' + LOG, '# note=a,"b\n' + BAD,
+        '\r\n# note=a,"b\r\n' + LOG.replace("\n", "\r\n"),
     ], ids=["log", "crlf", "cr", "bom", "bad", "bad-cr", "bad-quoted", "quoted-metadata",
-            "bad-after-quoted-metadata"])
+            "bad-after-quoted-metadata", "blank-then-quoted-metadata"])
     @pytest.mark.parametrize("load", [load_trials_csv, load_input])
     def test_same_table_or_error_as_the_file(self, tmp_path, monkeypatch, text, load):
         from_file = outcome(load, write_text(tmp_path / "log.csv", text))
