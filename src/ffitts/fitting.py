@@ -19,7 +19,11 @@ bracket.  Nor are the models of one request searched one by one: every
 free-c model of a `compare` shares that search, a grid per model and one
 root-finding loop over the rows of all of them, each row reduced on its
 own, so a model's c does not depend on which other models were
-requested; `fit_model` is the one-model case.
+requested; `fit_model` is the one-model case.  Each step of that loop
+takes every row's difficulties and their slopes from one kernel call per
+c-form (the W - c rows of m3 and m5 are one slice, the square-root rows
+of m4 and m6 another), and reduces only the groups of rows (the full fits,
+the folds) that still hold an unsettled row.
 
 The selection battery is R^2, adjusted R^2, AIC, BIC, and
 leave-one-condition-out RMSE.  Information criteria use the Gaussian
@@ -36,6 +40,7 @@ excludes the variance parameter.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -45,7 +50,7 @@ import numpy as np
 from .datamodel import (Condition, ConditionSummary, Dataset, SigmaEstimate, finite_rule,
                         require)
 from .errors import SingularFitError, ValidationError
-from .idmodels import Model, Tremor, compute_id, id_slope, model_widths
+from .idmodels import Model, Tremor, compute_id, id_and_slope, model_widths
 
 _GRID_POINTS = 500
 _C_REL = 5e-7  # c_max's margin, of the smallest width: 1e-6 mm at the bundled data's 2 mm
@@ -143,7 +148,7 @@ def _search_c(specs, amps, mt, folds=False) -> np.ndarray:
     _GRID_POINTS grid over [0, c_max], c_max = W - W * _C_REL (rows sharing
     c_max, as the full fit and the folds that keep the smallest width do,
     share one id table), and its slope pick the grid step where dR^2/dv
-    (v as in `id_slope`) goes from + to -.  One Illinois (false-position)
+    (v as in `id_and_slope`) goes from + to -.  One Illinois (false-position)
     loop over the stacked rows of every spec finds each row's root there on
     the row's own sums, so a model's rows come out as a search of its own
     would give them; a row stops once its bracket stops shrinking or its slope is
@@ -151,10 +156,17 @@ def _search_c(specs, amps, mt, folds=False) -> np.ndarray:
     The root replaces the grid c only when its R^2 is strictly higher, and
     c = 0 unless that R^2 beats the grid's at c = 0 by more than
     _R2_MARGIN; so too where c_max rounds to W.
+
+    The specs are stacked W - c first, so each step makes one `id_and_slope`
+    call per form; the rows with the same kept count, a group, gather their
+    ids and slopes together and are reduced only while one of them is
+    unsettled.  The output keeps the order of `specs`.
     """
     n = len(mt)
     keep = np.vstack([np.ones((1, n), dtype=bool)] + [~np.eye(n, dtype=bool)] * folds)
     f = len(keep)
+    order = sorted(range(len(specs)), key=lambda s: specs[s][0].uses_sqrt)  # W - c first
+    specs = [specs[s] for s in order]
     best_c, lo, hi, r2_0 = np.zeros((4, len(specs) * f))
     for s, (model, widths) in enumerate(specs):
         w_min = np.where(keep, widths, np.inf).min(axis=1)
@@ -171,45 +183,58 @@ def _search_c(specs, amps, mt, folds=False) -> np.ndarray:
             best_c[at], r2_0[at] = grid[i], r2s[:, 0]
             lo[at], hi[at] = grid[np.maximum(i - 1, 0)], grid[np.minimum(i + 1, len(grid) - 1)]
 
+    # one kernel per form, over its rows' slice with every row's widths;
+    # the model gives only the form (m3's kernel is m5's)
+    forms, start = [], 0
+    for _, group in itertools.groupby(specs, key=lambda spec: spec[0].uses_sqrt):
+        group = list(group)
+        rows = slice(start, start := start + len(group) * f)
+        forms.append((group[0][0], rows, np.repeat([w for _, w in group], f, axis=0)))
     stacked = np.tile(keep, (len(specs), 1))  # spec s owns rows s*f .. s*f + f - 1
     kept, groups = stacked.sum(axis=1), []
     for rows in (np.flatnonzero(kept == m) for m in np.unique(kept)):
-        # the group's kept entries, row by row; a fold's c can pass its
-        # held-out width, whose id is NaN and never taken
+        # the group's kept entries, row by row, of the ids and then of the
+        # slopes; a fold's c can pass its held-out width, whose id is NaN
+        # and never taken
         r, j = np.nonzero(stacked[rows])
+        at = rows[r] * n + j
         mt_k = mt[j].reshape(len(rows), -1)
         yc = mt_k - (mt_k.sum(axis=1) / mt_k.shape[1])[:, None]
-        groups.append((rows, rows[r] * n + j, yc, (yc * yc).sum(axis=1)))
+        groups.append((rows, np.concatenate([at, at + stacked.size]), yc, (yc * yc).sum(axis=1)))
+    both = np.empty((2, *stacked.shape))  # every row's ids, then its slopes
 
-    def fit_at(c):
+    def fit_at(c, live):
         """Each row's R^2 at its c, the squared correlation (0 where a
         variance vanishes), and the sign-carrying factor of its dR^2/dv,
-        sxy * (sx'y * sxx - sxy * sxx') with x' = d id/dv (`id_slope`)."""
-        ids, slopes = (np.concatenate([fn(model, amps, widths, c[s * f:(s + 1) * f, None])
-                                       for s, (model, widths) in enumerate(specs)])
-                       for fn in (compute_id, id_slope))
-        r2, slope = np.empty((2, len(c)))
-        for rows, kept_ids, yc, syy in groups:
-            x, dx = (t - (t.sum(axis=1) / t.shape[1])[:, None]
-                     for t in (ids.take(kept_ids).reshape(yc.shape),
-                               slopes.take(kept_ids).reshape(yc.shape)))
-            sxy, sxx = (x * yc).sum(axis=1), (x * x).sum(axis=1)
+        sxy * (sx'y * sxx - sxy * sxx') with x' = d id/dv (`id_and_slope`);
+        0 and 0 for the rows of a group with no `live` row, not reduced."""
+        for model, rows, widths in forms:
+            both[0, rows], both[1, rows] = id_and_slope(model, amps, widths, c[rows, None])
+        r2, slope = np.zeros((2, len(c)))
+        for rows, at, yc, syy in groups:
+            if not live[rows].any():
+                continue
+            t = both.take(at).reshape(2, *yc.shape)  # x and dx of each row
+            t -= (t.sum(axis=-1) / yc.shape[1])[..., None]
+            (sxy, sdy), (sxx, sxd) = (t * yc).sum(axis=-1), (t * t[0]).sum(axis=-1)
             den = sxx * syy
             r2[rows] = np.divide(sxy * sxy, den, out=np.zeros_like(den), where=den > 0)
-            slope[rows] = sxy * ((dx * yc).sum(axis=1) * sxx - sxy * (x * dx).sum(axis=1))
+            slope[rows] = sxy * (sdy * sxx - sxy * sxd)
         return r2, slope
 
-    r2_grid, f_mid = fit_at(best_c)
+    every = np.ones(len(best_c), dtype=bool)
+    r2_grid, f_mid = fit_at(best_c, every)
     right = f_mid > 0  # the peak is past the grid point
     a, b = np.where(right, best_c, lo), np.where(right, hi, best_c)
-    f_end = fit_at(np.where(right, hi, lo))[1]
+    f_end = fit_at(np.where(right, hi, lo), every)[1]
     fa, fb = np.where(right, f_mid, f_end), np.where(right, f_end, f_mid)
     c_ref, r2_ref, active = best_c, r2_grid, (fa >= 0) & (fb <= 0) & (fa != fb)
     while active.any():
         x = b - np.divide(fb * (b - a), fb - fa, out=np.zeros_like(b), where=active)
         inside = np.sign(x - a) * np.sign(x - b)  # -1 strictly between a and b, 0 at one
         c_ref = np.where(active & (inside <= 0), x, c_ref)
-        r2_ref, fx = fit_at(c_ref)
+        r2, fx = fit_at(c_ref, active)
+        r2_ref = np.where(active, r2, r2_ref)  # a settled row's c_ref has not moved
         active &= (inside < 0) & ((fx < 0) | (fx > 0))
         # b is the newest end; a kept end has its slope halved (Illinois)
         flip = active & (np.signbit(fx) != np.signbit(fb))
@@ -217,7 +242,9 @@ def _search_c(specs, amps, mt, folds=False) -> np.ndarray:
         b, fb = np.where(active, x, b), np.where(active, fx, fb)
     best = np.where(r2_ref > r2_grid, c_ref, best_c)
     best[~(np.maximum(r2_ref, r2_grid) > r2_0 + _R2_MARGIN)] = 0.0
-    return best.reshape(len(specs), f)
+    out = np.empty((len(specs), f))
+    out[order] = best.reshape(len(specs), f)
+    return out
 
 
 def optimize_c(summaries: Sequence[ConditionSummary], model: Model) -> tuple[float, OlsFit]:

@@ -140,17 +140,25 @@ def compute_id(model: Model, amplitude_mm, width_mm, c_mm=0.0):
     Broadcasts, so an (n, 1) column of widths against a (g,) grid of c
     values gives an (n, g) table.
     """
-    return _scalar(np.log2(amplitude_mm / width_term(model, width_mm, c_mm) + 1.0))
+    return _difficulty(amplitude_mm, width_term(model, width_mm, c_mm))
 
 
-def id_slope(model: Model, amplitude_mm, width_mm, c_mm):
-    """d id/dv of a free-c model, A * r / (t * (A + t) * ln 2), t the width
-    term and r = -dt/dv: v = c, r = 1 for W - c; v = c^2, r = 1 / (2t) for
-    sqrt(W^2 - c^2), whose d id/dc is 0 at c = 0.  NaN where compute_id is;
-    broadcasts as it does."""
+def id_and_slope(model: Model, amplitude_mm, width_mm, c_mm):
+    """`compute_id` of a free-c model and its d id/dv from one width term t:
+    A * r / (t * (A + t) * ln 2) with r = -dt/dv, v = c and r = 1 for
+    W - c, v = c^2 and r = 1 / (2t) for sqrt(W^2 - c^2), whose d id/dc is 0
+    at c = 0.  The slope is NaN exactly where the difficulty is; both
+    broadcast as compute_id does.  The model gives only the form: m3 and
+    m5 (or m4 and m6) share a kernel, their widths told apart by width_mm."""
     t = width_term(model, width_mm, c_mm)
     r = 0.5 / t if model.uses_sqrt else 1.0
-    return _scalar(amplitude_mm * r / (t * (amplitude_mm + t) * math.log(2.0)))
+    return (_difficulty(amplitude_mm, t),
+            _scalar(amplitude_mm * r / (t * (amplitude_mm + t) * math.log(2.0))))
+
+
+def _difficulty(amplitude_mm, term):
+    """log2(A / term + 1), the one difficulty expression."""
+    return _scalar(np.log2(amplitude_mm / term + 1.0))
 
 
 def model_widths(

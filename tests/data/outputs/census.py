@@ -10,8 +10,11 @@ Neither a test nor a golden: diff the output of two checkouts to see which
 reports and which values a change moves.
 
 Fits: runs ``compare`` (all models, CV on) on the bundled paper-1d and
-paper-2d datasets and on ``test_fitting.random_summaries`` seeds 0-299, each
-at every sigma_a of ``SIGMA_A``, and prints one line per run: the set's name,
+paper-2d datasets, on ``test_fitting.random_summaries`` seeds 0-299 and on
+its 42-condition sets (``test_fitting.GRID_42``, amplitudes 15-80 mm by
+widths 1.5-10 mm) at ``GRID_42_SEEDS``, where the folds make most of the
+free-c search's rows and most rows settle early, each at every sigma_a of
+``SIGMA_A``, and prints one line per run: the set's name,
 sigma_a, the sha1 of ``render_fit_md`` and the sha1 of the ``float.hex`` of
 c, a, b, R^2, AIC, BIC and CV RMSE of every model (``None`` where a value is
 None).  A run whose md digest is the same on both sides prints the same
@@ -43,9 +46,11 @@ from ffitts import Dataset, Dimensionality, compare, embedded
 from ffitts.cli import main as cli
 from ffitts.report import render_fit_md
 from regenerate import BUNDLED, FIT_FIELDS, _hex, random_summaries, run  # beside this script
+from test_fitting import GRID_42  # on the path regenerate sets
 
 SIGMA_A = (0.5, 0.8837, 1.2)  # mm
 RANDOM_SEEDS = range(300)
+GRID_42_SEEDS = range(60)
 LOG_SEEDS = range(20)
 LOG_SIGMA_A = ("0.6", "1.2")  # mm
 # (name, simulate arguments) of every log
@@ -68,6 +73,9 @@ def datasets():
     yield from map(embedded, BUNDLED)
     for seed in RANDOM_SEEDS:
         yield Dataset(str(seed), Dimensionality.TWO_D, tuple(random_summaries(seed)))
+    for seed in GRID_42_SEEDS:
+        yield Dataset(f"grid-42-{seed}", Dimensionality.TWO_D,
+                      tuple(random_summaries(seed, *GRID_42)))
 
 
 def sha1(text: str) -> str:

@@ -30,12 +30,14 @@ from ffitts.idmodels import compute_id, width_term
 
 AMPLITUDES = (20.0, 30.0, 45.0, 60.0)
 WIDTHS = (2.0, 4.0, 6.0, 8.0, 10.0)
+# a 42-condition grid: cross-validation's folds make most of the search's rows
+GRID_42 = ((15.0, 20.0, 30.0, 45.0, 60.0, 80.0), (1.5, 2.0, 3.0, 4.5, 6.0, 8.0, 10.0))
 
 
-def grid_summaries(mt_fn, sigma_fn):
+def grid_summaries(mt_fn, sigma_fn, amplitudes=AMPLITUDES, widths=WIDTHS):
     out = []
-    for a in AMPLITUDES:
-        for w in WIDTHS:
+    for a in amplitudes:
+        for w in widths:
             out.append(
                 ConditionSummary(
                     Condition(a, w), mt_ms=mt_fn(a, w), sigma_obs_mm=sigma_fn(a, w)
@@ -44,7 +46,7 @@ def grid_summaries(mt_fn, sigma_fn):
     return out
 
 
-def random_summaries(seed):
+def random_summaries(seed, amplitudes=AMPLITUDES, widths=WIDTHS):
     rng = np.random.Generator(np.random.PCG64(seed))
 
     def mt(a, w):
@@ -53,7 +55,7 @@ def random_summaries(seed):
     def sigma(a, w):
         return float(rng.uniform(0.4, 0.6) * w ** 0.5 + rng.uniform(0.2, 0.5))
 
-    return grid_summaries(mt, sigma)
+    return grid_summaries(mt, sigma, amplitudes, widths)
 
 
 class TestOls:
@@ -797,6 +799,10 @@ def _hex(value):
     return None if value is None else value.hex()
 
 
+_FREE_C_MIXES = [{Model.M3_WE_NOSQRT_C}, {Model.M4_WE_SQRT_C, Model.M6_W_SQRT_C},
+                 {model for model, _ in FREE_C_PAIRS}]
+
+
 class TestSharedSearch:
     """fit_model searches the full fit's c and every fold's c together, and
     compare searches those of every free-c model it fits together."""
@@ -878,6 +884,59 @@ class TestSharedSearch:
         report = compare(paper_2d, None, sigma_a=paper_2d.sigma_a_catalog[0], cv=True)
         assert len(report.results) == len(Model)
         assert calls == {"_search_c": 1, "_grid_r2": 6}
+
+    @pytest.mark.parametrize("models", _FREE_C_MIXES)
+    @pytest.mark.parametrize("source", ["paper-1d", "paper-2d", 0, 1, 2, 3, 4] + [
+        pytest.param(random_summaries(seed, *GRID_42), id=f"grid-42-{seed}") for seed in range(3)])
+    def test_compare_rows_have_the_bits_of_a_search_of_their_own(self, source, models,
+                                                                 monkeypatch):
+        # compare stacks every free-c model's rows by form into one search,
+        # in which a settled row's group is no longer reduced; each model's
+        # full-fit and fold c come out as a search of that model alone gives
+        summaries = summaries_of(source)
+        searches, real = [], fitting._search_c
+
+        def recording(specs, amps, mt, folds=False):
+            searches.append((specs, amps, mt, real(specs, amps, mt, folds)))
+            return searches[-1][-1]
+
+        monkeypatch.setattr(fitting, "_search_c", recording)
+        report = compare(Dataset("drawn", Dimensionality.TWO_D, tuple(summaries)), models)
+        [(specs, amps, mt, rows)] = searches
+        assert [model for model, _ in specs] == [m for m in Model if m in models]
+        for (model, widths), row in zip(specs, rows):
+            alone = real([(model, widths)], amps, mt, folds=True)[0]
+            assert [c.hex() for c in row.tolist()] == [c.hex() for c in alone.tolist()]
+            assert report.result(model).c_mm.hex() == alone[0].hex()
+
+    @pytest.mark.parametrize("models", _FREE_C_MIXES)
+    def test_one_kernel_call_per_form_per_evaluation(self, paper_2d, monkeypatch, models):
+        # each kernel call takes every row of one form, W - c before the
+        # square root, so each evaluation of the root finding makes one call
+        # per form; compute_id runs only in the grids and the fits
+        calls, counts = [], {"compute_id": 0, "_grid_r2": 0}
+        real_kernel = fitting.id_and_slope
+
+        def counting(name, real):
+            def wrapper(*args):
+                counts[name] += 1
+                return real(*args)
+            return wrapper
+
+        def kernel(model, amps, widths, c):
+            calls.append((model.uses_sqrt, len(c)))
+            return real_kernel(model, amps, widths, c)
+
+        for name in counts:
+            monkeypatch.setattr(fitting, name, counting(name, getattr(fitting, name)))
+        monkeypatch.setattr(fitting, "id_and_slope", kernel)
+        compare(paper_2d, models, cv=True)
+        rows = len(paper_2d.summaries) + 1  # the full fit and a fold per condition
+        forms = [(sqrt, rows * sum(m.uses_sqrt is sqrt for m in models))
+                 for sqrt in sorted({m.uses_sqrt for m in models})]
+        evaluations = len(calls) // len(forms)
+        assert evaluations >= 2 and calls == forms * evaluations
+        assert counts["compute_id"] == counts["_grid_r2"] + len(models)
 
     @_PROPERTY
     @given(source=st.sampled_from(["paper-1d", "paper-2d"]) | st.integers(0, 2**32 - 1)

@@ -19,7 +19,7 @@ from ffitts import (
     model_widths,
 )
 from ffitts.fitting import _C_REL
-from ffitts.idmodels import id_slope
+from ffitts.idmodels import id_and_slope
 
 COND = Condition(20.0, 2.0)
 
@@ -193,15 +193,19 @@ class TestKernelProperties:
         a=_POSITIVE,
     )
     def test_broadcast_equals_elementwise(self, widths, cs, a):
+        # the kernel too: the root finding evaluates a (rows, n) width table
+        # against a (rows, 1) column of c
         w_col = np.array(widths)[:, None]
         for model in (Model.M5_W_NOSQRT_C, Model.M6_W_SQRT_C):
             table = compute_id(model, a, w_col, np.array(cs))
-            assert table.shape == (len(widths), len(cs))
+            ids, slopes = id_and_slope(model, a, np.tile(widths, (len(cs), 1)),
+                                       np.array(cs)[:, None])
+            assert table.shape == ids.T.shape == slopes.T.shape == (len(widths), len(cs))
             for i, w in enumerate(widths):
                 for j, c in enumerate(cs):
-                    want = compute_id(model, a, w, c)
-                    got = float(table[i, j])
-                    assert got == want or (math.isnan(got) and math.isnan(want))
+                    want = (compute_id(model, a, w, c), *id_and_slope(model, a, w, c))
+                    got = (float(table[i, j]), float(ids[j, i]), float(slopes[j, i]))
+                    assert [g.hex() for g in got] == [v.hex() for v in want]
 
     @_PROPERTY
     @given(w=_POSITIVE, ratio=st.floats(1e-3, 1e3), u=st.floats(0.01, 1.0, exclude_max=True))
@@ -217,19 +221,23 @@ class TestKernelProperties:
             h = 0.01 * min(v, w**power - v)
             d = [compute_id(model, a, w, (v + k * h) ** (1 / power)) for k in (-2, -1, 1, 2)]
             central = (d[0] - 8 * d[1] + 8 * d[2] - d[3]) / (12 * h)
-            assert id_slope(model, a, w, c) == pytest.approx(central, rel=1e-6)
+            assert id_and_slope(model, a, w, c)[1] == pytest.approx(central, rel=1e-6)
 
     @pytest.mark.parametrize("model", [m for m in _C_FORMS if m.uses_sqrt])
     def test_square_root_slope_is_not_0_at_c_0(self, model):
         # d id/dc is 0 there, and a root finder would take c = 0 for a root
-        assert id_slope(model, 20.0, 2.0, 0.0) == pytest.approx(
+        assert id_and_slope(model, 20.0, 2.0, 0.0)[1] == pytest.approx(
             20.0 / (2 * 2.0**2 * 22.0 * math.log(2.0)), rel=1e-15)
 
     @_PROPERTY
     @given(a=_POSITIVE, w=_SIGNED, c=_SIGNED)
     def test_slope_nan_exactly_where_the_difficulty_is(self, a, w, c):
+        # and the kernel's difficulty is compute_id's, bit for bit
         for model in _C_FORMS:
-            assert math.isnan(id_slope(model, a, w, c)) == math.isnan(compute_id(model, a, w, c))
+            difficulty, slope = id_and_slope(model, a, w, c)
+            want = compute_id(model, a, w, c)
+            assert difficulty.hex() == want.hex()
+            assert math.isnan(slope) == math.isnan(want)
 
     @_PROPERTY
     @given(sigma=_POSITIVE)
