@@ -40,7 +40,6 @@ excludes the variance parameter.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -157,10 +156,11 @@ def _search_c(specs, amps, mt, folds=False) -> np.ndarray:
     c = 0 unless that R^2 beats the grid's at c = 0 by more than
     _R2_MARGIN; so too where c_max rounds to W.
 
-    The specs are stacked W - c first, so each step makes one `id_and_slope`
-    call per form; the rows with the same kept count, a group, gather their
-    ids and slopes together and are reduced only while one of them is
-    unsettled.  The output keeps the order of `specs`.
+    The specs are sorted W - c first into one stacked width table (spec s
+    owns rows s*f .. s*f + f - 1) whose two slices are the forms, so each
+    step makes one `id_and_slope` call per form; the rows with the same kept
+    count, a group, gather their ids and slopes together and are reduced
+    only while one of them is unsettled.  The output keeps the order of `specs`.
     """
     n = len(mt)
     keep = np.vstack([np.ones((1, n), dtype=bool)] + [~np.eye(n, dtype=bool)] * folds)
@@ -183,25 +183,23 @@ def _search_c(specs, amps, mt, folds=False) -> np.ndarray:
             best_c[at], r2_0[at] = grid[i], r2s[:, 0]
             lo[at], hi[at] = grid[np.maximum(i - 1, 0)], grid[np.minimum(i + 1, len(grid) - 1)]
 
-    # one kernel per form, over its rows' slice with every row's widths;
-    # the model gives only the form (m3's kernel is m5's)
-    forms, start = [], 0
-    for _, group in itertools.groupby(specs, key=lambda spec: spec[0].uses_sqrt):
-        group = list(group)
-        rows = slice(start, start := start + len(group) * f)
-        forms.append((group[0][0], rows, np.repeat([w for _, w in group], f, axis=0)))
-    stacked = np.tile(keep, (len(specs), 1))  # spec s owns rows s*f .. s*f + f - 1
-    kept, groups = stacked.sum(axis=1), []
+    # one kernel per form, over its slice of the width table; the model
+    # gives only the form (m3's kernel is m5's)
+    row_widths = np.repeat([w for _, w in specs], f, axis=0)
+    split = f * sum(not model.uses_sqrt for model, _ in specs)
+    forms = [(specs[a // f][0], slice(a, b), row_widths[a:b])
+             for a, b in ((0, split), (split, len(best_c))) if a < b]
+    both = np.empty((2, len(best_c), n))  # every row's ids, then its slopes
+    kept, groups = keep.sum(axis=1)[np.arange(len(best_c)) % f], []
     for rows in (np.flatnonzero(kept == m) for m in np.unique(kept)):
         # the group's kept entries, row by row, of the ids and then of the
         # slopes; a fold's c can pass its held-out width, whose id is NaN
         # and never taken
-        r, j = np.nonzero(stacked[rows])
+        r, j = np.nonzero(keep[rows % f])
         at = rows[r] * n + j
         mt_k = mt[j].reshape(len(rows), -1)
         yc = mt_k - (mt_k.sum(axis=1) / mt_k.shape[1])[:, None]
-        groups.append((rows, np.concatenate([at, at + stacked.size]), yc, (yc * yc).sum(axis=1)))
-    both = np.empty((2, *stacked.shape))  # every row's ids, then its slopes
+        groups.append((rows, np.concatenate([at, at + both[0].size]), yc, (yc * yc).sum(axis=1)))
 
     def fit_at(c, live):
         """Each row's R^2 at its c, the squared correlation (0 where a
@@ -242,9 +240,7 @@ def _search_c(specs, amps, mt, folds=False) -> np.ndarray:
         b, fb = np.where(active, x, b), np.where(active, fx, fb)
     best = np.where(r2_ref > r2_grid, c_ref, best_c)
     best[~(np.maximum(r2_ref, r2_grid) > r2_0 + _R2_MARGIN)] = 0.0
-    out = np.empty((len(specs), f))
-    out[order] = best.reshape(len(specs), f)
-    return out
+    return best.reshape(len(specs), f)[np.argsort(order)]
 
 
 def optimize_c(summaries: Sequence[ConditionSummary], model: Model) -> tuple[float, OlsFit]:
@@ -372,7 +368,7 @@ def _fit_models(summaries, models, sigma_a, cv) -> list[FitResult]:
     specs = [(m, w) for m, w in zip(models, widths)
              if m.tremor is Tremor.FREE_C and not np.isnan(w).any()]
     with np.errstate(all="ignore"):  # every non-finite result is caught per model
-        rows = _search_c(specs, amps, mt, folds) if specs else []
+        rows = _search_c(specs, amps, mt, folds)
     cs = {m: row for (m, _), row in zip(specs, rows)}
     return [_fit_result(summaries, m, (amps, w, mt), cs.get(m), sigma_est, folds)
             for m, w in zip(models, widths)]

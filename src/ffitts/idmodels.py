@@ -108,11 +108,16 @@ def finger_width(sigma_obs_mm, sigma_a_mm):
     """Tremor-adjusted effective width sqrt(2*pi*e*(sigma_obs^2 - sigma_a^2)).
 
     NaN where sigma_obs^2 <= sigma_a^2.  A zero tremor spread gives the
-    plain effective width exactly, since sqrt(x*x) == x.
+    plain effective width exactly, since sqrt(x*x) == x.  Where a square
+    overflows, the root is sqrt(sigma_obs - sigma_a) * sqrt(sigma_obs + sigma_a).
     """
     sigma_obs, sigma_a = _spreads(sigma_obs_mm, sigma_a_mm)
-    gap = sigma_obs * sigma_obs - sigma_a * sigma_a
-    return _scalar(SQRT_2PI_E * np.sqrt(np.where(gap > 0, gap, np.nan)))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is NaN, and so not > 0
+        gap = sigma_obs * sigma_obs - sigma_a * sigma_a
+        root = np.where(np.isfinite(gap), np.sqrt(np.where(gap > 0, gap, np.nan)),
+                        np.sqrt(np.where(sigma_obs > sigma_a, sigma_obs - sigma_a, np.nan))
+                        * np.sqrt(sigma_obs + sigma_a))
+        return _scalar(SQRT_2PI_E * root)
 
 
 def width_term(model: Model, width_mm, c_mm=0.0):
@@ -171,15 +176,15 @@ def model_widths(
     NaN marks a condition whose width is undefined (sigma_obs <= sigma_a).
     m7 needs a sigma_a, and any model checks a given one; else ValidationError.
     """
-    if model.width_kind is WidthKind.FINGER_ADJUSTED and sigma_a_mm is None:
-        raise ValidationError(f"{model.value} requires a sigma_a value")
-    sigma, _ = _spreads([s.sigma_obs_mm for s in summaries],
-                        0.0 if sigma_a_mm is None else sigma_a_mm)
+    sigma_obs = [s.sigma_obs_mm for s in summaries]
+    if model.width_kind is WidthKind.FINGER_ADJUSTED:
+        if sigma_a_mm is None:
+            raise ValidationError(f"{model.value} requires a sigma_a value")
+        return finger_width(sigma_obs, sigma_a_mm)  # which checks both spreads
+    sigma, _ = _spreads(sigma_obs, 0.0 if sigma_a_mm is None else sigma_a_mm)
     if model.width_kind is WidthKind.NOMINAL:
         return np.array([s.condition.width_mm for s in summaries], dtype=float)
-    if model.width_kind is WidthKind.EFFECTIVE:
-        return effective_width(sigma)
-    return finger_width(sigma, sigma_a_mm)
+    return effective_width(sigma)
 
 
 def _scalar(x):

@@ -16,8 +16,9 @@ and JSON carry full precision.
 JSON is strict: ``null`` marks a value that is not finite.  Only a perfect
 fit (zero residual sum of squares) gives one: its AIC and BIC are -inf and
 the other models' delta AIC/BIC inf, which md and csv print as -inf and inf.
-The intercept plot needs 3 distinct widths and finite squared widths and
-spreads; else it is ``null`` in JSON and ``fit --out`` writes no ``.intercept.csv``.
+The intercept plot needs 3 distinct widths, finite squared widths and
+spreads, and a regression whose sums do not overflow; else it is ``null`` in
+JSON and ``fit --out`` writes no ``.intercept.csv``.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 from .datamodel import AxisMode, Dataset, FirstTaps, SigmaEstimate, SigmaMethod, summarize
 from .errors import FfittsError, UnsupportedSampleSizeError, ValidationError
 from .fitting import FitResult, SelectionReport
-from .idmodels import Model, finger_width
+from .idmodels import Model, model_widths
 from .ingestion import csv_text
 from .sigma import (NORMALITY_SIZES, CalibrationMode, InterceptFit, normality_check,
                     sigma_from_calibration, sigma_from_intercept)
@@ -41,12 +42,13 @@ ERR_CELL = "!err"
 
 
 def sig(x: float, digits: int = 3) -> str:
-    """Format to a number of significant figures without exponent notation."""
+    """Format to a number of significant figures without exponent notation;
+    the figures are counted after rounding, so 99.996 to 4 is 100.0."""
     if x == 0:
         return "0"
     if not math.isfinite(x):
         return str(x)
-    exponent = math.floor(math.log10(abs(x)))
+    exponent = int(f"{x:.{digits - 1}e}".partition("e")[2])
     decimals = max(digits - 1 - exponent, 0)
     return f"{x:.{decimals}f}"
 
@@ -158,13 +160,12 @@ def wf_matrix(dataset: Dataset, extra: Sequence[SigmaEstimate] = ()) -> list[dic
     Each row holds the estimate and one cell per condition: its A_mm, W_mm
     and wf_mm, None where the adjustment is undefined (sigma_obs <= sigma_a).
     """
-    sigma_obs = np.array([s.sigma_obs_mm for s in dataset.summaries])
     return [
         {"sigma_a": est, "cells": [
             {"A_mm": s.condition.amplitude_mm, "W_mm": s.condition.width_mm,
              "wf_mm": None if math.isnan(v) else v}
-            for s, v in zip(dataset.summaries,
-                            finger_width(sigma_obs, est.sigma_a_mm).tolist())
+            for s, v in zip(dataset.summaries, model_widths(
+                Model.M7_GIVEN_SIGMA_A, dataset.summaries, est.sigma_a_mm).tolist())
         ]}
         for est in (*dataset.sigma_a_catalog, *extra)
     ]

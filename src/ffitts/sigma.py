@@ -121,14 +121,18 @@ def sigma_from_intercept(summaries: Sequence[ConditionSummary]) -> InterceptFit:
 
     Works on any grouping of summaries: one point per (A, W) for a preset-
     distance task, or one per W for a random-distance task.  Requires at
-    least three distinct widths.
+    least three distinct widths, and a finite slope, intercept and R^2: a
+    regression whose sums overflow raises ValidationError.
     """
     if len({s.condition.width_mm for s in summaries}) < 3:
         raise ValidationError("need summaries at >= 3 distinct widths")
     # `*`, not `**`, which raises OverflowError where the square is not finite
     points = [(s.condition.width_mm * s.condition.width_mm, s.sigma_obs_mm * s.sigma_obs_mm)
               for s in summaries]
-    fit = ols_fit(points)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is caught below
+        fit = ols_fit(points)
+    if not np.isfinite([fit.b_ms_per_bit, fit.a_ms, fit.r2]).all():
+        raise ValidationError("the intercept regression overflows")
     return InterceptFit(
         slope=fit.b_ms_per_bit,
         intercept_mm2=fit.a_ms,

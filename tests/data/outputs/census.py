@@ -15,10 +15,13 @@ its 42-condition sets (``test_fitting.GRID_42``, amplitudes 15-80 mm by
 widths 1.5-10 mm) at ``GRID_42_SEEDS``, where the folds make most of the
 free-c search's rows and most rows settle early, each at every sigma_a of
 ``SIGMA_A``, and prints one line per run: the set's name,
-sigma_a, the sha1 of ``render_fit_md`` and the sha1 of the ``float.hex`` of
+sigma_a, the sha1 of ``render_fit_md``, the sha1 of the ``float.hex`` of
 c, a, b, R^2, AIC, BIC and CV RMSE of every model (``None`` where a value is
-None).  A run whose md digest is the same on both sides prints the same
-report; one whose value digest differs moved at full precision only.
+None) and the sha1 of ``to_json(fit_document(...))``, or the name of the
+exception it raises.  A run whose md digest is the same on both sides prints
+the same report; one whose value digest differs moved at full precision
+only; one whose JSON digest differs writes other JSON bytes, or no longer
+(or now) fails to write strict JSON.
 
 Tremor spreads: ``ffitts simulate`` writes 30-trial logs at ``LOG_SEEDS``
 in 1D and 2D at alpha 0.0108 and every sigma_a of ``LOG_SIGMA_A``, plus two
@@ -44,7 +47,7 @@ from click.testing import CliRunner
 
 from ffitts import Dataset, Dimensionality, compare, embedded
 from ffitts.cli import main as cli
-from ffitts.report import render_fit_md
+from ffitts.report import fit_document, render_fit_md, to_json
 from regenerate import BUNDLED, FIT_FIELDS, _hex, random_summaries, run  # beside this script
 from test_fitting import GRID_42  # on the path regenerate sets
 
@@ -82,6 +85,14 @@ def sha1(text: str) -> str:
     return hashlib.sha1(text.encode()).hexdigest()
 
 
+def json_digest(report, dataset) -> str:
+    """The sha1 of the fit's JSON document, or the name of what it raises."""
+    try:
+        return sha1(to_json(fit_document(report, dataset)))
+    except Exception as exc:  # a strict-JSON crash is a census value too
+        return type(exc).__name__
+
+
 def sigma_census() -> None:
     """Write every log into a temporary directory and print a line per sigma run."""
     runner = CliRunner()
@@ -115,7 +126,8 @@ def main() -> None:
             report = compare(dataset, sigma_a=sigma_a)
             values = " ".join(str(_hex(getattr(r, f))) for r in report.results
                               for f in FIT_FIELDS)
-            print(dataset.name, sigma_a, sha1(render_fit_md(report, dataset)), sha1(values))
+            print(dataset.name, sigma_a, sha1(render_fit_md(report, dataset)), sha1(values),
+                  json_digest(report, dataset))
     sigma_census()
     simulate_census()
 

@@ -393,6 +393,10 @@ class TestSignificantFigures:
     @pytest.mark.parametrize("x,digits,text", [
         (0.0, 3, "0"), (3.14159, 3, "3.14"), (0.0123456, 3, "0.0123"),
         (1234.56, 4, "1235"), (98765.4, 3, "98765"), (-2.5, 2, "-2.5"), (math.inf, 3, "inf"),
+        # figures are counted after rounding: reaching a power of ten adds none
+        (99.996, 4, "100.0"), (9.9996, 4, "10.00"), (-99.996, 3, "-100"),
+        (999.96, 4, "1000"), (-0.0099996, 3, "-0.0100"), (9.99996e-5, 3, "0.000100"),
+        (99999.6, 3, "100000"), (99.94, 3, "99.9"), (-9.994, 3, "-9.99"),
     ])
     def test_sig(self, x, digits, text):
         assert sig(x, digits) == text
@@ -463,6 +467,32 @@ class TestWidthPastFloatRange(TestTwoWidths):
     CSV = ("A_mm,W_mm,mt_ms,sigma_obs_mm\n20,2,450,0.8\n30,4,420,1.2\n45,8,400,2.0\n"
            "50,1e200,300,2.5\n")
     REASON = "row 3: point x must be finite, got inf"
+
+
+class TestSpreadPastSquareRange(TestTwoWidths):
+    """The intercept plot needs finite squared spreads; 1e200 squared is not."""
+
+    CSV = ("A_mm,W_mm,mt_ms,sigma_obs_mm\n20,2,440,1.31\n20,4,373,1.51\n30,2,506,1.25\n"
+           "30,4,410,1e200\n45,6,413,1.68\n")
+    REASON = "row 3: point y must be finite, got inf"
+
+    def test_json_wf_is_finite(self, runner):
+        # sigma_obs^2 overflows, sigma_obs^2 - sigma_a^2 with it; W_f does not
+        result = runner.invoke(main, ["fit", "--input", "-", "--models", "m1,m7", "--sigma-a",
+                                      "1.0", "--format", "json"], input=self.CSV)
+        assert result.exit_code == 0, result.output
+        doc = json.loads(result.stdout, parse_constant=_raise_on_constant)
+        [row] = doc["wf_matrix"]
+        wf = row["cells"][3]["wf_mm"]
+        assert math.isfinite(wf) and wf == pytest.approx(4.1327313541224926e200)
+        assert doc["plots"]["intercept"] is None
+
+
+class TestInterceptRegressionOverflow(TestTwoWidths):
+    """A 1e153 spread squares to 1e306, but the regression's sums overflow."""
+
+    CSV = TestSpreadPastSquareRange.CSV.replace("1e200", "1e153")
+    REASON = "the intercept regression overflows"
 
 
 def test_to_json_rejects_non_finite_values():

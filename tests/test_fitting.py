@@ -909,6 +909,45 @@ class TestSharedSearch:
             assert [c.hex() for c in row.tolist()] == [c.hex() for c in alone.tolist()]
             assert report.result(model).c_mm.hex() == alone[0].hex()
 
+    @pytest.mark.parametrize("folds", [False, True])
+    def test_no_spec_gives_no_row(self, paper_2d, folds):
+        summaries = paper_2d.summaries
+        amps = np.array([s.condition.amplitude_mm for s in summaries])
+        mt = np.array([s.mt_ms for s in summaries])
+        rows = fitting._search_c([], amps, mt, folds)
+        assert rows.shape == (0, len(summaries) + 1 if folds else 1)
+
+    def test_compare_of_fixed_models_searches_no_spec(self, paper_2d, monkeypatch):
+        searches, real = [], fitting._search_c
+
+        def recording(specs, amps, mt, folds=False):
+            searches.append(real(specs, amps, mt, folds))
+            return searches[-1]
+
+        monkeypatch.setattr(fitting, "_search_c", recording)
+        models = [Model.M1_BASELINE, Model.M2_EFFECTIVE, Model.M7_GIVEN_SIGMA_A]
+        report = compare(paper_2d, models, sigma_a=paper_2d.sigma_a_catalog[0])
+        [rows] = searches
+        assert rows.shape == (0, len(paper_2d.summaries) + 1)
+        assert all(r.c_mm is None for r in report.results)
+        assert [r.model for r in report.results] == models
+
+    @pytest.mark.parametrize("order", ["m6 m4 m5 m3", "m6 m3 m4 m5"])
+    @pytest.mark.parametrize("source", ["paper-1d", "paper-2d", 0, 1])
+    def test_square_root_first_keeps_the_given_order(self, source, order):
+        # the search sorts the specs W - c first; its rows come back in the
+        # order given, each with the bits of a search of that spec alone
+        # (the first order's sort is its own inverse; the second's is not)
+        summaries = summaries_of(source)
+        amps = np.array([s.condition.amplitude_mm for s in summaries])
+        mt = np.array([s.mt_ms for s in summaries])
+        specs = [(m, model_widths(m, summaries)) for m in map(Model.parse, order.split())]
+        rows = fitting._search_c(specs, amps, mt, folds=True)
+        assert rows.shape == (len(specs), len(summaries) + 1)
+        for spec, row in zip(specs, rows):
+            alone = fitting._search_c([spec], amps, mt, folds=True)[0]
+            assert [c.hex() for c in row.tolist()] == [c.hex() for c in alone.tolist()]
+
     @pytest.mark.parametrize("models", _FREE_C_MIXES)
     def test_one_kernel_call_per_form_per_evaluation(self, paper_2d, monkeypatch, models):
         # each kernel call takes every row of one form, W - c before the

@@ -19,7 +19,7 @@ from ffitts import (
     model_widths,
 )
 from ffitts.fitting import _C_REL
-from ffitts.idmodels import id_and_slope
+from ffitts.idmodels import SQRT_2PI_E, id_and_slope
 
 COND = Condition(20.0, 2.0)
 
@@ -54,6 +54,18 @@ class TestFingerWidth:
 
     def test_equal_spreads_are_undefined(self):
         assert math.isnan(finger_width(1.0, 1.0))
+
+    @pytest.mark.parametrize("sigma_obs,sigma_a,root", [
+        (1e200, 1.0, 1e200), (2e200, 1e200, math.sqrt(3.0) * 1e200),
+        (1e200, 1e200, math.nan), (1e200, 2e200, math.nan), (1.0, 1e200, math.nan),
+    ])
+    def test_spread_whose_square_overflows(self, sigma_obs, sigma_a, root):
+        # sqrt(sigma_obs - sigma_a) * sqrt(sigma_obs + sigma_a), with no warning
+        w = finger_width(sigma_obs, sigma_a)
+        if math.isnan(root):
+            assert math.isnan(w)
+        else:
+            assert w == pytest.approx(SQRT_2PI_E * root, rel=1e-15)
 
     def test_zero_tremor_degenerates_to_effective_width(self):
         rng = np.random.Generator(np.random.PCG64(23))

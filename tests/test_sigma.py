@@ -176,6 +176,12 @@ class TestIntercept:
             sigma_from_intercept(summaries)
         assert str(exc.value) == "row 3: point x must be finite, got inf"
 
+    def test_overflowing_regression_raises(self):
+        # 1e153 squares to 1e306, but the total sum of squares overflows
+        summaries = summaries_from([2.0, 4.0, 6.0, 8.0], [0.8, 1.2, 1e153, 2.0])
+        with pytest.raises(ValidationError, match="the intercept regression overflows"):
+            sigma_from_intercept(summaries)
+
     def test_zero_intercept_is_not_physical(self):
         fit = InterceptFit(slope=0.01, intercept_mm2=0.0, r2=1.0, points=())
         with pytest.raises(NonPhysicalInterceptError):
