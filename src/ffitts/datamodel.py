@@ -309,47 +309,63 @@ def first_taps(taps: TapTable, outlier_radius_mm: float = OUTLIER_RADIUS_MM) -> 
     """
     if not outlier_radius_mm > 0:
         raise ValidationError(f"outlier radius must be > 0, got {outlier_radius_mm}")
-    live = ~taps.is_practice
-    amps, widths = taps.amplitude_mm[live], taps.width_mm[live]
-    c = _group_ids(amps, widths)  # condition ranks, sorted by (A, W)
-    at = np.unique(c, return_index=True)[1]
-    pid, block, trial, tap_index = (
-        col[live] for col in (taps.participant, taps.block, taps.trial, taps.tap_index)
-    )
-    mt = taps.mt_ms[live]
+    live = np.flatnonzero(~taps.is_practice)
+    a_values, a = np.unique(taps.amplitude_mm[live], return_inverse=True)
+    w_values, w = np.unique(taps.width_mm[live], return_inverse=True)
+    # the live conditions' (A, W) codes, sorted, and each live tap's rank among them
+    codes, c = np.unique(a * len(w_values) + w, return_inverse=True)
     with np.errstate(over="ignore"):  # an overflowed deviation is inf: an outlier
         dx = taps.touch_x_mm[live] - taps.target_x_mm[live]
         dy = taps.touch_y_mm[live] - taps.target_y_mm[live]
 
     keep = np.hypot(dx, dy) <= outlier_radius_mm
+    tap_index = taps.tap_index[live]
     first = np.flatnonzero(keep & (tap_index == 1))
-    retap = keep & (tap_index > 1)
+    retap = np.flatnonzero(keep & (tap_index > 1))
     retapped = np.zeros(len(first), dtype=bool)
-    if retap.any():
-        unit = _group_ids(c, pid, block, trial)
-        retapped = np.isin(unit[first], unit[retap])
+    if len(retap):
+        # the (condition, block, trial) key first; the participant is ranked
+        # only over the first taps whose key a re-tap shares, and the re-taps
+        unit = _keys(c, taps.block[live], taps.trial[live])
+        near = np.isin(unit[first], unit[retap])
+        rows = np.concatenate([first[near], retap])
+        unit = _keys(unit[rows], np.unique(taps.participant[live[rows]], return_inverse=True)[1])
+        k = np.count_nonzero(near)
+        retapped[near] = np.isin(unit[:k], unit[k:])
 
+    at = live[first]
     return FirstTaps(
-        conditions=tuple(map(Condition, amps[at].tolist(), widths[at].tolist())),
+        conditions=tuple(map(Condition, a_values[codes // len(w_values)].tolist(),
+                             w_values[codes % len(w_values)].tolist())),
         condition=c[first],
-        participant=pid[first],
-        block=block[first],
-        trial=trial[first],
-        mt_ms=mt[first],
+        participant=taps.participant[at],
+        block=taps.block[at],
+        trial=taps.trial[at],
+        mt_ms=taps.mt_ms[at],
         dx_mm=dx[first],
         dy_mm=dy[first],
         retapped=retapped,
     )
 
 
-def _group_ids(*columns: np.ndarray) -> np.ndarray:
-    """Each row's rank among the distinct rows of the columns, ordered
-    lexicographically (first column first)."""
-    ids = np.zeros(len(columns[0]), dtype=np.int64)
+def _keys(*columns: np.ndarray) -> np.ndarray:
+    """One int64 per row of the non-empty integer columns, equal exactly where
+    the rows are: each column's offsets from its minimum in mixed radix, or
+    its ranks (np.unique) where the offsets could overflow int64, and the
+    key's own ranks where the ranks could too."""
+    key, size = np.zeros(len(columns[0]), dtype=np.int64), 1
     for col in columns:
-        values, codes = np.unique(col, return_inverse=True)
-        ids = np.unique(ids * len(values) + codes, return_inverse=True)[1]
-    return ids
+        low = int(col.min())
+        span = int(col.max()) - low + 1
+        if size * span >= 2**63:
+            values, col = np.unique(col, return_inverse=True)
+            low, span = 0, len(values)
+            if size * span >= 2**63:
+                values, key = np.unique(key, return_inverse=True)
+                size = len(values)
+        key = key * span + (col - low)
+        size *= span
+    return key
 
 
 def aggregate(

@@ -101,7 +101,13 @@ def _spreads(sigma_obs_mm, sigma_a_mm=0.0):
 
 def effective_width(sigma_obs_mm):
     """Width covering ~96% of normally spread endpoints: sqrt(2*pi*e)*sigma."""
-    return _scalar(SQRT_2PI_E * _spreads(sigma_obs_mm)[0])
+    return _effective(_spreads(sigma_obs_mm)[0])
+
+
+def _effective(sigma_obs: np.ndarray):
+    """``effective_width`` of checked spreads; inf past about 4.35e307 mm."""
+    with np.errstate(over="ignore"):
+        return _scalar(SQRT_2PI_E * sigma_obs)
 
 
 def finger_width(sigma_obs_mm, sigma_a_mm):
@@ -184,7 +190,7 @@ def model_widths(
     sigma, _ = _spreads(sigma_obs, 0.0 if sigma_a_mm is None else sigma_a_mm)
     if model.width_kind is WidthKind.NOMINAL:
         return np.array([s.condition.width_mm for s in summaries], dtype=float)
-    return effective_width(sigma)
+    return _effective(sigma)
 
 
 def _scalar(x):

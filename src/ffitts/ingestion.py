@@ -54,6 +54,7 @@ _AGGREGATE_OPTIONAL = ["n_trials", "error_rate"]
 
 _BOOLS = {**dict.fromkeys(("true", "1", "yes"), True),
           **dict.fromkeys(("false", "0", "no"), False)}
+_EXACT_BOOLS = {"true": True, "false": False}  # as write_trials_csv writes them
 
 
 def _floats(texts) -> np.ndarray:
@@ -68,12 +69,17 @@ def _ints(texts, dtype=np.int64) -> np.ndarray:
 
 
 def _bools(texts) -> np.ndarray:
-    return np.fromiter(map(_BOOLS.__getitem__, map(str.lower, map(str.strip, texts))),
-                       bool, len(texts))
+    try:  # "true" and "false" as written, or else any spelling of _BOOLS
+        return np.fromiter(map(_EXACT_BOOLS.__getitem__, texts), bool, len(texts))
+    except KeyError:
+        return np.fromiter(map(_BOOLS.__getitem__, map(str.lower, map(str.strip, texts))),
+                           bool, len(texts))
 
 
 # the text-to-array conversion of a column of each dtype; a bad field raises.
-# Condition summaries keep n_trials a Python int (dtype int), unbounded.
+# numpy drops the trailing NULs of a str, so a text is stripped before its
+# array is made.  Condition summaries keep n_trials a Python int (dtype
+# int), unbounded.
 _CONVERT = {str: lambda texts: np.array(list(map(str.strip, texts))), bool: _bools,
             float: _floats, np.int64: _ints, int: lambda texts: _ints(texts, object)}
 
@@ -170,9 +176,18 @@ def _read(path: str | Path, trials: bool | None = None) -> TapTable | list[Condi
 # a metadata row that only _records skips
 _NOT_BULK = '"#\0\x1c\x1d\x1e\x1f'
 
-# a tap-log row as np.loadtxt reads it; the text columns are Python strings,
-# which _CONVERT turns into arrays (a fixed-width str field would truncate)
-_BULK_ROW = np.dtype([(name, object if dtype in (str, bool) else dtype)
+
+def _stripped(texts: np.ndarray) -> np.ndarray:
+    """``_CONVERT[str]`` of an object array of texts without a NUL, done on
+    the whole array: the stripped texts as a str array as wide as the widest."""
+    stripped = np.strings.strip(texts.astype(str))
+    return stripped.astype(f"U{np.strings.str_len(stripped).max(initial=1)}")
+
+
+# the conversion of each text column of a tap-log row as np.loadtxt reads it,
+# as Python strings (a fixed-width str field would truncate)
+_BULK_CONVERT = {str: _stripped, bool: _bools}
+_BULK_ROW = np.dtype([(name, object if dtype in _BULK_CONVERT else dtype)
                       for name, dtype in TAP_COLUMNS.items()])
 _FLOAT_COLUMNS = [name for name, dtype in TAP_COLUMNS.items() if dtype is float]
 
@@ -209,7 +224,7 @@ def _bulk_taps(lines, before: int) -> tuple[list, Iterator[str], int]:
                     raise ValueError("not finite")
                 # copies, so that the rows and their strings go
                 blocks.append((range(before + 1, before + 1 + len(chunk)), [
-                    (_CONVERT[dtype] if dtype in (str, bool) else np.copy)(rows[name])
+                    _BULK_CONVERT.get(dtype, np.copy)(rows[name])
                     for name, dtype in TAP_COLUMNS.items()]))
             except (ValueError, KeyError, OverflowError, Warning):
                 lines = chain(chunk, lines)

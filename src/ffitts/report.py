@@ -382,7 +382,8 @@ def sigma_document(source: str, rows: Sequence[dict]) -> dict:
 
 def fit_document(report: SelectionReport, dataset: Dataset) -> dict:
     """Complete fit output as one strict-JSON document; a non-finite value in
-    the comparison rows is None, and so is an undefined intercept plot."""
+    the comparison rows or the W_f cells is None, and so is an undefined
+    intercept plot."""
     try:
         intercept = intercept_plot(dataset)
     except ValidationError:
@@ -391,18 +392,21 @@ def fit_document(report: SelectionReport, dataset: Dataset) -> dict:
         "dataset": dataset.name,
         "dimensionality": dataset.dimensionality.value,
         "sigma_a": asdict(report.sigma_a) if report.sigma_a else None,
-        "models": [
-            {k: None if isinstance(v, float) and not math.isfinite(v) else v
-             for k, v in row.items()}
-            for row in comparison_rows(report)
-        ],
+        "models": list(map(_finite_or_none, comparison_rows(report))),
         "best_by": {k: m.value for k, m in report.best_by.items()},
         "wf_matrix": [
-            {"sigma_a": asdict(row["sigma_a"]), "cells": row["cells"]}
+            {"sigma_a": asdict(row["sigma_a"]),
+             "cells": list(map(_finite_or_none, row["cells"]))}
             for row in wf_matrix(dataset, wf_extra(report))
         ],
         "plots": {"fits": fits_plot_rows(report), "intercept": intercept},
     }
+
+
+def _finite_or_none(row: dict) -> dict:
+    """``row`` with None for each non-finite float."""
+    return {k: None if isinstance(v, float) and not math.isfinite(v) else v
+            for k, v in row.items()}
 
 
 def to_json(obj) -> str:

@@ -30,6 +30,16 @@ condition.  ``ffitts sigma --input LOG --format json`` runs on each with
 every ``--axis`` and ``--dim`` and each of ``SIGMA_RUNS``; one line per run
 gives its arguments, exit code and the sha1 of its stdout.
 
+Re-tap logs: ``write_tap_log`` writes a seeded log at each of
+``TAP_LOG_SEEDS`` for the participants ``TAP_LOG_IDS``, whose IDs differ in
+length and script: a practice block and two live blocks of the same trial
+numbers for every participant, so that (condition, block, trial) keys repeat
+across participants, with outliers beyond 15 mm and re-taps, rows shuffled.
+``ffitts sigma --input LOG --format json`` runs on each with every
+``--axis`` and ``--dim``, and ``ffitts fit --input LOG --sigma-a 1.0`` in md
+and json; one line per run gives its arguments, exit code and the sha1 of
+its stdout.
+
 Simulated logs: ``ffitts simulate`` runs at ``SIM_SEEDS`` in 1D and 2D at
 each (alpha, sigma_a, --mt-noise) of ``SIM_SPREADS``, zero spreads
 included; one line per run gives its arguments, exit code and the sha1 of
@@ -41,8 +51,10 @@ checkout.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 
+import numpy as np
 from click.testing import CliRunner
 
 from ffitts import Dataset, Dimensionality, compare, embedded
@@ -64,6 +76,9 @@ LOGS = [(f"sim-{dim}-{sigma_a}-seed{seed}.csv",
     ("no-spread.csv", ["--alpha", "0", "--sigma-a", "0", "--trials", "30"]),
     ("two-trials.csv", ["--alpha", "0.0108", "--sigma-a", "0.6", "--trials", "2"]),
 ]
+TAP_LOG_SEEDS = range(12)
+TAP_LOG_IDS = ("P01", "P2", "p003", "\u00e9l\u00e8ve-4")
+TAP_LOG_CONDITIONS = [(a, w) for a in (20.0, 45.0) for w in (2.0, 4.0, 8.0)]  # (A, W) in mm
 SIM_SEEDS = range(4)
 SIM_SPREADS = [("0.0108", "1.2", "5"), ("0", "1.2", "5"), ("0.0108", "0", "5"), ("0", "0", "5"),
                ("0.0108", "1.2", "0")]
@@ -108,6 +123,49 @@ def sigma_census() -> None:
                         print(" ".join(args), result.exit_code, sha1(result.stdout))
 
 
+def write_tap_log(seed: int, path: str) -> None:
+    """A seeded tap log: per participant, block 0 (practice) and blocks 1 and
+    2 of trials 1-24, each trial at condition (trial mod 6) of
+    TAP_LOG_CONDITIONS; a trial has up to two re-taps (tap_index 2, 3) and
+    every tap a 2% chance to land 20 mm off (beyond the 15 mm radius)."""
+    rng = np.random.default_rng([seed, 34])
+    rows = []
+    for pid in TAP_LOG_IDS:
+        for block in range(3):
+            for trial in range(1, 25):
+                a, w = TAP_LOG_CONDITIONS[trial % len(TAP_LOG_CONDITIONS)]
+                tx, ty = rng.uniform(0.0, 60.0, 2).round(2).tolist()
+                for tap in range(1, 2 + int(rng.binomial(2, 0.12))):
+                    dx, dy = rng.normal(0.0, 0.6 + 0.2 * w, 2).tolist()
+                    dy += 20.0 * (rng.random() < 0.02)
+                    mt = max(1.0, 150.0 + 120.0 * np.log2(a / w + 1) + rng.normal(0.0, 30.0))
+                    rows.append([pid, block, trial, a, w, tx, ty, round(tx + dx, 3),
+                                 round(ty + dy, 3), round(float(mt), 1), tap,
+                                 "true" if block == 0 else "false"])
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["participant", "block", "trial", "A_mm", "W_mm", "target_x_mm",
+                         "target_y_mm", "touch_x_mm", "touch_y_mm", "mt_ms", "tap_index",
+                         "is_practice"])
+        writer.writerows(rows[i] for i in rng.permutation(len(rows)))
+
+
+def retap_census() -> None:
+    """Write every re-tap log into a temporary directory and print a line per run."""
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        for seed in TAP_LOG_SEEDS:
+            log = f"taps-seed{seed}.csv"
+            write_tap_log(seed, log)
+            runs = [["sigma", "--input", log, "--format", "json", "--axis", axis, "--dim", dim]
+                    for axis in ("x", "y", "bivariate") for dim in ("1d", "2d")]
+            runs += [["fit", "--input", log, "--sigma-a", "1.0", "--format", fmt]
+                     for fmt in ("md", "json")]
+            for args in runs:
+                result = runner.invoke(cli, args)
+                print(" ".join(args), result.exit_code, sha1(result.stdout))
+
+
 def simulate_census() -> None:
     """Print a line per simulate run, its log on stdout."""
     runner = CliRunner()
@@ -129,6 +187,7 @@ def main() -> None:
             print(dataset.name, sigma_a, sha1(render_fit_md(report, dataset)), sha1(values),
                   json_digest(report, dataset))
     sigma_census()
+    retap_census()
     simulate_census()
 
 

@@ -31,7 +31,7 @@ from ffitts import (
 from ffitts.datamodel import TAP_COLUMNS
 from ffitts import cli
 from ffitts.cli import main
-from ffitts.report import sig
+from ffitts.report import ERR_CELL, sig
 
 DATA = Path(__file__).parent / "data"
 OUTPUTS = DATA / "outputs"
@@ -493,6 +493,28 @@ class TestInterceptRegressionOverflow(TestTwoWidths):
 
     CSV = TestSpreadPastSquareRange.CSV.replace("1e200", "1e153")
     REASON = "the intercept regression overflows"
+
+
+class TestSpreadPastFloatRange:
+    """A 1.7e308 spread puts W_e and W_f past the float range: strict JSON
+    writes such a W_f cell as null, md prints it as inf."""
+
+    CSV = ("A_mm,W_mm,mt_ms,sigma_obs_mm\n20,2,450,0.8\n30,4,420,1.2\n45,8,400,2.0\n"
+           "50,16,300,2.5\n60,10,350,1.7e308\n")
+    ARGS = ["fit", "--input", "-", "--models", "m1,m2,m7", "--sigma-a", "1.0", "--format"]
+
+    def test_json_writes_an_infinite_wf_as_null(self, runner):
+        result = runner.invoke(main, self.ARGS + ["json"], input=self.CSV)
+        assert result.exit_code == 0, result.output
+        doc = json.loads(result.stdout, parse_constant=_raise_on_constant)
+        [row] = doc["wf_matrix"]
+        # the first cell is undefined (sigma_obs < sigma_a), the last inf
+        assert [c["wf_mm"] is None for c in row["cells"]] == [True, False, False, False, True]
+
+    def test_md_prints_inf(self, runner):
+        result = runner.invoke(main, self.ARGS + ["md"], input=self.CSV)
+        assert result.exit_code == 0, result.output
+        assert f"| Given | 1.00 | W_f | {ERR_CELL} | 2.74 | 7.16 | 9.47 | inf |" in result.stdout
 
 
 def test_to_json_rejects_non_finite_values():

@@ -28,7 +28,7 @@ from ffitts import (
     generate,
     sigma_from_calibration,
 )
-from ffitts.datamodel import TAP_COLUMNS, endpoint_spread, summarize
+from ffitts.datamodel import TAP_COLUMNS, _keys, endpoint_spread, summarize
 
 
 def make_trial(cond, dx=0.5, dy=0.5, mt=300.0, tap_index=1, trial=1,
@@ -662,3 +662,115 @@ def _reference_first_taps(trials, radius=15.0):
          *deviation(t), unit(t) in retapped)
         for t in kept if t.tap_index == 1
     ]
+
+
+def _group_ids(*columns):
+    """Each row's rank among the distinct rows of the columns, ordered
+    lexicographically, from one ``np.unique`` per column and per step, so it
+    cannot overflow: the reference for ``datamodel._keys``."""
+    ids = np.zeros(len(columns[0]), dtype=np.int64)
+    for col in columns:
+        values, codes = np.unique(col, return_inverse=True)
+        ids = np.unique(ids * len(values) + codes, return_inverse=True)[1]
+    return ids
+
+
+def _group_ids_first_taps(taps, radius=15.0):
+    """``first_taps(taps)`` with ``_group_ids`` for the condition ranks, over
+    (A, W), and for the re-tap key, over (condition, participant, block,
+    trial)."""
+    live = ~taps.is_practice
+    amps, widths = taps.amplitude_mm[live], taps.width_mm[live]
+    c = _group_ids(amps, widths)
+    at = np.unique(c, return_index=True)[1]
+    pid, block, trial, tap, mt = (getattr(taps, name)[live] for name in (
+        "participant", "block", "trial", "tap_index", "mt_ms"))
+    dx = taps.touch_x_mm[live] - taps.target_x_mm[live]
+    dy = taps.touch_y_mm[live] - taps.target_y_mm[live]
+    keep = np.hypot(dx, dy) <= radius
+    first, retap = keep & (tap == 1), keep & (tap > 1)
+    unit = _group_ids(c, pid, block, trial)
+    return FirstTaps(tuple(map(Condition, amps[at].tolist(), widths[at].tolist())), c[first],
+                     pid[first], block[first], trial[first], mt[first], dx[first], dy[first],
+                     np.isin(unit[first], unit[retap]))
+
+
+# block and trial numbers near +-2**62 and +-2**63 and small ones, whose
+# offsets from a column's minimum span up to 2**64: a mixed-radix key of
+# (condition, block, trial) could overflow int64, or wrap to the key of
+# another condition (a block span of 2**62 times a trial span of 4)
+_KEY_NUMBERS = st.sampled_from([-3, -1, 0, 1, 3, 2**62 - 1, 2**62, -2**62, -2**62 - 1,
+                                2**63 - 1, -2**63, -2**63 + 1])
+# IDs of one to four characters, Unicode among them, that a TapTable takes:
+# no surrounding whitespace (categories Z and Cc hold all of it), no '#' first
+_IDS = st.text(st.characters(exclude_categories=("Cs", "Cc", "Z")), min_size=1,
+               max_size=4).filter(lambda p: not p.startswith("#"))
+
+
+@st.composite
+def keyed_logs(draw):
+    """A tap log whose few participants share a few block and trial numbers
+    in every condition, with practice taps, outliers and re-taps."""
+    ids = draw(st.lists(_IDS, min_size=1, max_size=4, unique=True))
+    blocks, trials = (draw(st.lists(_KEY_NUMBERS, min_size=1, max_size=3)) for _ in "bt")
+    rows = draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(_CONDS),
+                                   st.sampled_from(blocks), st.sampled_from(trials),
+                                   st.sampled_from([1, 1, 2, 3]),
+                                   st.sampled_from([False, False, False, True]),
+                                   st.sampled_from([0.5, 0.5, 0.5, 20.0])),
+                         min_size=1, max_size=40))
+    pid, cond, block, trial, tap, practice, dx = zip(*rows)
+    n = len(rows)
+    return TapTable(participant=list(pid), block=np.array(block, dtype=np.int64),
+                    trial=np.array(trial, dtype=np.int64),
+                    amplitude_mm=[c.amplitude_mm for c in cond],
+                    width_mm=[c.width_mm for c in cond], target_x_mm=np.zeros(n),
+                    target_y_mm=np.zeros(n), touch_x_mm=list(dx), touch_y_mm=np.zeros(n),
+                    mt_ms=np.full(n, 300.0), tap_index=list(tap), is_practice=list(practice))
+
+
+class TestRetapKey:
+    @settings(max_examples=300)
+    @given(taps=keyed_logs())
+    def test_matches_the_group_ids_reference(self, taps):
+        selected, expected = first_taps(taps), _group_ids_first_taps(taps)
+        assert selected.conditions == expected.conditions
+        for name in FirstTaps.__slots__[1:]:
+            got, want = getattr(selected, name), getattr(expected, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+    @settings(max_examples=300)
+    @given(columns=st.integers(1, 4).flatmap(lambda k: st.lists(
+        st.lists(st.sampled_from([2**61, 2**61 + 1, -2**61]) | _KEY_NUMBERS, min_size=k,
+                 max_size=k), min_size=1, max_size=12)))
+    def test_keys_are_equal_exactly_where_rows_are(self, columns):
+        # ranking the keys gives the rows' ranks, so no two rows' keys collide
+        columns = [np.array(col, dtype=np.int64) for col in zip(*columns)]
+        keys = _keys(*columns)
+        assert keys.dtype == np.int64
+        assert np.array_equal(np.unique(keys, return_inverse=True)[1], _group_ids(*columns))
+
+    def test_same_key_of_another_participant_is_no_retap(self):
+        trials = [make_trial(COND, trial=1, participant="p1"),
+                  make_trial(COND, trial=1, participant="p10"),
+                  make_trial(COND, trial=1, tap_index=2, participant="p10")]
+        assert first_taps(table(trials)).retapped.tolist() == [False, True]
+
+    @pytest.mark.parametrize("low, high", [(-2**63, 2**63 - 1), (0, 2**62), (-2**62, 2**62)])
+    def test_block_and_trial_spans_past_int64(self, low, high):
+        # (condition, block, trial) in mixed radix would need more than 63 bits
+        trials = [make_trial(COND, trial=t, participant=p, tap_index=k)
+                  for p, t, k in [("p1", low, 1), ("p1", high, 1), ("p1", high, 2),
+                                  ("p2", low, 2), ("p2", high, 1)]]
+        for t in trials:
+            t.block = t.trial
+        assert first_taps(table(trials)).retapped.tolist() == [False, True, False]
+
+    def test_key_that_would_wrap_to_another_condition(self):
+        # 2 conditions x a block span of 2**62 x a trial span of 4 is 2**65:
+        # in int64 mixed radix the condition would drop out of the key, and
+        # the re-tap at COND would mark the first tap at (20, 2) retapped
+        trials = [make_trial(COND, trial=0, tap_index=2), make_trial(_CONDS[0], trial=0),
+                  make_trial(COND, trial=3)]
+        trials[2].block = 2**62 - 1
+        assert first_taps(table(trials)).retapped.tolist() == [False, False]

@@ -19,6 +19,7 @@ from ffitts import (
     model_widths,
 )
 from ffitts.fitting import _C_REL
+from ffitts import idmodels
 from ffitts.idmodels import SQRT_2PI_E, id_and_slope
 
 COND = Condition(20.0, 2.0)
@@ -39,6 +40,11 @@ class TestEffectiveWidth:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValidationError, match="sigma_obs must be finite and > 0, got 0.0"):
             effective_width(0.0)
+
+    def test_past_the_float_range_is_inf_without_a_warning(self):
+        # filterwarnings = error makes numpy's overflow warning fail this test
+        assert effective_width(1.7e308) == math.inf
+        assert model_widths(Model.M2_EFFECTIVE, [_summary(1.7e308)]).tolist() == [math.inf]
 
 
 class TestFingerWidth:
@@ -291,6 +297,16 @@ class TestSpreadRules:
             with pytest.raises(ValidationError) as exc:
                 call()
             assert str(exc.value) == f"sigma_a must be finite and >= 0, got {bad}"
+
+    def test_spreads_checked_once_per_call(self, monkeypatch):
+        summaries, calls = list(embedded("paper-2d").summaries), []
+        spreads = idmodels._spreads
+        monkeypatch.setattr(idmodels, "_spreads", lambda *args: calls.append(args)
+                            or spreads(*args))
+        for model in Model:
+            calls.clear()
+            model_widths(model, summaries, 0.5)
+            assert len(calls) == 1, model
 
     def test_array_names_its_first_bad_element(self):
         for call in (lambda: effective_width([1.0, 0.0, math.nan]),

@@ -664,6 +664,65 @@ class TestBulkReader:
             csv.field_size_limit(limit)
 
 
+# every character str.strip strips (all below U+3001) but the two that end
+# a line in a file
+SPACES = [c for c in map(chr, range(0x3001)) if c.isspace() and c not in "\r\n"]
+PADDING = st.text(st.sampled_from(SPACES), max_size=2)
+# IDs without whitespace, '#', a quote, a comma or NUL, Unicode among them
+BARE_IDS = st.sampled_from(["P01", "p1", "\u00e9", "\u65e5\u672c", "x" * 12]) | st.text(
+    st.characters(exclude_categories=("Cs", "Cc", "Z"), exclude_characters='#",'),
+    min_size=1, max_size=5)
+# true/false/1/0/yes/no in every mix of upper and lower case
+BOOL_WORDS = st.sampled_from(["true", "false", "1", "0", "yes", "no"]).flatmap(
+    lambda word: st.tuples(*(st.sampled_from([c.lower(), c.upper()]) for c in word))
+).map("".join)
+
+
+def padded(words):
+    return st.tuples(PADDING, words, PADDING).map("".join)
+
+
+class TestTextColumns:
+    """The participant and is_practice columns, padded with any whitespace
+    str.strip strips: both readers and both conversions agree, dtypes too."""
+
+    @settings(max_examples=150)
+    @given(rows=st.lists(st.tuples(padded(BARE_IDS), padded(BOOL_WORDS)
+                                   | st.sampled_from(["true", "false"])),
+                         min_size=1, max_size=12),
+           bad=st.none() | padded(st.sampled_from(["maybe", "tru", "2", "", "yes!", "n o"])),
+           data=st.data())
+    def test_both_readers_read_alike(self, tmp_path_factory, rows, bad, data):
+        ids, flags = (list(column) for column in zip(*rows))
+        if bad is not None:
+            at = data.draw(st.integers(0, len(rows) - 1))
+            flags[at] = bad
+        lines = [HEADER] + [f"{pid},0,{i},20,4,0,0,0.3,-0.2,300.0,1,{flag}"
+                            for i, (pid, flag) in enumerate(zip(ids, flags))]
+        path = write_text(tmp_path_factory.getbasetemp() / "texts.csv",
+                          "".join(line + "\n" for line in lines))
+        exact = outcome(csv_read, path)
+        if bad is not None:  # the line and the stripped field are named
+            assert exact == (ParseError, f"line {at + 2}: expected boolean, got "
+                                         f"{bad.strip()!r}", at + 2)
+            assert outcome(load_trials_csv, path) == exact
+            return
+        stripped = [pid.strip() for pid in ids]
+        practice = [flag.strip().lower() in ("true", "1", "yes") for flag in flags]
+        assert (exact.participant.tolist(), exact.is_practice.tolist()) == (stripped, practice)
+        for got in (load_trials_csv(path), bulk_read(path)):
+            if got is not None:  # a chunk with \x1c-\x1f is left to the csv path
+                assert_same_columns(got, exact)
+                assert [getattr(got, n).dtype for n in TAP_COLUMNS] == [
+                    getattr(exact, n).dtype for n in TAP_COLUMNS]
+        # a block's conversion: a whole object array, or the csv path's texts
+        for dtype, texts, values in ((str, ids, stripped), (bool, flags, practice)):
+            whole = ingestion._BULK_CONVERT[dtype](np.array(texts, dtype=object))
+            each = ingestion._CONVERT[dtype](tuple(texts))
+            assert whole.dtype == each.dtype and whole.tolist() == each.tolist() == values
+        assert [ingestion._bools((flag,)).item() for flag in flags] == practice
+
+
 class TestIntegerViaFloat:
     """An integer field that only a float reads is a ParseError, with the
     warning filters of a program, where a DeprecationWarning is ignored."""
