@@ -23,7 +23,9 @@ requested; `fit_model` is the one-model case.  Each step of that loop
 takes every row's difficulties and their slopes from one kernel call per
 c-form (the W - c rows of m3 and m5 are one slice, the square-root rows
 of m4 and m6 another), and reduces only the groups of rows (the full fits,
-the folds) that still hold an unsettled row.
+the folds) that still hold an unsettled row.  The lines at the chosen c
+are batched the same way: one least-squares call fits every model's full
+fit and one every model's folds.
 
 The selection battery is R^2, adjusted R^2, AIC, BIC, and
 leave-one-condition-out RMSE.  Information criteria use the Gaussian
@@ -72,20 +74,34 @@ def ols_fit(points) -> OlsFit:
     `points` is any (n, 2) array-like: a list of pairs or a stacked array;
     a non-finite coordinate raises ValidationError naming its row.
     """
-    if len(points) < 3:
-        raise ValidationError(f"need >= 3 points, got {len(points)}")
+    _require_points(len(points))
     x, y = np.asarray(points, dtype=float).T.copy()
     require(finite_rule("point x", x), finite_rule("point y", y))
-    a, b, sxx = (float(v[0]) for v in _line(x[None], y[None]))
-    if sxx <= 0:
+    return _ols(x[None], y)[0]
+
+
+def _require_points(n: int) -> None:
+    if n < 3:
+        raise ValidationError(f"need >= 3 points, got {n}")
+
+
+def _ols(xs, y) -> list[OlsFit]:
+    """`ols_fit` of each row of the (F, n) xs against y, all finite and
+    n >= 3, from one `_line` call; the first row whose x values are all
+    equal raises SingularFitError."""
+    a, b, sxx = _line(xs, np.tile(y, (len(xs), 1)))
+    if (sxx <= 0).any():
         raise SingularFitError("difficulty values are all equal")
-    resid = y - a - b * x
-    rss = float(resid @ resid)
+    resid = y - a[:, None] - b[:, None] * xs
+    rss = np.vecdot(resid, resid)
     tss = float(((y - y.mean()) ** 2).sum())
-    r2 = 1.0 - rss / tss if tss > 0 else (1.0 if rss < 1e-12 else 0.0)
     if tss == math.inf:
-        r2 = math.nan  # an overflowed total sum of squares, not a perfect fit
-    return OlsFit(a_ms=a, b_ms_per_bit=b, rss=rss, r2=r2)
+        r2 = np.full(len(xs), math.nan)  # an overflowed total sum of squares, not a perfect fit
+    elif tss > 0:
+        r2 = 1.0 - rss / tss
+    else:
+        r2 = np.where(rss < 1e-12, 1.0, 0.0)
+    return list(map(OlsFit, a.tolist(), b.tolist(), rss.tolist(), r2.tolist()))
 
 
 def _line(x, y):
@@ -301,22 +317,24 @@ class FitResult:
         return not self.math_errors
 
 
-def _loocv_residuals(ids, mt):
+def _loocv_residuals(tables, mt) -> list:
     """Held-out residual of each condition under leave-one-condition-out
-    cross-validation, from an (n, n) id table whose row i holds every
-    condition's difficulty at fold i's c: fold i refits the line on the
-    row's other entries and predicts condition i from its diagonal entry.
-    None when a fold's training difficulties are one float, or when its c
-    reaches the width of the condition it holds out (that difficulty is
-    NaN)."""
+    cross-validation, for each (n, n) id table of the (L, n, n) `tables`
+    whose row i holds every condition's difficulty at fold i's c: fold i
+    refits the line on the row's other entries, all L * n folds in one
+    `_line` call, and predicts condition i from its diagonal entry.  A
+    table's residuals are None when a fold's training difficulties are one
+    float, or when its c reaches the width of the condition it holds out
+    (that difficulty is NaN)."""
     n = len(mt)
     keep = ~np.eye(n, dtype=bool)  # row i trains on every condition but i
-    a, b, sxx = _line(ids[keep].reshape(n, -1),
-                      np.broadcast_to(mt, (n, n))[keep].reshape(n, -1))
-    held_out = ids.diagonal()
-    if np.isnan(held_out).any() or not (sxx > 0).all():
-        return None
-    return a + b * held_out - mt
+    train_mt = np.broadcast_to(mt, (n, n))[keep].reshape(n, -1)
+    a, b, sxx = (v.reshape(len(tables), n) for v in _line(
+        tables[:, keep].reshape(-1, n - 1), np.tile(train_mt, (len(tables), 1))))
+    held_out = tables.diagonal(axis1=1, axis2=2)
+    resid = a + b * held_out - mt
+    return [None if np.isnan(h).any() or not (s > 0).all() else r
+            for h, s, r in zip(held_out, sxx, resid)]
 
 
 def loocv_rmse(
@@ -354,52 +372,67 @@ def fit_model(
 
 
 def _fit_models(summaries, models, sigma_a, cv) -> list[FitResult]:
-    """`fit_model` for each of `models`, their c values from one search.
+    """`fit_model` for each of `models`: their c values from one search and
+    their lines from one `_line` call over the full fits and one over the
+    folds.
 
     The amplitudes and movement times are read once per request and each
     model's widths once; every free-c model whose widths are all defined
-    joins the one `_search_c` call."""
+    joins the one `_search_c` call.  Each such model's id table holds every
+    difficulty: row 0 is the full fit's and the last n rows (one row,
+    broadcast, for a fixed model) the folds'.  Every model whose full-fit
+    difficulties are all finite joins both line fits, in model order, so
+    the first of them whose difficulties are all equal raises
+    SingularFitError, as `ols_fit` would; `_fit_result` then takes each
+    model's slices through its own gates."""
     sigma_est = sigma_a if isinstance(sigma_a, SigmaEstimate) else None
     sigma_val = sigma_a if sigma_est is None else sigma_est.sigma_a_mm
-    folds = cv and len(summaries) >= 4
+    n = len(summaries)
+    folds = cv and n >= 4
     amps = np.array([s.condition.amplitude_mm for s in summaries], dtype=float)
     mt = np.array([s.mt_ms for s in summaries], dtype=float)
     widths = [model_widths(m, summaries, sigma_a_mm=sigma_val) for m in models]
     specs = [(m, w) for m, w in zip(models, widths)
              if m.tremor is Tremor.FREE_C and not np.isnan(w).any()]
     with np.errstate(all="ignore"):  # every non-finite result is caught per model
-        rows = _search_c(specs, amps, mt, folds)
-    cs = {m: row for (m, _), row in zip(specs, rows)}
-    return [_fit_result(summaries, m, (amps, w, mt), cs.get(m), sigma_est, folds)
+        cs = {m: row for (m, _), row in zip(specs, _search_c(specs, amps, mt, folds))}
+        tables = [None if np.isnan(w).any() else np.atleast_2d(
+            compute_id(m, amps, w, cs[m][:, None] if m in cs else 0.0))
             for m, w in zip(models, widths)]
+        live = [i for i, t in enumerate(tables) if t is not None and np.isfinite(t[0]).all()]
+        lines = cv_resids = {}
+        if live:
+            _require_points(n)
+            lines = dict(zip(live, _ols(np.array([tables[i][0] for i in live]), mt)))
+        if live and folds:
+            cv_resids = dict(zip(live, _loocv_residuals(
+                np.array([np.broadcast_to(tables[i][-n:], (n, n)) for i in live]), mt)))
+    return [_fit_result(summaries, m, (w, tables[i], mt), cs.get(m), lines.get(i),
+                        cv_resids.get(i), sigma_est)
+            for i, (m, w) in enumerate(zip(models, widths))]
 
 
-def _fit_result(summaries, model: Model, columns, cs, sigma_est, folds) -> FitResult:
-    """One model's FitResult from its (amps, widths, mt) and its row of `_search_c`
-    (None for a fixed model or one whose widths are undefined).  One id
-    table holds every difficulty: row 0 is the full fit's and the last n
-    rows (one row, broadcast, for a fixed model) the folds'.  At n <= k
-    adj_r2, AIC and BIC are undefined and left None."""
-    amps, widths, mt = columns
+def _fit_result(summaries, model: Model, columns, cs, fit, cv_resid, sigma_est) -> FitResult:
+    """One model's FitResult from its (widths, id table, mt), its row of
+    `_search_c` (None for a fixed model or one whose widths are undefined),
+    and its slices of `_fit_models`' two line fits: its OlsFit and its
+    held-out residuals (None without folds or where a fold is undefined).  Each step runs
+    only when the one before it found no bad condition.  At n <= k adj_r2,
+    AIC and BIC are undefined and left None."""
+    widths, table, mt = columns
     n = len(summaries)
     k = 3 if model.tremor is Tremor.FREE_C else 2
-    # each step runs only when the one before it found no bad condition
     bad, cv_rmse = np.isnan(widths), None
     with np.errstate(all="ignore"):  # every non-finite result is caught here
         if not bad.any():
             c = None if cs is None else float(cs[0])
-            table = np.atleast_2d(compute_id(model, amps, widths,
-                                             0.0 if cs is None else cs[:, None]))
             bad = ~np.isfinite(ids := table[0])
         if not bad.any():
-            fit = ols_fit(np.column_stack((ids, mt)))
             pred = fit.a_ms + fit.b_ms_per_bit * ids
             bad = ~np.isfinite((pred - mt) ** 2)
-        if folds and not bad.any():
-            cv_resid = _loocv_residuals(np.broadcast_to(table[-n:], (n, n)), mt)
-            if cv_resid is not None:
-                bad = ~np.isfinite(cv_resid**2)
-                cv_rmse = float(math.sqrt(np.mean(cv_resid**2)))
+        if cv_resid is not None and not bad.any():
+            bad = ~np.isfinite(cv_resid**2)
+            cv_rmse = float(math.sqrt(np.mean(cv_resid**2)))
         if not bad.any() and not np.isfinite(
                 [fit.r2, fit.rss, 0.0 if cv_rmse is None else cv_rmse]).all():
             bad = np.ones(n, dtype=bool)  # a sum overflowed: every condition is in it

@@ -76,12 +76,19 @@ def _bools(texts) -> np.ndarray:
                            bool, len(texts))
 
 
+def _texts(texts) -> np.ndarray:
+    """Stripped texts as a str array; numpy would drop a text's trailing
+    NULs (``p1\\0`` would read as ``p1``), so a text ending in NUL raises."""
+    stripped = list(map(str.strip, texts))
+    if any(text.endswith("\0") for text in stripped):
+        raise ValueError("ends in a NUL")
+    return np.array(stripped)
+
+
 # the text-to-array conversion of a column of each dtype; a bad field raises.
-# numpy drops the trailing NULs of a str, so a text is stripped before its
-# array is made.  Condition summaries keep n_trials a Python int (dtype
-# int), unbounded.
-_CONVERT = {str: lambda texts: np.array(list(map(str.strip, texts))), bool: _bools,
-            float: _floats, np.int64: _ints, int: lambda texts: _ints(texts, object)}
+# Condition summaries keep n_trials a Python int (dtype int), unbounded.
+_CONVERT = {str: _texts, bool: _bools, float: _floats, np.int64: _ints,
+            int: lambda texts: _ints(texts, object)}
 
 
 def source_name(path: str | Path) -> str:
@@ -276,6 +283,8 @@ def _row_error(row, line, width, columns) -> ParseError | None:
             text = row[i].strip()
             if dtype is bool:
                 return ParseError(f"expected boolean, got {text!r}", line)
+            if dtype is str:
+                return ParseError(f"column {name!r}: ends in a NUL: {text!r}", line)
             try:
                 (float if dtype is float else int)(text)
                 problem = "not a finite number" if dtype is float else "not a 64-bit integer"

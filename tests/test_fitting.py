@@ -1163,3 +1163,62 @@ def test_length_scaling_of_drawn_sets(summaries, sigma_a):
     for k in LENGTH_SCALES:
         assert_same_ranking(base, report_of(transformed(summaries, k=k), sigma_a * k),
                             k=k, cv_rel=1e-4, rows=summaries)
+
+
+def _bits(obj):
+    """The fields of a FitResult or PerCondition, each float by float.hex
+    and per_condition entry by entry."""
+    values = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    if "per_condition" in values:
+        values["per_condition"] = [_bits(pc) for pc in values["per_condition"]]
+    return {k: v.hex() if isinstance(v, float) else v for k, v in values.items()}
+
+
+class TestBatchedLineFit:
+    """compare fits the line of every model's full fit in one `_line` call
+    and of every model's folds in another; fit_model is the batch of one."""
+
+    @pytest.mark.parametrize("cv", [True, False])
+    @pytest.mark.parametrize("sigma_a", [0.5, 1.2])
+    @pytest.mark.parametrize("source", ["paper-1d", "paper-2d", *range(10)] + [
+        pytest.param(random_summaries(seed, *GRID_42), id=f"grid-42-{seed}") for seed in range(2)])
+    def test_compare_has_the_bits_of_fit_model(self, source, sigma_a, cv):
+        summaries = summaries_of(source)
+        report = compare(Dataset("set", Dimensionality.TWO_D, tuple(summaries)),
+                         sigma_a=sigma_a, cv=cv)
+        assert [r.model for r in report.results] == list(Model)
+        for r in report.results:
+            assert _bits(r) == _bits(fit_model(summaries, r.model, sigma_a=sigma_a, cv=cv))
+
+    @pytest.mark.parametrize("source", ["paper-1d", "paper-2d", 0, 1])
+    def test_each_line_has_the_bits_of_ols_fit(self, source):
+        # each usable model's row of the batch against ols_fit of its points alone
+        summaries = summaries_of(source)
+        report = compare(Dataset("set", Dimensionality.TWO_D, tuple(summaries)), sigma_a=0.5)
+        for r in report.results:
+            fit = ols_fit([(pc.id_bits, pc.mt_ms) for pc in r.per_condition])
+            assert [v.hex() for v in (r.a_ms, r.b_ms_per_bit, r.rss, r.r2)] == [
+                v.hex() for v in (fit.a_ms, fit.b_ms_per_bit, fit.rss, fit.r2)]
+
+    TWO = summaries_from([(20.0, 2.0, 300.0, 1.0), (40.0, 4.0, 350.0, 1.5)])
+    # one A/W ratio: m1's difficulties are all equal
+    ONE_RATIO = summaries_from([(20.0, 2.0, 300.0, 1.0), (40.0, 4.0, 350.0, 1.5),
+                                (60.0, 6.0, 330.0, 2.0), (80.0, 8.0, 360.0, 2.5)])
+
+    @pytest.mark.parametrize("cv", [True, False])
+    @pytest.mark.parametrize("rows,error,message", [
+        (TWO, ValidationError, "need >= 3 points, got 2"),
+        (ONE_RATIO, SingularFitError, "difficulty values are all equal"),
+    ])
+    def test_the_first_line_that_cannot_be_fitted_raises(self, rows, error, message, cv):
+        with pytest.raises(error) as exc:
+            compare(Dataset("set", Dimensionality.TWO_D, tuple(rows)), sigma_a=0.5, cv=cv)
+        assert type(exc.value) is error and str(exc.value) == message
+
+    def test_no_line_no_error(self):
+        # m7's width is undefined on the first condition (sigma_obs < sigma_a),
+        # so no model reaches a line and 2 conditions do not raise
+        report = compare(Dataset("set", Dimensionality.TWO_D, tuple(self.TWO)),
+                         [Model.M7_GIVEN_SIGMA_A], sigma_a=1.2)
+        [r] = report.results
+        assert r.math_errors == (self.TWO[0].condition,)

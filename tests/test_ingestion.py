@@ -243,6 +243,22 @@ class TestTrialsCsv:
         write_trials_csv(taps, out)
         assert load_trials_csv(out).participant.tolist() == ids
 
+    @pytest.mark.parametrize("pid", ["p1\x00", "p1\x00 ", "ab \x00", "\x00", "\x00\x00"])
+    def test_participant_ending_in_nul_rejected(self, tmp_path, pid):
+        # numpy drops a str's trailing NULs, so "p1\0" would load as "p1",
+        # one participant with the next row, and its first tap a re-tap
+        rows = [f"{pid},0,1,20,4,0,0,0.3,-0.2,312.5,1,false", GOOD_ROWS[0]]
+        with pytest.raises(ParseError) as exc:
+            load_trials_csv(write(tmp_path, [HEADER] + rows))
+        assert (exc.value.line, str(exc.value)) == (
+            2, f"line 2: column 'participant': ends in a NUL: {pid.strip()!r}")
+
+    def test_participant_with_an_inner_nul_kept(self, tmp_path):
+        # numpy keeps a NUL before other characters, so the ID reads as written
+        rows = ["p\x001,0,1,20,4,0,0,0.3,-0.2,312.5,1,false", GOOD_ROWS[0]]
+        assert load_trials_csv(write(tmp_path, [HEADER] + rows)).participant.tolist() == [
+            "p\x001", "p1"]
+
     def test_first_of_two_bad_lines_named(self, tmp_path):
         bad_w = "p1,0,1,20,zero,0,0,0.3,-0.2,300,1,false"
         bad_mt = "p1,0,1,20,4,0,0,0.3,-0.2,abc,1,false"
