@@ -22,8 +22,8 @@ own, so a model's c does not depend on which other models were
 requested; `fit_model` is the one-model case.  Each step of that loop
 takes every row's difficulties and their slopes from one kernel call per
 c-form (the W - c rows of m3 and m5 are one slice, the square-root rows
-of m4 and m6 another), and reduces only the groups of rows (the full fits,
-the folds) that still hold an unsettled row.  The lines at the chosen c
+of m4 and m6 another), and reduces each group of rows (the full fits, the
+folds) with one set of sums.  The lines at the chosen c
 are batched the same way: one least-squares call fits every model's full
 fit and one every model's folds.
 
@@ -109,14 +109,16 @@ def _line(x, y):
 
     Returns per-row intercepts, slopes and centered sums of squares of x;
     a row whose x values are all equal, their spread at most 1e-12 of their
-    largest magnitude, gets sxx 0 and a NaN or infinite slope.
+    largest magnitude, gets sxx 0 and a NaN or infinite slope, and one whose
+    sxx overflows gets sxx inf and a NaN slope and intercept.
     """
     xbar, ybar = x.sum(axis=1) / x.shape[1], y.sum(axis=1) / y.shape[1]
     xc = x - xbar[:, None]
     spread = np.ptp(x, axis=1) > 1e-12 * np.abs(x).max(axis=1)
-    sxx = np.where(spread, np.vecdot(xc, xc), 0.0)
+    with np.errstate(over="ignore"):
+        sxx = np.where(spread, np.vecdot(xc, xc), 0.0)
     with np.errstate(invalid="ignore", divide="ignore"):
-        b = np.vecdot(xc, y - ybar[:, None]) / sxx
+        b = np.where(sxx < math.inf, np.vecdot(xc, y - ybar[:, None]) / sxx, math.nan)
     return ybar - b * xbar, b, sxx
 
 
@@ -176,7 +178,7 @@ def _search_c(specs, amps, mt, folds=False) -> np.ndarray:
     owns rows s*f .. s*f + f - 1) whose two slices are the forms, so each
     step makes one `id_and_slope` call per form; the rows with the same kept
     count, a group, gather their ids and slopes together and are reduced
-    only while one of them is unsettled.  The output keeps the order of `specs`.
+    together.  The output keeps the order of `specs`.
     """
     n = len(mt)
     keep = np.vstack([np.ones((1, n), dtype=bool)] + [~np.eye(n, dtype=bool)] * folds)
@@ -217,17 +219,14 @@ def _search_c(specs, amps, mt, folds=False) -> np.ndarray:
         yc = mt_k - (mt_k.sum(axis=1) / mt_k.shape[1])[:, None]
         groups.append((rows, np.concatenate([at, at + both[0].size]), yc, (yc * yc).sum(axis=1)))
 
-    def fit_at(c, live):
+    def fit_at(c):
         """Each row's R^2 at its c, the squared correlation (0 where a
         variance vanishes), and the sign-carrying factor of its dR^2/dv,
-        sxy * (sx'y * sxx - sxy * sxx') with x' = d id/dv (`id_and_slope`);
-        0 and 0 for the rows of a group with no `live` row, not reduced."""
+        sxy * (sx'y * sxx - sxy * sxx') with x' = d id/dv (`id_and_slope`)."""
         for model, rows, widths in forms:
             both[0, rows], both[1, rows] = id_and_slope(model, amps, widths, c[rows, None])
         r2, slope = np.zeros((2, len(c)))
         for rows, at, yc, syy in groups:
-            if not live[rows].any():
-                continue
             t = both.take(at).reshape(2, *yc.shape)  # x and dx of each row
             t -= (t.sum(axis=-1) / yc.shape[1])[..., None]
             (sxy, sdy), (sxx, sxd) = (t * yc).sum(axis=-1), (t * t[0]).sum(axis=-1)
@@ -236,19 +235,17 @@ def _search_c(specs, amps, mt, folds=False) -> np.ndarray:
             slope[rows] = sxy * (sdy * sxx - sxy * sxd)
         return r2, slope
 
-    every = np.ones(len(best_c), dtype=bool)
-    r2_grid, f_mid = fit_at(best_c, every)
+    r2_grid, f_mid = fit_at(best_c)
     right = f_mid > 0  # the peak is past the grid point
     a, b = np.where(right, best_c, lo), np.where(right, hi, best_c)
-    f_end = fit_at(np.where(right, hi, lo), every)[1]
+    f_end = fit_at(np.where(right, hi, lo))[1]
     fa, fb = np.where(right, f_mid, f_end), np.where(right, f_end, f_mid)
     c_ref, r2_ref, active = best_c, r2_grid, (fa >= 0) & (fb <= 0) & (fa != fb)
     while active.any():
         x = b - np.divide(fb * (b - a), fb - fa, out=np.zeros_like(b), where=active)
         inside = np.sign(x - a) * np.sign(x - b)  # -1 strictly between a and b, 0 at one
         c_ref = np.where(active & (inside <= 0), x, c_ref)
-        r2, fx = fit_at(c_ref, active)
-        r2_ref = np.where(active, r2, r2_ref)  # a settled row's c_ref has not moved
+        r2_ref, fx = fit_at(c_ref)  # a settled row's c_ref, and so its R^2, has not moved
         active &= (inside < 0) & ((fx < 0) | (fx > 0))
         # b is the newest end; a kept end has its slope halved (Illinois)
         flip = active & (np.signbit(fx) != np.signbit(fb))

@@ -155,6 +155,9 @@ def normality_check(deviations_mm, alpha: float = 0.05) -> NormalityResult:
     """Shapiro-Wilk test on a deviation sample; passed means p > alpha.
 
     W and p come from Royston's AS R94, which covers 3 <= n <= 5000.
+    Both are scale-free, so a sample whose range overflows is halved first;
+    the halving is exact but for subnormal values, which are nothing
+    against such a range.
     """
     arr = np.asarray(deviations_mm, dtype=float)
     if arr.ndim != 1:
@@ -164,9 +167,12 @@ def normality_check(deviations_mm, alpha: float = 0.05) -> NormalityResult:
         raise UnsupportedSampleSizeError(
             f"sample size {arr.size} outside supported range [{lo}, {hi}]")
     require(finite_rule("deviation", arr))
-    if np.ptp(arr) == 0:
+    x = np.sort(arr)
+    if x[0] == x[-1]:
         raise DegenerateDataError("zero variance sample")
-    w, p = _shapiro_wilk(np.sort(arr))
+    if float(x[-1]) - float(x[0]) == inf:
+        x = x / 2.0
+    w, p = _shapiro_wilk(x)
     return NormalityResult(statistic=w, p_value=p, passed=bool(p > alpha))
 
 

@@ -7,7 +7,8 @@ tremor component with variance sigma_a^2, so the generated spread obeys
     var(deviation) = alpha * W^2 + sigma_a^2.
 
 Movement times follow a linear law over the baseline difficulty,
-a + b * log2(A/W + 1), plus normal noise.
+a + b * ``compute_id(Model.M1_BASELINE, A, W)`` (log2(A/W + 1)), plus
+normal noise.
 
 Determinism: conditions are processed in (A, W) order, each with its own
 PCG64 stream spawned from the master seed, and normal variates come from
@@ -31,6 +32,7 @@ import numpy as np
 
 from .datamodel import Dimensionality, TapTable, _ndtri, finite_rule, require
 from .errors import ValidationError
+from .idmodels import Model, compute_id
 
 #: Identifier recorded in emitted metadata for cross-checking generators.
 NORMAL_ALGORITHM = "inverse-cdf(PCG64)"
@@ -122,7 +124,7 @@ def generate(config: SimulatorConfig) -> TapTable:
         sd_r = math.sqrt(config.alpha) * w
         for dev in (dev_x, dev_y) if two_d else (dev_y,):
             dev.append(_normals(rng, n, sd_r) + _normals(rng, n, config.sigma_a_mm) + 0.0)
-        base_mt = mtm.a_ms + mtm.b_ms_per_bit * np.log2(a / w + 1.0)
+        base_mt = mtm.a_ms + mtm.b_ms_per_bit * compute_id(Model.M1_BASELINE, a, w)
         mt.append(np.maximum(base_mt + _normals(rng, n, mtm.noise_sd_ms), 0.0))
     zeros = np.zeros(n * len(conditions))
     return TapTable(

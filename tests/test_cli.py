@@ -495,6 +495,15 @@ class TestInterceptRegressionOverflow(TestTwoWidths):
     REASON = "the intercept regression overflows"
 
 
+class TestInterceptSlopeOverflow(TestTwoWidths):
+    """W^2 of 1e200 to 1.6e201 is finite, but its centred sum of squares is
+    not, so the regression has no line to plot."""
+
+    CSV = ("A_mm,W_mm,mt_ms,sigma_obs_mm\n2e100,1e100,450,1\n5e100,2e100,420,2\n"
+           "6e100,3e100,400,3\n9e100,4e100,380,4\n")
+    REASON = "the intercept regression overflows"
+
+
 class TestSpreadPastFloatRange:
     """A 1.7e308 spread puts W_e and W_f past the float range: strict JSON
     writes such a W_f cell as null, md prints it as inf."""

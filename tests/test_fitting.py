@@ -106,6 +106,14 @@ class TestOls:
             ols_fit([(1.0, 2.0), (2.0, 3.0)])
 
     @pytest.mark.filterwarnings("error")
+    def test_overflowing_sum_of_squares_of_x_gives_no_line(self):
+        # the centred x values square past the float range, so no finite
+        # slope is the least-squares one
+        fit = ols_fit([(1e200, 1.0), (2e200, 2.0), (3e200, 3.0)])
+        assert math.isnan(fit.b_ms_per_bit) and math.isnan(fit.a_ms)
+        assert math.isnan(fit.r2)
+
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("points, message", [
         ([(1, 2), (2, math.nan), (3, 4)], "row 1: point y must be finite, got nan"),
         ([(1, 2), (2, 3), (-math.inf, 4)], "row 2: point x must be finite, got -inf"),
@@ -890,9 +898,9 @@ class TestSharedSearch:
         pytest.param(random_summaries(seed, *GRID_42), id=f"grid-42-{seed}") for seed in range(3)])
     def test_compare_rows_have_the_bits_of_a_search_of_their_own(self, source, models,
                                                                  monkeypatch):
-        # compare stacks every free-c model's rows by form into one search,
-        # in which a settled row's group is no longer reduced; each model's
-        # full-fit and fold c come out as a search of that model alone gives
+        # compare stacks every free-c model's rows by form into one search;
+        # each model's full-fit and fold c come out as a search of that
+        # model alone gives
         summaries = summaries_of(source)
         searches, real = [], fitting._search_c
 

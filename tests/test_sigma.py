@@ -182,6 +182,14 @@ class TestIntercept:
         with pytest.raises(ValidationError, match="the intercept regression overflows"):
             sigma_from_intercept(summaries)
 
+    def test_overflowing_width_regression_raises(self):
+        # W^2 is finite, but its centred sum of squares overflows: a flat
+        # line at the mean sigma_obs^2 would be no estimate
+        widths = [1e100, 2e100, 3e100, 4e100]
+        summaries = summaries_from(widths, [1e-100 * w for w in widths])
+        with pytest.raises(ValidationError, match="the intercept regression overflows"):
+            sigma_from_intercept(summaries)
+
     def test_zero_intercept_is_not_physical(self):
         fit = InterceptFit(slope=0.01, intercept_mm2=0.0, r2=1.0, points=())
         with pytest.raises(NonPhysicalInterceptError):
@@ -201,6 +209,28 @@ class TestNormality:
     def test_constant_sample_degenerate(self):
         with pytest.raises(DegenerateDataError):
             normality_check([1.0] * 10)
+
+    @pytest.mark.filterwarnings("error")
+    def test_sample_whose_range_overflows(self):
+        # 1e308 - -1e308 is past the float range; W and p are those of the
+        # halved sample
+        res = normality_check([1e308, -1e308, 0.0, 1.0])
+        assert res == normality_check([5e307, -5e307, 0.0, 0.5])
+        assert 0 < res.statistic <= 1 and 0 <= res.p_value <= 1
+
+    @settings(max_examples=200)
+    @given(m=st.lists(st.integers(-2**20, 2**20) | st.sampled_from([-2**20, 2**20]),
+                      min_size=3, max_size=60),
+           k=st.integers(-1000, 1024) | st.just(1024))
+    def test_scale_by_a_power_of_two_keeps_the_bits(self, m, k):
+        # scaled below 2**k: every value is a normal float (or 0), its
+        # differences too, and at k = 1024 with both -2**20 and 2**20 the
+        # range overflows
+        assume(min(m) != max(m))
+        e = max(map(abs, m)).bit_length()
+        res, ref = normality_check(np.ldexp(m, k - e)), normality_check(m)
+        assert res.statistic.hex() == ref.statistic.hex()
+        assert res.p_value.hex() == ref.p_value.hex()
 
     def test_sample_that_is_not_flat_rejected(self):
         with pytest.raises(ValidationError, match="expected a flat sequence of deviations"):

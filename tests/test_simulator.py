@@ -18,6 +18,7 @@ from ffitts import (
 from ffitts import simulator
 from ffitts.cli import simulate as simulate_command
 from ffitts.datamodel import TAP_COLUMNS
+from ffitts.idmodels import compute_id
 
 
 def config(**overrides):
@@ -139,6 +140,17 @@ class TestMovementTimes:
                 r.condition.amplitude_mm / r.condition.width_mm + 1.0
             )
             assert r.mt_ms == pytest.approx(expect, rel=1e-12)
+
+    @pytest.mark.parametrize("dim", list(Dimensionality))
+    @pytest.mark.parametrize("a_ms", [120.0, -300.0])  # -300: the short conditions clamp
+    def test_noiseless_times_take_their_difficulty_from_compute_id(self, dim, a_ms):
+        taps = generate(config(trials_per_condition=3, dimensionality=dim,
+                               amplitudes_mm=(20.0, 30.0, 45.0, 61.5),
+                               widths_mm=(2.0, 3.3, 4.0, 7.1),
+                               mt_model=MovementTimeModel(a_ms, 93.7, 0.0)))
+        expect = [max(a_ms + 93.7 * compute_id(Model.M1_BASELINE, a, w), 0.0)
+                  for a, w in zip(taps.amplitude_mm.tolist(), taps.width_mm.tolist())]
+        assert [v.hex() for v in taps.mt_ms.tolist()] == [v.hex() for v in expect]
 
     def test_times_clamped_at_zero(self):
         mt = generate(config(mt_model=MovementTimeModel(0.0, 0.0, 5.0))).mt_ms
